@@ -5,7 +5,8 @@ Subcommands
 toy         expected |gradient| of the local phase-shifter bank: closed form
             vs Monte Carlo over uniform angles
 prop1       compiling-cost gradient second moment: sharp interval prediction
-            vs Monte Carlo over Haar (O_minus, O_plus) pairs
+            vs Monte Carlo over the sphere points u O_minus, O_plus u^T of
+            Haar pairs (O_minus, O_plus)
 prop2       quadratic-cost gradient second moment: closed form vs Monte Carlo
 heterodyne  unequal-intensity moment prefactor (optionally vs Monte Carlo)
 noise       attenuation sweep E1 = k^(2L(m)) E0(m) with regime verdict
@@ -37,7 +38,7 @@ from .linear_optics import make_generator, random_circuit
 from .phase_space import MeanVector
 from .sampling import RandomSource, haar_orthogonal, uniform_sphere
 
-SCHEMA = "linopt-bp/1"
+SCHEMA = "linopt-bp/2"
 ENV_OUTDIR = "LINOPT_BP_OUTDIR"
 INSTANCE_STREAM = 2**32  # substream index reserved for instance construction
 

@@ -9,7 +9,9 @@ identical sample streams.
 
 Haar sampling on O(2m) uses the QR decomposition of a standard Gaussian
 matrix with the sign of the triangular factor's diagonal fixed to be
-positive; without the sign fix QR output is not Haar distributed.
+positive; without the sign fix QR output is not Haar distributed.  It is
+needed only where a whole matrix is used (circuit layers, fixed instances):
+the Monte Carlo estimators draw the sphere points ``u O`` directly.
 """
 
 from __future__ import annotations

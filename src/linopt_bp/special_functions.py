@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 __all__ = [
     "LogScaled",
@@ -144,7 +144,8 @@ def bessel_i(nu: int, x: float) -> LogScaled:
 
     k = np.arange(k_lo, k_hi + 1, dtype=float)
     terms = (nu + 2.0 * k) * log_half_x - gammaln(k + 1.0) - gammaln(nu + k + 1.0)
-    return LogScaled(float(logsumexp(terms)))
+    top = float(terms.max())
+    return LogScaled(top + math.log(float(np.exp(terms - top).sum())))
 
 
 def uniform_asymptotic_i(nu: int, x: float) -> LogScaled:

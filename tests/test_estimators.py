@@ -5,7 +5,9 @@ import pytest
 
 from linopt_bp import (
     MeanVector,
+    QuadraticHamiltonian,
     RandomSource,
+    bk_matrix,
     chebyshev_bound,
     estimate_abs_grad,
     estimate_grad_moments,
@@ -16,6 +18,8 @@ from linopt_bp import (
     tail_frequency,
     toy_grad_abs_expectation,
 )
+from linopt_bp import cost_functions as cf
+from linopt_bp import estimators, sampling
 from linopt_bp.estimators import (
     CHUNK_SIZE,
     CompilingGradientFamily,
@@ -218,3 +222,68 @@ class TestTailFrequency:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError, match="epsilon"):
             tail_frequency(_toy(), -0.1, 10_000, RandomSource(0))
+
+
+class TestSphereSampling:
+    """The overlap and quadratic families draw sphere points, never Haar matrices."""
+
+    def _instance(self, m=3):
+        gen = RandomSource(31).generator()
+        u = MeanVector.of(gen.standard_normal(2 * m))
+        n = MeanVector.of(0.7 * gen.standard_normal(2 * m))
+        bs = make_generator("beamsplitter", (0, 1), m)
+        a = gen.standard_normal((2 * m, 2 * m))
+        ham = QuadraticHamiltonian(a @ a.T / (2 * m))
+        o_plus = sampling.haar_orthogonal(m, gen)
+        b = bk_matrix(bs.eps, o_plus @ ham.eta @ o_plus.T)
+        return u, n, bs, ham, o_plus, b
+
+    def test_families_draw_no_haar_matrices(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Monte Carlo family drew a Haar matrix")
+
+        u, n, bs, _, _, b = self._instance()
+        for name in ("haar_orthogonal_batch", "haar_orthogonal"):
+            monkeypatch.setattr(sampling, name, forbidden)
+            monkeypatch.setattr(estimators, name, forbidden, raising=False)
+        families = [
+            CompilingGradientFamily(u, bs.d),
+            MeasurementGradientFamily(u=u, n=n, d=bs.d),
+            QuadraticGradientFamily(u=u, b=b),
+        ]
+        for family in families:
+            x = family.sample_gradients(64, RandomSource(32).generator())
+            assert x.shape == (64,) and np.all(np.isfinite(x)), family.name
+
+    def test_second_moments_match_explicit_haar_pairs(self):
+        # independent route: explicit Haar (O_minus, O_plus) through the
+        # split-layer gradients of cost_functions, one pair per draw
+        m, draws = 3, 20_000
+        u, n, bs, ham, o_plus, b = self._instance(m)
+        gen = RandomSource(33).generator()
+        o_minus = sampling.haar_orthogonal_batch(m, draws, gen)
+        o_plus_draws = sampling.haar_orthogonal_batch(m, draws, gen)
+        cases = [
+            (
+                "measurement",
+                MeasurementGradientFamily(u=u, n=n, d=bs.d),
+                [cf.measurement_grad(u, n, bs.d, om, op) for om, op in zip(o_minus, o_plus_draws)],
+            ),
+            (
+                "quadratic",
+                QuadraticGradientFamily(u=u, b=b),
+                [cf.quadratic_grad(u, bs, ham, om, o_plus) for om in o_minus],
+            ),
+        ]
+        for label, family, grads in cases:
+            x2 = np.square(grads)
+            haar_mean = float(x2.mean())
+            haar_se = float(x2.std() / math.sqrt(draws))
+            est = estimate_grad_moments(family, draws, RandomSource(34))
+            combined = math.hypot(haar_se, est.std_error_second)
+            assert abs(est.second_moment - haar_mean) <= 4.0 * combined, (
+                label,
+                est.second_moment,
+                haar_mean,
+                combined,
+            )

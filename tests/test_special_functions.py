@@ -56,6 +56,17 @@ class TestBesselI:
     def test_window_policy_constant_pinned(self):
         assert TERM_CUTOFF_LOG == 46.0
 
+    def test_against_mpmath_oracle(self):
+        # 40-digit mpmath oracle over orders to 1e4 and arguments to 4.1e6;
+        # error relative to max(|log I|, 1) so tiny logs keep an absolute floor
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for nu in (0, 1, 7, 63, 1023, 10_000):
+                for x in (1e-8, 1e-2, 1.0, 40.0, 4096.0, 4.1e6):
+                    oracle = float(mpmath.log(mpmath.besseli(nu, mpmath.mpf(x))))
+                    mine = bessel_i(nu, x).log_value
+                    assert abs(mine - oracle) <= 1e-12 * max(abs(oracle), 1.0), (nu, x)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError, match="order"):
             bessel_i(-1, 1.0)
