@@ -11,7 +11,8 @@ prop2       quadratic-cost gradient second moment: closed form vs Monte Carlo
 heterodyne  unequal-intensity moment prefactor (optionally vs Monte Carlo)
 noise       attenuation sweep E1 = k^(2L(m)) E0(m) with regime verdict
 regimes     intensity-law sweep with regime verdict
-train       gradient-descent run emitting an iteration,cost,grad_norm trace
+train       gradient-descent run emitting an iteration,cost,grad_norm trace;
+            the preamble records the step-size backoffs and the final step
 
 Every output file embeds the schema string, the full config (JSON) and the
 seed as preamble records, so any file can be reproduced exactly from its own
@@ -382,12 +383,10 @@ def _run_noise(cfg) -> tuple:
     layers_law = _parse_layers_law(cfg["layers_law"])
     verdict = cforms.classify_noise(e0_law, k, layers_law, grid)
     rows = []
-    for m in grid:
+    for m, log_value in zip(grid, verdict.fit.log_values):
         e0 = float(e0_law(np.asarray(float(m))))
         n_layers = layers_law(m)
-        e1 = cf.attenuated_intensity(e0, k, n_layers)
-        rows.append([m, e0, n_layers, e1,
-                     cforms.heterodyne_prefactor(m, e0, e1).log_value])
+        rows.append([m, e0, n_layers, cf.attenuated_intensity(e0, k, n_layers), log_value])
     extra = {"verdict": verdict.verdict, "fit_slope": verdict.fit.slope}
     return ["m", "e0", "n_layers", "e1", "log_prefactor"], rows, extra
 
@@ -422,10 +421,8 @@ def _run_regimes(cfg) -> tuple:
     except ValueError as exc:
         raise ConfigError(f"law: {exc}") from exc
     verdict = cforms.classify_regime(law, grid)
-    rows = []
-    for m in grid:
-        energy = float(law(np.asarray(float(m))))
-        rows.append([m, energy, cforms.second_moment_prefactor(m, energy).log_value])
+    rows = [[m, float(law(np.asarray(float(m)))), log_value]
+            for m, log_value in zip(grid, verdict.fit.log_values)]
     extra = {"law": law_text, "verdict": verdict.verdict, "fit_slope": verdict.fit.slope}
     return ["m", "E", "log_moment"], rows, extra
 
@@ -457,7 +454,8 @@ def _run_train(cfg) -> tuple:
         ham = cf.QuadraticHamiltonian(a @ a.T / dim)
     records = tr.train(circuit, family, u, config, hamiltonian=ham)
     rows = [[rec.iteration, rec.cost, rec.grad_norm] for rec in records]
-    extra = {"final_cost": records[-1].cost, "iterations": records[-1].iteration}
+    extra = {"final_cost": records[-1].cost, "iterations": records[-1].iteration,
+             "backoffs": sum(rec.backoffs for rec in records), "final_lr": records[-1].lr}
     return ["iteration", "cost", "grad_norm"], rows, extra
 
 

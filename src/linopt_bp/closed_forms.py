@@ -377,10 +377,11 @@ def classify_regime(law, m_grid, xi: float = 1.0) -> RegimeVerdict:
     """
     law_fn = intensity_law(law)
     m_arr = np.asarray(m_grid, dtype=int)
-    energies = np.asarray(law_fn(np.asarray(m_arr, dtype=float)), dtype=float)
+    # one scalar law call per point, as the CLI rows report E (a vectorized
+    # expdecay power can differ from the scalar one in the last bit)
     logs = [
-        second_moment_prefactor(int(m), float(e)).scaled(xi).log_value
-        for m, e in zip(m_arr, energies)
+        second_moment_prefactor(int(m), float(law_fn(np.asarray(float(m))))).scaled(xi).log_value
+        for m in m_arr
     ]
     return _verdict_from_logs(m_arr, logs)
 

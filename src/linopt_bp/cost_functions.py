@@ -147,7 +147,16 @@ def measurement_grad(u: MeanVector, n: MeanVector, d_k, o_minus, o_plus) -> floa
     check_same_modes(u.m, modes_of(d_k, "d_k"), "state and d_k")
     y = u.values @ o_minus
     b = n.values @ o_plus.T
-    e_total = u.intensity() + n.intensity()
+    return overlap_grad(y, d_k, b, u.intensity() + n.intensity())
+
+
+def overlap_grad(y, d_k, b, e_total: float) -> float:
+    """Overlap-family gradient kernel -exp(-e_total + y.b) * (y D_k b).
+
+    Unvalidated: ``y`` and ``b`` are the propagated state and target vectors
+    and ``e_total`` is E0 + E1.  ``measurement_grad`` validates its matrices
+    and then calls this; the trainer calls it once per layer.
+    """
     return -math.exp(-e_total + float(y @ b)) * float(y @ d_k @ b)
 
 

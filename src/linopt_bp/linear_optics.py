@@ -20,12 +20,22 @@ A depth-L circuit alternates parameterized gates with fixed orthogonal layers
 
 and splits at the distinguished layer k as ``T = O_minus O_plus`` with
 ``O_minus`` covering layers 1..k-1.
+
+Gate actions are evaluated in closed form whenever ``D^3 = -D``, which holds
+exactly for all four standard kinds (``D`` has eigenvalues 0 and +-i only).
+Then Rodrigues' formula gives
+
+    exp(theta D) = I + sin(theta) D + (1 - cos(theta)) D^2,
+
+an O(m^2) sum of two fixed matrices.  Any other generator falls back to
+``scipy.linalg.expm``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -61,11 +71,15 @@ class GeneratorPair:
 
     Invariants (validated on construction): ``eps`` symmetric, ``d`` equal to
     ``-2 eps Delta`` and skew-symmetric, which forces ``[eps, Delta] = 0``.
+    Construction also stores ``d2 = d @ d`` and whether ``d^3 = -d`` holds
+    (``rodrigues``), which selects the closed form in ``gate_action``.
     """
 
     d: np.ndarray
     eps: np.ndarray
     label: str
+    d2: np.ndarray = field(init=False, repr=False)
+    rodrigues: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         eps = check_symmetric(self.eps, "eps")
@@ -76,10 +90,13 @@ class GeneratorPair:
         expected = -2.0 * eps @ symplectic_form(m)
         if np.abs(d - expected).max(initial=0.0) > 1e-10:
             raise ValueError("d does not match -2 eps Delta for the given eps")
-        for arr in (d, eps):
+        d2 = d @ d
+        for arr in (d, eps, d2):
             arr.flags.writeable = False
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "d2", d2)
+        object.__setattr__(self, "rodrigues", bool(np.abs(d @ d2 + d).max(initial=0.0) <= 1e-12))
 
     @classmethod
     def from_symmetric(cls, eps, label: str = "custom") -> "GeneratorPair":
@@ -154,11 +171,20 @@ def _two_distinct(modes: tuple, m: int) -> tuple:
 
 
 def gate_action(gen: GeneratorPair, theta: float) -> np.ndarray:
-    """Transfer matrix exp(theta D) of one gate; orthogonal for all theta."""
+    """Transfer matrix exp(theta D) of one gate; orthogonal for all theta.
+
+    Rodrigues' formula ``I + sin(theta) D + (1 - cos(theta)) D^2`` when the
+    generator satisfies ``D^3 = -D`` (every standard kind), ``expm`` otherwise.
+    """
     theta = float(theta)
     if theta == 0.0:
         return np.eye(gen.d.shape[0])
-    return expm(theta * gen.d)
+    if not gen.rodrigues:
+        return expm(theta * gen.d)
+    out = math.sin(theta) * gen.d
+    out += 2.0 * math.sin(0.5 * theta) ** 2 * gen.d2  # 1 - cos(theta), without cancellation
+    out[np.diag_indices_from(out)] += 1.0
+    return out
 
 
 @dataclass(frozen=True, eq=False)

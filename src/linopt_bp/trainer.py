@@ -1,26 +1,35 @@
 """Gradient-descent training of layered circuits.
 
 Plain constant-step descent on all layer parameters, with an optional
-halving backoff when a step increases the cost.  Per-layer gradients reuse
-the analytic kernels from ``cost_functions`` (each layer takes its turn as
-the split layer via prefix/suffix transfer products), so the trainer and the
-Monte Carlo estimators evaluate literally the same gradient.
+halving backoff when a step increases the cost.  Gradients come from adjoint
+(reverse-mode) propagation of vectors: a forward pass keeps the row vectors
+``v_l = u T_1 ... T_l`` (``T_l = exp(theta_l D_l) W_l``), a backward pass
+carries one column vector from the output back through the layers, and each
+layer's gradient is a bilinear form in the two, O(m^2) per layer with no
+matrix products.  For the overlap family that form is
+``cost_functions.overlap_grad``, the kernel behind ``measurement_grad``, so
+the trainer and the Monte Carlo estimators evaluate the same gradient.
 
+Each accepted step records its step size and the halvings that preceded it.
 Training traces are plain CSV with columns iteration,cost,grad_norm.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import cost_functions as cf
-from .linear_optics import LayeredCircuit
+from .linear_optics import LayeredCircuit, gate_action
 from .phase_space import MeanVector, as_mean_vector
 
 COST_FAMILIES = ("compiling", "quadratic")
+# From pi * 2^52 on, theta / pi has no fractional bits and adjacent doubles lie
+# 2 rad or more apart, so the angle no longer determines a rotation.
+MAX_ANGLE = math.pi * 2.0**52
 
 
 @dataclass(frozen=True)
@@ -42,10 +51,15 @@ class TrainConfig:
 
 @dataclass(frozen=True, eq=False)
 class TrainRecord:
+    """One accepted iterate: ``lr`` is the step size that reached it and
+    ``backoffs`` the halvings rejected just before it (0 at iteration 0)."""
+
     iteration: int
     cost: float
     grad_norm: float
     theta: np.ndarray = field(repr=False)
+    lr: float
+    backoffs: int
 
 
 class NonFiniteCostError(RuntimeError):
@@ -81,35 +95,35 @@ class _Objective:
 
     def evaluate(self, theta) -> tuple:
         """(cost, gradient vector over all layers) at the given parameters."""
+        theta = self.circuit._check_theta(theta)
         if not np.all(np.isfinite(theta)):
             raise ValueError("non-finite circuit parameters")
-        transfers = self.circuit.layer_transfers(theta)
-        depth = len(transfers)
-        dim = 2 * self.circuit.m
-        prefixes = [np.eye(dim)]
-        for t in transfers[:-1]:
-            prefixes.append(prefixes[-1] @ t)
-        suffixes = [None] * (depth + 1)
-        suffixes[depth] = np.eye(dim)
-        for idx in range(depth - 1, -1, -1):
-            suffixes[idx] = transfers[idx] @ suffixes[idx + 1]
-        total = suffixes[0]
+        if np.abs(theta).max() >= MAX_ANGLE:
+            raise ValueError(f"circuit parameters beyond {MAX_ANGLE:.3e} carry no angle")
+        layers = self.circuit.layers
+        gates = [gate_action(layer.gen, t) for layer, t in zip(layers, theta)]
+        states = [self.u.values]
+        for layer, gate in zip(layers, gates):
+            states.append((states[-1] @ gate) @ layer.fixed)
+        w = states.pop()
 
-        grads = np.empty(depth)
+        grads = np.empty(len(layers))
         if self.family == "compiling":
-            cost = cf.measurement_cost(self.u, self.target, np.eye(dim), total)
-            for idx in range(depth):
-                grads[idx] = cf.measurement_grad(
-                    self.u, self.target, self.circuit.layers[idx].gen.d,
-                    prefixes[idx], suffixes[idx],
-                )
+            n = self.target.values
+            diff = w - n
+            cost = 1.0 - math.exp(-0.5 * float(diff @ diff))
+            e_total = self.u.intensity() + self.target.intensity()
+            g = n
+            for idx in range(len(layers) - 1, -1, -1):
+                g = gates[idx] @ (layers[idx].fixed @ g)
+                grads[idx] = cf.overlap_grad(states[idx], layers[idx].gen.d, g, e_total)
         else:
-            cost = cf.quadratic_cost(self.u, self.ham, np.eye(dim), total)
-            for idx in range(depth):
-                grads[idx] = cf.quadratic_grad(
-                    self.u, self.circuit.layers[idx].gen, self.ham,
-                    prefixes[idx], suffixes[idx],
-                )
+            eta = self.ham.eta
+            g = eta @ w
+            cost = float(w @ g) + 0.5 * float(np.trace(eta))
+            for idx in range(len(layers) - 1, -1, -1):
+                g = gates[idx] @ (layers[idx].fixed @ g)
+                grads[idx] = 2.0 * float(states[idx] @ layers[idx].gen.d @ g)
         return cost, grads
 
 
@@ -133,10 +147,11 @@ def train(circuit: LayeredCircuit, cost_family: str, u: MeanVector,
     objective = _Objective(circuit, cost_family, u, hamiltonian, target)
     theta = np.array(circuit.theta, copy=True)
     cost, grads = _safe_evaluate(objective, theta, 0)
-    records = [TrainRecord(0, cost, float(np.linalg.norm(grads)), theta.copy())]
-
     lr = config.lr
+    records = [TrainRecord(0, cost, float(np.linalg.norm(grads)), theta.copy(), lr, 0)]
+
     backoffs = 0
+    step_backoffs = 0
     iteration = 0
     while iteration < config.max_iters and records[-1].grad_norm > config.tol:
         candidate = theta - lr * grads
@@ -144,10 +159,13 @@ def train(circuit: LayeredCircuit, cost_family: str, u: MeanVector,
         if config.backoff and new_cost > cost and backoffs < config.max_backoffs:
             lr *= 0.5
             backoffs += 1
+            step_backoffs += 1
             continue
         theta, cost, grads = candidate, new_cost, new_grads
         iteration += 1
-        records.append(TrainRecord(iteration, cost, float(np.linalg.norm(grads)), theta.copy()))
+        records.append(TrainRecord(iteration, cost, float(np.linalg.norm(grads)),
+                                   theta.copy(), lr, step_backoffs))
+        step_backoffs = 0
     return records
 
 

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from linopt_bp import closed_forms as cforms
 from linopt_bp.cli import ENV_OUTDIR, SCHEMA, main
 
 
@@ -123,6 +124,33 @@ class TestNoiseCommand:
         assert preamble["verdict"] == "trainable"
 
 
+    def test_closed_form_once_per_point(self, tmp_path, monkeypatch):
+        calls = _count_calls(monkeypatch, "heterodyne_prefactor")
+        code, path = run(
+            tmp_path,
+            ["noise", "--m-grid", "4:64:4", "--e0-law", "power:1,0.5", "--k", "0.9",
+             "--layers-law", "linear:1"],
+        )
+        assert code == 0
+        _, _, rows = parse_csv(path)
+        assert sorted(calls) == [(m,) for m in range(4, 65, 4)]
+        for m, e0, _, e1, log_value in rows:
+            assert float(log_value) == cforms.heterodyne_prefactor(int(m), float(e0), float(e1)).log_value
+
+
+def _count_calls(monkeypatch, name):
+    """Record the mode count of every call to a closed-form prefactor."""
+    calls = []
+    original = getattr(cforms, name)
+
+    def counting(m, *args):
+        calls.append((m,))
+        return original(m, *args)
+
+    monkeypatch.setattr(cforms, name, counting)
+    return calls
+
+
 class TestRegimesCommand:
     def test_linear_law_split_flags(self, tmp_path):
         code, path = run(tmp_path, ["regimes", "--law", "linear", "--a", "1", "--m-grid", "4:64:4"])
@@ -136,6 +164,15 @@ class TestRegimesCommand:
         code, path = run(tmp_path, ["regimes", "--law", "power:1,0.5", "--m-grid", "4:64:4"])
         preamble, _, _ = parse_csv(path)
         assert preamble["verdict"] == "trainable"
+
+    def test_closed_form_once_per_point(self, tmp_path, monkeypatch):
+        calls = _count_calls(monkeypatch, "second_moment_prefactor")
+        code, path = run(tmp_path, ["regimes", "--law", "expdecay:3,1.1", "--m-grid", "4:64:4"])
+        assert code == 0
+        _, _, rows = parse_csv(path)
+        assert sorted(calls) == [(m,) for m in range(4, 65, 4)]
+        for m, energy, log_value in rows:
+            assert float(log_value) == cforms.second_moment_prefactor(int(m), float(energy)).log_value
 
     def test_explicit_intensity_list(self, tmp_path):
         grid = list(range(4, 65, 4))
@@ -163,6 +200,18 @@ class TestTrainCommand:
         preamble, header, rows = parse_csv(path)
         assert header == ["iteration", "cost", "grad_norm"]
         assert float(preamble["final_cost"]) <= float(rows[0][1])
+
+    def test_backoffs_in_preamble(self, tmp_path):
+        code, path = run(
+            tmp_path,
+            ["train", "--m", "2", "--layers", "4", "--intensity", "0.5", "--lr", "8.0",
+             "--max-iters", "50", "--tol", "0", "--seed", "3"],
+        )
+        assert code == 0
+        preamble, _, _ = parse_csv(path)
+        backoffs = int(preamble["backoffs"])
+        assert backoffs > 0
+        assert float(preamble["final_lr"]) == 8.0 * 0.5**backoffs
 
 
 class TestExitCodes:

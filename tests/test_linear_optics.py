@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from linopt_bp import (
     GeneratorPair,
@@ -132,6 +133,44 @@ class TestGateAction:
             t = gate_action(gen, theta)
             assert np.linalg.norm(t.T @ t - np.eye(2 * m)) <= 1e-9
             assert np.linalg.norm(t @ delta @ t.T - delta) <= 1e-9
+
+
+def _standard_generators():
+    """Every standard kind at m in {1, 2, 5} (two-mode kinds from m = 2)."""
+    for kind, modes in [("phase-shifter", (0,)), ("two-mode-phase", (0, 1)),
+                        ("beamsplitter", (0, 1)), ("global-phase", ())]:
+        for m in (1, 2, 5):
+            if len(modes) < 2 or m >= 2:
+                yield make_generator(kind, modes, m)
+
+
+class TestClosedFormGate:
+    def test_standard_kinds_take_closed_form(self):
+        for gen in _standard_generators():
+            assert gen.rodrigues, gen.label
+
+    @pytest.mark.parametrize("theta", [0.3, -0.3, math.pi, -math.pi, 10.0])
+    def test_matches_expm(self, theta):
+        for gen in _standard_generators():
+            np.testing.assert_allclose(
+                gate_action(gen, theta), expm(theta * gen.d), rtol=0, atol=1e-13, err_msg=gen.label
+            )
+
+    def test_large_angle_stays_orthogonal(self):
+        # expm itself drifts at theta = 1e3, so agreement with it is loose here
+        for gen in _standard_generators():
+            t = gate_action(gen, 1e3)
+            np.testing.assert_allclose(t.T @ t, np.eye(t.shape[0]), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(t, expm(1e3 * gen.d), rtol=0, atol=1e-10)
+
+    def test_custom_generator_falls_back_to_expm(self):
+        eps = np.zeros((4, 4))
+        eps[:2, :2] = 0.5 * np.eye(2)
+        eps[2:, 2:] = 1.5 * np.eye(2)
+        gen = GeneratorPair.from_symmetric(eps)
+        assert not gen.rodrigues
+        for theta in (0.3, -2.0, 10.0):
+            np.testing.assert_allclose(gate_action(gen, theta), expm(theta * gen.d), rtol=0, atol=1e-13)
 
 
 class TestLayeredCircuit:

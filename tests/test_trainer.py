@@ -10,6 +10,7 @@ from linopt_bp import (
     RandomSource,
     TrainConfig,
     compiling_grad,
+    quadratic_grad,
     random_circuit,
     train,
     uniform_sphere,
@@ -64,13 +65,13 @@ class TestTrainerGradients:
         from linopt_bp import trainer as trainer_module
 
         calls = []
-        original = trainer_module.cf.measurement_grad
+        original = trainer_module.cf.overlap_grad
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(trainer_module.cf, "measurement_grad", counting)
+        monkeypatch.setattr(trainer_module.cf, "overlap_grad", counting)
         grads = layer_gradients(circ, "compiling", u)
         assert len(calls) == circ.depth
         # ... and agree with it on the split decomposition (association order
@@ -80,6 +81,19 @@ class TestTrainerGradients:
             d_k = circ.layers[k - 1].gen.d
             assert grads[k - 1] == pytest.approx(
                 compiling_grad(u, d_k, o_minus, o_plus), rel=1e-11
+            )
+
+    def test_quadratic_gradients_match_split_kernel(self):
+        gen = RandomSource(10).generator()
+        circ, u = _instance(10, m=3, depth=5)
+        a = gen.standard_normal((6, 6))
+        ham = QuadraticHamiltonian(a @ a.T / 6)
+        grads = layer_gradients(circ, "quadratic", u, hamiltonian=ham)
+        for k in range(1, circ.depth + 1):
+            o_minus, o_plus = circ.with_split(k).split_action()
+            gen_k = circ.layers[k - 1].gen
+            assert grads[k - 1] == pytest.approx(
+                quadratic_grad(u, gen_k, ham, o_minus, o_plus), rel=1e-11
             )
 
     def test_quadratic_gradients_match_finite_differences(self):
@@ -137,6 +151,27 @@ class TestDescentBehavior:
         circ, u = _instance(8)
         with pytest.raises(NonFiniteCostError):
             train(circ, "compiling", u, TrainConfig(lr=1e308, max_iters=10, tol=0.0, backoff=False))
+
+    def test_angle_without_precision_raises(self):
+        circ, u = _instance(8, depth=1)
+        config = TrainConfig(lr=0.1, max_iters=0, tol=0.0)
+        with pytest.raises(NonFiniteCostError):
+            train(circ.with_theta([1e17]), "compiling", u, config)
+        records = train(circ.with_theta([1e15]), "compiling", u, config)
+        assert math.isfinite(records[0].cost)
+
+    def test_backoffs_recorded_per_step(self):
+        circ, u = _instance(101)
+        config = TrainConfig(lr=8.0, max_iters=40, tol=0.0)
+        records = train(circ, "compiling", u, config)
+        assert records[0].lr == config.lr and records[0].backoffs == 0
+        lr = config.lr
+        for rec in records[1:]:
+            lr *= 0.5 ** rec.backoffs
+            assert rec.lr == lr
+        assert sum(rec.backoffs for rec in records) > 0
+        plain = train(circ, "compiling", u, TrainConfig(lr=8.0, max_iters=40, tol=0.0, backoff=False))
+        assert all(rec.backoffs == 0 and rec.lr == 8.0 for rec in plain)
 
 
 class TestTrace:
