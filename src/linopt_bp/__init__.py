@@ -23,13 +23,7 @@ from .linear_optics import (
     symplectic_form,
 )
 from .sampling import RandomSource, haar_orthogonal, uniform_angles, uniform_sphere
-from .special_functions import (
-    LogScaled,
-    bessel_i,
-    log_gamma,
-    small_arg_asymptotic_i,
-    uniform_asymptotic_i,
-)
+from .special_functions import LogScaled, bessel_i
 from .cost_functions import (
     QuadraticHamiltonian,
     attenuated_intensity,
@@ -55,14 +49,12 @@ from .closed_forms import (
     fit_decay,
     fit_linear_rate,
     heterodyne_prefactor,
-    heterodyne_prefactor_upper,
     intensity_law,
     linear_intensity_rate,
     quadratic_second_moment,
     second_moment_interval,
     second_moment_point,
     second_moment_prefactor,
-    second_moment_prefactor_upper,
     xi_bounds,
 )
 from .estimators import (
@@ -74,7 +66,6 @@ from .estimators import (
     ToyGradientFamily,
     estimate_abs_grad,
     estimate_grad_moments,
-    make_family,
     tail_frequency,
 )
 from .trainer import NonFiniteCostError, TrainConfig, TrainRecord, train, write_trace_csv

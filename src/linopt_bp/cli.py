@@ -4,7 +4,7 @@ Subcommands
 -----------
 toy         expected |gradient| of the local phase-shifter bank: closed form
             vs Monte Carlo over uniform angles
-prop1       compiling-cost gradient second moment: sharp interval prediction
+prop1       compiling-cost gradient second moment: interval prediction
             vs Monte Carlo over the sphere points u O_minus, O_plus u^T of
             Haar pairs (O_minus, O_plus)
 prop2       quadratic-cost gradient second moment: closed form vs Monte Carlo
@@ -16,7 +16,9 @@ train       gradient-descent run emitting an iteration,cost,grad_norm trace;
 
 Every output file embeds the schema string, the full config (JSON) and the
 seed as preamble records, so any file can be reproduced exactly from its own
-header.  Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+header.  Exit codes: 0 success, 2 configuration error (such as a negative or
+non-finite sweep intensity), 3 numerical failure (such as a closed-form moment
+that is exactly zero or underflows at a sweep point).
 The default output directory is taken from LINOPT_BP_OUTDIR when set.
 """
 
@@ -39,7 +41,7 @@ from .linear_optics import make_generator, random_circuit
 from .phase_space import MeanVector
 from .sampling import RandomSource, haar_orthogonal, uniform_sphere
 
-SCHEMA = "linopt-bp/2"
+SCHEMA = "linopt-bp/3"
 ENV_OUTDIR = "LINOPT_BP_OUTDIR"
 INSTANCE_STREAM = 2**32  # substream index reserved for instance construction
 
@@ -264,6 +266,23 @@ def _parse_layers_law(text):
     raise ConfigError(f"layers_law: cannot parse {text!r}; expected linear:a | sqrt | const:L")
 
 
+def _intensities(field, law, grid) -> list:
+    """The law at each grid point; a negative or non-finite value is a config error."""
+    values = [float(law(np.asarray(float(m)))) for m in grid]
+    for m, value in zip(grid, values):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ConfigError(f"{field}: intensity {value!r} at m={m} is negative or not finite")
+    return values
+
+
+def _classify(classify, *args):
+    """Run a regime classifier on validated inputs; any failure left is numerical."""
+    try:
+        return classify(*args)
+    except ValueError as exc:  # e.g. a moment that is exactly zero or underflows
+        raise NumericalError(f"closed form: {exc}") from None
+
+
 def _finite(value, what) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -352,11 +371,9 @@ def _run_heterodyne(cfg) -> tuple:
     e0 = _need(cfg, "e0", float, low=0.0)
     e1 = _need(cfg, "e1", float, low=0.0)
     samples = _need(cfg, "samples", int, low=0)
-    sharp = cforms.heterodyne_prefactor(m, e0, e1)
-    upper = cforms.heterodyne_prefactor_upper(m, e0, e1)
     extra = {}
-    row = [m, e0, e1, sharp.log_value, upper.log_value]
-    columns = ["m", "e0", "e1", "log_prefactor", "log_prefactor_upper"]
+    row = [m, e0, e1, cforms.heterodyne_prefactor(m, e0, e1).log_value]
+    columns = ["m", "e0", "e1", "log_prefactor"]
     if samples:
         if samples < est.MIN_SAMPLES:
             raise ConfigError(f"samples: must be 0 or >= {est.MIN_SAMPLES}, got {samples}")
@@ -381,12 +398,14 @@ def _run_noise(cfg) -> tuple:
     except ValueError as exc:
         raise ConfigError(f"e0_law: {exc}") from exc
     layers_law = _parse_layers_law(cfg["layers_law"])
-    verdict = cforms.classify_noise(e0_law, k, layers_law, grid)
-    rows = []
-    for m, log_value in zip(grid, verdict.fit.log_values):
-        e0 = float(e0_law(np.asarray(float(m))))
-        n_layers = layers_law(m)
-        rows.append([m, e0, n_layers, cf.attenuated_intensity(e0, k, n_layers), log_value])
+    e0s = _intensities("e0_law", e0_law, grid)
+    layer_counts = [layers_law(m) for m in grid]
+    for m, n_layers in zip(grid, layer_counts):
+        if n_layers < 0:
+            raise ConfigError(f"layers_law: layer count {n_layers} at m={m} is negative")
+    verdict = _classify(cforms.classify_noise, e0_law, k, layers_law, grid)
+    rows = [[m, e0, n_layers, cf.attenuated_intensity(e0, k, n_layers), log_value]
+            for m, e0, n_layers, log_value in zip(grid, e0s, layer_counts, verdict.fit.log_values)]
     extra = {"verdict": verdict.verdict, "fit_slope": verdict.fit.slope}
     return ["m", "e0", "n_layers", "e1", "log_prefactor"], rows, extra
 
@@ -420,9 +439,9 @@ def _run_regimes(cfg) -> tuple:
             law = cforms.intensity_law(law_text)
     except ValueError as exc:
         raise ConfigError(f"law: {exc}") from exc
-    verdict = cforms.classify_regime(law, grid)
-    rows = [[m, float(law(np.asarray(float(m)))), log_value]
-            for m, log_value in zip(grid, verdict.fit.log_values)]
+    energies = _intensities("law", law, grid)
+    verdict = _classify(cforms.classify_regime, law, grid)
+    rows = [list(row) for row in zip(grid, energies, verdict.fit.log_values)]
     extra = {"law": law_text, "verdict": verdict.verdict, "fit_slope": verdict.fit.slope}
     return ["m", "E", "log_moment"], rows, extra
 

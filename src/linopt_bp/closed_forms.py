@@ -11,17 +11,8 @@ obtained by evaluating the underlying sphere integral in polar coordinates
 I_m kernel).  Since the mean squared column norm lies between the extreme
 squared column norms xi_min and xi_max, the moment always falls inside
 ``pref * [xi_min, xi_max]``, collapsing to a point prediction for generators
-with equal column norms.
-
-A looser variant replaces the kernel with
-
-    pref_upper(m, E) = exp(-4E) Gamma(m) I_{m-1}(4E) / (2m (2E)^(m-3)),
-
-which distributes the column mass uniformly over all 2m polar slots including
-the axis one.  It upper-bounds the sharp prefactor (ratio
-``(2E/m) I_{m-1}(4E)/I_m(4E) >= 1``), converges to it as E -> 0, and decays at
-the same exponential rate in m, so either form supports the regime analysis;
-Monte Carlo agrees with the sharp form.
+with equal column norms.  This prefactor is the exact moment: Monte Carlo
+agrees with it, and at m = 1 it matches direct quadrature.
 
 The unequal-intensity (heterodyne) generalization substitutes
 ``exp(-2(E0+E1))`` and argument ``4 sqrt(E0 E1)``.
@@ -48,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .phase_space import MeanVector, as_mean_vector
-from .special_functions import LogScaled, bessel_i, log_gamma
+from .special_functions import LogScaled, bessel_i
 from .validation import check_skew_symmetric, check_symmetric, modes_of
 
 SLOPE_THRESHOLD = -0.05  # nats per mode; below this the fitted decay is a plateau
@@ -57,11 +48,9 @@ __all__ = [
     "MomentInterval",
     "xi_bounds",
     "second_moment_prefactor",
-    "second_moment_prefactor_upper",
     "second_moment_point",
     "second_moment_interval",
     "heterodyne_prefactor",
-    "heterodyne_prefactor_upper",
     "quadratic_second_moment",
     "chebyshev_bound",
     "linear_intensity_rate",
@@ -107,50 +96,27 @@ def xi_bounds(d_k) -> tuple:
     return float(norms.min()), float(norms.max())
 
 
-def _kernel(m: int, half_arg: float, exp_term: float, sharp: bool) -> LogScaled:
-    """Common log-scale prefactor assembly for both overlap-family variants.
+def _kernel(m: int, half_arg: float, exp_term: float) -> LogScaled:
+    """Log-scale prefactor shared by the equal- and unequal-intensity forms.
 
     ``half_arg`` is 2E (equal intensities) or 2 sqrt(E0 E1); the Bessel
     argument is twice that.
     """
-    log_arg = math.log(half_arg)
-    if sharp:
-        log_val = (
-            exp_term
-            + log_gamma(m)
-            + bessel_i(m, 2.0 * half_arg).log_value
-            - math.log(2.0)
-            - (m - 2) * log_arg
-        )
-    else:
-        log_val = (
-            exp_term
-            + log_gamma(m)
-            + bessel_i(m - 1, 2.0 * half_arg).log_value
-            - math.log(2.0 * m)
-            - (m - 3) * log_arg
-        )
-    return LogScaled(log_val)
+    return LogScaled(
+        exp_term
+        + math.lgamma(m)
+        + bessel_i(m, 2.0 * half_arg).log_value
+        - math.log(2.0)
+        - (m - 2) * math.log(half_arg)
+    )
 
 
 def second_moment_prefactor(m: int, energy: float) -> LogScaled:
-    """Sharp prefactor exp(-4E) Gamma(m) I_m(4E) / (2 (2E)^(m-2))."""
+    """Prefactor exp(-4E) Gamma(m) I_m(4E) / (2 (2E)^(m-2))."""
     _check_me(m, energy)
     if energy == 0.0:
         return LogScaled(-math.inf)
-    return _kernel(m, 2.0 * energy, -4.0 * energy, sharp=True)
-
-
-def second_moment_prefactor_upper(m: int, energy: float) -> LogScaled:
-    """Loose prefactor exp(-4E) Gamma(m) I_{m-1}(4E) / (2m (2E)^(m-3)).
-
-    Upper-bounds the sharp prefactor with the same exponential decay rate and
-    coincides with it in the E -> 0 limit.
-    """
-    _check_me(m, energy)
-    if energy == 0.0:
-        return LogScaled(-math.inf)
-    return _kernel(m, 2.0 * energy, -4.0 * energy, sharp=False)
+    return _kernel(m, 2.0 * energy, -4.0 * energy)
 
 
 def second_moment_point(m: int, energy: float, d_k) -> LogScaled:
@@ -160,19 +126,15 @@ def second_moment_point(m: int, energy: float, d_k) -> LogScaled:
     return second_moment_prefactor(m, energy).scaled(mean_sq)
 
 
-def second_moment_interval(m: int, energy: float, d_k, sharp: bool = True) -> MomentInterval:
+def second_moment_interval(m: int, energy: float, d_k) -> MomentInterval:
     """Prefactor times [xi_min, xi_max]; a point when column norms are equal."""
     lo_xi, hi_xi = xi_bounds(d_k)
-    pref = (
-        second_moment_prefactor(m, energy)
-        if sharp
-        else second_moment_prefactor_upper(m, energy)
-    )
+    pref = second_moment_prefactor(m, energy)
     return MomentInterval(pref.scaled(lo_xi), pref.scaled(hi_xi))
 
 
 def heterodyne_prefactor(m: int, e0: float, e1: float) -> LogScaled:
-    """Sharp unequal-intensity prefactor; equals the equal-intensity one at e0 = e1.
+    """Unequal-intensity prefactor; equals the equal-intensity one at e0 = e1.
 
     At e0 = 0 or e1 = 0 the cost is circuit-independent and the moment is an
     exact zero (log -inf).
@@ -182,17 +144,7 @@ def heterodyne_prefactor(m: int, e0: float, e1: float) -> LogScaled:
     if e0 == 0.0 or e1 == 0.0:
         return LogScaled(-math.inf)
     geo = math.sqrt(e0 * e1)
-    return _kernel(m, 2.0 * geo, -2.0 * (e0 + e1), sharp=True)
-
-
-def heterodyne_prefactor_upper(m: int, e0: float, e1: float) -> LogScaled:
-    """Loose unequal-intensity prefactor (same caveats as the equal-intensity one)."""
-    _check_me(m, e0, "e0")
-    _check_me(m, e1, "e1")
-    if e0 == 0.0 or e1 == 0.0:
-        return LogScaled(-math.inf)
-    geo = math.sqrt(e0 * e1)
-    return _kernel(m, 2.0 * geo, -2.0 * (e0 + e1), sharp=False)
+    return _kernel(m, 2.0 * geo, -2.0 * (e0 + e1))
 
 
 def quadratic_second_moment(u: MeanVector, b_k) -> float:
@@ -340,8 +292,12 @@ def fit_decay(m_grid, log_values, basis: Sequence[str] = _DEFAULT_BASIS) -> Deca
         raise ValueError("mode grid must be strictly ascending")
     if vals.shape != m_arr.shape:
         raise ValueError("log_values must match the grid length")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("log moment values must be finite for fitting")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"log moment values must be finite for fitting; got {vals[i]} at m={m_arr[i]:g}"
+        )
     if float(vals.max() - vals.min()) < 1e-12:
         raise ValueError("degenerate fit: all moment values are equal")
     if "m" not in basis:
@@ -370,7 +326,7 @@ def fit_linear_rate(m_grid, log_values) -> float:
 def classify_regime(law, m_grid, xi: float = 1.0) -> RegimeVerdict:
     """Classify an intensity scaling law as plateau-forming or trainable.
 
-    Evaluates the sharp closed-form moment lower end ``xi * pref(m, E(m))``
+    Evaluates the closed-form moment lower end ``xi * pref(m, E(m))``
     over the grid (default xi = 1, the equal-column-norm full-rank rotation
     generator, for which the lower end is the point value), fits the decay
     and compares the linear slope against ``SLOPE_THRESHOLD``.

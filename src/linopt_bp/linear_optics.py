@@ -33,17 +33,14 @@ an O(m^2) sum of two fixed matrices.  Any other generator falls back to
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .sampling import haar_orthogonal
 from .validation import (
-    as_square_matrix,
     check_mode_index,
     check_orthogonal,
     check_skew_symmetric,
@@ -180,6 +177,8 @@ def gate_action(gen: GeneratorPair, theta: float) -> np.ndarray:
     if theta == 0.0:
         return np.eye(gen.d.shape[0])
     if not gen.rodrigues:
+        from scipy.linalg import expm  # only custom generators need it
+
         return expm(theta * gen.d)
     out = math.sin(theta) * gen.d
     out += 2.0 * math.sin(0.5 * theta) ** 2 * gen.d2  # 1 - cos(theta), without cancellation
@@ -288,60 +287,6 @@ class LayeredCircuit:
         for t in transfers[self._split - 1 :]:
             o_plus = o_plus @ t
         return o_minus, o_plus
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        layers = []
-        for layer in self._layers:
-            kind, modes = _parse_label(layer.gen.label)
-            layers.append(
-                {
-                    "kind": kind,
-                    "modes": list(modes),
-                    "W": [[float(x) for x in row] for row in layer.fixed],
-                }
-            )
-        return {
-            "m": self._m,
-            "L": self.depth,
-            "k": self._split,
-            "layers": layers,
-            "theta": [float(t) for t in self._theta],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "LayeredCircuit":
-        m = int(doc["m"])
-        layers = []
-        for entry in doc["layers"]:
-            gen = make_generator(entry["kind"], entry["modes"], m)
-            fixed = as_square_matrix(entry["W"], "W")
-            layers.append(Layer(gen, fixed))
-        circuit = cls(layers, doc["theta"], int(doc["k"]))
-        if circuit.depth != int(doc["L"]):
-            raise ValueError("layer list length does not match the declared depth")
-        return circuit
-
-    @classmethod
-    def from_json(cls, text: str) -> "LayeredCircuit":
-        return cls.from_json_dict(json.loads(text))
-
-
-def _parse_label(label: str) -> tuple:
-    if label == "global-phase":
-        return "global-phase", ()
-    if "(" not in label or not label.endswith(")"):
-        raise ValueError(
-            f"cannot serialize a custom generator (label {label!r}); "
-            "only the standard kinds round-trip through JSON"
-        )
-    kind, args = label[:-1].split("(", 1)
-    modes = tuple(int(s) for s in args.split(",") if s)
-    return kind, modes
 
 
 def random_circuit(m: int, depth: int, rng, split: int = 1, identity_fixed: bool = False) -> "LayeredCircuit":

@@ -1,7 +1,7 @@
-"""Log-scale modified Bessel functions of the first kind and gamma helpers.
+"""Log-scale modified Bessel functions of the first kind.
 
 Every closed-form moment in this package is a product of factors like
-``exp(-4E) * Gamma(m) * I_{m-1}(4E) / (2E)^{m-3}`` whose individual pieces
+``exp(-4E) * Gamma(m) * I_m(4E) / (2E)^(m-2)`` whose individual pieces
 overflow or underflow in double precision long before the interesting regime
 (hundreds of modes, intensities up to 1e6).  All such quantities are therefore
 computed and composed as natural logarithms; :class:`LogScaled` is the thin
@@ -28,13 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-__all__ = [
-    "LogScaled",
-    "bessel_i",
-    "uniform_asymptotic_i",
-    "small_arg_asymptotic_i",
-    "log_gamma",
-]
+__all__ = ["LogScaled", "bessel_i"]
 
 # Terms this many nats below the peak term are dropped; 46 nats ~ 1e-20
 # relative, far below the 1e-10 accuracy target.
@@ -68,10 +62,6 @@ class LogScaled:
         if factor == 0:
             return LogScaled(-math.inf)
         return LogScaled(self.log_value + math.log(factor))
-
-    def ratio(self, other: "LogScaled") -> float:
-        """Linear-scale ratio self/other."""
-        return math.exp(self.log_value - other.log_value)
 
     def __float__(self) -> float:
         return self.value
@@ -146,48 +136,3 @@ def bessel_i(nu: int, x: float) -> LogScaled:
     terms = (nu + 2.0 * k) * log_half_x - gammaln(k + 1.0) - gammaln(nu + k + 1.0)
     top = float(terms.max())
     return LogScaled(top + math.log(float(np.exp(terms - top).sum())))
-
-
-def uniform_asymptotic_i(nu: int, x: float) -> LogScaled:
-    """Leading-order large-order approximation of log I_nu(x).
-
-    With z = x/nu and eta(z) = sqrt(1+z^2) + log(z / (1 + sqrt(1+z^2))):
-
-        log I_nu(nu z) ~ nu*eta(z) - log(2 pi nu)/2 - log(1+z^2)/4.
-
-    The relative error of the log decreases as the order grows; use
-    :func:`bessel_i` whenever full accuracy is required.
-    """
-    nu = int(nu)
-    if nu < 1:
-        raise ValueError(f"order must be >= 1, got {nu}")
-    x = float(x)
-    if x < 0:
-        raise ValueError(f"argument must be >= 0, got {x}")
-    if x == 0.0:
-        return LogScaled(-math.inf)
-    z = x / nu
-    root = math.sqrt(1.0 + z * z)
-    eta = root + math.log(z / (1.0 + root))
-    return LogScaled(nu * eta - 0.5 * math.log(2.0 * math.pi * nu) - 0.25 * math.log(1.0 + z * z))
-
-
-def small_arg_asymptotic_i(nu: int, x: float) -> LogScaled:
-    """Small-argument limit log[(x/2)^nu / Gamma(nu+1)] of log I_nu(x)."""
-    nu = int(nu)
-    if nu < 0:
-        raise ValueError(f"order must be >= 0, got {nu}")
-    x = float(x)
-    if x < 0:
-        raise ValueError(f"argument must be >= 0, got {x}")
-    if x == 0.0:
-        return LogScaled(0.0 if nu == 0 else -math.inf)
-    return LogScaled(nu * math.log(x / 2.0) - math.lgamma(nu + 1.0))
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    x = float(x)
-    if x <= 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)

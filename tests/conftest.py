@@ -22,22 +22,6 @@ def series_bessel_i(nu: int, x: float, terms: int = 30) -> float:
     return total
 
 
-def log_gamma_recursion(x: float) -> float:
-    """log Gamma via the recursion Gamma(x+1) = x Gamma(x) from 0 < x <= 1.
-
-    Anchored at Gamma(1) = 1 and Gamma(0.5) = sqrt(pi).
-    """
-    log_val = 0.0
-    while x > 1.0:
-        x -= 1.0
-        log_val += math.log(x)
-    if abs(x - 1.0) < 1e-15:
-        return log_val
-    if abs(x - 0.5) < 1e-15:
-        return log_val + 0.5 * math.log(math.pi)
-    raise ValueError("oracle only anchored at integer and half-integer points")
-
-
 def simpson(fn, lo: float, hi: float, n: int = 4001) -> float:
     """Composite Simpson quadrature on an odd-length uniform grid."""
     if n % 2 == 0:

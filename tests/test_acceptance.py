@@ -27,7 +27,6 @@ from linopt_bp import (
     fit_linear_rate,
     haar_orthogonal,
     heterodyne_prefactor,
-    heterodyne_prefactor_upper,
     linear_intensity_rate,
     make_generator,
     quadratic_grad,
@@ -36,7 +35,6 @@ from linopt_bp import (
     second_moment_interval,
     second_moment_point,
     second_moment_prefactor,
-    second_moment_prefactor_upper,
     toy_grad,
     toy_grad_abs_expectation,
     train,
@@ -146,8 +144,6 @@ def test_criterion_04_heterodyne_prefactor_and_noise_regimes():
                 worst,
                 abs(heterodyne_prefactor(m, energy, energy).log_value
                     - second_moment_prefactor(m, energy).log_value),
-                abs(heterodyne_prefactor_upper(m, energy, energy).log_value
-                    - second_moment_prefactor_upper(m, energy).log_value),
             )
     bpl = classify_noise("power:1,0.5", 0.9, lambda m: m, M_GRID)
     trainable = classify_noise("power:1,0.5", 0.9, lambda m: math.ceil(math.sqrt(m)), M_GRID)

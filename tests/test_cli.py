@@ -1,11 +1,16 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from linopt_bp import closed_forms as cforms
 from linopt_bp.cli import ENV_OUTDIR, SCHEMA, main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(tmp_path, args, name="out.csv"):
@@ -86,9 +91,9 @@ class TestHeterodyneCommand:
         code, path = run(tmp_path, ["heterodyne", "--m", "4", "--e0", "1.0", "--e1", "1.0", "--samples", "0"])
         assert code == 0
         _, header, rows = parse_csv(path)
-        assert header[-2:] == ["log_prefactor", "log_prefactor_upper"]
+        assert header == ["m", "e0", "e1", "log_prefactor"]
         row = dict(zip(header, map(float, rows[0])))
-        assert row["log_prefactor_upper"] >= row["log_prefactor"]
+        assert row["log_prefactor"] == cforms.heterodyne_prefactor(4, 1.0, 1.0).log_value
 
     def test_with_monte_carlo(self, tmp_path):
         code, path = run(
@@ -239,6 +244,43 @@ class TestExitCodes:
                      "--output", str(tmp_path / "x.csv")])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,code,message", [
+        # E1 = 0.25^m E0 underflows to an exact zero at m = 540
+        (["noise", "--m-grid", "4:1024:4", "--e0-law", "power:1,0.5", "--k", "0.5",
+          "--layers-law", "linear:1"], 3, "at m=540"),
+        # E(1) = log(1) = 0: the moment is exactly zero at the first point
+        (["regimes", "--m-grid", "1:64:1", "--law", "logpower:1,0.5"], 3, "at m=1"),
+        (["regimes", "--law", "power:-1,0.5"], 2, "law: intensity -2.0 at m=4"),
+        (["regimes", "--law", "linear:1e400"], 2, "law: intensity inf at m=4"),
+        (["regimes", "--law", "list:" + ",".join(map(str, range(1, 16))) + ",-16"], 2,
+         "law: intensity -16.0 at m=64"),
+    ], ids=["noise-e1-underflow", "regimes-zero-at-m1", "regimes-negative-law",
+            "regimes-infinite-law", "regimes-negative-list-entry"])
+    def test_bad_sweep_point_exit_code(self, tmp_path, capsys, args, code, message):
+        # an exception escaping main would fail the test with its traceback
+        assert main(args + ["--output", str(tmp_path / "x.csv")]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert message in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_negative_layer_count_is_config_error(self, tmp_path, capsys):
+        code = main(["noise", "--layers-law", "linear:-1", "--output", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "layers_law: layer count -4 at m=4" in capsys.readouterr().err
+
+
+def test_cli_import_skips_scipy_linalg():
+    # only custom gate generators need expm; no CLI path builds one
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, linopt_bp.cli; print('scipy.linalg' in sys.modules)"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestReproducibility:

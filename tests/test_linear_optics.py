@@ -232,19 +232,3 @@ class TestLayeredCircuit:
         circ = self._circuit()
         with pytest.raises(ValueError, match="theta length"):
             circ.with_theta([0.0, 1.0])
-
-    def test_json_roundtrip(self):
-        circ = self._circuit(seed=33)
-        doc = circ.to_json()
-        back = LayeredCircuit.from_json(doc)
-        assert back.m == circ.m and back.depth == circ.depth and back.split == circ.split
-        np.testing.assert_array_equal(back.theta, circ.theta)
-        np.testing.assert_allclose(back.orthogonal_action(), circ.orthogonal_action(), atol=0)
-
-    def test_json_schema_fields(self):
-        import json
-
-        doc = json.loads(self._circuit().to_json())
-        assert set(doc) == {"m", "L", "k", "layers", "theta"}
-        assert set(doc["layers"][0]) == {"kind", "modes", "W"}
-        assert len(doc["layers"][0]["W"]) == 2 * doc["m"]

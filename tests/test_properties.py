@@ -1,0 +1,103 @@
+"""Property tests: invariants that must hold for every input, not just pinned ones.
+
+Each property draws its inputs with hypothesis (at most 50 examples, no
+deadline) and seeds any randomness it needs from a drawn integer, so a
+failing example replays exactly.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from linopt_bp import (  # noqa: E402
+    MeanVector,
+    RandomSource,
+    compiling_cost,
+    estimate_grad_moments,
+    gate_action,
+    haar_orthogonal,
+    make_generator,
+    measurement_cost,
+    uniform_sphere,
+)
+from linopt_bp.estimators import (  # noqa: E402
+    CHUNK_SIZE,
+    MIN_SAMPLES,
+    MeasurementGradientFamily,
+    QuadraticGradientFamily,
+    ToyGradientFamily,
+)
+from linopt_bp.linear_optics import GENERATOR_KINDS  # noqa: E402
+
+SETTINGS = settings(max_examples=50, deadline=None)
+SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+@st.composite
+def generators(draw):
+    """Any standard gate kind on any valid modes of an m-mode register, m in [1, 6]."""
+    kind = draw(st.sampled_from(GENERATOR_KINDS))
+    low = 2 if kind in ("two-mode-phase", "beamsplitter") else 1
+    m = draw(st.integers(min_value=low, max_value=6))
+    if kind == "global-phase":
+        modes = ()
+    elif kind == "phase-shifter":
+        modes = (draw(st.integers(0, m - 1)),)
+    else:
+        i, j = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        modes = (i, j)
+    return make_generator(kind, modes, m)
+
+
+@SETTINGS
+@given(gen=generators(), theta=st.floats(min_value=-1e3, max_value=1e3))
+def test_gate_action_is_orthogonal(gen, theta):
+    t = gate_action(gen, theta)
+    np.testing.assert_allclose(t @ t.T, np.eye(t.shape[0]), rtol=0, atol=1e-13)
+
+
+@SETTINGS
+@given(m=st.integers(1, 5), seed=SEEDS, e0=st.floats(0.0, 4.0), e1=st.floats(0.0, 4.0))
+def test_overlap_costs_invariant_under_common_rotation(m, seed, e0, e1):
+    # rotating state and target by R and conjugating the circuit by R
+    # maps u T - n to (u T - n) R, whose norm the costs depend on
+    rng = RandomSource(seed).generator()
+    u = uniform_sphere(m, math.sqrt(2 * e0), rng)
+    n = uniform_sphere(m, math.sqrt(2 * e1), rng)
+    o_minus, o_plus, r = (haar_orthogonal(m, rng) for _ in range(3))
+    u_r, n_r = MeanVector(u.values @ r), MeanVector(n.values @ r)
+    o_minus_r, o_plus_r = r.T @ o_minus, o_plus @ r
+    assert measurement_cost(u_r, n_r, o_minus_r, o_plus_r) == pytest.approx(
+        measurement_cost(u, n, o_minus, o_plus), rel=1e-12, abs=1e-14)
+    assert compiling_cost(u_r, o_minus_r, o_plus_r) == pytest.approx(
+        compiling_cost(u, o_minus, o_plus), rel=1e-12, abs=1e-14)
+
+
+def _family(kind, m):
+    if kind == "toy":
+        return ToyGradientFamily(m=m, s=0.5)
+    d = make_generator("global-phase", (), m).d
+    u = MeanVector.of([math.sqrt(2.0)] + [0.0] * (2 * m - 1))
+    if kind == "measurement":
+        n = MeanVector.of([0.0, 1.0] + [0.0] * (2 * m - 2))
+        return MeasurementGradientFamily(u=u, n=n, d=d)
+    b = make_generator("two-mode-phase", (0, 1), m).eps if m > 1 else np.zeros((2, 2))
+    return QuadraticGradientFamily(u=u, b=b)
+
+
+@SETTINGS
+@given(
+    kind=st.sampled_from(["toy", "measurement", "quadratic"]),
+    m=st.integers(1, 4),
+    n_samples=st.integers(MIN_SAMPLES, 3 * CHUNK_SIZE + 1),
+    seed=SEEDS,
+)
+def test_estimate_independent_of_job_count(kind, m, n_samples, seed):
+    family = _family(kind, m)
+    serial = estimate_grad_moments(family, n_samples, RandomSource(seed), n_jobs=1)
+    for n_jobs in (2, 3):
+        assert estimate_grad_moments(family, n_samples, RandomSource(seed), n_jobs=n_jobs) == serial
