@@ -23,7 +23,7 @@ from .linear_optics import (
     symplectic_form,
 )
 from .sampling import RandomSource, haar_orthogonal, uniform_angles, uniform_sphere
-from .special_functions import LogScaled, bessel_i
+from .special_functions import LogScaled, bessel_i, log_gamma
 from .cost_functions import (
     QuadraticHamiltonian,
     attenuated_intensity,
@@ -66,6 +66,7 @@ from .estimators import (
     ToyGradientFamily,
     estimate_abs_grad,
     estimate_grad_moments,
+    make_family,
     tail_frequency,
 )
 from .trainer import NonFiniteCostError, TrainConfig, TrainRecord, train, write_trace_csv

@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .phase_space import MeanVector, as_mean_vector
-from .special_functions import LogScaled, bessel_i
+from .special_functions import LogScaled, bessel_i, log_gamma
 from .validation import check_skew_symmetric, check_symmetric, modes_of
 
 SLOPE_THRESHOLD = -0.05  # nats per mode; below this the fitted decay is a plateau
@@ -104,7 +104,7 @@ def _kernel(m: int, half_arg: float, exp_term: float) -> LogScaled:
     """
     return LogScaled(
         exp_term
-        + math.lgamma(m)
+        + log_gamma(m)
         + bessel_i(m, 2.0 * half_arg).log_value
         - math.log(2.0)
         - (m - 2) * math.log(half_arg)

@@ -161,6 +161,25 @@ class QuadraticGradientFamily:
         return np.einsum("ni,ij,nj->n", w, self.b, w)
 
 
+_FAMILIES = {
+    "toy": ToyGradientFamily,
+    "compiling": CompilingGradientFamily,
+    "measurement": MeasurementGradientFamily,
+    "quadratic": QuadraticGradientFamily,
+}
+
+
+def make_family(name: str, **params):
+    """Build a gradient family by name; raises on an unknown cost family."""
+    try:
+        builder = _FAMILIES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown cost family {name!r}; expected one of {sorted(_FAMILIES)}"
+        ) from None
+    return builder(**params)
+
+
 # -- chunked engine ---------------------------------------------------------
 
 
@@ -178,7 +197,7 @@ def _check_family(family):
     if not hasattr(family, "sample_gradients"):
         raise TypeError(
             f"unknown cost family object {type(family).__name__}; "
-            "expected a gradient family with a sample_gradients method"
+            "expected one of the gradient families (see make_family)"
         )
 
 

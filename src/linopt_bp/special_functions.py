@@ -1,4 +1,4 @@
-"""Log-scale modified Bessel functions of the first kind.
+"""Log-scale modified Bessel functions of the first kind and log-gamma.
 
 Every closed-form moment in this package is a product of factors like
 ``exp(-4E) * Gamma(m) * I_m(4E) / (2E)^(m-2)`` whose individual pieces
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-__all__ = ["LogScaled", "bessel_i"]
+__all__ = ["LogScaled", "bessel_i", "log_gamma"]
 
 # Terms this many nats below the peak term are dropped; 46 nats ~ 1e-20
 # relative, far below the 1e-10 accuracy target.
@@ -136,3 +136,11 @@ def bessel_i(nu: int, x: float) -> LogScaled:
     terms = (nu + 2.0 * k) * log_half_x - gammaln(k + 1.0) - gammaln(nu + k + 1.0)
     top = float(terms.max())
     return LogScaled(top + math.log(float(np.exp(terms - top).sum())))
+
+
+def log_gamma(x: float) -> float:
+    """log Gamma(x) for x > 0."""
+    x = float(x)
+    if x <= 0:
+        raise ValueError(f"log_gamma requires x > 0, got {x}")
+    return math.lgamma(x)

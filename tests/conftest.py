@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from linopt_bp import LogScaled, bessel_i
 from linopt_bp import cost_functions as cf
 
 
@@ -20,6 +21,69 @@ def series_bessel_i(nu: int, x: float, terms: int = 30) -> float:
             math.factorial(k) * math.gamma(nu + k + 1)
         )
     return total
+
+
+def log_gamma_recursion(x: float) -> float:
+    """log Gamma via the recursion Gamma(x+1) = x Gamma(x) from 0 < x <= 1.
+
+    Anchored at Gamma(1) = 1 and Gamma(0.5) = sqrt(pi).
+    """
+    log_val = 0.0
+    while x > 1.0:
+        x -= 1.0
+        log_val += math.log(x)
+    if abs(x - 1.0) < 1e-15:
+        return log_val
+    if abs(x - 0.5) < 1e-15:
+        return log_val + 0.5 * math.log(math.pi)
+    raise ValueError("oracle only anchored at integer and half-integer points")
+
+
+def uniform_asymptotic_log_i(nu: int, x: float) -> LogScaled:
+    """Leading-order large-order approximation of log I_nu(x).
+
+    With z = x/nu and eta(z) = sqrt(1+z^2) + log(z / (1 + sqrt(1+z^2))):
+
+        log I_nu(nu z) ~ nu*eta(z) - log(2 pi nu)/2 - log(1+z^2)/4.
+
+    Its relative error falls as the order grows, which makes it an
+    independent check on ``bessel_i`` at large order.
+    """
+    if nu < 1:
+        raise ValueError(f"order must be >= 1, got {nu}")
+    if x == 0.0:
+        return LogScaled(-math.inf)
+    z = x / nu
+    root = math.sqrt(1.0 + z * z)
+    eta = root + math.log(z / (1.0 + root))
+    return LogScaled(nu * eta - 0.5 * math.log(2.0 * math.pi * nu) - 0.25 * math.log(1.0 + z * z))
+
+
+def small_arg_log_i(nu: int, x: float) -> LogScaled:
+    """Small-argument limit log[(x/2)^nu / Gamma(nu+1)] of log I_nu(x)."""
+    if x == 0.0:
+        return LogScaled(0.0 if nu == 0 else -math.inf)
+    return LogScaled(nu * math.log(x / 2.0) - math.lgamma(nu + 1.0))
+
+
+def loose_prefactor(m: int, energy: float) -> LogScaled:
+    """Looser kernel exp(-4E) Gamma(m) I_{m-1}(4E) / (2m (2E)^(m-3)).
+
+    It spreads the column mass uniformly over all 2m polar slots, the axis one
+    included, so it bounds the exact prefactor from above by the factor
+    (2E/m) I_{m-1}(4E) / I_m(4E) >= 1, meets it as E -> 0 and decays at the
+    same exponential rate in m.
+    """
+    if energy == 0.0:
+        return LogScaled(-math.inf)
+    half_arg = 2.0 * energy
+    return LogScaled(
+        -4.0 * energy
+        + math.lgamma(m)
+        + bessel_i(m - 1, 2.0 * half_arg).log_value
+        - math.log(2.0 * m)
+        - (m - 3) * math.log(half_arg)
+    )
 
 
 def simpson(fn, lo: float, hi: float, n: int = 4001) -> float:

@@ -7,6 +7,7 @@ from linopt_bp import (
     MeanVector,
     RandomSource,
     attenuated_intensity,
+    bessel_i,
     bk_matrix,
     chebyshev_bound,
     classify_noise,
@@ -34,7 +35,7 @@ from linopt_bp.estimators import (
 )
 from linopt_bp import estimate_abs_grad, toy_grad_abs_expectation
 
-from conftest import assert_within_sigma, simpson
+from conftest import assert_within_sigma, loose_prefactor, simpson
 
 GRID = list(range(4, 65, 4))
 
@@ -74,6 +75,35 @@ class TestMomentPrefactor:
             oracle = simpson(integrand, -math.pi, math.pi, n=20_001)
             mine = second_moment_prefactor(1, energy).value
             assert mine == pytest.approx(oracle, rel=1e-9), energy
+
+    def test_upper_variant_bounds_sharp_everywhere(self):
+        for m in (1, 2, 3, 6, 12, 40):
+            for energy in (0.05, 0.25, 1.0, 4.0, 25.0):
+                sharp = second_moment_prefactor(m, energy)
+                upper = loose_prefactor(m, energy)
+                assert upper.log_value >= sharp.log_value, (m, energy)
+
+    def test_upper_to_sharp_ratio_identity(self):
+        # ratio = (2E/m) I_{m-1}(4E) / I_m(4E)
+        for m, energy in [(2, 0.25), (3, 1.0), (6, 4.0)]:
+            expected = (
+                math.log(2 * energy / m)
+                + bessel_i(m - 1, 4 * energy).log_value
+                - bessel_i(m, 4 * energy).log_value
+            )
+            gap = (
+                loose_prefactor(m, energy).log_value
+                - second_moment_prefactor(m, energy).log_value
+            )
+            assert gap == pytest.approx(expected, abs=1e-12)
+
+    def test_variants_coincide_at_vanishing_intensity(self):
+        for m in (2, 5, 9):
+            gap = (
+                loose_prefactor(m, 1e-8).log_value
+                - second_moment_prefactor(m, 1e-8).log_value
+            )
+            assert abs(gap) <= 1e-6
 
     def test_zero_intensity_degenerates(self):
         assert second_moment_prefactor(3, 0.0).log_value == -math.inf
@@ -320,6 +350,11 @@ class TestLinearRateFit:
         logs = [second_moment_prefactor(m, a * (m - 1)).log_value for m in GRID]
         fitted = fit_linear_rate(GRID, logs)
         assert fitted == pytest.approx(linear_intensity_rate(a), rel=0.05)
+
+    def test_upper_variant_has_same_rate(self):
+        a = 1.0
+        logs = [loose_prefactor(m, a * (m - 1)).log_value for m in GRID]
+        assert fit_linear_rate(GRID, logs) == pytest.approx(linear_intensity_rate(a), rel=0.05)
 
     def test_rate_closed_form_values(self):
         # rate(a) = -(4a+1-sqrt(16a^2+1)) + log(2/(1+sqrt(16a^2+1)))

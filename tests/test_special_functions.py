@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from linopt_bp import LogScaled, bessel_i
+from linopt_bp import LogScaled, bessel_i, log_gamma
 from linopt_bp.special_functions import TERM_CUTOFF_LOG
 
-from conftest import series_bessel_i
+from conftest import (
+    log_gamma_recursion,
+    series_bessel_i,
+    small_arg_log_i,
+    uniform_asymptotic_log_i,
+)
 
 
 class TestBesselI:
@@ -68,6 +73,70 @@ class TestBesselI:
             bessel_i(0, -0.5)
         with pytest.raises(ValueError, match="argument"):
             bessel_i(0, math.inf)
+
+
+class TestUniformAsymptotic:
+    def test_matches_exact_within_one_percent_at_nu_50(self):
+        nu, z = 50, 1.0
+        exact = bessel_i(nu, nu * z).log_value
+        approx = uniform_asymptotic_log_i(nu, nu * z).log_value
+        assert abs(math.expm1(approx - exact)) <= 0.01
+
+    def test_relative_error_improves_with_order(self):
+        z = 1.0
+        errs = []
+        for nu in (10, 25, 50, 100, 200):
+            exact = bessel_i(nu, nu * z).log_value
+            approx = uniform_asymptotic_log_i(nu, nu * z).log_value
+            errs.append(abs(math.expm1(approx - exact)))
+        assert all(a > b for a, b in zip(errs, errs[1:])), errs
+
+    def test_order_below_one_rejected(self):
+        with pytest.raises(ValueError, match="order"):
+            uniform_asymptotic_log_i(0, 1.0)
+
+
+class TestSmallArgAsymptotic:
+    def test_zero_limit(self):
+        assert small_arg_log_i(0, 0.0).log_value == 0.0
+        assert small_arg_log_i(3, 0.0).log_value == -math.inf
+
+    def test_leading_error_is_first_series_term(self):
+        # the relative error of the leading term is x^2/(4(nu+1)) to first order
+        for nu in (0, 1, 4, 12):
+            x = math.sqrt(4e-4 * (nu + 1)) * 0.9
+            ratio = x * x / (4.0 * (nu + 1))
+            exact = bessel_i(nu, x).log_value
+            approx = small_arg_log_i(nu, x).log_value
+            assert abs(math.expm1(approx - exact)) <= 1.1 * ratio, nu
+
+    def test_agrees_with_series_in_deep_small_regime(self):
+        # agreement to 1e-6 in linear scale once x^2/(4(nu+1)) < 1e-6
+        for nu in (0, 1, 4, 12):
+            x = math.sqrt(4e-6 * (nu + 1)) * 0.9
+            exact = bessel_i(nu, x).log_value
+            approx = small_arg_log_i(nu, x).log_value
+            assert abs(math.expm1(approx - exact)) <= 1e-6, nu
+
+
+class TestLogGamma:
+    def test_anchors(self):
+        assert log_gamma(1.0) == 0.0
+        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
+
+    def test_against_recursion_oracle(self):
+        for x in (2.0, 7.0, 10.5, 33.5, 171.0):
+            assert log_gamma(x) == pytest.approx(log_gamma_recursion(x), rel=1e-12)
+
+    def test_gamma_ten_and_a_half(self):
+        # Gamma(10.5) via the recursion oracle from Gamma(0.5) = sqrt(pi)
+        oracle = math.exp(log_gamma_recursion(10.5))
+        assert math.exp(log_gamma(10.5)) == pytest.approx(oracle, rel=1e-12)
+        assert oracle == pytest.approx(1.1332783889487e6, rel=1e-12)
+
+    def test_domain(self):
+        with pytest.raises(ValueError, match="x > 0"):
+            log_gamma(0.0)
 
 
 class TestLogScaled:
