@@ -18,7 +18,8 @@ Every output file embeds the schema string, the full config (JSON) and the
 seed as preamble records, so any file can be reproduced exactly from its own
 header.  Exit codes: 0 success, 2 configuration error (such as a negative or
 non-finite sweep intensity), 3 numerical failure (such as a closed-form moment
-that is exactly zero or underflows at a sweep point).
+that is exactly zero or underflows, or a Bessel argument that overflows, at a
+sweep point; the message names the first such m).
 The default output directory is taken from LINOPT_BP_OUTDIR when set.
 """
 

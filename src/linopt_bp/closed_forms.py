@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .phase_space import MeanVector, as_mean_vector
-from .special_functions import LogScaled, bessel_i, log_gamma
+from .special_functions import LogScaled, bessel_i
 from .validation import check_skew_symmetric, check_symmetric, modes_of
 
 SLOPE_THRESHOLD = -0.05  # nats per mode; below this the fitted decay is a plateau
@@ -104,7 +104,7 @@ def _kernel(m: int, half_arg: float, exp_term: float) -> LogScaled:
     """
     return LogScaled(
         exp_term
-        + log_gamma(m)
+        + math.lgamma(m)
         + bessel_i(m, 2.0 * half_arg).log_value
         - math.log(2.0)
         - (m - 2) * math.log(half_arg)
@@ -335,10 +335,13 @@ def classify_regime(law, m_grid, xi: float = 1.0) -> RegimeVerdict:
     m_arr = np.asarray(m_grid, dtype=int)
     # one scalar law call per point, as the CLI rows report E (a vectorized
     # expdecay power can differ from the scalar one in the last bit)
-    logs = [
-        second_moment_prefactor(int(m), float(law_fn(np.asarray(float(m))))).scaled(xi).log_value
-        for m in m_arr
-    ]
+    logs = []
+    for m in m_arr:
+        energy = float(law_fn(np.asarray(float(m))))
+        try:
+            logs.append(second_moment_prefactor(int(m), energy).scaled(xi).log_value)
+        except ValueError as exc:  # e.g. a Bessel argument 4E that overflows
+            raise ValueError(f"at m={m}, E={energy!r}: {exc}") from None
     return _verdict_from_logs(m_arr, logs)
 
 
@@ -356,8 +359,11 @@ def classify_noise(e0_law, k: float, layers_law, m_grid, xi: float = 1.0) -> Reg
     for m in m_arr:
         e0 = float(e0_fn(np.asarray(float(m))))
         n_layers = int(layers_law(int(m)))
-        e1 = attenuated_intensity(e0, k, n_layers)
-        logs.append(heterodyne_prefactor(int(m), e0, e1).scaled(xi).log_value)
+        try:
+            e1 = attenuated_intensity(e0, k, n_layers)
+            logs.append(heterodyne_prefactor(int(m), e0, e1).scaled(xi).log_value)
+        except ValueError as exc:  # e.g. a Bessel argument 4 sqrt(E0 E1) that overflows
+            raise ValueError(f"at m={m}, E0={e0!r}: {exc}") from None
     return _verdict_from_logs(m_arr, logs)
 
 

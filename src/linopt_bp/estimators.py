@@ -161,25 +161,6 @@ class QuadraticGradientFamily:
         return np.einsum("ni,ij,nj->n", w, self.b, w)
 
 
-_FAMILIES = {
-    "toy": ToyGradientFamily,
-    "compiling": CompilingGradientFamily,
-    "measurement": MeasurementGradientFamily,
-    "quadratic": QuadraticGradientFamily,
-}
-
-
-def make_family(name: str, **params):
-    """Build a gradient family by name; raises on an unknown cost family."""
-    try:
-        builder = _FAMILIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown cost family {name!r}; expected one of {sorted(_FAMILIES)}"
-        ) from None
-    return builder(**params)
-
-
 # -- chunked engine ---------------------------------------------------------
 
 
@@ -197,7 +178,7 @@ def _check_family(family):
     if not hasattr(family, "sample_gradients"):
         raise TypeError(
             f"unknown cost family object {type(family).__name__}; "
-            "expected one of the gradient families (see make_family)"
+            "expected an object with a sample_gradients(size, rng) method"
         )
 
 

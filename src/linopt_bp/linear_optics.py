@@ -21,14 +21,18 @@ A depth-L circuit alternates parameterized gates with fixed orthogonal layers
 and splits at the distinguished layer k as ``T = O_minus O_plus`` with
 ``O_minus`` covering layers 1..k-1.
 
-Gate actions are evaluated in closed form whenever ``D^3 = -D``, which holds
-exactly for all four standard kinds (``D`` has eigenvalues 0 and +-i only).
-Then Rodrigues' formula gives
+A generator acts only on its support, the phase-space coordinates where
+``D`` has a nonzero row or column: 2 for a phase-shifter, 4 for the two-mode
+kinds, all 2m for the global phase.  ``exp(theta D)`` is the identity off the
+support, so a gate is stored and applied as its k x k block on the support,
+O(k^2) per vector with no 2m x 2m matrix.  The block is evaluated in closed
+form whenever ``D^3 = -D``, which holds exactly for all four standard kinds
+(``D`` has eigenvalues 0 and +-i only).  Then Rodrigues' formula gives
 
-    exp(theta D) = I + sin(theta) D + (1 - cos(theta)) D^2,
+    exp(theta D) = I + sin(theta) D + (1 - cos(theta)) D^2
 
-an O(m^2) sum of two fixed matrices.  Any other generator falls back to
-``scipy.linalg.expm``.
+on the block.  Any other generator falls back to ``scipy.linalg.expm`` of
+the block.
 """
 
 from __future__ import annotations
@@ -55,10 +59,19 @@ def symplectic_form(m: int) -> np.ndarray:
     """Block-diagonal symplectic form, one [[0,1],[-1,0]] block per mode."""
     if m < 1:
         raise ValueError(f"mode count must be >= 1, got {m}")
-    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
     out = np.zeros((2 * m, 2 * m))
-    for j in range(m):
-        out[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = block
+    q = np.arange(0, 2 * m, 2)
+    out[q, q + 1] = 1.0
+    out[q + 1, q] = -1.0
+    return out
+
+
+def times_symplectic_form(a) -> np.ndarray:
+    """``a @ symplectic_form(m)`` for a (n, 2m) array, as a signed column swap."""
+    a = np.asarray(a, dtype=float)
+    out = np.empty_like(a)
+    out[:, 0::2] = -a[:, 1::2]
+    out[:, 1::2] = a[:, 0::2]
     return out
 
 
@@ -68,14 +81,18 @@ class GeneratorPair:
 
     Invariants (validated on construction): ``eps`` symmetric, ``d`` equal to
     ``-2 eps Delta`` and skew-symmetric, which forces ``[eps, Delta] = 0``.
-    Construction also stores ``d2 = d @ d`` and whether ``d^3 = -d`` holds
-    (``rodrigues``), which selects the closed form in ``gate_action``.
+    Construction also stores the ``support`` of ``d`` (the indices of its
+    nonzero rows and columns), the blocks ``d_s`` of ``d`` and ``d2_s = d_s^2``
+    on it, and whether ``d^3 = -d`` holds (``rodrigues``), which selects the
+    closed form in ``block``.
     """
 
     d: np.ndarray
     eps: np.ndarray
     label: str
-    d2: np.ndarray = field(init=False, repr=False)
+    support: np.ndarray = field(init=False, repr=False)
+    d_s: np.ndarray = field(init=False, repr=False)
+    d2_s: np.ndarray = field(init=False, repr=False)
     rodrigues: bool = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -83,24 +100,30 @@ class GeneratorPair:
         d = check_skew_symmetric(self.d, "d")
         if d.shape != eps.shape:
             raise ValueError("d and eps must have matching shapes")
-        m = modes_of(d, "generator")
-        expected = -2.0 * eps @ symplectic_form(m)
+        modes_of(d, "generator")
+        expected = -2.0 * times_symplectic_form(eps)
         if np.abs(d - expected).max(initial=0.0) > 1e-10:
             raise ValueError("d does not match -2 eps Delta for the given eps")
-        d2 = d @ d
-        for arr in (d, eps, d2):
+        nonzero = d != 0.0
+        support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+        d_s = d[np.ix_(support, support)]
+        d2_s = d_s @ d_s
+        for arr in (d, eps, support, d_s, d2_s):
             arr.flags.writeable = False
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "d2", d2)
-        object.__setattr__(self, "rodrigues", bool(np.abs(d @ d2 + d).max(initial=0.0) <= 1e-12))
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "d_s", d_s)
+        object.__setattr__(self, "d2_s", d2_s)
+        # d vanishes off the support, so D^3 = -D holds iff it holds on the block
+        object.__setattr__(self, "rodrigues", bool(np.abs(d_s @ d2_s + d_s).max(initial=0.0) <= 1e-12))
 
     @classmethod
     def from_symmetric(cls, eps, label: str = "custom") -> "GeneratorPair":
         """Build the pair from a symmetric eps commuting with the symplectic form."""
         eps = check_symmetric(eps, "eps")
-        m = modes_of(eps, "eps")
-        d = -2.0 * eps @ symplectic_form(m)
+        modes_of(eps, "eps")
+        d = -2.0 * times_symplectic_form(eps)
         try:
             check_skew_symmetric(d, "d")
         except ValueError:
@@ -109,6 +132,24 @@ class GeneratorPair:
                 "the gate would not conserve energy"
             ) from None
         return cls(d=d, eps=eps, label=label)
+
+    def block(self, theta: float) -> np.ndarray:
+        """exp(theta D) on ``support``; the gate is the identity everywhere else.
+
+        Rodrigues' formula ``I + sin(theta) D + (1 - cos(theta)) D^2`` when
+        ``D^3 = -D`` (every standard kind), ``expm`` otherwise.
+        """
+        k = self.support.size
+        if theta == 0.0:
+            return np.eye(k)
+        if not self.rodrigues:
+            from scipy.linalg import expm  # only custom generators need it
+
+            return expm(theta * self.d_s)
+        out = math.sin(theta) * self.d_s
+        out += 2.0 * math.sin(0.5 * theta) ** 2 * self.d2_s  # 1 - cos(theta), without cancellation
+        out.flat[:: k + 1] += 1.0
+        return out
 
     @property
     def m(self) -> int:
@@ -170,19 +211,12 @@ def _two_distinct(modes: tuple, m: int) -> tuple:
 def gate_action(gen: GeneratorPair, theta: float) -> np.ndarray:
     """Transfer matrix exp(theta D) of one gate; orthogonal for all theta.
 
-    Rodrigues' formula ``I + sin(theta) D + (1 - cos(theta)) D^2`` when the
-    generator satisfies ``D^3 = -D`` (every standard kind), ``expm`` otherwise.
+    The 2m x 2m identity with ``gen.block(theta)`` on the generator's support.
+    This is the one place a full gate matrix is formed (``Layer.transfer``
+    and the split actions use it); the trainer applies the block directly.
     """
-    theta = float(theta)
-    if theta == 0.0:
-        return np.eye(gen.d.shape[0])
-    if not gen.rodrigues:
-        from scipy.linalg import expm  # only custom generators need it
-
-        return expm(theta * gen.d)
-    out = math.sin(theta) * gen.d
-    out += 2.0 * math.sin(0.5 * theta) ** 2 * gen.d2  # 1 - cos(theta), without cancellation
-    out[np.diag_indices_from(out)] += 1.0
+    out = np.eye(2 * gen.m)
+    out[np.ix_(gen.support, gen.support)] = gen.block(float(theta))
     return out
 
 

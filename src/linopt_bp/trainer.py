@@ -6,9 +6,12 @@ halving backoff when a step increases the cost.  Gradients come from adjoint
 ``v_l = u T_1 ... T_l`` (``T_l = exp(theta_l D_l) W_l``), a backward pass
 carries one column vector from the output back through the layers, and each
 layer's gradient is a bilinear form in the two, O(m^2) per layer with no
-matrix products.  For the overlap family that form is
-``cost_functions.overlap_grad``, the kernel behind ``measurement_grad``, so
-the trainer and the Monte Carlo estimators evaluate the same gradient.
+matrix products.  A gate touches only its generator's support, so it is
+applied as its k x k block there (``GeneratorPair.block``; k = 2 or 4 for
+the local kinds) and no 2m x 2m gate matrix is formed.  For the overlap
+family the bilinear form is ``cost_functions.overlap_grad``, the kernel
+behind ``measurement_grad``, so the trainer and the Monte Carlo estimators
+evaluate the same gradient.
 
 Each accepted step records its step size and the halvings that preceded it.
 Training traces are plain CSV with columns iteration,cost,grad_norm.
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cost_functions as cf
-from .linear_optics import LayeredCircuit, gate_action
+from .linear_optics import LayeredCircuit
 from .phase_space import MeanVector, as_mean_vector
 
 COST_FAMILIES = ("compiling", "quadratic")
@@ -101,29 +104,38 @@ class _Objective:
         if np.abs(theta).max() >= MAX_ANGLE:
             raise ValueError(f"circuit parameters beyond {MAX_ANGLE:.3e} carry no angle")
         layers = self.circuit.layers
-        gates = [gate_action(layer.gen, t) for layer, t in zip(layers, theta)]
+        gates = [layer.gen.block(t) for layer, t in zip(layers, theta)]
         states = [self.u.values]
         for layer, gate in zip(layers, gates):
-            states.append((states[-1] @ gate) @ layer.fixed)
+            v = states[-1].copy()
+            s = layer.gen.support
+            v[s] = v[s] @ gate
+            states.append(v @ layer.fixed)
         w = states.pop()
 
-        grads = np.empty(len(layers))
         if self.family == "compiling":
             n = self.target.values
             diff = w - n
             cost = 1.0 - math.exp(-0.5 * float(diff @ diff))
             e_total = self.u.intensity() + self.target.intensity()
             g = n
-            for idx in range(len(layers) - 1, -1, -1):
-                g = gates[idx] @ (layers[idx].fixed @ g)
-                grads[idx] = cf.overlap_grad(states[idx], layers[idx].gen.d, g, e_total)
+
+            def kernel(y, d, g):
+                return cf.overlap_grad(y, d, g, e_total)
         else:
             eta = self.ham.eta
             g = eta @ w
             cost = float(w @ g) + 0.5 * float(np.trace(eta))
-            for idx in range(len(layers) - 1, -1, -1):
-                g = gates[idx] @ (layers[idx].fixed @ g)
-                grads[idx] = 2.0 * float(states[idx] @ layers[idx].gen.d @ g)
+
+            def kernel(y, d, g):
+                return 2.0 * float(y @ d @ g)
+        grads = np.empty(len(layers))
+        for idx in range(len(layers) - 1, -1, -1):
+            layer = layers[idx]
+            g = layer.fixed @ g
+            s = layer.gen.support
+            g[s] = gates[idx] @ g[s]
+            grads[idx] = kernel(states[idx], layer.gen.d, g)
         return cost, grads
 
 

@@ -255,8 +255,12 @@ class TestExitCodes:
         (["regimes", "--law", "linear:1e400"], 2, "law: intensity inf at m=4"),
         (["regimes", "--law", "list:" + ",".join(map(str, range(1, 16))) + ",-16"], 2,
          "law: intensity -16.0 at m=64"),
+        # E = 1e308 is finite, but the Bessel argument 4E overflows
+        (["regimes", "--law", "constant:1e308"], 3, "at m=4, E=1e+308"),
+        (["noise", "--e0-law", "constant:1e308", "--k", "0.9"], 3, "at m=4, E0=1e+308"),
     ], ids=["noise-e1-underflow", "regimes-zero-at-m1", "regimes-negative-law",
-            "regimes-infinite-law", "regimes-negative-list-entry"])
+            "regimes-infinite-law", "regimes-negative-list-entry", "regimes-bessel-overflow",
+            "noise-bessel-overflow"])
     def test_bad_sweep_point_exit_code(self, tmp_path, capsys, args, code, message):
         # an exception escaping main would fail the test with its traceback
         assert main(args + ["--output", str(tmp_path / "x.csv")]) == code

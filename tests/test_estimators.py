@@ -26,7 +26,6 @@ from linopt_bp.estimators import (
     MeasurementGradientFamily,
     QuadraticGradientFamily,
     ToyGradientFamily,
-    make_family,
 )
 
 from conftest import assert_within_sigma
@@ -77,14 +76,6 @@ class TestMomentEstimateContract:
     def test_unknown_family_object_rejected(self):
         with pytest.raises(TypeError, match="unknown cost family"):
             estimate_grad_moments(object(), 10_000, RandomSource(0))
-
-    def test_make_family_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown cost family"):
-            make_family("boson-sampling")
-
-    def test_make_family_builds(self):
-        fam = make_family("toy", m=3, s=0.2)
-        assert isinstance(fam, ToyGradientFamily)
 
 
 class TestToyFamily:

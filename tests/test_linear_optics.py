@@ -26,6 +26,7 @@ def test_symplectic_form_single_mode():
 @pytest.mark.parametrize("m", [1, 3, 4])
 def test_symplectic_form_structure(m):
     delta = symplectic_form(m)
+    np.testing.assert_array_equal(delta, np.kron(np.eye(m), [[0.0, 1.0], [-1.0, 0.0]]))
     np.testing.assert_array_equal(delta.T, -delta)
     np.testing.assert_allclose(delta @ delta.T, np.eye(2 * m), atol=0)
     np.testing.assert_allclose(delta @ delta, -np.eye(2 * m), atol=0)
@@ -133,6 +134,33 @@ class TestGateAction:
             t = gate_action(gen, theta)
             assert np.linalg.norm(t.T @ t - np.eye(2 * m)) <= 1e-9
             assert np.linalg.norm(t @ delta @ t.T - delta) <= 1e-9
+
+
+class TestSupport:
+    @pytest.mark.parametrize("kind,modes,m,size", [
+        ("phase-shifter", (2,), 4, 2),
+        ("two-mode-phase", (1, 3), 5, 4),
+        ("beamsplitter", (3, 0), 4, 4),
+        ("global-phase", (), 3, 6),
+    ])
+    def test_support_size_per_kind(self, kind, modes, m, size):
+        gen = make_generator(kind, modes, m)
+        assert gen.support.size == size
+        np.testing.assert_array_equal(gen.d_s, gen.d[np.ix_(gen.support, gen.support)])
+        off = np.setdiff1d(np.arange(2 * m), gen.support)
+        assert not gen.d[off].any() and not gen.d[:, off].any()
+
+    @pytest.mark.parametrize("kind,modes", [("phase-shifter", (1,)), ("beamsplitter", (3, 0)),
+                                            ("two-mode-phase", (2, 1))])
+    def test_gate_is_identity_off_support(self, kind, modes):
+        m = 4
+        gen = make_generator(kind, modes, m)
+        off = np.setdiff1d(np.arange(2 * m), gen.support)
+        for theta in (0.3, -2.5, 10.0):
+            t = gate_action(gen, theta)
+            np.testing.assert_array_equal(t[off], np.eye(2 * m)[off])
+            np.testing.assert_array_equal(t[:, off], np.eye(2 * m)[:, off])
+            np.testing.assert_array_equal(t[np.ix_(gen.support, gen.support)], gen.block(theta))
 
 
 def _standard_generators():

@@ -31,7 +31,11 @@ from linopt_bp.estimators import (  # noqa: E402
     QuadraticGradientFamily,
     ToyGradientFamily,
 )
-from linopt_bp.linear_optics import GENERATOR_KINDS  # noqa: E402
+from linopt_bp.linear_optics import (  # noqa: E402
+    GENERATOR_KINDS,
+    symplectic_form,
+    times_symplectic_form,
+)
 
 SETTINGS = settings(max_examples=50, deadline=None)
 SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
@@ -58,6 +62,17 @@ def generators(draw):
 def test_gate_action_is_orthogonal(gen, theta):
     t = gate_action(gen, theta)
     np.testing.assert_allclose(t @ t.T, np.eye(t.shape[0]), rtol=0, atol=1e-13)
+
+
+@SETTINGS
+@given(data=st.data(), m=st.integers(1, 8), rows=st.integers(1, 16))
+def test_signed_swap_equals_symplectic_product(data, m, rows):
+    # each output entry is one input entry times +-1 plus exact zeros, so the
+    # swap and the product agree exactly (array_equal treats -0.0 as 0.0)
+    values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=rows * 2 * m, max_size=rows * 2 * m))
+    a = np.array(values).reshape(rows, 2 * m)
+    assert np.array_equal(times_symplectic_form(a), a @ symplectic_form(m))
 
 
 @SETTINGS

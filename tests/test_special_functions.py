@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from linopt_bp import LogScaled, bessel_i, log_gamma
+from linopt_bp import LogScaled, bessel_i
 from linopt_bp.special_functions import TERM_CUTOFF_LOG
 
 from conftest import (
-    log_gamma_recursion,
     series_bessel_i,
     small_arg_log_i,
     uniform_asymptotic_log_i,
@@ -117,26 +116,6 @@ class TestSmallArgAsymptotic:
             exact = bessel_i(nu, x).log_value
             approx = small_arg_log_i(nu, x).log_value
             assert abs(math.expm1(approx - exact)) <= 1e-6, nu
-
-
-class TestLogGamma:
-    def test_anchors(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-
-    def test_against_recursion_oracle(self):
-        for x in (2.0, 7.0, 10.5, 33.5, 171.0):
-            assert log_gamma(x) == pytest.approx(log_gamma_recursion(x), rel=1e-12)
-
-    def test_gamma_ten_and_a_half(self):
-        # Gamma(10.5) via the recursion oracle from Gamma(0.5) = sqrt(pi)
-        oracle = math.exp(log_gamma_recursion(10.5))
-        assert math.exp(log_gamma(10.5)) == pytest.approx(oracle, rel=1e-12)
-        assert oracle == pytest.approx(1.1332783889487e6, rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError, match="x > 0"):
-            log_gamma(0.0)
 
 
 class TestLogScaled:

@@ -83,6 +83,23 @@ class TestTrainerGradients:
                 compiling_grad(u, d_k, o_minus, o_plus), rel=1e-11
             )
 
+    def test_train_forms_no_dense_gate(self, monkeypatch):
+        # gates act on their support blocks; no 2m x 2m gate matrix is built
+        from linopt_bp import linear_optics, trainer as trainer_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("trainer formed a dense gate matrix")
+
+        monkeypatch.setattr(linear_optics, "gate_action", forbidden)
+        monkeypatch.setattr(trainer_module, "gate_action", forbidden, raising=False)
+        gen = RandomSource(12).generator()
+        circ, u = _instance(12, m=3, depth=6)
+        a = gen.standard_normal((6, 6))
+        ham = QuadraticHamiltonian(a @ a.T / 6)
+        for family, extra in (("compiling", {}), ("quadratic", {"hamiltonian": ham})):
+            records = train(circ, family, u, TrainConfig(lr=0.2, max_iters=5, tol=0.0), **extra)
+            assert len(records) == 6 and np.isfinite(records[-1].cost), family
+
     def test_quadratic_gradients_match_split_kernel(self):
         gen = RandomSource(10).generator()
         circ, u = _instance(10, m=3, depth=5)
