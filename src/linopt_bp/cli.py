@@ -11,8 +11,9 @@ prop2       quadratic-cost gradient second moment: closed form vs Monte Carlo
 heterodyne  unequal-intensity moment prefactor (optionally vs Monte Carlo)
 noise       attenuation sweep E1 = k^(2L(m)) E0(m) with regime verdict
 regimes     intensity-law sweep with regime verdict
-train       gradient-descent run emitting an iteration,cost,grad_norm trace;
-            the preamble records the step-size backoffs and the final step
+train       gradient-descent run emitting an iteration,cost,grad_norm trace
+            on a random circuit with Haar U(m) fixed layers; the preamble
+            records the step-size backoffs and the final step
 
 Every output file embeds the schema string, the full config (JSON) and the
 seed as preamble records, so any file can be reproduced exactly from its own
@@ -42,7 +43,7 @@ from .linear_optics import make_generator, random_circuit
 from .phase_space import MeanVector
 from .sampling import RandomSource, haar_orthogonal, uniform_sphere
 
-SCHEMA = "linopt-bp/3"
+SCHEMA = "linopt-bp/4"
 ENV_OUTDIR = "LINOPT_BP_OUTDIR"
 INSTANCE_STREAM = 2**32  # substream index reserved for instance construction
 
@@ -354,7 +355,7 @@ def _run_prop2(cfg) -> tuple:
     a = inst.standard_normal((dim, dim))
     ham = cf.QuadraticHamiltonian(a @ a.T / dim)
     gen = make_generator("two-mode-phase", (0, 1), m)
-    o_plus = haar_orthogonal(m, inst)
+    o_plus = haar_orthogonal(m, inst)  # still O(2m); README "Conventions" says why
     eta_tilde = o_plus @ ham.eta @ o_plus.T
     b = cf.bk_matrix(gen.eps, eta_tilde)
     u = uniform_sphere(m, math.sqrt(2 * energy), inst)

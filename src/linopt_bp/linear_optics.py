@@ -13,13 +13,22 @@ pinned by the phase-shifter convention: ``exp(-i theta a* a)`` sends a
 coherent amplitude ``alpha`` to ``exp(-i theta) alpha``, i.e. the single-mode
 transfer matrix is ``[[cos t, -sin t], [sin t, cos t]]``.
 
-A depth-L circuit alternates parameterized gates with fixed orthogonal layers
+A depth-L circuit alternates parameterized gates with fixed passive layers
 ``W_l``; its total transfer matrix composes left to right in layer order,
 
     T(theta) = prod_l exp(theta_l D_l) W_l,
 
 and splits at the distinguished layer k as ``T = O_minus O_plus`` with
 ``O_minus`` covering layers 1..k-1.
+
+A fixed layer is a unitary ``U`` in U(m), stored as its complex m x m matrix.
+With ``z_j = q_j + i p_j`` the interleaved mean vector is a complex m-vector
+(``v.view(np.complex128)``), and the layer acts as ``z -> z U``.  The real
+2m x 2m matrix of that action, ``embed_unitary(U)``, has the 2 x 2 block
+``[[Re U_jk, Im U_jk], [-Im U_jk, Re U_jk]]`` at mode pair (j, k); it commutes
+with ``Delta`` and is orthogonal exactly when ``U`` is unitary, so it is
+orthogonal and symplectic.  The gates are complex-linear in the same
+convention (a phase-shifter multiplies ``z_j`` by ``exp(-i theta)``).
 
 A generator acts only on its support, the phase-space coordinates where
 ``D`` has a nonzero row or column: 2 for a phase-shifter, 4 for the two-mode
@@ -43,12 +52,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .sampling import haar_orthogonal
+from .sampling import haar_unitary_batch
 from .validation import (
+    as_square_matrix,
     check_mode_index,
-    check_orthogonal,
     check_skew_symmetric,
     check_symmetric,
+    check_unitary,
     modes_of,
 )
 
@@ -97,13 +107,20 @@ class GeneratorPair:
 
     def __post_init__(self):
         eps = check_symmetric(self.eps, "eps")
-        d = check_skew_symmetric(self.d, "d")
+        d = as_square_matrix(self.d, "d")
         if d.shape != eps.shape:
             raise ValueError("d and eps must have matching shapes")
         modes_of(d, "generator")
         expected = -2.0 * times_symplectic_form(eps)
         if np.abs(d - expected).max(initial=0.0) > 1e-10:
             raise ValueError("d does not match -2 eps Delta for the given eps")
+        try:
+            check_skew_symmetric(d, "d")
+        except ValueError:
+            raise ValueError(
+                "eps does not commute with the symplectic form; "
+                "the gate would not conserve energy"
+            ) from None
         nonzero = d != 0.0
         support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
         d_s = d[np.ix_(support, support)]
@@ -121,17 +138,9 @@ class GeneratorPair:
     @classmethod
     def from_symmetric(cls, eps, label: str = "custom") -> "GeneratorPair":
         """Build the pair from a symmetric eps commuting with the symplectic form."""
-        eps = check_symmetric(eps, "eps")
+        eps = as_square_matrix(eps, "eps")
         modes_of(eps, "eps")
-        d = -2.0 * times_symplectic_form(eps)
-        try:
-            check_skew_symmetric(d, "d")
-        except ValueError:
-            raise ValueError(
-                "eps does not commute with the symplectic form; "
-                "the gate would not conserve energy"
-            ) from None
-        return cls(d=d, eps=eps, label=label)
+        return cls(d=-2.0 * times_symplectic_form(eps), eps=eps, label=label)
 
     def block(self, theta: float) -> np.ndarray:
         """exp(theta D) on ``support``; the gate is the identity everywhere else.
@@ -208,6 +217,52 @@ def _two_distinct(modes: tuple, m: int) -> tuple:
     return i, j
 
 
+class GateBlocks:
+    """The gate blocks of a fixed sequence of generators, evaluated together.
+
+    ``at(theta)`` equals ``[gen.block(t) for gen, t in zip(gens, theta)]``.
+    The Rodrigues blocks of all generators with the same support size come
+    from one batched product of the coefficients ``(1, sin t, 1 - cos t)``
+    with the stacked ``(I, d_s, d2_s)``; custom generators use ``block``.
+    """
+
+    def __init__(self, gens: Sequence[GeneratorPair]):
+        self._gens = tuple(gens)
+        by_size = {}
+        for i, gen in enumerate(self._gens):
+            if gen.rodrigues:
+                by_size.setdefault(gen.support.size, []).append(i)
+        # the Rodrigues generators ordered by support size; _slot[i] is the
+        # position of generator i in that order (None for a custom generator)
+        order = [i for idx in by_size.values() for i in idx]
+        self._order = np.array(order, dtype=np.intp)
+        self._slot = [None] * len(self._gens)
+        for j, i in enumerate(order):
+            self._slot[i] = j
+        self._stacks = []
+        for k, idx in by_size.items():
+            eye = np.eye(k).ravel()
+            basis = np.stack([
+                np.stack((eye, self._gens[i].d_s.ravel(), self._gens[i].d2_s.ravel()))
+                for i in idx
+            ])
+            self._stacks.append((k, basis))
+
+    def at(self, theta) -> list:
+        theta = np.asarray(theta, dtype=float)
+        t = theta[self._order]
+        coef = np.empty((t.size, 1, 3))
+        coef[:, 0, 0] = 1.0
+        coef[:, 0, 1] = np.sin(t)
+        coef[:, 0, 2] = 2.0 * np.sin(0.5 * t) ** 2  # 1 - cos(t), without cancellation
+        stacked = []
+        for k, basis in self._stacks:
+            start = len(stacked)
+            stacked.extend(np.matmul(coef[start : start + len(basis)], basis).reshape(-1, k, k))
+        return [gen.block(float(x)) if j is None else stacked[j]
+                for j, gen, x in zip(self._slot, self._gens, theta)]
+
+
 def gate_action(gen: GeneratorPair, theta: float) -> np.ndarray:
     """Transfer matrix exp(theta D) of one gate; orthogonal for all theta.
 
@@ -220,24 +275,48 @@ def gate_action(gen: GeneratorPair, theta: float) -> np.ndarray:
     return out
 
 
+def embed_unitary(u) -> np.ndarray:
+    """Real 2m x 2m matrix of ``z -> z u`` on interleaved (q, p) row vectors.
+
+    Mode pair (j, k) gets the block ``[[Re u_jk, Im u_jk], [-Im u_jk, Re u_jk]]``,
+    so ``v @ embed_unitary(u)`` equals ``(v.view(complex) @ u).view(float)``.
+    """
+    u = np.asarray(u, dtype=np.complex128)
+    m = u.shape[0]
+    out = np.empty((m, 2, m, 2))
+    out[:, 0, :, 0] = out[:, 1, :, 1] = u.real
+    out[:, 0, :, 1] = u.imag
+    out[:, 1, :, 0] = -u.imag
+    return out.reshape(2 * m, 2 * m)
+
+
 @dataclass(frozen=True, eq=False)
 class Layer:
+    """A parameterized gate followed by a fixed passive layer.
+
+    ``unitary`` is the fixed layer as an m x m complex unitary, checked once
+    here; it acts on the complex mean vector as ``z -> z unitary``.
+    """
+
     gen: GeneratorPair
-    fixed: np.ndarray  # unparameterized orthogonal layer applied after the gate
+    unitary: np.ndarray
 
     def __post_init__(self):
-        fixed = check_orthogonal(self.fixed, "fixed layer")
-        if fixed.shape != self.gen.d.shape:
-            raise ValueError("fixed layer dimension does not match the gate generator")
-        fixed.flags.writeable = False
-        object.__setattr__(self, "fixed", fixed)
+        unitary = check_unitary(self.unitary, "fixed layer")
+        if unitary.shape[0] != self.gen.m:
+            raise ValueError(
+                f"fixed layer is {unitary.shape[0]} x {unitary.shape[0]} "
+                f"but the gate generator acts on {self.gen.m} modes"
+            )
+        unitary.flags.writeable = False
+        object.__setattr__(self, "unitary", unitary)
 
     def transfer(self, theta: float) -> np.ndarray:
-        return gate_action(self.gen, theta) @ self.fixed
+        return gate_action(self.gen, theta) @ embed_unitary(self.unitary)
 
 
 class LayeredCircuit:
-    """Alternating parameterized gates and fixed orthogonal layers.
+    """Alternating parameterized gates and fixed passive layers.
 
     Immutable after construction; evaluation methods are read-only, so one
     circuit can be evaluated concurrently at different parameter vectors.
@@ -328,15 +407,19 @@ def random_circuit(m: int, depth: int, rng, split: int = 1, identity_fixed: bool
 
     Gate pattern: even layers are beamsplitters on adjacent mode pairs, odd
     layers single-mode phase shifters (plain phase shifters throughout when
-    m = 1).  Fixed layers are Haar-orthogonal draws frozen at construction,
-    or identities when ``identity_fixed`` is set.
+    m = 1).  Fixed layers are Haar draws from U(m), all taken in one batch
+    and frozen at construction, or identities when ``identity_fixed`` is set.
     """
     if not isinstance(rng, np.random.Generator):
         from .sampling import as_source
 
         rng = as_source(rng).generator()
+    if identity_fixed:
+        unitaries = [np.eye(m, dtype=np.complex128)] * depth
+    else:
+        unitaries = haar_unitary_batch(m, depth, rng)
     layers = []
-    for idx in range(depth):
+    for idx, unitary in enumerate(unitaries):
         if m == 1:
             gen = make_generator("phase-shifter", (0,), m)
         elif idx % 2 == 0:
@@ -344,7 +427,6 @@ def random_circuit(m: int, depth: int, rng, split: int = 1, identity_fixed: bool
             gen = make_generator("beamsplitter", (i, (i + 1) % m), m)
         else:
             gen = make_generator("phase-shifter", ((idx // 2) % m,), m)
-        fixed = np.eye(2 * m) if identity_fixed else haar_orthogonal(m, rng)
-        layers.append(Layer(gen, fixed))
+        layers.append(Layer(gen, unitary))
     theta = np.zeros(depth)
     return LayeredCircuit(layers, theta, split)

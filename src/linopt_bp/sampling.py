@@ -7,11 +7,14 @@ spawn_key=(i,))``, so a result depends only on (seed, chunk layout) and not on
 whether chunks ran serially or in parallel.  Identical seeds give bitwise
 identical sample streams.
 
-Haar sampling on O(2m) uses the QR decomposition of a standard Gaussian
-matrix with the sign of the triangular factor's diagonal fixed to be
-positive; without the sign fix QR output is not Haar distributed.  It is
-needed only where a whole matrix is used (circuit layers, fixed instances):
-the Monte Carlo estimators draw the sphere points ``u O`` directly.
+Haar sampling uses the QR decomposition of a Gaussian matrix with the
+phase of the triangular factor's diagonal fixed (Mezzadri 2007,
+arXiv:math-ph/0609050); without the fix QR output is not Haar distributed.
+Passive linear optics on m modes is U(m) (complex Ginibre matrices, unit
+phases), drawn for the fixed layers of circuits.  O(2m) (real Gaussian
+matrices, signs) remains for the ``prop2`` instance's ``O_plus``.  Whole
+matrices are needed only there: the Monte Carlo estimators draw the sphere
+points ``u O`` directly.
 """
 
 from __future__ import annotations
@@ -78,6 +81,21 @@ def haar_orthogonal_batch(m: int, size: int, rng) -> np.ndarray:
 def haar_orthogonal(m: int, rng) -> np.ndarray:
     """One Haar-distributed matrix from O(2m)."""
     return haar_orthogonal_batch(m, 1, rng)[0]
+
+
+def haar_unitary_batch(m: int, size: int, rng) -> np.ndarray:
+    """Stack of ``size`` independent Haar draws from U(m), shape (size, m, m), complex."""
+    if m < 1:
+        raise ValueError(f"mode count must be >= 1, got {m}")
+    gen = _as_generator(rng)
+    # complex Ginibre matrices (real and imaginary parts interleaved); the
+    # scale of the entries does not affect the unitary factor
+    z = gen.standard_normal((size, m, 2 * m)).view(np.complex128)
+    q, r = np.linalg.qr(z)
+    diag = np.einsum("...ii->...i", r)
+    phases = np.divide(diag, np.abs(diag), out=np.ones_like(diag), where=diag != 0)
+    q *= phases[..., None, :]
+    return q
 
 
 def uniform_sphere_batch(m: int, radius: float, size: int, rng) -> np.ndarray:

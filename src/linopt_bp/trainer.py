@@ -7,11 +7,15 @@ halving backoff when a step increases the cost.  Gradients come from adjoint
 carries one column vector from the output back through the layers, and each
 layer's gradient is a bilinear form in the two, O(m^2) per layer with no
 matrix products.  A gate touches only its generator's support, so it is
-applied as its k x k block there (``GeneratorPair.block``; k = 2 or 4 for
-the local kinds) and no 2m x 2m gate matrix is formed.  For the overlap
-family the bilinear form is ``cost_functions.overlap_grad``, the kernel
-behind ``measurement_grad``, so the trainer and the Monte Carlo estimators
-evaluate the same gradient.
+applied as its k x k block there (k = 2 or 4 for the local kinds; the blocks
+of all layers come from one ``GateBlocks``) and no 2m x 2m gate matrix is
+formed.  A fixed layer ``W_l`` is its complex m x m unitary ``U``: the
+forward pass maps the complex view ``z = q + i p`` of the row vector to
+``z U``, and the backward pass maps the column vector ``g`` to ``conj(U) g``,
+computed as ``conj(U conj(g))`` so that no conjugated copy of ``U`` is
+stored.  For the overlap family the bilinear form is
+``cost_functions.overlap_grad``, the kernel behind ``measurement_grad``, so
+the trainer and the Monte Carlo estimators evaluate the same gradient.
 
 Each accepted step records its step size and the halvings that preceded it.
 Training traces are plain CSV with columns iteration,cost,grad_norm.
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cost_functions as cf
-from .linear_optics import LayeredCircuit
+from .linear_optics import GateBlocks, LayeredCircuit
 from .phase_space import MeanVector, as_mean_vector
 
 COST_FAMILIES = ("compiling", "quadratic")
@@ -95,28 +99,34 @@ class _Objective:
             self.ham = hamiltonian
         else:
             self.target = as_mean_vector(target) if target is not None else self.u
+        self._gates = GateBlocks([layer.gen for layer in circuit.layers])
 
-    def evaluate(self, theta) -> tuple:
-        """(cost, gradient vector over all layers) at the given parameters."""
+    def forward(self, theta) -> tuple:
+        """(gates, states): the gate blocks and the row vectors ``u T_1 ... T_l``
+        for l = 0..L, after validating ``theta``."""
         theta = self.circuit._check_theta(theta)
         if not np.all(np.isfinite(theta)):
             raise ValueError("non-finite circuit parameters")
         if np.abs(theta).max() >= MAX_ANGLE:
             raise ValueError(f"circuit parameters beyond {MAX_ANGLE:.3e} carry no angle")
-        layers = self.circuit.layers
-        gates = [layer.gen.block(t) for layer, t in zip(layers, theta)]
+        gates = self._gates.at(theta)
         states = [self.u.values]
-        for layer, gate in zip(layers, gates):
+        for layer, gate in zip(self.circuit.layers, gates):
             v = states[-1].copy()
             s = layer.gen.support
-            v[s] = v[s] @ gate
-            states.append(v @ layer.fixed)
+            v[s] = v[s].dot(gate)
+            states.append(v.view(np.complex128).dot(layer.unitary).view(np.float64))
+        return gates, states
+
+    def evaluate(self, theta) -> tuple:
+        """(cost, gradient vector over all layers) at the given parameters."""
+        gates, states = self.forward(theta)
         w = states.pop()
 
         if self.family == "compiling":
             n = self.target.values
             diff = w - n
-            cost = 1.0 - math.exp(-0.5 * float(diff @ diff))
+            cost = -math.expm1(-0.5 * float(diff @ diff))
             e_total = self.u.intensity() + self.target.intensity()
             g = n
 
@@ -129,12 +139,14 @@ class _Objective:
 
             def kernel(y, d, g):
                 return 2.0 * float(y @ d @ g)
+        layers = self.circuit.layers
         grads = np.empty(len(layers))
         for idx in range(len(layers) - 1, -1, -1):
             layer = layers[idx]
-            g = layer.fixed @ g
+            # the column action of the fixed layer: conj(U) g = conj(U conj(g))
+            g = layer.unitary.dot(g.view(np.complex128).conj()).conj().view(np.float64)
             s = layer.gen.support
-            g[s] = gates[idx] @ g[s]
+            g[s] = gates[idx].dot(g[s])
             grads[idx] = kernel(states[idx], layer.gen.d, g)
         return cost, grads
 

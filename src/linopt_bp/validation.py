@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
+def as_square_matrix(a, name: str = "matrix", dtype=float) -> np.ndarray:
+    arr = np.asarray(a, dtype=dtype)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be a square 2-D array, got shape {arr.shape}")
     return arr
@@ -47,6 +47,15 @@ def check_orthogonal(a, name: str = "matrix", tol: float = 1e-10) -> np.ndarray:
     defect = float(np.linalg.norm(arr.T @ arr - np.eye(arr.shape[0])))
     if defect > tol:
         raise ValueError(f"{name} is not orthogonal (defect {defect:.3e} > {tol:.1e})")
+    return arr
+
+
+def check_unitary(a, name: str = "matrix", tol: float = 1e-10) -> np.ndarray:
+    """Validate U^H U = I in Frobenius norm; returns a complex128 array."""
+    arr = as_square_matrix(a, name, np.complex128)
+    defect = float(np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[0])))
+    if defect > tol:
+        raise ValueError(f"{name} is not unitary (defect {defect:.3e} > {tol:.1e})")
     return arr
 
 

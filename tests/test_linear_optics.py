@@ -14,7 +14,8 @@ from linopt_bp import (
     random_circuit,
     symplectic_form,
 )
-from linopt_bp.linear_optics import Layer
+from linopt_bp.linear_optics import GateBlocks, Layer, embed_unitary
+from linopt_bp.sampling import haar_unitary_batch
 
 from conftest import fd_gradient
 
@@ -201,6 +202,75 @@ class TestClosedFormGate:
             np.testing.assert_allclose(gate_action(gen, theta), expm(theta * gen.d), rtol=0, atol=1e-13)
 
 
+def _passive_defects(w):
+    """(orthogonality, symplecticity) defects of a real 2m x 2m matrix, max-abs."""
+    delta = symplectic_form(w.shape[0] // 2)
+    eye = np.eye(w.shape[0])
+    return np.abs(w.T @ w - eye).max(), np.abs(w @ delta @ w.T - delta).max()
+
+
+class TestFixedLayers:
+    @pytest.mark.parametrize("m", [1, 2, 4, 16])
+    def test_random_circuit_layers_are_passive(self, m):
+        circ = random_circuit(m, 6, RandomSource(7).generator())
+        for layer in circ.layers:
+            assert layer.unitary.shape == (m, m)
+            assert max(_passive_defects(embed_unitary(layer.unitary))) <= 1e-12
+        total = circ.with_theta(np.linspace(-3.0, 3.0, 6)).orthogonal_action()
+        assert max(_passive_defects(total)) <= 1e-12
+
+    def test_embedding_matches_complex_action(self):
+        m = 5
+        gen = RandomSource(3).generator()
+        u = haar_unitary_batch(m, 1, gen)[0]
+        w = embed_unitary(u)
+        # basis vectors pick out rows: exact agreement
+        for j in range(2 * m):
+            e = np.zeros(2 * m)
+            e[j] = 1.0
+            np.testing.assert_array_equal(w[j], (e.view(np.complex128) @ u).view(np.float64))
+        v = gen.standard_normal(2 * m)
+        np.testing.assert_allclose(v @ w, (v.view(np.complex128) @ u).view(np.float64),
+                                   rtol=0, atol=1e-14)
+
+    def test_phase_convention_matches_phase_shifter(self):
+        # the phase shifter multiplies z = q + i p by exp(-i theta)
+        theta = 0.7
+        gate = gate_action(make_generator("phase-shifter", (0,), 1), theta)
+        np.testing.assert_allclose(gate, embed_unitary([[np.exp(-1j * theta)]]), rtol=0, atol=1e-15)
+
+    def test_layer_validates_its_unitary(self):
+        gen = make_generator("beamsplitter", (0, 1), 2)
+        with pytest.raises(ValueError, match="not unitary"):
+            Layer(gen, np.array([[1.0, 0.0], [0.0, 2.0]]))
+        with pytest.raises(ValueError, match="acts on 2 modes"):
+            Layer(gen, np.eye(4))
+        layer = Layer(gen, np.eye(2))
+        assert layer.unitary.dtype == np.complex128 and not layer.unitary.flags.writeable
+
+    def test_identity_fixed_layers(self):
+        circ = random_circuit(3, 2, RandomSource(0).generator(), identity_fixed=True)
+        for layer in circ.layers:
+            np.testing.assert_array_equal(layer.unitary, np.eye(3))
+
+
+def test_gate_blocks_match_block():
+    # the batched evaluation against the per-generator reference
+    m = 4
+    eps = np.zeros((2 * m, 2 * m))
+    eps[:2, :2] = 0.5 * np.eye(2)
+    eps[2:4, 2:4] = 1.5 * np.eye(2)
+    gens = [make_generator("beamsplitter", (3, 0), m), GeneratorPair.from_symmetric(eps),
+            make_generator("phase-shifter", (2,), m), make_generator("global-phase", (), m),
+            make_generator("two-mode-phase", (1, 2), m), make_generator("phase-shifter", (0,), m)]
+    blocks = GateBlocks(gens)
+    for theta in (np.zeros(6), np.array([0.3, -2.0, 10.0, math.pi, -1e-9, 1e3])):
+        for gen, t, got in zip(gens, theta, blocks.at(theta)):
+            np.testing.assert_allclose(got, gen.block(t), rtol=0, atol=1e-15)
+    for got in blocks.at(np.zeros(6)):
+        np.testing.assert_array_equal(got, np.eye(got.shape[0]))
+
+
 class TestLayeredCircuit:
     def _circuit(self, seed=9, m=3, depth=5, split=3):
         gen = RandomSource(seed).generator()
@@ -215,7 +285,7 @@ class TestLayeredCircuit:
 
     def test_single_layer_split(self):
         gen = make_generator("phase-shifter", (0,), 1)
-        circ = LayeredCircuit([Layer(gen, np.eye(2))], [0.8], split=1)
+        circ = LayeredCircuit([Layer(gen, np.eye(1, dtype=complex))], [0.8], split=1)
         o_minus, o_plus = circ.split_action()
         np.testing.assert_array_equal(o_minus, np.eye(2))
         np.testing.assert_allclose(o_plus, gate_action(gen, 0.8), atol=1e-14)

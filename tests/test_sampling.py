@@ -4,6 +4,7 @@ import pytest
 from linopt_bp import RandomSource, haar_orthogonal, uniform_angles, uniform_sphere
 from linopt_bp.sampling import (
     haar_orthogonal_batch,
+    haar_unitary_batch,
     uniform_angles_batch,
     uniform_sphere_batch,
 )
@@ -70,6 +71,31 @@ class TestHaarOrthogonal:
     def test_single_draw_matches_batch_interface(self):
         t = haar_orthogonal(4, RandomSource(5))
         assert t.shape == (8, 8)
+
+
+class TestHaarUnitary:
+    def test_shape_and_unitarity(self):
+        us = haar_unitary_batch(3, 16, RandomSource(4).generator())
+        assert us.shape == (16, 3, 3) and us.dtype == np.complex128
+        for u in us:
+            assert np.linalg.norm(u.conj().T @ u - np.eye(3)) <= 1e-12
+
+    def test_seeded_draws_are_bitwise_reproducible(self):
+        a = haar_unitary_batch(4, 3, RandomSource(6).generator())
+        b = haar_unitary_batch(4, 3, RandomSource(6).generator())
+        np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_moments(self, m):
+        # Haar on U(m): E|tr U|^2 = 1 and |U_11|^2 ~ Beta(1, m - 1), mean 1/m
+        n = 20_000
+        us = haar_unitary_batch(m, n, RandomSource(13).generator())
+        for x, expected in (
+            (np.abs(np.trace(us, axis1=1, axis2=2)) ** 2, 1.0),
+            (np.abs(us[:, 0, 0]) ** 2, 1.0 / m),
+        ):
+            se = x.std(ddof=1) / np.sqrt(n)
+            assert abs(x.mean() - expected) <= 4.0 * se, (m, x.mean(), expected, se)
 
 
 class TestUniformSphere:

@@ -4,19 +4,24 @@ import numpy as np
 import pytest
 
 from linopt_bp import (
+    GeneratorPair,
+    LayeredCircuit,
     MeanVector,
     NonFiniteCostError,
     QuadraticHamiltonian,
     RandomSource,
     TrainConfig,
     compiling_grad,
+    make_generator,
     quadratic_grad,
     random_circuit,
     train,
     uniform_sphere,
     write_trace_csv,
 )
-from linopt_bp.trainer import layer_gradients
+from linopt_bp.linear_optics import Layer
+from linopt_bp.sampling import haar_unitary_batch
+from linopt_bp.trainer import _Objective, layer_gradients
 
 
 def _instance(seed, m=2, depth=4, energy=0.5):
@@ -36,6 +41,17 @@ class TestTrainBasics:
         assert records[0].iteration == 0
         assert records[0].cost == 0.0
         assert records[0].grad_norm == 0.0
+
+    def test_compiling_cost_resolved_near_optimum(self):
+        # 1 - exp(-x/2) would round to 0 here; -expm1(-x/2) keeps full precision
+        circ = random_circuit(2, 3, RandomSource(1).generator(), identity_fixed=True)
+        u = MeanVector.of([1.0, 0.0, -0.5, 0.0])
+        target = MeanVector.of([1.0, 1e-10, -0.5, 0.0])
+        dist2 = float(np.sum((u.values - target.values) ** 2))
+        assert dist2 == pytest.approx(1e-20, rel=1e-15, abs=0.0)
+        config = TrainConfig(lr=0.5, max_iters=0, tol=0.0)
+        cost = train(circ, "compiling", u, config, target=target)[0].cost
+        assert cost == pytest.approx(0.5 * dist2, rel=1e-15, abs=0.0)
 
     def test_records_every_iteration(self):
         circ, u = _instance(2)
@@ -83,6 +99,13 @@ class TestTrainerGradients:
                 compiling_grad(u, d_k, o_minus, o_plus), rel=1e-11
             )
 
+    def test_forward_matches_composed_action(self):
+        for m, depth in ((1, 3), (3, 6), (8, 10)):
+            circ, u = _instance(30 + m, m=m, depth=depth)
+            _, states = _Objective(circ, "compiling", u).forward(circ.theta)
+            np.testing.assert_allclose(states[-1], u.values @ circ.orthogonal_action(),
+                                       rtol=0, atol=1e-13)
+
     def test_train_forms_no_dense_gate(self, monkeypatch):
         # gates act on their support blocks; no 2m x 2m gate matrix is built
         from linopt_bp import linear_optics, trainer as trainer_module
@@ -99,6 +122,28 @@ class TestTrainerGradients:
         for family, extra in (("compiling", {}), ("quadratic", {"hamiltonian": ham})):
             records = train(circ, family, u, TrainConfig(lr=0.2, max_iters=5, tol=0.0), **extra)
             assert len(records) == 6 and np.isfinite(records[-1].cost), family
+
+    def test_mixed_generators_match_split_kernel(self):
+        # one gate stack per support size, custom generators through ``block``
+        m = 3
+        eps = np.zeros((2 * m, 2 * m))
+        eps[:2, :2] = 0.5 * np.eye(2)
+        eps[2:4, 2:4] = 1.5 * np.eye(2)
+        gens = [make_generator("beamsplitter", (0, 2), m), GeneratorPair.from_symmetric(eps),
+                make_generator("phase-shifter", (1,), m), make_generator("global-phase", (), m),
+                make_generator("two-mode-phase", (2, 1), m), make_generator("phase-shifter", (0,), m)]
+        gen = RandomSource(14).generator()
+        unitaries = haar_unitary_batch(m, len(gens), gen)
+        circ = LayeredCircuit([Layer(g, w) for g, w in zip(gens, unitaries)],
+                              gen.uniform(-math.pi, math.pi, len(gens)))
+        u = uniform_sphere(m, 1.0, gen)
+        grads = layer_gradients(circ, "compiling", u)
+        for k in range(1, circ.depth + 1):
+            o_minus, o_plus = circ.with_split(k).split_action()
+            d_k = circ.layers[k - 1].gen.d
+            assert grads[k - 1] == pytest.approx(
+                compiling_grad(u, d_k, o_minus, o_plus), rel=1e-11
+            )
 
     def test_quadratic_gradients_match_split_kernel(self):
         gen = RandomSource(10).generator()
