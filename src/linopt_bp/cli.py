@@ -328,7 +328,7 @@ def _run_prop1(cfg) -> tuple:
     xi_min, xi_max = cforms.xi_bounds(gen.d)
     interval = cforms.second_moment_interval(m, energy, gen.d)
     u = MeanVector.of([math.sqrt(2 * energy)] + [0.0] * (2 * m - 1))
-    family = est.CompilingGradientFamily(u, gen.d)
+    family = est.CompilingGradientFamily(u, gen)
     moments = est.estimate_grad_moments(family, samples, RandomSource(cfg["seed"]), cfg["jobs"])
     rows = [[
         m,
@@ -382,7 +382,7 @@ def _run_heterodyne(cfg) -> tuple:
         gen = make_generator("global-phase", (), m)
         u = MeanVector.of([math.sqrt(2 * e0)] + [0.0] * (2 * m - 1))
         n = MeanVector.of([0.0, math.sqrt(2 * e1)] + [0.0] * (2 * m - 2))
-        family = est.MeasurementGradientFamily(u=u, n=n, d=gen.d)
+        family = est.MeasurementGradientFamily(u=u, n=n, gen=gen)
         moments = est.estimate_grad_moments(family, samples, RandomSource(cfg["seed"]), cfg["jobs"])
         row += [_finite(moments.second_moment, "MC second moment"), moments.std_error_second]
         columns += ["mc_second_moment", "mc_stderr"]

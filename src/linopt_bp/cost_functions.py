@@ -13,16 +13,18 @@ Four families, each an exact closed form in the phase-space mean:
   ``(u T) eta (u T)^T`` plus the theta-independent vacuum term ``tr(eta)/2``
   from the coherent-state covariance ``I/2``.
 
-Gradients are with respect to the parameter of the split layer.  With
-``y = O_minus^T u^T`` and ``b = O_plus n^T`` the overlap-family gradient is
+Gradients are with respect to the parameter of the split layer, whose gate
+is a ``GeneratorPair``.  With ``y = O_minus^T u^T`` and ``b = O_plus n^T``
+the overlap-family gradient is
 
     dC/dtheta_k = -exp(-(E0+E1)) (y^T D_k b) exp(y^T b),
 
 oriented so that it matches central finite differences of the layered
 circuit's cost under this package's composition convention (see
-``linear_optics``).  The quadratic gradient is ``w B w^T`` with ``w = u
-O_minus`` and ``B = [D_k, eta~]``, symmetric and traceless for any
-energy-conserving gate.
+``linear_optics``); ``y^T D_k b`` is ``GeneratorPair.bilinear``.  The
+quadratic gradient is ``w B w^T`` with ``w = u O_minus`` and
+``B = [D_k, eta~]`` (dense, ``bk_matrix``), symmetric and traceless for
+any energy-conserving gate.
 """
 
 from __future__ import annotations
@@ -34,14 +36,8 @@ import numpy as np
 
 from .phase_space import MeanVector, as_mean_vector
 from .special_functions import bessel_i
-from .validation import (
-    check_orthogonal,
-    check_same_modes,
-    check_skew_symmetric,
-    check_symmetric,
-    modes_of,
-)
-from .linear_optics import GeneratorPair, symplectic_form
+from .validation import check_orthogonal, check_same_modes, check_symmetric, modes_of
+from .linear_optics import GeneratorPair, check_generator, symplectic_form
 
 
 # -- toy family ----------------------------------------------------------
@@ -109,31 +105,30 @@ def _log_sinh(s: float) -> float:
 
 def compiling_cost(u: MeanVector, o_minus, o_plus) -> float:
     """Infidelity 1 - exp(-|u(I - O_minus O_plus)|^2 / 2); zero iff u T = u."""
-    u = as_mean_vector(u)
-    t = _composed(u.m, o_minus, o_plus)
-    diff = u.values - u.values @ t
-    return 1.0 - math.exp(-0.5 * float(diff @ diff))
+    return measurement_cost(u, u, o_minus, o_plus)
 
 
 def measurement_cost(u: MeanVector, n: MeanVector, o_minus, o_plus) -> float:
     """Overlap cost 1 - |<u T | n>|^2 against a target mean vector n.
 
     For n = 0 the value is ``1 - exp(-E0)`` independent of the circuit.
+    Evaluated as ``-expm1(-|u T - n|^2 / 2)``, so it is not rounded to a
+    multiple of ulp(1) near the optimum.
     """
     u = as_mean_vector(u)
     n = as_mean_vector(n)
     check_same_modes(u.m, n.m, "state and target")
     t = _composed(u.m, o_minus, o_plus)
     diff = u.values @ t - n.values
-    return 1.0 - math.exp(-0.5 * float(diff @ diff))
+    return -math.expm1(-0.5 * float(diff @ diff))
 
 
-def compiling_grad(u: MeanVector, d_k, o_minus, o_plus) -> float:
+def compiling_grad(u: MeanVector, gen: GeneratorPair, o_minus, o_plus) -> float:
     """Split-layer gradient of the compiling cost (target = input state)."""
-    return measurement_grad(u, u, d_k, o_minus, o_plus)
+    return measurement_grad(u, u, gen, o_minus, o_plus)
 
 
-def measurement_grad(u: MeanVector, n: MeanVector, d_k, o_minus, o_plus) -> float:
+def measurement_grad(u: MeanVector, n: MeanVector, gen: GeneratorPair, o_minus, o_plus) -> float:
     """Split-layer gradient of the overlap cost against target n.
 
     -exp(-(E0+E1)) * (y^T D_k b) * exp(y^T b) with y = O_minus^T u^T and
@@ -142,22 +137,21 @@ def measurement_grad(u: MeanVector, n: MeanVector, d_k, o_minus, o_plus) -> floa
     u = as_mean_vector(u)
     n = as_mean_vector(n)
     check_same_modes(u.m, n.m, "state and target")
-    d_k = check_skew_symmetric(d_k, "d_k")
+    check_same_modes(u.m, check_generator(gen).m, "state and generator")
     o_minus, o_plus = _validated_pair(u.m, o_minus, o_plus)
-    check_same_modes(u.m, modes_of(d_k, "d_k"), "state and d_k")
     y = u.values @ o_minus
     b = n.values @ o_plus.T
-    return overlap_grad(y, d_k, b, u.intensity() + n.intensity())
+    return overlap_grad(y, gen, b, u.intensity() + n.intensity())
 
 
-def overlap_grad(y, d_k, b, e_total: float) -> float:
+def overlap_grad(y, gen: GeneratorPair, b, e_total: float) -> float:
     """Overlap-family gradient kernel -exp(-e_total + y.b) * (y D_k b).
 
     Unvalidated: ``y`` and ``b`` are the propagated state and target vectors
-    and ``e_total`` is E0 + E1.  ``measurement_grad`` validates its matrices
+    and ``e_total`` is E0 + E1.  ``measurement_grad`` validates its arguments
     and then calls this; the trainer calls it once per layer.
     """
-    return -math.exp(-e_total + float(y @ b)) * float(y @ d_k @ b)
+    return -math.exp(-e_total + float(y @ b)) * gen.bilinear(y, b)
 
 
 def photon_count_target(u: MeanVector, counts) -> MeanVector:
@@ -249,14 +243,14 @@ def bk_matrix(eps_k, eta_tilde) -> np.ndarray:
     return d_k @ eta_tilde - eta_tilde @ d_k
 
 
-def quadratic_grad(u: MeanVector, gen, ham: QuadraticHamiltonian, o_minus, o_plus) -> float:
+def quadratic_grad(u: MeanVector, gen: GeneratorPair, ham: QuadraticHamiltonian, o_minus, o_plus) -> float:
     """Split-layer gradient of the quadratic cost: w B w^T with w = u O_minus."""
     u = as_mean_vector(u)
     check_same_modes(u.m, ham.m, "state and Hamiltonian")
+    check_same_modes(u.m, check_generator(gen).m, "state and generator")
     o_minus, o_plus = _validated_pair(u.m, o_minus, o_plus)
-    eps = gen.eps if isinstance(gen, GeneratorPair) else np.asarray(gen, dtype=float)
     eta_tilde = o_plus @ ham.eta @ o_plus.T
-    b = bk_matrix(eps, eta_tilde)
+    b = bk_matrix(gen.eps, eta_tilde)
     w = u.values @ o_minus
     return float(w @ b @ w)
 

@@ -13,7 +13,7 @@ Families bundle an experiment instance with its vectorized gradient sampler:
 * ``ToyGradientFamily`` draws uniform angle vectors;
 * ``CompilingGradientFamily`` / ``MeasurementGradientFamily`` draw independent
   sphere points y = u O_minus and b = O_plus n^T and evaluate the analytic
-  overlap gradient;
+  overlap gradient (y D b by ``GeneratorPair.bilinear``, on the support);
 * ``QuadraticGradientFamily`` draws one sphere point w = u O_minus per sample.
 
 The gradients depend on a Haar pair (O_minus, O_plus) only through these
@@ -31,9 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linear_optics import GeneratorPair, check_generator
 from .phase_space import MeanVector, as_mean_vector
 from .sampling import RandomSource, as_source, uniform_angles_batch, uniform_sphere_batch
-from .validation import check_same_modes, check_skew_symmetric, check_symmetric, modes_of
+from .validation import check_same_modes, check_symmetric, modes_of
 
 CHUNK_SIZE = 4096
 MIN_SAMPLES = 1000
@@ -110,7 +111,7 @@ class MeasurementGradientFamily:
 
     u: MeanVector
     n: MeanVector
-    d: np.ndarray
+    gen: GeneratorPair
 
     name = "measurement"
 
@@ -118,26 +119,23 @@ class MeasurementGradientFamily:
         u = as_mean_vector(self.u)
         n = as_mean_vector(self.n)
         check_same_modes(u.m, n.m, "state and target")
-        d = check_skew_symmetric(self.d, "d")
-        check_same_modes(u.m, modes_of(d, "d"), "state and d")
+        check_same_modes(u.m, check_generator(self.gen).m, "state and generator")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
 
     def sample_gradients(self, size: int, rng: np.random.Generator) -> np.ndarray:
         m = self.u.m
         y = uniform_sphere_batch(m, self.u.norm, size, rng)
         b = uniform_sphere_batch(m, self.n.norm, size, rng)
-        bilinear = np.einsum("ni,ij,nj->n", y, self.d, b)
         dots = np.einsum("ni,ni->n", y, b)
         e_total = self.u.intensity() + self.n.intensity()
-        return -np.exp(dots - e_total) * bilinear
+        return -np.exp(dots - e_total) * self.gen.bilinear(y, b)
 
 
-def CompilingGradientFamily(u: MeanVector, d) -> MeasurementGradientFamily:
+def CompilingGradientFamily(u: MeanVector, gen: GeneratorPair) -> MeasurementGradientFamily:
     """Compiling cost = overlap cost with the input state as its own target."""
     u = as_mean_vector(u)
-    return MeasurementGradientFamily(u=u, n=u, d=d)
+    return MeasurementGradientFamily(u=u, n=u, gen=gen)
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,12 +30,12 @@ with ``Delta`` and is orthogonal exactly when ``U`` is unitary, so it is
 orthogonal and symplectic.  The gates are complex-linear in the same
 convention (a phase-shifter multiplies ``z_j`` by ``exp(-i theta)``).
 
-A generator acts only on its support, the phase-space coordinates where
-``D`` has a nonzero row or column: 2 for a phase-shifter, 4 for the two-mode
-kinds, all 2m for the global phase.  ``exp(theta D)`` is the identity off the
-support, so a gate is stored and applied as its k x k block on the support,
-O(k^2) per vector with no 2m x 2m matrix.  The block is evaluated in closed
-form whenever ``D^3 = -D``, which holds exactly for all four standard kinds
+A generator acts only on its support, the coordinates of the modes it
+touches: 2 for a phase-shifter, 4 for the two-mode kinds, all 2m for the
+global phase.  ``GeneratorPair`` stores only its k x k blocks there; every
+gradient's y D b and the gate ``exp(theta D)`` (the identity off the
+support) cost O(k^2) per vector.  The block is evaluated in closed form
+whenever ``D^3 = -D``, which holds exactly for all four standard kinds
 (``D`` has eigenvalues 0 and +-i only).  Then Rodrigues' formula gives
 
     exp(theta D) = I + sin(theta) D + (1 - cos(theta)) D^2
@@ -53,14 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .sampling import haar_unitary_batch
-from .validation import (
-    as_square_matrix,
-    check_mode_index,
-    check_skew_symmetric,
-    check_symmetric,
-    check_unitary,
-    modes_of,
-)
+from .validation import as_square_matrix, check_mode_index, check_symmetric, check_unitary, modes_of
 
 GENERATOR_KINDS = ("phase-shifter", "two-mode-phase", "beamsplitter", "global-phase")
 
@@ -87,60 +80,78 @@ def times_symplectic_form(a) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GeneratorPair:
-    """A parameterized gate: symmetric Hamiltonian matrix and its transfer generator.
+    """A parameterized gate, stored only as its generator block on its support.
 
-    Invariants (validated on construction): ``eps`` symmetric, ``d`` equal to
-    ``-2 eps Delta`` and skew-symmetric, which forces ``[eps, Delta] = 0``.
-    Construction also stores the ``support`` of ``d`` (the indices of its
-    nonzero rows and columns), the blocks ``d_s`` of ``d`` and ``d2_s = d_s^2``
-    on it, and whether ``d^3 = -d`` holds (``rodrigues``), which selects the
-    closed form in ``block``.
+    ``support`` lists the coordinates ``2j, 2j + 1`` of each mode j the gate
+    touches, ascending, and ``eps_s`` is the Hamiltonian matrix there.  Checked
+    once, on construction: ``eps_s`` fits the support, is symmetric and commutes
+    with the symplectic form.  Also stored: ``d_s = -2 eps_s Delta``, its square
+    ``d2_s`` and whether ``D^3 = -D`` (``rodrigues``, the closed form in ``block``).
     """
 
-    d: np.ndarray
-    eps: np.ndarray
-    label: str
-    support: np.ndarray = field(init=False, repr=False)
+    m: int
+    support: np.ndarray
+    eps_s: np.ndarray
+    label: str = "custom"
     d_s: np.ndarray = field(init=False, repr=False)
     d2_s: np.ndarray = field(init=False, repr=False)
     rodrigues: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        eps = check_symmetric(self.eps, "eps")
-        d = as_square_matrix(self.d, "d")
-        if d.shape != eps.shape:
-            raise ValueError("d and eps must have matching shapes")
-        modes_of(d, "generator")
-        expected = -2.0 * times_symplectic_form(eps)
-        if np.abs(d - expected).max(initial=0.0) > 1e-10:
-            raise ValueError("d does not match -2 eps Delta for the given eps")
-        try:
-            check_skew_symmetric(d, "d")
-        except ValueError:
-            raise ValueError(
-                "eps does not commute with the symplectic form; "
-                "the gate would not conserve energy"
-            ) from None
-        nonzero = d != 0.0
-        support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-        d_s = d[np.ix_(support, support)]
+        object.__setattr__(self, "m", int(self.m))
+        if self.m < 1:
+            raise ValueError(f"mode count must be >= 1, got {self.m}")
+        s = np.asarray(self.support)
+        if not (s.ndim == 1 and s.size % 2 == 0 and np.all(np.diff(s) > 0)
+                and np.array_equal(s, _coordinates(s[0::2] // 2)) and np.all((s >= 0) & (s < 2 * self.m))):
+            raise ValueError(f"support must be whole mode pairs (2j, 2j+1), ascending, "
+                             f"inside the {2 * self.m} coordinates; got {s.tolist()}")
+        support = _coordinates(s[0::2] // 2)
+        eps_s = np.array(self.eps_s, dtype=float)  # a copy, frozen below
+        if eps_s.shape != (support.size, support.size):
+            raise ValueError(f"eps_s has shape {eps_s.shape} but the support has {support.size} coordinates")
+        d_s = -2.0 * times_symplectic_form(check_symmetric(eps_s, "eps"))
+        if np.abs(d_s + d_s.T).max(initial=0.0) > 1e-10:
+            raise ValueError("eps does not commute with the symplectic form; the gate would not conserve energy")
         d2_s = d_s @ d_s
-        for arr in (d, eps, support, d_s, d2_s):
+        for name, arr in (("support", support), ("eps_s", eps_s), ("d_s", d_s), ("d2_s", d2_s)):
             arr.flags.writeable = False
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "d_s", d_s)
-        object.__setattr__(self, "d2_s", d2_s)
+            object.__setattr__(self, name, arr)
         # d vanishes off the support, so D^3 = -D holds iff it holds on the block
         object.__setattr__(self, "rodrigues", bool(np.abs(d_s @ d2_s + d_s).max(initial=0.0) <= 1e-12))
 
     @classmethod
     def from_symmetric(cls, eps, label: str = "custom") -> "GeneratorPair":
-        """Build the pair from a symmetric eps commuting with the symplectic form."""
+        """The pair of a dense eps; its support covers every nonzero row and column of eps."""
         eps = as_square_matrix(eps, "eps")
-        modes_of(eps, "eps")
-        return cls(d=-2.0 * times_symplectic_form(eps), eps=eps, label=label)
+        m = modes_of(eps, "eps")
+        nonzero = eps != 0.0
+        modes = np.flatnonzero((nonzero.any(axis=0) | nonzero.any(axis=1)).reshape(m, 2).any(axis=1))
+        support = _coordinates(modes)
+        return cls(m, support, eps[np.ix_(support, support)], label)
+
+    @property
+    def d(self) -> np.ndarray:
+        """Dense 2m x 2m ``D = -2 eps Delta``, formed on each access."""
+        return -2.0 * times_symplectic_form(self.eps)
+
+    @property
+    def eps(self) -> np.ndarray:
+        """Dense 2m x 2m Hamiltonian matrix, formed on each access."""
+        out = np.zeros((2 * self.m, 2 * self.m))
+        out[np.ix_(self.support, self.support)] = self.eps_s
+        return out
+
+    def bilinear(self, y, b):
+        """y D b^T, the one place it is formed: for rows y, b of length 2m (a float)
+        or row by row for (n, 2m) batches (a length-n array); O(k^2) per row."""
+        # a full support (global phase) is read as a view, not copied
+        s = slice(None) if self.support.size == 2 * self.m else self.support
+        if y.ndim == 1:
+            return float(y[s].dot(self.d_s).dot(b[s]))
+        out = y[:, s] @ self.d_s
+        out *= b[:, s]  # in place: one (n, k) temporary, not two
+        return out.sum(axis=1)
 
     def block(self, theta: float) -> np.ndarray:
         """exp(theta D) on ``support``; the gate is the identity everywhere else.
@@ -160,9 +171,17 @@ class GeneratorPair:
         out.flat[:: k + 1] += 1.0
         return out
 
-    @property
-    def m(self) -> int:
-        return self.d.shape[0] // 2
+
+def check_generator(gen) -> GeneratorPair:
+    """``gen`` if it is a GeneratorPair; a TypeError for anything else, such as a bare matrix."""
+    if not isinstance(gen, GeneratorPair):
+        raise TypeError(f"expected a GeneratorPair, got {type(gen).__name__}")
+    return gen
+
+
+def _coordinates(modes) -> np.ndarray:
+    """Phase-space coordinates (2j, 2j + 1) of each mode j, in the given order."""
+    return (2 * np.asarray(modes, dtype=np.intp)[:, None] + np.arange(2)).reshape(-1)
 
 
 def make_generator(kind: str, modes: Sequence[int], m: int) -> GeneratorPair:
@@ -174,47 +193,37 @@ def make_generator(kind: str, modes: Sequence[int], m: int) -> GeneratorPair:
       beamsplitter(i,j)    mixing generator q_j p_i - q_i p_j
       global-phase         +1/2 identity on every mode (equal column norms)
     """
-    if m < 1:
-        raise ValueError(f"mode count must be >= 1, got {m}")
     modes = tuple(int(j) for j in modes)
-    eps = np.zeros((2 * m, 2 * m))
     if kind == "phase-shifter":
         if len(modes) != 1:
             raise ValueError("phase-shifter takes exactly one mode index")
         (j,) = modes
         check_mode_index(j, m)
-        eps[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = 0.5 * np.eye(2)
+        eps_s = 0.5 * np.eye(2)
         label = f"phase-shifter({j})"
-    elif kind == "two-mode-phase":
-        i, j = _two_distinct(modes, m)
-        eps[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = 0.5 * np.eye(2)
-        eps[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = -0.5 * np.eye(2)
-        label = f"two-mode-phase({i},{j})"
-    elif kind == "beamsplitter":
-        i, j = _two_distinct(modes, m)
-        qi, pi, qj, pj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
-        eps[qj, pi] = eps[pi, qj] = 0.5
-        eps[qi, pj] = eps[pj, qi] = -0.5
-        label = f"beamsplitter({i},{j})"
+    elif kind in ("two-mode-phase", "beamsplitter"):
+        if len(modes) != 2:
+            raise ValueError("two-mode gates take exactly two mode indices")
+        i, j = (check_mode_index(k, m) for k in modes)
+        if i == j:
+            raise ValueError(f"mode indices must be distinct, got ({i}, {j})")
+        # the block on (q_i, p_i, q_j, p_j), reordered to ascending modes
+        if kind == "two-mode-phase":
+            eps_s = np.kron(np.diag([0.5, -0.5]), np.eye(2))
+        else:
+            eps_s = 0.5 * np.array([[0.0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+        order = [0, 1, 2, 3] if i < j else [2, 3, 0, 1]
+        eps_s = eps_s[np.ix_(order, order)]
+        label = f"{kind}({i},{j})"
     elif kind == "global-phase":
         if modes:
             raise ValueError("global-phase takes no mode indices")
-        eps = 0.5 * np.eye(2 * m)
+        modes = range(m)
+        eps_s = 0.5 * np.eye(2 * m)
         label = "global-phase"
     else:
         raise ValueError(f"unknown generator kind {kind!r}; expected one of {GENERATOR_KINDS}")
-    return GeneratorPair.from_symmetric(eps, label)
-
-
-def _two_distinct(modes: tuple, m: int) -> tuple:
-    if len(modes) != 2:
-        raise ValueError("two-mode gates take exactly two mode indices")
-    i, j = modes
-    check_mode_index(i, m)
-    check_mode_index(j, m)
-    if i == j:
-        raise ValueError(f"mode indices must be distinct, got ({i}, {j})")
-    return i, j
+    return GeneratorPair(m, _coordinates(sorted(modes)), eps_s, label)
 
 
 class GateBlocks:

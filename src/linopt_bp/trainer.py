@@ -5,17 +5,16 @@ halving backoff when a step increases the cost.  Gradients come from adjoint
 (reverse-mode) propagation of vectors: a forward pass keeps the row vectors
 ``v_l = u T_1 ... T_l`` (``T_l = exp(theta_l D_l) W_l``), a backward pass
 carries one column vector from the output back through the layers, and each
-layer's gradient is a bilinear form in the two, O(m^2) per layer with no
-matrix products.  A gate touches only its generator's support, so it is
-applied as its k x k block there (k = 2 or 4 for the local kinds; the blocks
-of all layers come from one ``GateBlocks``) and no 2m x 2m gate matrix is
+layer's gradient is a bilinear form in the two: ``GeneratorPair.bilinear``,
+O(k^2) on the generator's support (k = 2 or 4 for the local kinds), the
+kernel of the Monte Carlo families too; the overlap family calls it through
+``cost_functions.overlap_grad``, as ``measurement_grad`` does.  A gate is
+applied as its k x k block on the same support (the blocks of all layers
+come from one ``GateBlocks``), so no 2m x 2m gate or generator matrix is
 formed.  A fixed layer ``W_l`` is its complex m x m unitary ``U``: the
 forward pass maps the complex view ``z = q + i p`` of the row vector to
 ``z U``, and the backward pass maps the column vector ``g`` to ``conj(U) g``,
-computed as ``conj(U conj(g))`` so that no conjugated copy of ``U`` is
-stored.  For the overlap family the bilinear form is
-``cost_functions.overlap_grad``, the kernel behind ``measurement_grad``, so
-the trainer and the Monte Carlo estimators evaluate the same gradient.
+computed as ``conj(U conj(g))`` so that no conjugated copy of ``U`` is stored.
 
 Each accepted step records its step size and the halvings that preceded it.
 Training traces are plain CSV with columns iteration,cost,grad_norm.
@@ -130,15 +129,15 @@ class _Objective:
             e_total = self.u.intensity() + self.target.intensity()
             g = n
 
-            def kernel(y, d, g):
-                return cf.overlap_grad(y, d, g, e_total)
+            def kernel(y, gen, g):
+                return cf.overlap_grad(y, gen, g, e_total)
         else:
             eta = self.ham.eta
             g = eta @ w
             cost = float(w @ g) + 0.5 * float(np.trace(eta))
 
-            def kernel(y, d, g):
-                return 2.0 * float(y @ d @ g)
+            def kernel(y, gen, g):
+                return 2.0 * gen.bilinear(y, g)
         layers = self.circuit.layers
         grads = np.empty(len(layers))
         for idx in range(len(layers) - 1, -1, -1):
@@ -147,7 +146,7 @@ class _Objective:
             g = layer.unitary.dot(g.view(np.complex128).conj()).conj().view(np.float64)
             s = layer.gen.support
             g[s] = gates[idx].dot(g[s])
-            grads[idx] = kernel(states[idx], layer.gen.d, g)
+            grads[idx] = kernel(states[idx], layer.gen, g)
         return cost, grads
 
 

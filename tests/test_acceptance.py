@@ -75,12 +75,12 @@ def test_criterion_02_compiling_moment_point_and_interval():
     worst = 0.0
     for m in (2, 3, 4, 6):
         for energy in (0.25, 1.0, 4.0):
-            d = make_generator("global-phase", (), m).d  # equal column norms
+            gen_k = make_generator("global-phase", (), m)  # equal column norms
             u = MeanVector.of([math.sqrt(2 * energy)] + [0.0] * (2 * m - 1))
             est = estimate_grad_moments(
-                CompilingGradientFamily(u, d), 100_000, RandomSource(1202)
+                CompilingGradientFamily(u, gen_k), 100_000, RandomSource(1202)
             )
-            interval = second_moment_interval(m, energy, d)
+            interval = second_moment_interval(m, energy, gen_k.d)
             assert interval.is_point
             z = abs(est.second_moment - interval.point.value) / est.std_error_second
             worst = max(worst, z)
@@ -93,15 +93,15 @@ def test_criterion_02_compiling_moment_point_and_interval():
         (4, 0.5, "graded"),
     ]:
         if eps_builder == "two-mode-phase":
-            d = make_generator("two-mode-phase", (0, 1), m).d
+            gen_k = make_generator("two-mode-phase", (0, 1), m)
         else:
             eps = np.zeros((2 * m, 2 * m))
             for j in range(m):
                 eps[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = 0.5 * (1.0 + j) / m * np.eye(2)
-            d = GeneratorPair.from_symmetric(eps).d
+            gen_k = GeneratorPair.from_symmetric(eps)
         u = MeanVector.of([math.sqrt(2 * energy)] + [0.0] * (2 * m - 1))
-        est = estimate_grad_moments(CompilingGradientFamily(u, d), 100_000, RandomSource(1203))
-        interval = second_moment_interval(m, energy, d)
+        est = estimate_grad_moments(CompilingGradientFamily(u, gen_k), 100_000, RandomSource(1203))
+        interval = second_moment_interval(m, energy, gen_k.d)
         slack = 3.0 * est.std_error_second
         ok = interval.lo.value - slack <= est.second_moment <= interval.hi.value + slack
         inside = inside and ok
@@ -225,7 +225,7 @@ def test_criterion_06_gradient_correctness():
         direction /= np.linalg.norm(direction)
         u = MeanVector(math.sqrt(2 * float(gen.uniform(0.2, 2.0))) * direction)
         o_minus, o_plus = circ.split_action()
-        analytic = compiling_grad(u, circ.layers[circ.split - 1].gen.d, o_minus, o_plus)
+        analytic = compiling_grad(u, circ.layers[circ.split - 1].gen, o_minus, o_plus)
         if abs(analytic) < floor:
             continue
         count += 1

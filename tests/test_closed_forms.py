@@ -145,12 +145,12 @@ class TestMomentPrefactor:
 class TestMonteCarloAgreement:
     def test_equal_column_point_prediction(self):
         for m, energy, seed in [(2, 1.0, 41), (3, 0.25, 42)]:
-            d = make_generator("global-phase", (), m).d
+            gen_k = make_generator("global-phase", (), m)
             u = MeanVector.of([math.sqrt(2 * energy)] + [0.0] * (2 * m - 1))
-            est = estimate_grad_moments(CompilingGradientFamily(u, d), 40_000, RandomSource(seed))
+            est = estimate_grad_moments(CompilingGradientFamily(u, gen_k), 40_000, RandomSource(seed))
             assert_within_sigma(
                 est.second_moment,
-                second_moment_point(m, energy, d).value,
+                second_moment_point(m, energy, gen_k.d).value,
                 est.std_error_second,
                 n_sigma=4.0,
                 context=f"point prediction m={m} E={energy}",
@@ -158,9 +158,10 @@ class TestMonteCarloAgreement:
 
     def test_generic_generator_interval_membership(self):
         m, energy = 3, 1.0
-        d = make_generator("two-mode-phase", (0, 1), m).d
+        gen_k = make_generator("two-mode-phase", (0, 1), m)
+        d = gen_k.d
         u = MeanVector.of([math.sqrt(2 * energy)] + [0.0] * (2 * m - 1))
-        est = estimate_grad_moments(CompilingGradientFamily(u, d), 40_000, RandomSource(43))
+        est = estimate_grad_moments(CompilingGradientFamily(u, gen_k), 40_000, RandomSource(43))
         interval = second_moment_interval(m, energy, d)
         slack = 4.0 * est.std_error_second
         assert interval.lo.value - slack <= est.second_moment <= interval.hi.value + slack
@@ -196,13 +197,13 @@ class TestHeterodynePrefactor:
 
     def test_monte_carlo_agreement_unequal_intensities(self):
         m, e0, e1 = 2, 1.0, 0.4
-        d = make_generator("global-phase", (), m).d
+        gen_k = make_generator("global-phase", (), m)
         u = MeanVector.of([math.sqrt(2 * e0), 0.0, 0.0, 0.0])
         n = MeanVector.of([0.0, math.sqrt(2 * e1), 0.0, 0.0])
         from linopt_bp.estimators import MeasurementGradientFamily
 
         est = estimate_grad_moments(
-            MeasurementGradientFamily(u=u, n=n, d=d), 40_000, RandomSource(44)
+            MeasurementGradientFamily(u=u, n=n, gen=gen_k), 40_000, RandomSource(44)
         )
         assert_within_sigma(
             est.second_moment,

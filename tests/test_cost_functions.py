@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from linopt_bp import (
+    GeneratorPair,
     MeanVector,
     QuadraticHamiltonian,
     RandomSource,
@@ -127,6 +128,16 @@ class TestCompilingCost:
         assert compiling_cost(u, np.eye(2), t) == pytest.approx(
             1.0 - math.exp(-4.0 * energy), rel=1e-12
         )
+
+    def test_resolved_near_optimum(self):
+        # a 1e-10 rad rotation moves u by 1e-10: 1 - exp(-x/2) would round the
+        # cost to 0, -expm1(-x/2) keeps it; conftest's finite-difference oracle
+        # goes through this cost
+        u = MeanVector.of([1.0, 0.0])
+        t = gate_action(make_generator("phase-shifter", (0,), 1), 1e-10)
+        diff = u.values @ t - u.values
+        assert float(diff @ diff) == pytest.approx(1e-20, rel=1e-15, abs=0.0)
+        assert compiling_cost(u, np.eye(2), t) == pytest.approx(5e-21, rel=1e-15, abs=0.0)
 
     def test_chains_through_overlap(self):
         gen = RandomSource(14).generator()
@@ -305,8 +316,8 @@ class TestGradientFiniteDifferences:
         for _ in range(13):
             circ, u = self._random_instance(gen, m, depth=4)
             o_minus, o_plus = circ.split_action()
-            d_k = circ.layers[circ.split - 1].gen.d
-            analytic = compiling_grad(u, d_k, o_minus, o_plus)
+            gen_k = circ.layers[circ.split - 1].gen
+            analytic = compiling_grad(u, gen_k, o_minus, o_plus)
             fd = fd_gradient(circ, circ.split, "compiling", u)
             assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-11)
 
@@ -330,8 +341,8 @@ class TestGradientFiniteDifferences:
             circ, u = self._random_instance(gen, m, depth=4)
             target = MeanVector(gen.standard_normal(2 * m))
             o_minus, o_plus = circ.split_action()
-            d_k = circ.layers[circ.split - 1].gen.d
-            analytic = measurement_grad(u, target, d_k, o_minus, o_plus)
+            gen_k = circ.layers[circ.split - 1].gen
+            analytic = measurement_grad(u, target, gen_k, o_minus, o_plus)
             fd = fd_gradient(circ, circ.split, "compiling", u, target=target)
             assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-11)
 
@@ -339,9 +350,20 @@ class TestGradientFiniteDifferences:
         u = MeanVector.vacuum(2)
         gen_k = make_generator("beamsplitter", (0, 1), 2)
         eye = np.eye(4)
-        assert compiling_grad(u, gen_k.d, eye, eye) == 0.0
+        assert compiling_grad(u, gen_k, eye, eye) == 0.0
         u2 = MeanVector.of([1.0, 0.0, 0.0, 0.0])
-        assert compiling_grad(u2, np.zeros((4, 4)), eye, eye) == 0.0
+        assert compiling_grad(u2, GeneratorPair.from_symmetric(np.zeros((4, 4))), eye, eye) == 0.0
+
+    def test_gradients_reject_a_bare_matrix(self):
+        u = MeanVector.of([1.0, 0.0, 0.0, 0.0])
+        d = make_generator("beamsplitter", (0, 1), 2).d
+        eye = np.eye(4)
+        ham = QuadraticHamiltonian(np.eye(4))
+        for call in (lambda: compiling_grad(u, d, eye, eye),
+                     lambda: measurement_grad(u, u, d, eye, eye),
+                     lambda: quadratic_grad(u, d, ham, eye, eye)):
+            with pytest.raises(TypeError, match="GeneratorPair"):
+                call()
 
     def test_quadratic_gradient_ignores_vacuum_term(self):
         # the covariance contribution tr(eta)/2 is theta-independent

@@ -36,9 +36,9 @@ def _toy():
 
 
 def _compiling(m=2, energy=1.0):
-    d = make_generator("global-phase", (), m).d
+    gen = make_generator("global-phase", (), m)
     u = MeanVector.of([math.sqrt(2 * energy)] + [0.0] * (2 * m - 1))
-    return CompilingGradientFamily(u, d), m, energy, d
+    return CompilingGradientFamily(u, gen), m, energy, gen.d
 
 
 class TestReproducibility:
@@ -128,11 +128,11 @@ class TestCompilingFamily:
 class TestMeasurementFamily:
     def test_matches_heterodyne_prefactor(self):
         m, e0, e1 = 2, 1.0, 0.5
-        d = make_generator("global-phase", (), m).d
+        gen = make_generator("global-phase", (), m)
         u = MeanVector.of([math.sqrt(2 * e0), 0, 0, 0])
         n = MeanVector.of([0, 0, math.sqrt(2 * e1), 0])
         est = estimate_grad_moments(
-            MeasurementGradientFamily(u=u, n=n, d=d), 60_000, RandomSource(18)
+            MeasurementGradientFamily(u=u, n=n, gen=gen), 60_000, RandomSource(18)
         )
         assert_within_sigma(
             est.second_moment,
@@ -143,11 +143,20 @@ class TestMeasurementFamily:
         )
 
     def test_mode_mismatch_rejected(self):
-        d = make_generator("global-phase", (), 2).d
+        gen = make_generator("global-phase", (), 2)
         with pytest.raises(ValueError, match="mismatched mode counts"):
             MeasurementGradientFamily(
-                u=MeanVector.vacuum(2), n=MeanVector.vacuum(3), d=d
+                u=MeanVector.vacuum(2), n=MeanVector.vacuum(3), gen=gen
             )
+
+
+    def test_bare_matrix_rejected(self):
+        u = MeanVector.of([1.0, 0.0, 0.0, 0.0])
+        d = make_generator("global-phase", (), 2).d
+        with pytest.raises(TypeError, match="GeneratorPair"):
+            MeasurementGradientFamily(u=u, n=u, gen=d)
+        with pytest.raises(TypeError, match="GeneratorPair"):
+            CompilingGradientFamily(u, d)
 
 
 class TestQuadraticFamily:
@@ -238,8 +247,8 @@ class TestSphereSampling:
             monkeypatch.setattr(sampling, name, forbidden)
             monkeypatch.setattr(estimators, name, forbidden, raising=False)
         families = [
-            CompilingGradientFamily(u, bs.d),
-            MeasurementGradientFamily(u=u, n=n, d=bs.d),
+            CompilingGradientFamily(u, bs),
+            MeasurementGradientFamily(u=u, n=n, gen=bs),
             QuadraticGradientFamily(u=u, b=b),
         ]
         for family in families:
@@ -257,8 +266,8 @@ class TestSphereSampling:
         cases = [
             (
                 "measurement",
-                MeasurementGradientFamily(u=u, n=n, d=bs.d),
-                [cf.measurement_grad(u, n, bs.d, om, op) for om, op in zip(o_minus, o_plus_draws)],
+                MeasurementGradientFamily(u=u, n=n, gen=bs),
+                [cf.measurement_grad(u, n, bs, om, op) for om, op in zip(o_minus, o_plus_draws)],
             ),
             (
                 "quadratic",

@@ -82,6 +82,27 @@ class TestGenerators:
         with pytest.raises(ValueError, match="conserve energy"):
             GeneratorPair.from_symmetric(eps)
 
+    @pytest.mark.parametrize("support", [[1, 2], [2, 3, 0, 1], [0, 1, 0, 1], [4, 5], [-2, -1], [0], [[0, 1]]])
+    def test_rejects_support_that_is_not_whole_ascending_mode_pairs(self, support):
+        with pytest.raises(ValueError, match="whole mode pairs"):
+            GeneratorPair(2, np.array(support), np.zeros((len(support), len(support))))
+
+    def test_rejects_block_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match="support has 4 coordinates"):
+            GeneratorPair(2, np.arange(4), 0.5 * np.eye(2))
+
+    def test_rejects_noncommuting_block(self):
+        eps_s = np.zeros((2, 2))
+        eps_s[0, 0] = 1.0
+        with pytest.raises(ValueError, match="conserve energy"):
+            GeneratorPair(3, np.array([2, 3]), eps_s)
+
+    def test_circuit_generators_store_only_their_blocks(self):
+        circ = random_circuit(64, 64, RandomSource(5).generator())
+        for layer in circ.layers:
+            sizes = [v.size for v in vars(layer.gen).values() if isinstance(v, np.ndarray)]
+            assert sizes and max(sizes) <= 16, layer.gen.label
+
     def test_commutator_map_is_traceless(self):
         # for symmetric M commuting with Delta and any symmetric N,
         # tr[2(M Delta N - N Delta M)] = 0

@@ -14,6 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from linopt_bp import (  # noqa: E402
+    GeneratorPair,
     MeanVector,
     RandomSource,
     compiling_cost,
@@ -42,11 +43,15 @@ SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
 
 
 @st.composite
-def generators(draw):
-    """Any standard gate kind on any valid modes of an m-mode register, m in [1, 6]."""
-    kind = draw(st.sampled_from(GENERATOR_KINDS))
+def generators(draw, max_m=6, graded=False):
+    """Any standard gate kind on any valid modes of an m-mode register, m in
+    [1, max_m]; with ``graded`` also acceptance C2b's custom generator, weight
+    (1 + j) / (2m) on mode j (unequal column norms, no closed-form gate)."""
+    kind = draw(st.sampled_from(GENERATOR_KINDS + ("graded",) * graded))
     low = 2 if kind in ("two-mode-phase", "beamsplitter") else 1
-    m = draw(st.integers(min_value=low, max_value=6))
+    m = draw(st.integers(min_value=low, max_value=max_m))
+    if kind == "graded":
+        return GeneratorPair.from_symmetric(np.diag(np.repeat(0.5 * (1.0 + np.arange(m)) / m, 2)), "graded")
     if kind == "global-phase":
         modes = ()
     elif kind == "phase-shifter":
@@ -62,6 +67,20 @@ def generators(draw):
 def test_gate_action_is_orthogonal(gen, theta):
     t = gate_action(gen, theta)
     np.testing.assert_allclose(t @ t.T, np.eye(t.shape[0]), rtol=0, atol=1e-13)
+
+
+@SETTINGS
+@given(gen=generators(max_m=8, graded=True), rows=st.integers(1, 16), seed=SEEDS)
+def test_bilinear_matches_dense_product(gen, rows, seed):
+    # the support kernel against the dense y D b, row by row and batched
+    y, b = RandomSource(seed).generator().standard_normal((2, rows, 2 * gen.m))
+    d = gen.d
+    dense = np.array([yy @ d @ bb for yy, bb in zip(y, b)])
+    tol = 1e-12 * np.linalg.norm(y, axis=1) * np.linalg.norm(b, axis=1) * np.abs(d).max()
+    single = np.array([gen.bilinear(yy, bb) for yy, bb in zip(y, b)])
+    assert np.all(np.abs(single - dense) <= tol)
+    batched = gen.bilinear(y, b)
+    assert batched.shape == (rows,) and np.all(np.abs(batched - dense) <= tol)
 
 
 @SETTINGS
@@ -95,11 +114,11 @@ def test_overlap_costs_invariant_under_common_rotation(m, seed, e0, e1):
 def _family(kind, m):
     if kind == "toy":
         return ToyGradientFamily(m=m, s=0.5)
-    d = make_generator("global-phase", (), m).d
+    gen = make_generator("global-phase", (), m)
     u = MeanVector.of([math.sqrt(2.0)] + [0.0] * (2 * m - 1))
     if kind == "measurement":
         n = MeanVector.of([0.0, 1.0] + [0.0] * (2 * m - 2))
-        return MeasurementGradientFamily(u=u, n=n, d=d)
+        return MeasurementGradientFamily(u=u, n=n, gen=gen)
     b = make_generator("two-mode-phase", (0, 1), m).eps if m > 1 else np.zeros((2, 2))
     return QuadraticGradientFamily(u=u, b=b)
 

@@ -94,9 +94,9 @@ class TestTrainerGradients:
         # of the orthogonal products differs only at machine precision)
         for k in range(1, circ.depth + 1):
             o_minus, o_plus = circ.with_split(k).split_action()
-            d_k = circ.layers[k - 1].gen.d
+            gen_k = circ.layers[k - 1].gen
             assert grads[k - 1] == pytest.approx(
-                compiling_grad(u, d_k, o_minus, o_plus), rel=1e-11
+                compiling_grad(u, gen_k, o_minus, o_plus), rel=1e-11
             )
 
     def test_forward_matches_composed_action(self):
@@ -140,9 +140,9 @@ class TestTrainerGradients:
         grads = layer_gradients(circ, "compiling", u)
         for k in range(1, circ.depth + 1):
             o_minus, o_plus = circ.with_split(k).split_action()
-            d_k = circ.layers[k - 1].gen.d
+            gen_k = circ.layers[k - 1].gen
             assert grads[k - 1] == pytest.approx(
-                compiling_grad(u, d_k, o_minus, o_plus), rel=1e-11
+                compiling_grad(u, gen_k, o_minus, o_plus), rel=1e-11
             )
 
     def test_quadratic_gradients_match_split_kernel(self):
