@@ -23,8 +23,10 @@ oriented so that it matches central finite differences of the layered
 circuit's cost under this package's composition convention (see
 ``linear_optics``); ``y^T D_k b`` is ``GeneratorPair.bilinear``.  The
 quadratic gradient is ``w B w^T`` with ``w = u O_minus`` and
-``B = [D_k, eta~]`` (dense, ``bk_matrix``), symmetric and traceless for
-any energy-conserving gate.
+``B = [D_k, eta~]``, symmetric and traceless for any energy-conserving gate;
+``quadratic_grad`` evaluates it on the gate's support as
+``2 w D_k (eta~ w^T)``, and ``bk_matrix`` forms the dense ``B`` for the
+closed form.
 """
 
 from __future__ import annotations
@@ -250,9 +252,9 @@ def quadratic_grad(u: MeanVector, gen: GeneratorPair, ham: QuadraticHamiltonian,
     check_same_modes(u.m, check_generator(gen).m, "state and generator")
     o_minus, o_plus = _validated_pair(u.m, o_minus, o_plus)
     eta_tilde = o_plus @ ham.eta @ o_plus.T
-    b = bk_matrix(gen.eps, eta_tilde)
     w = u.values @ o_minus
-    return float(w @ b @ w)
+    # w [D_k, eta~] w^T = 2 w D_k eta~ w^T, since D_k is skew and eta~ symmetric
+    return 2.0 * gen.bilinear(w, w @ eta_tilde)
 
 
 # -- helpers ---------------------------------------------------------------

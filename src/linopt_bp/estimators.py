@@ -156,7 +156,7 @@ class QuadraticGradientFamily:
 
     def sample_gradients(self, size: int, rng: np.random.Generator) -> np.ndarray:
         w = uniform_sphere_batch(self.u.m, self.u.norm, size, rng)
-        return np.einsum("ni,ij,nj->n", w, self.b, w)
+        return ((w @ self.b) * w).sum(axis=1)
 
 
 # -- chunked engine ---------------------------------------------------------

@@ -9,15 +9,23 @@ wrapper used at API boundaries.
 
 ``bessel_i`` evaluates ``log I_nu(x)`` from the defining power series
 
-    I_nu(x) = sum_k (x/2)^(nu + 2k) / (k! Gamma(nu + k + 1)),
+    I_nu(x) = sum_k t_k,    t_k = (x/2)^(nu + 2k) / (k! Gamma(nu + k + 1)),
 
 summed in the log domain over the window of indices that actually contribute.
-The log of the summand is strictly concave in k, so the window is found by
-bisecting for the points where a term drops ``TERM_CUTOFF_LOG`` nats below the
-peak; everything outside is beyond double precision.  For small arguments the
-window starts at k = 0 and the evaluation reduces to the plain truncated
-series; for large arguments it is a uniformly valid windowed sum (the window
-never exceeds a few tens of thousands of terms even at x ~ 4e6).
+Consecutive terms have the ratio
+
+    t_(k+1) / t_k = (x/2)^2 / ((k + 1) (nu + k + 1)),
+
+which falls in k, so the log-term is concave and peaks at the first k whose
+ratio is below 1, ``floor(k*)`` with ``k* (k* + nu) = (x/2)^2``.  Only the peak
+term is evaluated with ``lgamma``; every other log-term is a cumulative sum of
+log-ratios outward from it.  The window's half-width comes from the curvature
+of the log-term at the peak, ``sigma^-2 = 1/(k+1) + 1/(nu+k+1)``: terms
+``TERM_CUTOFF_LOG`` nats below the peak lie about ``sqrt(2 * 46) sigma``
+indices away, and the width doubles while an end term is still above that
+cutoff; log-concavity bounds every term beyond the ends.  For small arguments
+the window starts at k = 0 and the evaluation is the plain truncated series;
+at x ~ 4e6 it holds about 2e4 terms.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = ["LogScaled", "bessel_i"]
 
@@ -71,21 +78,16 @@ def _log_term(nu: int, k: float, log_half_x: float) -> float:
     return (nu + 2.0 * k) * log_half_x - math.lgamma(k + 1.0) - math.lgamma(nu + k + 1.0)
 
 
-def _crossing(nu: int, log_half_x: float, peak_k: int, peak_log: float,
-              lo: int, hi: int) -> int:
-    """Largest-|k| index on one side of the peak still within the cutoff.
+def _half_width(nu: int, k: int) -> int:
+    """Terms kept on each side of the peak k: the cutoff's distance in Gaussian
+    widths of the log-term, plus a margin for narrow peaks."""
+    sigma = 1.0 / math.sqrt(1.0 / (k + 1.0) + 1.0 / (nu + k + 1.0))
+    return int(math.sqrt(2.0 * TERM_CUTOFF_LOG) * sigma) + 16
 
-    Relies on strict concavity of the log term in k. ``lo`` is nearer the
-    peak, ``hi`` farther; both ends already bracket the cutoff crossing.
-    """
-    target = peak_log - TERM_CUTOFF_LOG
-    while abs(hi - lo) > 1:
-        mid = (lo + hi) // 2
-        if _log_term(nu, mid, log_half_x) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+
+def _log_ratios(nu: int, k, two_log_half_x: float):
+    """log(t_(k+1) / t_k) for an index or an array of indices ``k``."""
+    return two_log_half_x - np.log((k + 1.0) * (nu + k + 1.0))
 
 
 def bessel_i(nu: int, x: float) -> LogScaled:
@@ -105,34 +107,23 @@ def bessel_i(nu: int, x: float) -> LogScaled:
         return LogScaled(0.0 if nu == 0 else -math.inf)
 
     log_half_x = math.log(x / 2.0)
-    # Continuous peak of the summand: k (k + nu) = (x/2)^2.
-    k_star = 0.5 * (math.hypot(nu, x) - nu)
-    peak_k = max(0, int(k_star))
-    peak_log = _log_term(nu, peak_k, log_half_x)
-    for cand in (peak_k + 1, max(0, peak_k - 1)):
-        cand_log = _log_term(nu, cand, log_half_x)
-        if cand_log > peak_log:
-            peak_k, peak_log = cand, cand_log
+    two_log_half_x = 2.0 * log_half_x
+    # floor(k*) is the exact peak; step once in case rounding moved k* across it
+    k = max(0, int(0.5 * (math.hypot(nu, x) - nu)))
+    if _log_ratios(nu, k, two_log_half_x) >= 0.0:
+        k += 1
+    elif k > 0 and _log_ratios(nu, k - 1, two_log_half_x) < 0.0:
+        k -= 1
+    peak_log = _log_term(nu, k, log_half_x)
 
-    # Bracket the cutoff crossing on each side, then bisect (log-concavity).
-    step = 16
-    hi = peak_k + step
-    while _log_term(nu, hi, log_half_x) >= peak_log - TERM_CUTOFF_LOG:
-        step *= 4
-        hi = peak_k + step
-    k_hi = _crossing(nu, log_half_x, peak_k, peak_log, peak_k, hi)
-
-    if peak_k == 0 or _log_term(nu, 0, log_half_x) >= peak_log - TERM_CUTOFF_LOG:
-        k_lo = 0
-    else:
-        step = 16
-        lo = max(0, peak_k - step)
-        while lo > 0 and _log_term(nu, lo, log_half_x) >= peak_log - TERM_CUTOFF_LOG:
-            step *= 4
-            lo = max(0, peak_k - step)
-        k_lo = _crossing(nu, log_half_x, peak_k, peak_log, peak_k, lo)
-
-    k = np.arange(k_lo, k_hi + 1, dtype=float)
-    terms = (nu + 2.0 * k) * log_half_x - gammaln(k + 1.0) - gammaln(nu + k + 1.0)
-    top = float(terms.max())
-    return LogScaled(top + math.log(float(np.exp(terms - top).sum())))
+    half = _half_width(nu, k)
+    while True:
+        lo = max(0, k - half)
+        ratios = _log_ratios(nu, np.arange(lo, k + half, dtype=float), two_log_half_x)
+        # right[j] = log(t_(k+1+j) / t_k); left[j] = log(t_k / t_(k-1-j)), down to k = 0
+        right = ratios[k - lo:].cumsum()
+        left = ratios[:k - lo][::-1].cumsum()
+        if right[-1] <= -TERM_CUTOFF_LOG and (lo == 0 or left[-1] >= TERM_CUTOFF_LOG):
+            break
+        half *= 2
+    return LogScaled(peak_log + math.log1p(float(np.exp(right).sum() + np.exp(-left).sum())))

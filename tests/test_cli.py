@@ -287,6 +287,19 @@ def test_cli_import_skips_scipy_linalg():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_loads_no_scipy_module():
+    # bessel_i needs only numpy; scipy is left for custom-generator expm
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, linopt_bp.cli; "
+         "print(sorted(n for n in sys.modules if n == 'scipy' or n.startswith('scipy.')))"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestReproducibility:
     def test_rerun_from_embedded_config_is_identical(self, tmp_path):
         code, path = run(tmp_path, ["toy", "--m", "4", "--s", "0.3", "--samples", "15000", "--seed", "11"])

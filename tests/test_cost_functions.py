@@ -365,6 +365,27 @@ class TestGradientFiniteDifferences:
             with pytest.raises(TypeError, match="GeneratorPair"):
                 call()
 
+    def test_quadratic_gradient_matches_dense_kernel(self):
+        # 2 w D_k (eta~ w^T) on the support against the dense w [D_k, eta~] w^T
+        m = 5
+        gen = RandomSource(302).generator()
+        a = gen.standard_normal((2 * m, 2 * m))
+        ham = QuadraticHamiltonian(a @ a.T / (2 * m))
+        u = MeanVector(gen.standard_normal(2 * m))
+        o_minus, o_plus = haar_orthogonal(m, gen), haar_orthogonal(m, gen)
+        w = u.values @ o_minus
+        eta_tilde = o_plus @ ham.eta @ o_plus.T
+        custom = GeneratorPair.from_symmetric(
+            0.7 * make_generator("beamsplitter", (0, 3), m).eps
+            + 0.3 * make_generator("two-mode-phase", (1, 3), m).eps
+            + 1.1 * make_generator("phase-shifter", (4,), m).eps)
+        assert not custom.rodrigues
+        gens = [make_generator("phase-shifter", (2,), m), make_generator("two-mode-phase", (1, 4), m),
+                make_generator("beamsplitter", (3, 0), m), make_generator("global-phase", (), m), custom]
+        for gen_k in gens:
+            dense = float(w @ bk_matrix(gen_k.eps, eta_tilde) @ w)
+            assert quadratic_grad(u, gen_k, ham, o_minus, o_plus) == pytest.approx(dense, rel=1e-12), gen_k.label
+
     def test_quadratic_gradient_ignores_vacuum_term(self):
         # the covariance contribution tr(eta)/2 is theta-independent
         gen = RandomSource(301).generator()

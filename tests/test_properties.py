@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from scipy.special import ive  # noqa: E402
 
 from linopt_bp import (  # noqa: E402
     GeneratorPair,
     MeanVector,
     RandomSource,
+    bessel_i,
     compiling_cost,
     estimate_grad_moments,
     gate_action,
@@ -135,3 +137,13 @@ def test_estimate_independent_of_job_count(kind, m, n_samples, seed):
     serial = estimate_grad_moments(family, n_samples, RandomSource(seed), n_jobs=1)
     for n_jobs in (2, 3):
         assert estimate_grad_moments(family, n_samples, RandomSource(seed), n_jobs=n_jobs) == serial
+
+
+@SETTINGS
+@given(nu=st.integers(0, 1100), x=st.floats(min_value=1e-3, max_value=5e6))
+def test_bessel_i_matches_scaled_scipy_oracle(nu, x):
+    # an independent algorithm: log I = log(ive) + x wherever ive is a normal double
+    scaled = float(ive(nu, x))
+    assume(np.finfo(float).tiny <= scaled < math.inf)
+    oracle = math.log(scaled) + x
+    assert abs(bessel_i(nu, x).log_value - oracle) <= 1e-12 * max(abs(oracle), 1.0)

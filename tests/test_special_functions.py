@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from linopt_bp import LogScaled, bessel_i
+from linopt_bp import LogScaled, bessel_i, special_functions
 from linopt_bp.special_functions import TERM_CUTOFF_LOG
 
 from conftest import (
@@ -11,6 +11,18 @@ from conftest import (
     small_arg_log_i,
     uniform_asymptotic_log_i,
 )
+
+
+def _assert_matches_mpmath():
+    # 40-digit mpmath oracle over orders to 1e4 and arguments to 4.1e6;
+    # error relative to max(|log I|, 1) so tiny logs keep an absolute floor
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for nu in (0, 1, 7, 63, 1023, 10_000):
+            for x in (1e-8, 1e-2, 1.0, 40.0, 4096.0, 4.1e6):
+                oracle = float(mpmath.log(mpmath.besseli(nu, mpmath.mpf(x))))
+                mine = bessel_i(nu, x).log_value
+                assert abs(mine - oracle) <= 1e-12 * max(abs(oracle), 1.0), (nu, x)
 
 
 class TestBesselI:
@@ -55,15 +67,12 @@ class TestBesselI:
         assert TERM_CUTOFF_LOG == 46.0
 
     def test_against_mpmath_oracle(self):
-        # 40-digit mpmath oracle over orders to 1e4 and arguments to 4.1e6;
-        # error relative to max(|log I|, 1) so tiny logs keep an absolute floor
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
-            for nu in (0, 1, 7, 63, 1023, 10_000):
-                for x in (1e-8, 1e-2, 1.0, 40.0, 4096.0, 4.1e6):
-                    oracle = float(mpmath.log(mpmath.besseli(nu, mpmath.mpf(x))))
-                    mine = bessel_i(nu, x).log_value
-                    assert abs(mine - oracle) <= 1e-12 * max(abs(oracle), 1.0), (nu, x)
+        _assert_matches_mpmath()
+
+    def test_window_doubling_against_mpmath_oracle(self, monkeypatch):
+        # a one-term starting window leaves the doubling loop to size the window
+        monkeypatch.setattr(special_functions, "_half_width", lambda nu, k: 1)
+        _assert_matches_mpmath()
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError, match="order"):
