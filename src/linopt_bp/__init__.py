@@ -68,4 +68,4 @@ from .estimators import (
     estimate_grad_moments,
     tail_frequency,
 )
-from .trainer import NonFiniteCostError, TrainConfig, TrainRecord, train, write_trace_csv
+from .trainer import NonFiniteCostError, TrainConfig, TrainRecord, train

@@ -19,8 +19,9 @@ Every output file embeds the schema string, the full config (JSON) and the
 seed as preamble records, so any file can be reproduced exactly from its own
 header.  Exit codes: 0 success, 2 configuration error (such as a negative or
 non-finite sweep intensity), 3 numerical failure (such as a closed-form moment
-that is exactly zero or underflows, or a Bessel argument that overflows, at a
-sweep point; the message names the first such m).
+that is exactly zero or underflows, a Bessel argument that overflows or needs
+more than ``special_functions.MAX_HALF_WIDTH`` series terms per side; a sweep
+names the first such m).
 The default output directory is taken from LINOPT_BP_OUTDIR when set.
 """
 
@@ -277,11 +278,11 @@ def _intensities(field, law, grid) -> list:
     return values
 
 
-def _classify(classify, *args):
-    """Run a regime classifier on validated inputs; any failure left is numerical."""
+def _closed_form(fn, *args):
+    """Evaluate a closed form or classifier on validated inputs; any failure left is numerical."""
     try:
-        return classify(*args)
-    except ValueError as exc:  # e.g. a moment that is exactly zero or underflows
+        return fn(*args)
+    except ValueError as exc:  # e.g. a moment that underflows, or a Bessel argument out of range
         raise NumericalError(f"closed form: {exc}") from None
 
 
@@ -299,9 +300,9 @@ def _run_toy(cfg) -> tuple:
     m = _need(cfg, "m", int, low=1)
     s = _need(cfg, "s", float, low=0.0)
     samples = _need(cfg, "samples", int, low=est.MIN_SAMPLES)
+    closed = _closed_form(cf.toy_grad_abs_expectation, s, m)
     family = est.ToyGradientFamily(m=m, s=s)
     moments = est.estimate_abs_grad(family, samples, RandomSource(cfg["seed"]), cfg["jobs"])
-    closed = cf.toy_grad_abs_expectation(s, m)
     rows = [
         [m, s, "closed_form", _finite(closed, "closed form"), 0.0],
         [m, s, "mc", _finite(moments.mean, "MC mean"), moments.std_error_mean],
@@ -325,8 +326,8 @@ def _run_prop1(cfg) -> tuple:
     energy = _need(cfg, "intensity", float, low=0.0)
     samples = _need(cfg, "samples", int, low=est.MIN_SAMPLES)
     gen = _prop1_generator(cfg, m)
-    xi_min, xi_max = cforms.xi_bounds(gen.d)
-    interval = cforms.second_moment_interval(m, energy, gen.d)
+    xi_min, xi_max = cforms.xi_bounds(gen)
+    interval = _closed_form(cforms.second_moment_interval, gen, energy)
     u = MeanVector.of([math.sqrt(2 * energy)] + [0.0] * (2 * m - 1))
     family = est.CompilingGradientFamily(u, gen)
     moments = est.estimate_grad_moments(family, samples, RandomSource(cfg["seed"]), cfg["jobs"])
@@ -357,7 +358,7 @@ def _run_prop2(cfg) -> tuple:
     gen = make_generator("two-mode-phase", (0, 1), m)
     o_plus = haar_orthogonal(m, inst)  # still O(2m); README "Conventions" says why
     eta_tilde = o_plus @ ham.eta @ o_plus.T
-    b = cf.bk_matrix(gen.eps, eta_tilde)
+    b = cf.bk_matrix(gen, eta_tilde)
     u = uniform_sphere(m, math.sqrt(2 * energy), inst)
     pred = cforms.quadratic_second_moment(u, b)
     family = est.QuadraticGradientFamily(u=u, b=b)
@@ -374,7 +375,7 @@ def _run_heterodyne(cfg) -> tuple:
     e1 = _need(cfg, "e1", float, low=0.0)
     samples = _need(cfg, "samples", int, low=0)
     extra = {}
-    row = [m, e0, e1, cforms.heterodyne_prefactor(m, e0, e1).log_value]
+    row = [m, e0, e1, _closed_form(cforms.heterodyne_prefactor, m, e0, e1).log_value]
     columns = ["m", "e0", "e1", "log_prefactor"]
     if samples:
         if samples < est.MIN_SAMPLES:
@@ -405,7 +406,7 @@ def _run_noise(cfg) -> tuple:
     for m, n_layers in zip(grid, layer_counts):
         if n_layers < 0:
             raise ConfigError(f"layers_law: layer count {n_layers} at m={m} is negative")
-    verdict = _classify(cforms.classify_noise, e0_law, k, layers_law, grid)
+    verdict = _closed_form(cforms.classify_noise, e0_law, k, layers_law, grid)
     rows = [[m, e0, n_layers, cf.attenuated_intensity(e0, k, n_layers), log_value]
             for m, e0, n_layers, log_value in zip(grid, e0s, layer_counts, verdict.fit.log_values)]
     extra = {"verdict": verdict.verdict, "fit_slope": verdict.fit.slope}
@@ -442,7 +443,7 @@ def _run_regimes(cfg) -> tuple:
     except ValueError as exc:
         raise ConfigError(f"law: {exc}") from exc
     energies = _intensities("law", law, grid)
-    verdict = _classify(cforms.classify_regime, law, grid)
+    verdict = _closed_form(cforms.classify_regime, law, grid)
     rows = [list(row) for row in zip(grid, energies, verdict.fit.log_values)]
     extra = {"law": law_text, "verdict": verdict.verdict, "fit_slope": verdict.fit.slope}
     return ["m", "E", "log_moment"], rows, extra

@@ -12,7 +12,10 @@ I_m kernel).  Since the mean squared column norm lies between the extreme
 squared column norms xi_min and xi_max, the moment always falls inside
 ``pref * [xi_min, xi_max]``, collapsing to a point prediction for generators
 with equal column norms.  This prefactor is the exact moment: Monte Carlo
-agrees with it, and at m = 1 it matches direct quadrature.
+agrees with it, and at m = 1 it matches direct quadrature.  The gate
+enters only through the column norms of D_k, so these functions take its
+validated ``GeneratorPair`` (m is ``gen.m``) and read the norms from the
+block ``gen.d_s``; the columns off the support are zero.
 
 The unequal-intensity (heterodyne) generalization substitutes
 ``exp(-2(E0+E1))`` and argument ``4 sqrt(E0 E1)``.
@@ -38,9 +41,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .linear_optics import GeneratorPair, check_generator
 from .phase_space import MeanVector, as_mean_vector
 from .special_functions import LogScaled, bessel_i
-from .validation import check_skew_symmetric, check_symmetric, modes_of
+from .validation import check_symmetric, modes_of
 
 SLOPE_THRESHOLD = -0.05  # nats per mode; below this the fitted decay is a plateau
 
@@ -89,11 +93,13 @@ class MomentInterval:
         return self.lo
 
 
-def xi_bounds(d_k) -> tuple:
-    """Extreme squared column norms (xi_min, xi_max) of a gate generator."""
-    d_k = check_skew_symmetric(d_k, "d_k")
-    norms = np.sum(d_k * d_k, axis=0)
-    return float(norms.min()), float(norms.max())
+def xi_bounds(gen: GeneratorPair) -> tuple:
+    """Extreme squared column norms (xi_min, xi_max) of a gate generator D_k;
+    xi_min is 0.0 unless the support covers all 2m coordinates."""
+    gen = check_generator(gen)
+    norms = np.sum(gen.d_s * gen.d_s, axis=0)
+    lo = float(norms.min()) if gen.support.size == 2 * gen.m else 0.0
+    return lo, float(norms.max())
 
 
 def _kernel(m: int, half_arg: float, exp_term: float) -> LogScaled:
@@ -119,17 +125,17 @@ def second_moment_prefactor(m: int, energy: float) -> LogScaled:
     return _kernel(m, 2.0 * energy, -4.0 * energy)
 
 
-def second_moment_point(m: int, energy: float, d_k) -> LogScaled:
+def second_moment_point(gen: GeneratorPair, energy: float) -> LogScaled:
     """Exact second moment of the split-layer gradient: pref * |D_k|_F^2/(2m)."""
-    d_k = check_skew_symmetric(d_k, "d_k")
-    mean_sq = float(np.sum(d_k * d_k)) / (2 * m)
-    return second_moment_prefactor(m, energy).scaled(mean_sq)
+    gen = check_generator(gen)
+    mean_sq = float(np.sum(gen.d_s * gen.d_s)) / (2 * gen.m)
+    return second_moment_prefactor(gen.m, energy).scaled(mean_sq)
 
 
-def second_moment_interval(m: int, energy: float, d_k) -> MomentInterval:
+def second_moment_interval(gen: GeneratorPair, energy: float) -> MomentInterval:
     """Prefactor times [xi_min, xi_max]; a point when column norms are equal."""
-    lo_xi, hi_xi = xi_bounds(d_k)
-    pref = second_moment_prefactor(m, energy)
+    lo_xi, hi_xi = xi_bounds(gen)
+    pref = second_moment_prefactor(gen.m, energy)
     return MomentInterval(pref.scaled(lo_xi), pref.scaled(hi_xi))
 
 
@@ -323,13 +329,13 @@ def fit_linear_rate(m_grid, log_values) -> float:
     return fit_decay(m_grid, log_values, basis=("const", "m", "log_m", "inv_m")).slope
 
 
-def classify_regime(law, m_grid, xi: float = 1.0) -> RegimeVerdict:
+def classify_regime(law, m_grid) -> RegimeVerdict:
     """Classify an intensity scaling law as plateau-forming or trainable.
 
-    Evaluates the closed-form moment lower end ``xi * pref(m, E(m))``
-    over the grid (default xi = 1, the equal-column-norm full-rank rotation
-    generator, for which the lower end is the point value), fits the decay
-    and compares the linear slope against ``SLOPE_THRESHOLD``.
+    Evaluates the closed-form prefactor ``pref(m, E(m))`` over the grid, fits
+    the decay and compares the linear slope against ``SLOPE_THRESHOLD``.  A
+    generator's column norms would only add log xi to every value, which the
+    fit's constant term absorbs.
     """
     law_fn = intensity_law(law)
     m_arr = np.asarray(m_grid, dtype=int)
@@ -339,13 +345,13 @@ def classify_regime(law, m_grid, xi: float = 1.0) -> RegimeVerdict:
     for m in m_arr:
         energy = float(law_fn(np.asarray(float(m))))
         try:
-            logs.append(second_moment_prefactor(int(m), energy).scaled(xi).log_value)
+            logs.append(second_moment_prefactor(int(m), energy).log_value)
         except ValueError as exc:  # e.g. a Bessel argument 4E that overflows
             raise ValueError(f"at m={m}, E={energy!r}: {exc}") from None
     return _verdict_from_logs(m_arr, logs)
 
 
-def classify_noise(e0_law, k: float, layers_law, m_grid, xi: float = 1.0) -> RegimeVerdict:
+def classify_noise(e0_law, k: float, layers_law, m_grid) -> RegimeVerdict:
     """Classify an attenuation scenario: E1 = k^(2 L(m)) E0(m).
 
     ``layers_law`` maps the mode count to the number of attenuation layers
@@ -361,7 +367,7 @@ def classify_noise(e0_law, k: float, layers_law, m_grid, xi: float = 1.0) -> Reg
         n_layers = int(layers_law(int(m)))
         try:
             e1 = attenuated_intensity(e0, k, n_layers)
-            logs.append(heterodyne_prefactor(int(m), e0, e1).scaled(xi).log_value)
+            logs.append(heterodyne_prefactor(int(m), e0, e1).log_value)
         except ValueError as exc:  # e.g. a Bessel argument 4 sqrt(E0 E1) that overflows
             raise ValueError(f"at m={m}, E0={e0!r}: {exc}") from None
     return _verdict_from_logs(m_arr, logs)

@@ -25,8 +25,8 @@ circuit's cost under this package's composition convention (see
 quadratic gradient is ``w B w^T`` with ``w = u O_minus`` and
 ``B = [D_k, eta~]``, symmetric and traceless for any energy-conserving gate;
 ``quadratic_grad`` evaluates it on the gate's support as
-``2 w D_k (eta~ w^T)``, and ``bk_matrix`` forms the dense ``B`` for the
-closed form.
+``2 w D_k (eta~ w^T)``, and ``bk_matrix(gen, eta~)`` forms the dense ``B``
+for the closed form.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from .phase_space import MeanVector, as_mean_vector
 from .special_functions import bessel_i
 from .validation import check_orthogonal, check_same_modes, check_symmetric, modes_of
-from .linear_optics import GeneratorPair, check_generator, symplectic_form
+from .linear_optics import GeneratorPair, check_generator
 
 
 # -- toy family ----------------------------------------------------------
@@ -227,22 +227,17 @@ def quadratic_cost(u: MeanVector, ham: QuadraticHamiltonian, o_minus, o_plus) ->
     return float(w @ ham.eta @ w) + 0.5 * float(np.trace(ham.eta))
 
 
-def bk_matrix(eps_k, eta_tilde) -> np.ndarray:
-    """Gradient kernel [D_k, eta~] with D_k = -2 eps_k Delta.
+def bk_matrix(gen: GeneratorPair, eta_tilde) -> np.ndarray:
+    """Dense gradient kernel [D_k, eta~] of a gate generator, for the closed form.
 
-    Symmetric and exactly traceless whenever eps_k is an energy-conserving
-    generator (commutes with the symplectic form).
+    Symmetric and exactly traceless, since ``GeneratorPair`` admits only
+    energy-conserving generators (D_k skew) and eta~ is symmetric.
     """
-    eps_k = check_symmetric(eps_k, "eps_k")
+    gen = check_generator(gen)
     eta_tilde = check_symmetric(eta_tilde, "eta_tilde")
-    if eps_k.shape != eta_tilde.shape:
-        raise ValueError("eps_k and eta_tilde must have matching shapes")
-    m = modes_of(eps_k, "eps_k")
-    delta = symplectic_form(m)
-    if np.abs(eps_k @ delta - delta @ eps_k).max(initial=0.0) > 1e-10:
-        raise ValueError("eps_k must commute with the symplectic form")
-    d_k = -2.0 * eps_k @ delta
-    return d_k @ eta_tilde - eta_tilde @ d_k
+    check_same_modes(gen.m, modes_of(eta_tilde, "eta_tilde"), "generator and eta_tilde")
+    d = gen.d
+    return d @ eta_tilde - eta_tilde @ d
 
 
 def quadratic_grad(u: MeanVector, gen: GeneratorPair, ham: QuadraticHamiltonian, o_minus, o_plus) -> float:

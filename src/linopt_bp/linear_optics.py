@@ -18,7 +18,7 @@ A depth-L circuit alternates parameterized gates with fixed passive layers
 
     T(theta) = prod_l exp(theta_l D_l) W_l,
 
-and splits at the distinguished layer k as ``T = O_minus O_plus`` with
+and ``split_action(k)`` splits it at layer k as ``T = O_minus O_plus`` with
 ``O_minus`` covering layers 1..k-1.
 
 A fixed layer is a unitary ``U`` in U(m), stored as its complex m x m matrix.
@@ -329,9 +329,10 @@ class LayeredCircuit:
 
     Immutable after construction; evaluation methods are read-only, so one
     circuit can be evaluated concurrently at different parameter vectors.
+    The split layer is an argument of ``split_action``, not circuit state.
     """
 
-    def __init__(self, layers: Sequence, theta, split: int = 1):
+    def __init__(self, layers: Sequence, theta):
         built = []
         for entry in layers:
             layer = entry if isinstance(entry, Layer) else Layer(*entry)
@@ -346,12 +347,9 @@ class LayeredCircuit:
             raise ValueError(
                 f"theta length {theta.size} does not match depth {len(built)}"
             )
-        if not 1 <= int(split) <= len(built):
-            raise ValueError(f"split layer {split} out of range 1..{len(built)}")
         theta.flags.writeable = False
         self._layers = tuple(built)
         self._theta = theta
-        self._split = int(split)
         self._m = m
 
     @property
@@ -367,18 +365,11 @@ class LayeredCircuit:
         return len(self._layers)
 
     @property
-    def split(self) -> int:
-        return self._split
-
-    @property
     def m(self) -> int:
         return self._m
 
     def with_theta(self, theta) -> "LayeredCircuit":
-        return LayeredCircuit(self._layers, theta, self._split)
-
-    def with_split(self, split: int) -> "LayeredCircuit":
-        return LayeredCircuit(self._layers, self._theta, split)
+        return LayeredCircuit(self._layers, theta)
 
     def _check_theta(self, theta) -> np.ndarray:
         if theta is None:
@@ -399,36 +390,34 @@ class LayeredCircuit:
             out = out @ transfer
         return out
 
-    def split_action(self, theta=None) -> tuple:
-        """(O_minus, O_plus): layers before the split layer, and from it on."""
+    def split_action(self, split: int, theta=None) -> tuple:
+        """(O_minus, O_plus): the layers before layer ``split`` (1-based), and from it on."""
+        if not 1 <= split <= self.depth:
+            raise ValueError(f"split layer {split} out of range 1..{self.depth}")
         transfers = self.layer_transfers(theta)
         o_minus = np.eye(2 * self._m)
-        for t in transfers[: self._split - 1]:
+        for t in transfers[: split - 1]:
             o_minus = o_minus @ t
         o_plus = np.eye(2 * self._m)
-        for t in transfers[self._split - 1 :]:
+        for t in transfers[split - 1 :]:
             o_plus = o_plus @ t
         return o_minus, o_plus
 
 
-def random_circuit(m: int, depth: int, rng, split: int = 1, identity_fixed: bool = False) -> "LayeredCircuit":
+def random_circuit(m: int, depth: int, rng) -> "LayeredCircuit":
     """A circuit with a beamsplitter/phase-shifter gate cycle and random fixed layers.
 
     Gate pattern: even layers are beamsplitters on adjacent mode pairs, odd
     layers single-mode phase shifters (plain phase shifters throughout when
     m = 1).  Fixed layers are Haar draws from U(m), all taken in one batch
-    and frozen at construction, or identities when ``identity_fixed`` is set.
+    and frozen at construction.  All parameters start at zero.
     """
     if not isinstance(rng, np.random.Generator):
         from .sampling import as_source
 
         rng = as_source(rng).generator()
-    if identity_fixed:
-        unitaries = [np.eye(m, dtype=np.complex128)] * depth
-    else:
-        unitaries = haar_unitary_batch(m, depth, rng)
     layers = []
-    for idx, unitary in enumerate(unitaries):
+    for idx, unitary in enumerate(haar_unitary_batch(m, depth, rng)):
         if m == 1:
             gen = make_generator("phase-shifter", (0,), m)
         elif idx % 2 == 0:
@@ -437,5 +426,4 @@ def random_circuit(m: int, depth: int, rng, split: int = 1, identity_fixed: bool
         else:
             gen = make_generator("phase-shifter", ((idx // 2) % m,), m)
         layers.append(Layer(gen, unitary))
-    theta = np.zeros(depth)
-    return LayeredCircuit(layers, theta, split)
+    return LayeredCircuit(layers, np.zeros(depth))

@@ -25,21 +25,15 @@ import numpy as np
 
 from .phase_space import MeanVector
 
-ALGORITHM = "philox4x64"
-
-
 @dataclass(frozen=True)
 class RandomSource:
     """Seeded, replayable randomness with independent numbered substreams."""
 
     seed: int
-    algorithm: str = ALGORITHM
 
     def __post_init__(self):
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.algorithm != ALGORITHM:
-            raise ValueError(f"unsupported generator algorithm {self.algorithm!r}")
         object.__setattr__(self, "seed", int(self.seed))
 
     def generator(self) -> np.random.Generator:

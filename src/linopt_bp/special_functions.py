@@ -25,7 +25,9 @@ of the log-term at the peak, ``sigma^-2 = 1/(k+1) + 1/(nu+k+1)``: terms
 indices away, and the width doubles while an end term is still above that
 cutoff; log-concavity bounds every term beyond the ends.  For small arguments
 the window starts at k = 0 and the evaluation is the plain truncated series;
-at x ~ 4e6 it holds about 2e4 terms.
+at x ~ 4e6 it holds about 2e4 terms.  The half-width grows as sqrt(x), so it
+is capped at ``MAX_HALF_WIDTH`` terms per side (reached near x ~ 8e11): past
+that, ``bessel_i`` raises a ``ValueError`` rather than allocate gigabytes.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ __all__ = ["LogScaled", "bessel_i"]
 # Terms this many nats below the peak term are dropped; 46 nats ~ 1e-20
 # relative, far below the 1e-10 accuracy target.
 TERM_CUTOFF_LOG = 46.0
+# Most terms kept on each side of the peak; the window arrays then hold 2 * 2**22
+# float64 (64 MiB) each.
+MAX_HALF_WIDTH = 2**22
 
 
 @dataclass(frozen=True, order=True)
@@ -106,7 +111,8 @@ def bessel_i(nu: int, x: float) -> LogScaled:
     if x == 0.0:
         return LogScaled(0.0 if nu == 0 else -math.inf)
 
-    log_half_x = math.log(x / 2.0)
+    # x / 2 rounds only for subnormal x; then log(x) - log(2) keeps the precision
+    log_half_x = math.log(x / 2.0) if (x / 2.0) * 2.0 == x else math.log(x) - math.log(2.0)
     two_log_half_x = 2.0 * log_half_x
     # floor(k*) is the exact peak; step once in case rounding moved k* across it
     k = max(0, int(0.5 * (math.hypot(nu, x) - nu)))
@@ -114,10 +120,12 @@ def bessel_i(nu: int, x: float) -> LogScaled:
         k += 1
     elif k > 0 and _log_ratios(nu, k - 1, two_log_half_x) < 0.0:
         k -= 1
-    peak_log = _log_term(nu, k, log_half_x)
 
     half = _half_width(nu, k)
     while True:
+        if half > MAX_HALF_WIDTH:
+            raise ValueError(f"I_nu(x) at order {nu}, argument {x!r} needs more than "
+                             f"MAX_HALF_WIDTH = {MAX_HALF_WIDTH} series terms per side of its peak")
         lo = max(0, k - half)
         ratios = _log_ratios(nu, np.arange(lo, k + half, dtype=float), two_log_half_x)
         # right[j] = log(t_(k+1+j) / t_k); left[j] = log(t_k / t_(k-1-j)), down to k = 0
@@ -126,4 +134,5 @@ def bessel_i(nu: int, x: float) -> LogScaled:
         if right[-1] <= -TERM_CUTOFF_LOG and (lo == 0 or left[-1] >= TERM_CUTOFF_LOG):
             break
         half *= 2
+    peak_log = _log_term(nu, k, log_half_x)
     return LogScaled(peak_log + math.log1p(float(np.exp(right).sum() + np.exp(-left).sum())))

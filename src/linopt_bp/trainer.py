@@ -16,13 +16,12 @@ forward pass maps the complex view ``z = q + i p`` of the row vector to
 ``z U``, and the backward pass maps the column vector ``g`` to ``conj(U) g``,
 computed as ``conj(U conj(g))`` so that no conjugated copy of ``U`` is stored.
 
-Each accepted step records its step size and the halvings that preceded it.
-Training traces are plain CSV with columns iteration,cost,grad_norm.
+Each accepted step records its step size and the halvings that preceded it;
+the CLI writes the records as its ``train`` rows.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -200,12 +199,3 @@ def _safe_evaluate(objective, theta, iteration) -> tuple:
     if not np.isfinite(cost) or not np.all(np.isfinite(grads)):
         raise NonFiniteCostError(iteration, theta)
     return cost, grads
-
-
-def write_trace_csv(records, path) -> None:
-    """Write a training trace as iteration,cost,grad_norm rows."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["iteration", "cost", "grad_norm"])
-        for rec in records:
-            writer.writerow([rec.iteration, repr(rec.cost), repr(rec.grad_norm)])

@@ -33,14 +33,6 @@ def check_symmetric(a, name: str = "matrix", tol: float = 1e-10) -> np.ndarray:
     return arr
 
 
-def check_skew_symmetric(a, name: str = "matrix", tol: float = 1e-10) -> np.ndarray:
-    arr = as_square_matrix(a, name)
-    dev = float(np.abs(arr + arr.T).max(initial=0.0))
-    if dev > tol:
-        raise ValueError(f"{name} is not skew-symmetric (max deviation {dev:.3e} > {tol:.1e})")
-    return arr
-
-
 def check_orthogonal(a, name: str = "matrix", tol: float = 1e-10) -> np.ndarray:
     """Validate T^T T = I in Frobenius norm."""
     arr = as_square_matrix(a, name)

@@ -9,8 +9,9 @@ import math
 
 import numpy as np
 
-from linopt_bp import LogScaled, bessel_i
+from linopt_bp import LayeredCircuit, LogScaled, bessel_i
 from linopt_bp import cost_functions as cf
+from linopt_bp.linear_optics import Layer
 
 
 def series_bessel_i(nu: int, x: float, terms: int = 30) -> float:
@@ -78,6 +79,12 @@ def simpson(fn, lo: float, hi: float, n: int = 4001) -> float:
     ys = np.array([fn(x) for x in xs])
     h = (hi - lo) / (n - 1)
     return float(h / 3.0 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-2:2].sum()))
+
+
+def identity_fixed(circuit) -> LayeredCircuit:
+    """The circuit with its gates and parameters kept and every fixed layer the identity."""
+    eye = np.eye(circuit.m, dtype=np.complex128)
+    return LayeredCircuit([Layer(layer.gen, eye) for layer in circuit.layers], circuit.theta)
 
 
 def circuit_cost(circuit, theta, family: str, u, hamiltonian=None, target=None) -> float:

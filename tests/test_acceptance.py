@@ -80,7 +80,7 @@ def test_criterion_02_compiling_moment_point_and_interval():
             est = estimate_grad_moments(
                 CompilingGradientFamily(u, gen_k), 100_000, RandomSource(1202)
             )
-            interval = second_moment_interval(m, energy, gen_k.d)
+            interval = second_moment_interval(gen_k, energy)
             assert interval.is_point
             z = abs(est.second_moment - interval.point.value) / est.std_error_second
             worst = max(worst, z)
@@ -101,7 +101,7 @@ def test_criterion_02_compiling_moment_point_and_interval():
             gen_k = GeneratorPair.from_symmetric(eps)
         u = MeanVector.of([math.sqrt(2 * energy)] + [0.0] * (2 * m - 1))
         est = estimate_grad_moments(CompilingGradientFamily(u, gen_k), 100_000, RandomSource(1203))
-        interval = second_moment_interval(m, energy, gen_k.d)
+        interval = second_moment_interval(gen_k, energy)
         slack = 3.0 * est.std_error_second
         ok = interval.lo.value - slack <= est.second_moment <= interval.hi.value + slack
         inside = inside and ok
@@ -118,8 +118,7 @@ def test_criterion_03_quadratic_moment():
         a = gen.standard_normal((2 * m, 2 * m))
         eta = a @ a.T / (2 * m)
         o_plus = haar_orthogonal(m, gen)
-        eps = make_generator("two-mode-phase", (0, 1), m).eps
-        b = bk_matrix(eps, o_plus @ eta @ o_plus.T)
+        b = bk_matrix(make_generator("two-mode-phase", (0, 1), m), o_plus @ eta @ o_plus.T)
         worst_trace = max(worst_trace, abs(float(np.trace(b))))
         direction = gen.standard_normal(2 * m)
         direction /= np.linalg.norm(direction)
@@ -219,17 +218,18 @@ def test_criterion_06_gradient_correctness():
     while count < 50:  # compiling family
         m = int(gen.integers(1, 9))
         depth = int(gen.integers(2, 6))
-        circ = random_circuit(m, depth, gen, split=int(gen.integers(1, depth + 1)))
+        k = int(gen.integers(1, depth + 1))  # before the circuit: every later draw is unchanged
+        circ = random_circuit(m, depth, gen)
         circ = circ.with_theta(gen.uniform(-math.pi, math.pi, depth))
         direction = gen.standard_normal(2 * m)
         direction /= np.linalg.norm(direction)
         u = MeanVector(math.sqrt(2 * float(gen.uniform(0.2, 2.0))) * direction)
-        o_minus, o_plus = circ.split_action()
-        analytic = compiling_grad(u, circ.layers[circ.split - 1].gen, o_minus, o_plus)
+        o_minus, o_plus = circ.split_action(k)
+        analytic = compiling_grad(u, circ.layers[k - 1].gen, o_minus, o_plus)
         if abs(analytic) < floor:
             continue
         count += 1
-        fd = fd_gradient(circ, circ.split, "compiling", u)
+        fd = fd_gradient(circ, k, "compiling", u)
         worst = max(worst, abs(analytic - fd) / abs(analytic))
 
     gen = RandomSource(1603).generator()
@@ -237,19 +237,20 @@ def test_criterion_06_gradient_correctness():
     while count < 50:  # quadratic family
         m = int(gen.integers(2, 9))
         depth = int(gen.integers(2, 6))
-        circ = random_circuit(m, depth, gen, split=int(gen.integers(1, depth + 1)))
+        k = int(gen.integers(1, depth + 1))  # before the circuit: every later draw is unchanged
+        circ = random_circuit(m, depth, gen)
         circ = circ.with_theta(gen.uniform(-math.pi, math.pi, depth))
         a = gen.standard_normal((2 * m, 2 * m))
         ham = QuadraticHamiltonian(a @ a.T / (2 * m))
         direction = gen.standard_normal(2 * m)
         direction /= np.linalg.norm(direction)
         u = MeanVector(math.sqrt(2 * float(gen.uniform(0.2, 2.0))) * direction)
-        o_minus, o_plus = circ.split_action()
-        analytic = quadratic_grad(u, circ.layers[circ.split - 1].gen, ham, o_minus, o_plus)
+        o_minus, o_plus = circ.split_action(k)
+        analytic = quadratic_grad(u, circ.layers[k - 1].gen, ham, o_minus, o_plus)
         if abs(analytic) < floor:
             continue
         count += 1
-        fd = fd_gradient(circ, circ.split, "quadratic", u, hamiltonian=ham)
+        fd = fd_gradient(circ, k, "quadratic", u, hamiltonian=ham)
         worst = max(worst, abs(analytic - fd) / abs(analytic))
 
     _report("C6 gradient-correctness", worst <= 1e-6, f"worst relative deviation {worst:.2e}")

@@ -258,9 +258,19 @@ class TestExitCodes:
         # E = 1e308 is finite, but the Bessel argument 4E overflows
         (["regimes", "--law", "constant:1e308"], 3, "at m=4, E=1e+308"),
         (["noise", "--e0-law", "constant:1e308", "--k", "0.9"], 3, "at m=4, E0=1e+308"),
+        # 4E = 4e12 needs a Bessel window wider than MAX_HALF_WIDTH terms per side
+        (["regimes", "--law", "constant:1e12"], 3, "at m=4, E=1000000000000.0"),
+        # single points: the closed form fails, and the command exits 3 as a sweep does
+        (["heterodyne", "--m", "4", "--e0", "1e308", "--e1", "1e308"], 3,
+         "closed form: argument must be finite"),
+        (["prop1", "--m", "4", "--intensity", "1e308", "--samples", "1000"], 3,
+         "closed form: argument must be finite"),
+        (["toy", "--m", "4", "--s", "1e308", "--samples", "1000"], 3,
+         "closed form: I_nu(x) at order 0, argument 1e+308"),
     ], ids=["noise-e1-underflow", "regimes-zero-at-m1", "regimes-negative-law",
             "regimes-infinite-law", "regimes-negative-list-entry", "regimes-bessel-overflow",
-            "noise-bessel-overflow"])
+            "noise-bessel-overflow", "regimes-bessel-window", "heterodyne-bessel-overflow",
+            "prop1-bessel-overflow", "toy-bessel-window"])
     def test_bad_sweep_point_exit_code(self, tmp_path, capsys, args, code, message):
         # an exception escaping main would fail the test with its traceback
         assert main(args + ["--output", str(tmp_path / "x.csv")]) == code
@@ -335,3 +345,12 @@ class TestReproducibility:
         printed = capsys.readouterr().out.strip()
         assert printed == str(tmp_path / "toy_seed2.csv")
         assert os.path.exists(printed)
+
+
+def test_readme_python_example_runs():
+    # the first python block of README.md, as a user would paste it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", example], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr

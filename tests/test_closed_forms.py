@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from linopt_bp import (
+    GeneratorPair,
     MeanVector,
     RandomSource,
     attenuated_intensity,
@@ -42,20 +43,45 @@ GRID = list(range(4, 65, 4))
 
 class TestXiBounds:
     def test_embedded_phase_shifter(self):
-        d = make_generator("phase-shifter", (1,), 4).d
-        assert xi_bounds(d) == (0.0, 1.0)
+        assert xi_bounds(make_generator("phase-shifter", (1,), 4)) == (0.0, 1.0)
 
     def test_equal_column_generator_collapses(self):
-        d = make_generator("global-phase", (), 5).d
-        lo, hi = xi_bounds(d)
+        lo, hi = xi_bounds(make_generator("global-phase", (), 5))
         assert lo == pytest.approx(1.0, abs=1e-14)
         assert hi == pytest.approx(1.0, abs=1e-14)
 
     def test_beamsplitter_by_column_norm_oracle(self):
-        d = make_generator("beamsplitter", (0, 1), 2).d
+        gen = make_generator("beamsplitter", (0, 1), 2)
+        d = gen.d
         oracle = [float(np.linalg.norm(d[:, j]) ** 2) for j in range(4)]
-        assert xi_bounds(d) == (min(oracle), max(oracle))
-        assert xi_bounds(d) == (1.0, 1.0)
+        assert xi_bounds(gen) == (min(oracle), max(oracle))
+        assert xi_bounds(gen) == (1.0, 1.0)
+
+    def test_dense_column_norm_oracle_for_every_kind(self):
+        m = 4
+        eps = np.zeros((2 * m, 2 * m))
+        for j in range(m):  # graded per-mode weights: unequal columns, full support
+            eps[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = 0.5 * (j + 1) * np.eye(2)
+        gens = [make_generator("phase-shifter", (2,), m), make_generator("two-mode-phase", (3, 1), m),
+                make_generator("beamsplitter", (0, 2), m), make_generator("global-phase", (), m),
+                GeneratorPair.from_symmetric(eps)]
+        for gen in gens:
+            d = gen.d
+            norms = np.sum(d * d, axis=0)
+            assert xi_bounds(gen) == (float(norms.min()), float(norms.max())), gen.label
+            assert second_moment_point(gen, 0.7).log_value == pytest.approx(
+                second_moment_prefactor(m, 0.7).scaled(float(np.sum(d * d)) / (2 * m)).log_value,
+                rel=1e-15, abs=0.0), gen.label
+
+    def test_rejects_anything_but_a_generator_pair(self):
+        gen = make_generator("global-phase", (), 3)
+        for bare in (gen.d, gen.eps, gen.d.tolist()):
+            for call in (lambda: xi_bounds(bare),
+                         lambda: second_moment_point(bare, 1.0),
+                         lambda: second_moment_interval(bare, 1.0),
+                         lambda: bk_matrix(bare, np.eye(6))):
+                with pytest.raises(TypeError, match="GeneratorPair"):
+                    call()
 
 
 class TestMomentPrefactor:
@@ -107,7 +133,7 @@ class TestMomentPrefactor:
 
     def test_zero_intensity_degenerates(self):
         assert second_moment_prefactor(3, 0.0).log_value == -math.inf
-        interval = second_moment_interval(3, 0.0, make_generator("global-phase", (), 3).d)
+        interval = second_moment_interval(make_generator("global-phase", (), 3), 0.0)
         assert interval.lo.value == 0.0 and interval.hi.value == 0.0
 
     def test_low_mode_counts_no_special_casing(self):
@@ -121,12 +147,10 @@ class TestMomentPrefactor:
             eps = np.zeros((2 * m, 2 * m))
             for j in range(m):  # graded per-mode weights: unequal columns
                 eps[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = 0.5 * (j + 1) * np.eye(2)
-            from linopt_bp import GeneratorPair
-
-            d = GeneratorPair.from_symmetric(eps).d
+            gen_k = GeneratorPair.from_symmetric(eps)
             energy = float(gen.uniform(0.3, 2.0))
-            interval = second_moment_interval(m, energy, d)
-            point = second_moment_point(m, energy, d)
+            interval = second_moment_interval(gen_k, energy)
+            point = second_moment_point(gen_k, energy)
             assert interval.lo.log_value <= point.log_value <= interval.hi.log_value
             assert not interval.is_point
 
@@ -150,7 +174,7 @@ class TestMonteCarloAgreement:
             est = estimate_grad_moments(CompilingGradientFamily(u, gen_k), 40_000, RandomSource(seed))
             assert_within_sigma(
                 est.second_moment,
-                second_moment_point(m, energy, gen_k.d).value,
+                second_moment_point(gen_k, energy).value,
                 est.std_error_second,
                 n_sigma=4.0,
                 context=f"point prediction m={m} E={energy}",
@@ -159,16 +183,15 @@ class TestMonteCarloAgreement:
     def test_generic_generator_interval_membership(self):
         m, energy = 3, 1.0
         gen_k = make_generator("two-mode-phase", (0, 1), m)
-        d = gen_k.d
         u = MeanVector.of([math.sqrt(2 * energy)] + [0.0] * (2 * m - 1))
         est = estimate_grad_moments(CompilingGradientFamily(u, gen_k), 40_000, RandomSource(43))
-        interval = second_moment_interval(m, energy, d)
+        interval = second_moment_interval(gen_k, energy)
         slack = 4.0 * est.std_error_second
         assert interval.lo.value - slack <= est.second_moment <= interval.hi.value + slack
         # and the sharp point lands on the estimate
         assert_within_sigma(
             est.second_moment,
-            second_moment_point(m, energy, d).value,
+            second_moment_point(gen_k, energy).value,
             est.std_error_second,
             n_sigma=4.0,
             context="generic point",
@@ -220,8 +243,7 @@ class TestQuadraticSecondMoment:
         a = gen.standard_normal((2 * m, 2 * m))
         eta = a @ a.T / (2 * m)
         o_plus = haar_orthogonal(m, gen)
-        eps = make_generator("two-mode-phase", (0, 1), m).eps
-        b = bk_matrix(eps, o_plus @ eta @ o_plus.T)
+        b = bk_matrix(make_generator("two-mode-phase", (0, 1), m), o_plus @ eta @ o_plus.T)
         direction = gen.standard_normal(2 * m)
         direction /= np.linalg.norm(direction)
         u = MeanVector(math.sqrt(2 * energy) * direction)

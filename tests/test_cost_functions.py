@@ -274,51 +274,59 @@ class TestBkMatrix:
     def test_symmetric_and_traceless(self):
         gen = RandomSource(21).generator()
         for m in (2, 3, 4):
-            eps = make_generator("two-mode-phase", (0, 1), m).eps
-            b = bk_matrix(eps, self._eta_tilde(gen, m))
+            b = bk_matrix(make_generator("two-mode-phase", (0, 1), m), self._eta_tilde(gen, m))
             np.testing.assert_allclose(b, b.T, atol=1e-12)
             assert abs(np.trace(b)) <= 1e-10
 
     def test_zero_generator(self):
-        b = bk_matrix(np.zeros((4, 4)), np.eye(4))
+        b = bk_matrix(GeneratorPair.from_symmetric(np.zeros((4, 4))), np.eye(4))
         np.testing.assert_array_equal(b, np.zeros((4, 4)))
 
     def test_commuting_pair_need_not_vanish(self):
         m = 2
-        eps = make_generator("two-mode-phase", (0, 1), m).eps
+        gen_k = make_generator("two-mode-phase", (0, 1), m)
+        eps = gen_k.eps
         delta = symplectic_form(m)
         eta = eps + delta @ eps @ delta.T  # symmetric, commutes with delta
-        b = bk_matrix(eps, eta)
+        b = bk_matrix(gen_k, eta)
         assert abs(np.trace(b)) <= 1e-12
 
     def test_rejects_energy_nonconserving_eps(self):
         eps = np.zeros((4, 4))
         eps[0, 0] = 1.0
         with pytest.raises(ValueError, match="commute"):
-            bk_matrix(eps, np.eye(4))
+            bk_matrix(GeneratorPair.from_symmetric(eps), np.eye(4))
+
+    def test_checks_eta_tilde(self):
+        gen_k = make_generator("two-mode-phase", (0, 1), 2)
+        with pytest.raises(ValueError, match="mismatched mode counts"):
+            bk_matrix(gen_k, np.eye(6))
+        with pytest.raises(ValueError, match="symmetric"):
+            bk_matrix(gen_k, np.triu(np.ones((4, 4))))
 
 
 class TestGradientFiniteDifferences:
     """Analytic gradients vs central differences of the layered circuit cost."""
 
     def _random_instance(self, gen, m, depth):
-        circ = random_circuit(m, depth, gen, split=int(gen.integers(1, depth + 1)))
+        k = int(gen.integers(1, depth + 1))  # before the circuit: every later draw is unchanged
+        circ = random_circuit(m, depth, gen)
         circ = circ.with_theta(gen.uniform(-math.pi, math.pi, depth))
         energy = float(gen.uniform(0.2, 2.0))
         direction = gen.standard_normal(2 * m)
         direction /= np.linalg.norm(direction)
         u = MeanVector(math.sqrt(2 * energy) * direction)
-        return circ, u
+        return circ, u, k
 
     @pytest.mark.parametrize("m", [1, 2, 4, 8])
     def test_compiling_gradient(self, m):
         gen = RandomSource(100 + m).generator()
         for _ in range(13):
-            circ, u = self._random_instance(gen, m, depth=4)
-            o_minus, o_plus = circ.split_action()
-            gen_k = circ.layers[circ.split - 1].gen
+            circ, u, k = self._random_instance(gen, m, depth=4)
+            o_minus, o_plus = circ.split_action(k)
+            gen_k = circ.layers[k - 1].gen
             analytic = compiling_grad(u, gen_k, o_minus, o_plus)
-            fd = fd_gradient(circ, circ.split, "compiling", u)
+            fd = fd_gradient(circ, k, "compiling", u)
             assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-11)
 
     @pytest.mark.parametrize("m", [2, 4, 8])
@@ -327,23 +335,23 @@ class TestGradientFiniteDifferences:
         a = gen.standard_normal((2 * m, 2 * m))
         ham = QuadraticHamiltonian(a @ a.T / (2 * m))
         for _ in range(17):
-            circ, u = self._random_instance(gen, m, depth=4)
-            o_minus, o_plus = circ.split_action()
-            gen_k = circ.layers[circ.split - 1].gen
+            circ, u, k = self._random_instance(gen, m, depth=4)
+            o_minus, o_plus = circ.split_action(k)
+            gen_k = circ.layers[k - 1].gen
             analytic = quadratic_grad(u, gen_k, ham, o_minus, o_plus)
-            fd = fd_gradient(circ, circ.split, "quadratic", u, hamiltonian=ham)
+            fd = fd_gradient(circ, k, "quadratic", u, hamiltonian=ham)
             assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-11)
 
     def test_measurement_gradient(self):
         gen = RandomSource(300).generator()
         m = 3
         for _ in range(15):
-            circ, u = self._random_instance(gen, m, depth=4)
+            circ, u, k = self._random_instance(gen, m, depth=4)
             target = MeanVector(gen.standard_normal(2 * m))
-            o_minus, o_plus = circ.split_action()
-            gen_k = circ.layers[circ.split - 1].gen
+            o_minus, o_plus = circ.split_action(k)
+            gen_k = circ.layers[k - 1].gen
             analytic = measurement_grad(u, target, gen_k, o_minus, o_plus)
-            fd = fd_gradient(circ, circ.split, "compiling", u, target=target)
+            fd = fd_gradient(circ, k, "compiling", u, target=target)
             assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-11)
 
     def test_trivial_zero_gradients(self):
@@ -383,7 +391,7 @@ class TestGradientFiniteDifferences:
         gens = [make_generator("phase-shifter", (2,), m), make_generator("two-mode-phase", (1, 4), m),
                 make_generator("beamsplitter", (3, 0), m), make_generator("global-phase", (), m), custom]
         for gen_k in gens:
-            dense = float(w @ bk_matrix(gen_k.eps, eta_tilde) @ w)
+            dense = float(w @ bk_matrix(gen_k, eta_tilde) @ w)
             assert quadratic_grad(u, gen_k, ham, o_minus, o_plus) == pytest.approx(dense, rel=1e-12), gen_k.label
 
     def test_quadratic_gradient_ignores_vacuum_term(self):
@@ -394,9 +402,9 @@ class TestGradientFiniteDifferences:
         eta = a @ a.T / (2 * m)
         ham_shifted = QuadraticHamiltonian(eta + 3.0 * np.eye(2 * m))
         ham = QuadraticHamiltonian(eta)
-        circ, u = TestGradientFiniteDifferences()._random_instance(gen, m, 4)
-        o_minus, o_plus = circ.split_action()
-        gen_k = circ.layers[circ.split - 1].gen
+        circ, u, k = TestGradientFiniteDifferences()._random_instance(gen, m, 4)
+        o_minus, o_plus = circ.split_action(k)
+        gen_k = circ.layers[k - 1].gen
         g1 = quadratic_grad(u, gen_k, ham, o_minus, o_plus)
         # identity part of eta~ commutes with D_k, so it cannot contribute
         g2 = quadratic_grad(u, gen_k, ham_shifted, o_minus, o_plus)

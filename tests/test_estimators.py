@@ -38,7 +38,7 @@ def _toy():
 def _compiling(m=2, energy=1.0):
     gen = make_generator("global-phase", (), m)
     u = MeanVector.of([math.sqrt(2 * energy)] + [0.0] * (2 * m - 1))
-    return CompilingGradientFamily(u, gen), m, energy, gen.d
+    return CompilingGradientFamily(u, gen), gen, energy
 
 
 class TestReproducibility:
@@ -109,11 +109,11 @@ class TestToyFamily:
 
 class TestCompilingFamily:
     def test_second_moment_matches_point_prediction(self):
-        family, m, energy, d = _compiling()
+        family, gen, energy = _compiling()
         est = estimate_grad_moments(family, 60_000, RandomSource(16))
         assert_within_sigma(
             est.second_moment,
-            second_moment_point(m, energy, d).value,
+            second_moment_point(gen, energy).value,
             est.std_error_second,
             n_sigma=4.0,
             context="compiling second moment",
@@ -168,8 +168,7 @@ class TestQuadraticFamily:
         a = gen.standard_normal((4, 4))
         eta = a @ a.T / 4
         o_plus = haar_orthogonal(m, gen)
-        eps = make_generator("two-mode-phase", (0, 1), m).eps
-        b = bk_matrix(eps, o_plus @ eta @ o_plus.T)
+        b = bk_matrix(make_generator("two-mode-phase", (0, 1), m), o_plus @ eta @ o_plus.T)
         u = MeanVector.of(math.sqrt(2 * 1.5) * np.array([0.6, -0.8, 0.0, 0.0]))
         est = estimate_grad_moments(QuadraticGradientFamily(u=u, b=b), 80_000, RandomSource(20))
         assert_within_sigma(
@@ -235,7 +234,7 @@ class TestSphereSampling:
         a = gen.standard_normal((2 * m, 2 * m))
         ham = QuadraticHamiltonian(a @ a.T / (2 * m))
         o_plus = sampling.haar_orthogonal(m, gen)
-        b = bk_matrix(bs.eps, o_plus @ ham.eta @ o_plus.T)
+        b = bk_matrix(bs, o_plus @ ham.eta @ o_plus.T)
         return u, n, bs, ham, o_plus, b
 
     def test_families_draw_no_haar_matrices(self, monkeypatch):

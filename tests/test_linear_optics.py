@@ -17,7 +17,7 @@ from linopt_bp import (
 from linopt_bp.linear_optics import GateBlocks, Layer, embed_unitary
 from linopt_bp.sampling import haar_unitary_batch
 
-from conftest import fd_gradient
+from conftest import fd_gradient, identity_fixed
 
 
 def test_symplectic_form_single_mode():
@@ -269,11 +269,6 @@ class TestFixedLayers:
         layer = Layer(gen, np.eye(2))
         assert layer.unitary.dtype == np.complex128 and not layer.unitary.flags.writeable
 
-    def test_identity_fixed_layers(self):
-        circ = random_circuit(3, 2, RandomSource(0).generator(), identity_fixed=True)
-        for layer in circ.layers:
-            np.testing.assert_array_equal(layer.unitary, np.eye(3))
-
 
 def test_gate_blocks_match_block():
     # the batched evaluation against the per-generator reference
@@ -293,21 +288,21 @@ def test_gate_blocks_match_block():
 
 
 class TestLayeredCircuit:
-    def _circuit(self, seed=9, m=3, depth=5, split=3):
+    def _circuit(self, seed=9, m=3, depth=5):
         gen = RandomSource(seed).generator()
-        circ = random_circuit(m, depth, gen, split=split)
+        circ = random_circuit(m, depth, gen)
         return circ.with_theta(gen.uniform(-math.pi, math.pi, depth))
 
     def test_identity_at_zero_theta_identity_fixed(self):
-        circ = random_circuit(2, 4, RandomSource(0).generator(), identity_fixed=True)
-        o_minus, o_plus = circ.split_action()
+        circ = identity_fixed(random_circuit(2, 4, RandomSource(0).generator()))
+        o_minus, o_plus = circ.split_action(1)
         np.testing.assert_array_equal(o_minus, np.eye(4))
         np.testing.assert_array_equal(o_plus, np.eye(4))
 
     def test_single_layer_split(self):
         gen = make_generator("phase-shifter", (0,), 1)
-        circ = LayeredCircuit([Layer(gen, np.eye(1, dtype=complex))], [0.8], split=1)
-        o_minus, o_plus = circ.split_action()
+        circ = LayeredCircuit([Layer(gen, np.eye(1, dtype=complex))], [0.8])
+        o_minus, o_plus = circ.split_action(1)
         np.testing.assert_array_equal(o_minus, np.eye(2))
         np.testing.assert_allclose(o_plus, gate_action(gen, 0.8), atol=1e-14)
 
@@ -322,21 +317,22 @@ class TestLayeredCircuit:
         brute = np.eye(6)
         for t in transfers:
             brute = brute @ t
-        o_minus, o_plus = circ.split_action()
+        o_minus, o_plus = circ.split_action(3)
         np.testing.assert_allclose(o_minus @ o_plus, brute, atol=1e-13)
         np.testing.assert_allclose(circ.orthogonal_action(), brute, atol=1e-13)
 
     def test_split_ranges(self):
-        circ = self._circuit(split=1)
-        o_minus, _ = circ.split_action()
+        circ = self._circuit()
+        o_minus, _ = circ.split_action(1)
         np.testing.assert_array_equal(o_minus, np.eye(6))
-        with pytest.raises(ValueError, match="split"):
-            circ.with_split(7)
+        for bad in (0, 6):
+            with pytest.raises(ValueError, match="split"):
+                circ.split_action(bad)
 
     def test_perturbed_layer_matches_derivative_structure(self):
         # d/dtheta_k of the full action is O_minus D_k O_plus
-        circ = self._circuit(seed=21, split=3)
-        o_minus, o_plus = circ.split_action()
+        circ = self._circuit(seed=21)
+        o_minus, o_plus = circ.split_action(3)
         d_k = circ.layers[2].gen.d
         step = 1e-6
         up = np.array(circ.theta)

@@ -14,12 +14,13 @@ from conftest import (
 
 
 def _assert_matches_mpmath():
-    # 40-digit mpmath oracle over orders to 1e4 and arguments to 4.1e6;
-    # error relative to max(|log I|, 1) so tiny logs keep an absolute floor
+    # 40-digit mpmath oracle over orders to 1e4 and arguments from the
+    # subnormals (where x / 2 rounds) to 4.1e6; error relative to
+    # max(|log I|, 1) so tiny logs keep an absolute floor
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         for nu in (0, 1, 7, 63, 1023, 10_000):
-            for x in (1e-8, 1e-2, 1.0, 40.0, 4096.0, 4.1e6):
+            for x in (5e-324, 1.5e-323, 1e-310, 1e-8, 1e-2, 1.0, 40.0, 4096.0, 4.1e6):
                 oracle = float(mpmath.log(mpmath.besseli(nu, mpmath.mpf(x))))
                 mine = bessel_i(nu, x).log_value
                 assert abs(mine - oracle) <= 1e-12 * max(abs(oracle), 1.0), (nu, x)
@@ -81,6 +82,11 @@ class TestBesselI:
             bessel_i(0, -0.5)
         with pytest.raises(ValueError, match="argument"):
             bessel_i(0, math.inf)
+        # the window would need more than MAX_HALF_WIDTH terms per side
+        with pytest.raises(ValueError, match=r"order 1024, argument 4000000000000000\.0 .*MAX_HALF_WIDTH"):
+            bessel_i(1024, 4e15)
+        with pytest.raises(ValueError, match=r"order 0, argument 1e\+308 .*MAX_HALF_WIDTH"):
+            bessel_i(0, 1e308)
 
 
 class TestUniformAsymptotic:

@@ -17,11 +17,12 @@ from linopt_bp import (
     random_circuit,
     train,
     uniform_sphere,
-    write_trace_csv,
 )
 from linopt_bp.linear_optics import Layer
 from linopt_bp.sampling import haar_unitary_batch
 from linopt_bp.trainer import _Objective, layer_gradients
+
+from conftest import identity_fixed
 
 
 def _instance(seed, m=2, depth=4, energy=0.5):
@@ -34,7 +35,7 @@ def _instance(seed, m=2, depth=4, energy=0.5):
 
 class TestTrainBasics:
     def test_already_at_optimum_takes_zero_iterations(self):
-        circ = random_circuit(2, 3, RandomSource(1).generator(), identity_fixed=True)
+        circ = identity_fixed(random_circuit(2, 3, RandomSource(1).generator()))
         u = MeanVector.of([1.0, 0.2, -0.5, 0.0])
         records = train(circ, "compiling", u, TrainConfig(lr=0.5, max_iters=100, tol=1e-12))
         assert len(records) == 1
@@ -44,7 +45,7 @@ class TestTrainBasics:
 
     def test_compiling_cost_resolved_near_optimum(self):
         # 1 - exp(-x/2) would round to 0 here; -expm1(-x/2) keeps full precision
-        circ = random_circuit(2, 3, RandomSource(1).generator(), identity_fixed=True)
+        circ = identity_fixed(random_circuit(2, 3, RandomSource(1).generator()))
         u = MeanVector.of([1.0, 0.0, -0.5, 0.0])
         target = MeanVector.of([1.0, 1e-10, -0.5, 0.0])
         dist2 = float(np.sum((u.values - target.values) ** 2))
@@ -93,7 +94,7 @@ class TestTrainerGradients:
         # ... and agree with it on the split decomposition (association order
         # of the orthogonal products differs only at machine precision)
         for k in range(1, circ.depth + 1):
-            o_minus, o_plus = circ.with_split(k).split_action()
+            o_minus, o_plus = circ.split_action(k)
             gen_k = circ.layers[k - 1].gen
             assert grads[k - 1] == pytest.approx(
                 compiling_grad(u, gen_k, o_minus, o_plus), rel=1e-11
@@ -139,7 +140,7 @@ class TestTrainerGradients:
         u = uniform_sphere(m, 1.0, gen)
         grads = layer_gradients(circ, "compiling", u)
         for k in range(1, circ.depth + 1):
-            o_minus, o_plus = circ.with_split(k).split_action()
+            o_minus, o_plus = circ.split_action(k)
             gen_k = circ.layers[k - 1].gen
             assert grads[k - 1] == pytest.approx(
                 compiling_grad(u, gen_k, o_minus, o_plus), rel=1e-11
@@ -152,7 +153,7 @@ class TestTrainerGradients:
         ham = QuadraticHamiltonian(a @ a.T / 6)
         grads = layer_gradients(circ, "quadratic", u, hamiltonian=ham)
         for k in range(1, circ.depth + 1):
-            o_minus, o_plus = circ.with_split(k).split_action()
+            o_minus, o_plus = circ.split_action(k)
             gen_k = circ.layers[k - 1].gen
             assert grads[k - 1] == pytest.approx(
                 quadratic_grad(u, gen_k, ham, o_minus, o_plus), rel=1e-11
@@ -235,16 +236,3 @@ class TestDescentBehavior:
         plain = train(circ, "compiling", u, TrainConfig(lr=8.0, max_iters=40, tol=0.0, backoff=False))
         assert all(rec.backoffs == 0 and rec.lr == 8.0 for rec in plain)
 
-
-class TestTrace:
-    def test_csv_trace_format(self, tmp_path):
-        circ, u = _instance(9)
-        records = train(circ, "compiling", u, TrainConfig(lr=0.5, max_iters=5, tol=0.0))
-        path = tmp_path / "trace.csv"
-        write_trace_csv(records, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,cost,grad_norm"
-        assert len(lines) == len(records) + 1
-        first = lines[1].split(",")
-        assert int(first[0]) == 0
-        assert float(first[1]) == records[0].cost
