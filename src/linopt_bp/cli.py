@@ -15,6 +15,10 @@ train       gradient-descent run emitting an iteration,cost,grad_norm trace
             on a random circuit with Haar U(m) fixed layers; the preamble
             records the step-size backoffs and the final step
 
+The sweeps evaluate their intensity law (for ``noise`` also the layer count
+and E1) once per grid point, then write and classify those values.  ``--law``
+also takes ``list:E1,...``, one intensity per grid point.
+
 Every output file embeds the schema string, the full config (JSON) and the
 seed as preamble records, so any file can be reproduced exactly from its own
 header.  Exit codes: 0 success, 2 configuration error (such as a negative or
@@ -44,11 +48,9 @@ from .linear_optics import make_generator, random_circuit
 from .phase_space import MeanVector
 from .sampling import RandomSource, haar_orthogonal, uniform_sphere
 
-SCHEMA = "linopt-bp/4"
+SCHEMA = "linopt-bp/5"
 ENV_OUTDIR = "LINOPT_BP_OUTDIR"
 INSTANCE_STREAM = 2**32  # substream index reserved for instance construction
-
-COMMANDS = ("toy", "prop1", "prop2", "heterodyne", "noise", "regimes", "train")
 
 
 class ConfigError(ValueError):
@@ -87,7 +89,7 @@ _DEFAULTS = {
         "k": 0.9,
         "layers_law": "linear:1",
     },
-    "regimes": {**_COMMON, "m_grid": "4:64:4", "law": None, "a": None, "r": None, "b": None},
+    "regimes": {**_COMMON, "m_grid": "4:64:4", "law": None},
     "train": {
         **_COMMON,
         "m": 2,
@@ -151,10 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regimes", help="intensity-law sweep with regime verdict")
     p.add_argument("--m-grid", dest="m_grid")
-    p.add_argument("--law", help="law name or full grammar string, e.g. linear:1")
-    p.add_argument("--a", type=float, help="first law parameter")
-    p.add_argument("--r", type=float, help="exponent for power/logpower laws")
-    p.add_argument("--b", type=float, help="base for the expdecay law")
+    p.add_argument("--law", help="intensity law, e.g. linear:1, or list:E1,E2,... over the grid")
     add_common(p)
 
     p = sub.add_parser("train", help="gradient-descent training trace")
@@ -233,29 +232,6 @@ def _parse_m_grid(text) -> list:
     return grid
 
 
-def _law_string(cfg) -> str:
-    law = cfg.get("law")
-    if law is None:
-        raise ConfigError("law: required")
-    law = str(law)
-    if ":" in law:  # full grammar string, including list:E1,E2,...
-        return law
-    a, r, b = cfg.get("a"), cfg.get("r"), cfg.get("b")
-    if law in ("constant", "linear"):
-        if a is None:
-            raise ConfigError(f"a: required for law {law!r}")
-        return f"{law}:{a}"
-    if law in ("power", "logpower"):
-        if a is None or r is None:
-            raise ConfigError(f"a, r: required for law {law!r}")
-        return f"{law}:{a},{r}"
-    if law == "expdecay":
-        if a is None or b is None:
-            raise ConfigError(f"a, b: required for law {law!r}")
-        return f"{law}:{a},{b}"
-    raise ConfigError(f"law: unknown law {law!r}")
-
-
 def _parse_layers_law(text):
     text = str(text)
     if text == "sqrt":
@@ -269,9 +245,22 @@ def _parse_layers_law(text):
     raise ConfigError(f"layers_law: cannot parse {text!r}; expected linear:a | sqrt | const:L")
 
 
-def _intensities(field, law, grid) -> list:
-    """The law at each grid point; a negative or non-finite value is a config error."""
-    values = [float(law(np.asarray(float(m)))) for m in grid]
+def _sweep_intensities(field, text, grid) -> list:
+    """One intensity per grid point: the law ``text`` evaluated once per point or,
+    for ``law``, an explicit ``list:E1,...``; a negative or non-finite value is a
+    config error."""
+    try:
+        if field == "law" and text.startswith("list:"):
+            values = [float(s) for s in text[len("list:"):].split(",")]
+        else:
+            law = cforms.intensity_law(text)
+            values = [float(law(np.asarray(float(m)))) for m in grid]
+    except ValueError as exc:
+        raise ConfigError(f"{field}: {exc}") from exc
+    if len(values) != len(grid):
+        raise ConfigError(
+            f"{field}: explicit list has {len(values)} entries but the grid has {len(grid)}"
+        )
     for m, value in zip(grid, values):
         if not (math.isfinite(value) and value >= 0.0):
             raise ConfigError(f"{field}: intensity {value!r} at m={m} is negative or not finite")
@@ -396,56 +385,26 @@ def _run_noise(cfg) -> tuple:
     k = _need(cfg, "k", float)
     if not 0.0 < k < 1.0:
         raise ConfigError(f"k: must lie strictly inside (0, 1), got {k}")
-    try:
-        e0_law = cforms.intensity_law(cfg["e0_law"])
-    except ValueError as exc:
-        raise ConfigError(f"e0_law: {exc}") from exc
+    e0s = _sweep_intensities("e0_law", cfg["e0_law"], grid)
     layers_law = _parse_layers_law(cfg["layers_law"])
-    e0s = _intensities("e0_law", e0_law, grid)
     layer_counts = [layers_law(m) for m in grid]
     for m, n_layers in zip(grid, layer_counts):
         if n_layers < 0:
             raise ConfigError(f"layers_law: layer count {n_layers} at m={m} is negative")
-    verdict = _closed_form(cforms.classify_noise, e0_law, k, layers_law, grid)
-    rows = [[m, e0, n_layers, cf.attenuated_intensity(e0, k, n_layers), log_value]
-            for m, e0, n_layers, log_value in zip(grid, e0s, layer_counts, verdict.fit.log_values)]
+    e1s = [cf.attenuated_intensity(e0, k, n) for e0, n in zip(e0s, layer_counts)]
+    verdict = _closed_form(cforms.classify_noise, grid, e0s, e1s)
+    rows = [list(row) for row in zip(grid, e0s, layer_counts, e1s, verdict.fit.log_values)]
     extra = {"verdict": verdict.verdict, "fit_slope": verdict.fit.slope}
     return ["m", "e0", "n_layers", "e1", "log_prefactor"], rows, extra
 
 
-def _explicit_law(text: str, grid) -> "callable":
-    try:
-        values = [float(s) for s in text.split(":", 1)[1].split(",")]
-    except ValueError:
-        raise ConfigError(f"law: cannot parse explicit intensity list {text!r}") from None
-    if len(values) != len(grid):
-        raise ConfigError(
-            f"law: explicit list has {len(values)} entries but the grid has {len(grid)}"
-        )
-    table = {float(m): e for m, e in zip(grid, values)}
-
-    def law(m):
-        arr = np.atleast_1d(np.asarray(m, dtype=float))
-        out = np.array([table[float(x)] for x in arr])
-        return out if np.ndim(m) else out[0]
-
-    return law
-
-
 def _run_regimes(cfg) -> tuple:
     grid = _parse_m_grid(cfg["m_grid"])
-    law_text = _law_string(cfg)
-    try:
-        if law_text.startswith("list:"):
-            law = _explicit_law(law_text, grid)
-        else:
-            law = cforms.intensity_law(law_text)
-    except ValueError as exc:
-        raise ConfigError(f"law: {exc}") from exc
-    energies = _intensities("law", law, grid)
-    verdict = _closed_form(cforms.classify_regime, law, grid)
+    law = _need(cfg, "law", str)
+    energies = _sweep_intensities("law", law, grid)
+    verdict = _closed_form(cforms.classify_regime, grid, energies)
     rows = [list(row) for row in zip(grid, energies, verdict.fit.log_values)]
-    extra = {"law": law_text, "verdict": verdict.verdict, "fit_slope": verdict.fit.slope}
+    extra = {"law": law, "verdict": verdict.verdict, "fit_slope": verdict.fit.slope}
     return ["m", "E", "log_moment"], rows, extra
 
 

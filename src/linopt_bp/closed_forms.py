@@ -26,7 +26,8 @@ For the quadratic family the second moment over O_minus is exactly
 
 Regime classification fits the log of the closed-form moment against the mode
 count with basis {1, m, sqrt(m), log m} and declares a barren plateau when
-the coefficient of m falls below ``SLOPE_THRESHOLD``; for intensities scaling
+the coefficient of m falls below ``SLOPE_THRESHOLD``.  The classifiers take
+the intensity at each grid point, not a law.  For intensities scaling
 linearly, E = a(m-1), that coefficient approaches the closed-form rate
 
     rate(a) = -(4a + 1 - sqrt(16a^2+1)) + log(2 / (1 + sqrt(16a^2+1))).
@@ -149,8 +150,15 @@ def heterodyne_prefactor(m: int, e0: float, e1: float) -> LogScaled:
     _check_me(m, e1, "e1")
     if e0 == 0.0 or e1 == 0.0:
         return LogScaled(-math.inf)
-    geo = math.sqrt(e0 * e1)
-    return _kernel(m, 2.0 * geo, -2.0 * (e0 + e1))
+    return _kernel(m, 2.0 * _geometric_mean(e0, e1), -2.0 * (e0 + e1))
+
+
+def _geometric_mean(a: float, b: float) -> float:
+    """sqrt(a b) of positive doubles from their frexp parts, never forming a b;
+    bitwise ``math.sqrt(a * b)`` wherever a b is a normal double, and a at a = b."""
+    (fa, xa), (fb, xb) = math.frexp(a), math.frexp(b)
+    x = xa + xb
+    return math.ldexp(math.sqrt(math.ldexp(fa * fb, x % 2)), x // 2)
 
 
 def quadratic_second_moment(u: MeanVector, b_k) -> float:
@@ -210,15 +218,12 @@ def _check_me(m: int, energy: float, name: str = "energy") -> None:
 _LAW_RE = re.compile(r"^(constant|power|linear|expdecay|logpower):([-\d.,eE+]+)$")
 
 
-def intensity_law(spec) -> Callable[[np.ndarray], np.ndarray]:
+def intensity_law(spec: str) -> Callable[[np.ndarray], np.ndarray]:
     """Parse an intensity scaling law into a vectorized function of m.
 
     Grammar: ``constant:E`` | ``power:a,r`` (E = a m^r) | ``linear:a`` |
     ``expdecay:a,b`` (E = a b^-m) | ``logpower:a,r`` (E = a log(m) m^r).
-    Callables pass through unchanged.
     """
-    if callable(spec):
-        return spec
     match = _LAW_RE.match(str(spec).strip())
     if not match:
         raise ValueError(
@@ -329,51 +334,34 @@ def fit_linear_rate(m_grid, log_values) -> float:
     return fit_decay(m_grid, log_values, basis=("const", "m", "log_m", "inv_m")).slope
 
 
-def classify_regime(law, m_grid) -> RegimeVerdict:
-    """Classify an intensity scaling law as plateau-forming or trainable.
+def classify_regime(m_grid, energies) -> RegimeVerdict:
+    """Classify the intensities ``energies`` over ``m_grid`` as plateau or trainable.
 
-    Evaluates the closed-form prefactor ``pref(m, E(m))`` over the grid, fits
-    the decay and compares the linear slope against ``SLOPE_THRESHOLD``.  A
+    Evaluates the closed-form prefactor ``pref(m, E)`` at each point, fits the
+    decay and compares the linear slope against ``SLOPE_THRESHOLD``.  A
     generator's column norms would only add log xi to every value, which the
     fit's constant term absorbs.
     """
-    law_fn = intensity_law(law)
-    m_arr = np.asarray(m_grid, dtype=int)
-    # one scalar law call per point, as the CLI rows report E (a vectorized
-    # expdecay power can differ from the scalar one in the last bit)
+    return _classify(m_grid, second_moment_prefactor, "E", energies)
+
+
+def classify_noise(m_grid, e0s, e1s) -> RegimeVerdict:
+    """Classify an attenuation sweep from its input and output intensities,
+    e.g. ``e1s[i] = k^(2 L(m)) e0s[i]``, with the unequal-intensity prefactor."""
+    return _classify(m_grid, heterodyne_prefactor, "E0", e0s, e1s)
+
+
+def _classify(m_grid, prefactor, name, *values) -> RegimeVerdict:
+    for column in values:
+        if len(column) != len(m_grid):
+            raise ValueError(f"got {len(column)} intensities for {len(m_grid)} grid points")
     logs = []
-    for m in m_arr:
-        energy = float(law_fn(np.asarray(float(m))))
+    for m, *args in zip(m_grid, *values):
+        m, args = int(m), [float(v) for v in args]
         try:
-            logs.append(second_moment_prefactor(int(m), energy).log_value)
-        except ValueError as exc:  # e.g. a Bessel argument 4E that overflows
-            raise ValueError(f"at m={m}, E={energy!r}: {exc}") from None
-    return _verdict_from_logs(m_arr, logs)
-
-
-def classify_noise(e0_law, k: float, layers_law, m_grid) -> RegimeVerdict:
-    """Classify an attenuation scenario: E1 = k^(2 L(m)) E0(m).
-
-    ``layers_law`` maps the mode count to the number of attenuation layers
-    (an integer-valued callable, e.g. ``lambda m: m``).
-    """
-    from .cost_functions import attenuated_intensity
-
-    e0_fn = intensity_law(e0_law)
-    m_arr = np.asarray(m_grid, dtype=int)
-    logs = []
-    for m in m_arr:
-        e0 = float(e0_fn(np.asarray(float(m))))
-        n_layers = int(layers_law(int(m)))
-        try:
-            e1 = attenuated_intensity(e0, k, n_layers)
-            logs.append(heterodyne_prefactor(int(m), e0, e1).log_value)
-        except ValueError as exc:  # e.g. a Bessel argument 4 sqrt(E0 E1) that overflows
-            raise ValueError(f"at m={m}, E0={e0!r}: {exc}") from None
-    return _verdict_from_logs(m_arr, logs)
-
-
-def _verdict_from_logs(m_arr, logs) -> RegimeVerdict:
-    fit = fit_decay(np.asarray(m_arr, dtype=float), np.asarray(logs, dtype=float))
+            logs.append(prefactor(m, *args).log_value)
+        except ValueError as exc:  # e.g. a Bessel argument that overflows
+            raise ValueError(f"at m={m}, {name}={args[0]!r}: {exc}") from None
+    fit = fit_decay(m_grid, logs)
     verdict = "BPL" if fit.slope <= SLOPE_THRESHOLD else "trainable"
     return RegimeVerdict(verdict=verdict, fit=fit)

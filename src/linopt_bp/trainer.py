@@ -1,11 +1,12 @@
 """Gradient-descent training of layered circuits.
 
-Plain constant-step descent on all layer parameters, with an optional
-halving backoff when a step increases the cost.  Gradients come from adjoint
-(reverse-mode) propagation of vectors: a forward pass keeps the row vectors
-``v_l = u T_1 ... T_l`` (``T_l = exp(theta_l D_l) W_l``), a backward pass
-carries one column vector from the output back through the layers, and each
-layer's gradient is a bilinear form in the two: ``GeneratorPair.bilinear``,
+Constant-step descent on all layer parameters; a step that raises the cost is
+rejected and the step size halved, at most ``MAX_BACKOFFS`` times per run.
+Gradients come from adjoint (reverse-mode) propagation of vectors: a forward
+pass keeps the row vectors ``v_l = u T_1 ... T_l``
+(``T_l = exp(theta_l D_l) W_l``), a backward pass carries one column vector
+from the output back through the layers, and each layer's gradient is a
+bilinear form in the two: ``GeneratorPair.bilinear``,
 O(k^2) on the generator's support (k = 2 or 4 for the local kinds), the
 kernel of the Monte Carlo families too; the overlap family calls it through
 ``cost_functions.overlap_grad``, as ``measurement_grad`` does.  A gate is
@@ -35,6 +36,7 @@ COST_FAMILIES = ("compiling", "quadratic")
 # From pi * 2^52 on, theta / pi has no fractional bits and adjacent doubles lie
 # 2 rad or more apart, so the angle no longer determines a rotation.
 MAX_ANGLE = math.pi * 2.0**52
+MAX_BACKOFFS = 40  # step-size halvings allowed over one run
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,6 @@ class TrainConfig:
     lr: float
     max_iters: int
     tol: float
-    backoff: bool = True
-    max_backoffs: int = 40
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -150,10 +150,11 @@ class _Objective:
 
 
 def layer_gradients(circuit: LayeredCircuit, family: str, u: MeanVector,
-                    hamiltonian=None, target=None, theta=None) -> np.ndarray:
-    """Analytic gradient of the chosen cost with respect to every layer parameter."""
+                    hamiltonian=None, target=None) -> np.ndarray:
+    """Analytic gradient of the chosen cost with respect to every layer parameter,
+    at the circuit's current parameters."""
     objective = _Objective(circuit, family, u, hamiltonian, target)
-    _, grads = objective.evaluate(circuit.theta if theta is None else theta)
+    _, grads = objective.evaluate(circuit.theta)
     return grads
 
 
@@ -178,7 +179,7 @@ def train(circuit: LayeredCircuit, cost_family: str, u: MeanVector,
     while iteration < config.max_iters and records[-1].grad_norm > config.tol:
         candidate = theta - lr * grads
         new_cost, new_grads = _safe_evaluate(objective, candidate, iteration + 1)
-        if config.backoff and new_cost > cost and backoffs < config.max_backoffs:
+        if new_cost > cost and backoffs < MAX_BACKOFFS:
             lr *= 0.5
             backoffs += 1
             step_backoffs += 1

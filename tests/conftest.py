@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from linopt_bp import LayeredCircuit, LogScaled, bessel_i
+from linopt_bp import LayeredCircuit, LogScaled, bessel_i, intensity_law
 from linopt_bp import cost_functions as cf
 from linopt_bp.linear_optics import Layer
 
@@ -69,6 +69,18 @@ def loose_prefactor(m: int, energy: float) -> LogScaled:
         - math.log(2.0 * m)
         - (m - 3) * math.log(half_arg)
     )
+
+
+def law_values(text: str, grid) -> list:
+    """An intensity law at each grid point, one scalar call per point as in the CLI."""
+    law = intensity_law(text)
+    return [float(law(np.asarray(float(m)))) for m in grid]
+
+
+def attenuation_values(e0_law: str, k: float, layers, grid) -> tuple:
+    """(E0, E1) lists of an attenuation sweep with ``layers(m)`` layers at mode count m."""
+    e0s = law_values(e0_law, grid)
+    return e0s, [cf.attenuated_intensity(e0, k, layers(m)) for e0, m in zip(e0s, grid)]
 
 
 def simpson(fn, lo: float, hi: float, n: int = 4001) -> float:

@@ -48,7 +48,7 @@ from linopt_bp.estimators import (
 from linopt_bp.sampling import haar_orthogonal_batch, uniform_sphere_batch
 from linopt_bp.cli import main as cli_main
 
-from conftest import fd_gradient, series_bessel_i
+from conftest import attenuation_values, fd_gradient, law_values, series_bessel_i
 
 M_GRID = list(range(4, 65, 4))
 
@@ -144,8 +144,10 @@ def test_criterion_04_heterodyne_prefactor_and_noise_regimes():
                 abs(heterodyne_prefactor(m, energy, energy).log_value
                     - second_moment_prefactor(m, energy).log_value),
             )
-    bpl = classify_noise("power:1,0.5", 0.9, lambda m: m, M_GRID)
-    trainable = classify_noise("power:1,0.5", 0.9, lambda m: math.ceil(math.sqrt(m)), M_GRID)
+    bpl = classify_noise(M_GRID, *attenuation_values("power:1,0.5", 0.9, lambda m: m, M_GRID))
+    trainable = classify_noise(
+        M_GRID, *attenuation_values("power:1,0.5", 0.9, lambda m: math.ceil(math.sqrt(m)), M_GRID)
+    )
     ok = worst <= 1e-12 and bpl.is_bpl and not trainable.is_bpl
     _report(
         "C4 heterodyne-prefactor-and-noise",
@@ -157,10 +159,8 @@ def test_criterion_04_heterodyne_prefactor_and_noise_regimes():
 def test_criterion_05_intensity_regimes_and_rates():
     """Regime verdicts on the canonical laws; fitted rates to 5 percent."""
     verdicts = {
-        "linear:1": classify_regime("linear:1", M_GRID).verdict,
-        "expdecay:1,2": classify_regime("expdecay:1,2", M_GRID).verdict,
-        "power:1,0.5": classify_regime("power:1,0.5", M_GRID).verdict,
-        "logpower:1,-0.5": classify_regime("logpower:1,-0.5", M_GRID).verdict,
+        law: classify_regime(M_GRID, law_values(law, M_GRID)).verdict
+        for law in ("linear:1", "expdecay:1,2", "power:1,0.5", "logpower:1,-0.5")
     }
     expected = {
         "linear:1": "BPL",
@@ -344,7 +344,7 @@ def test_criterion_10_reproducibility(tmp_path):
     for args, name in [
         (["toy", "--m", "3", "--s", "0.4", "--samples", "20000", "--seed", "77"], "toy"),
         (["prop1", "--m", "2", "--intensity", "1.0", "--samples", "20000", "--seed", "78"], "prop1"),
-        (["regimes", "--law", "linear", "--a", "1", "--m-grid", "4:64:4", "--seed", "79"], "regimes"),
+        (["regimes", "--law", "linear:1", "--m-grid", "4:64:4", "--seed", "79"], "regimes"),
         (["train", "--m", "2", "--layers", "4", "--intensity", "0.5", "--lr", "1.0",
           "--max-iters", "50", "--tol", "0", "--seed", "80"], "train"),
     ]:

@@ -1,13 +1,16 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from linopt_bp import cli
 from linopt_bp import closed_forms as cforms
+from linopt_bp import cost_functions as cf
 from linopt_bp.cli import ENV_OUTDIR, SCHEMA, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -157,8 +160,8 @@ def _count_calls(monkeypatch, name):
 
 
 class TestRegimesCommand:
-    def test_linear_law_split_flags(self, tmp_path):
-        code, path = run(tmp_path, ["regimes", "--law", "linear", "--a", "1", "--m-grid", "4:64:4"])
+    def test_linear_law(self, tmp_path):
+        code, path = run(tmp_path, ["regimes", "--law", "linear:1", "--m-grid", "4:64:4"])
         assert code == 0
         preamble, header, rows = parse_csv(path)
         assert preamble["verdict"] == "BPL"
@@ -192,6 +195,55 @@ class TestRegimesCommand:
                      "--output", str(tmp_path / "x.csv")])
         assert code == 2
         assert "law" in capsys.readouterr().err
+
+    def test_bare_law_name_is_config_error(self, tmp_path, capsys):
+        assert main(["regimes", "--law", "linear", "--output", str(tmp_path / "x.csv")]) == 2
+        assert "law: cannot parse intensity law 'linear'" in capsys.readouterr().err
+
+    def test_split_law_flags_are_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["regimes", "--law", "linear", "--a", "1", "--output", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+
+
+def _spy_sweep(monkeypatch):
+    """Record every evaluation of a parsed intensity law, a layer-count law and
+    ``attenuated_intensity``, by the mode count (or layer count) it was asked for."""
+    calls = {"law": [], "layers": [], "attenuation": []}
+
+    def counting(kind, fn, key):
+        def wrapped(*args):
+            calls[kind].append(key(*args))
+            return fn(*args)
+        return wrapped
+
+    parse_law, parse_layers = cforms.intensity_law, cli._parse_layers_law
+    monkeypatch.setattr(cforms, "intensity_law",
+                        lambda text: counting("law", parse_law(text), lambda m: int(m)))
+    monkeypatch.setattr(cli, "_parse_layers_law",
+                        lambda text: counting("layers", parse_layers(text), lambda m: m))
+    monkeypatch.setattr(cf, "attenuated_intensity",
+                        counting("attenuation", cf.attenuated_intensity, lambda e0, k, n: n))
+    return calls
+
+
+class TestSweepEvaluatesOnce:
+    GRID = list(range(4, 65, 4))
+
+    def test_regimes(self, tmp_path, monkeypatch):
+        calls = _spy_sweep(monkeypatch)
+        code, _ = run(tmp_path, ["regimes", "--law", "expdecay:3,1.1", "--m-grid", "4:64:4"])
+        assert code == 0
+        assert calls == {"law": self.GRID, "layers": [], "attenuation": []}
+
+    def test_noise(self, tmp_path, monkeypatch):
+        calls = _spy_sweep(monkeypatch)
+        code, path = run(tmp_path, ["noise", "--m-grid", "4:64:4", "--e0-law", "power:1,0.5",
+                                    "--k", "0.9", "--layers-law", "sqrt"])
+        assert code == 0
+        _, _, rows = parse_csv(path)
+        assert calls == {"law": self.GRID, "layers": self.GRID,
+                         "attenuation": [int(row[2]) for row in rows]}
 
 
 class TestTrainCommand:
@@ -354,3 +406,14 @@ def test_readme_python_example_runs():
     proc = subprocess.run([sys.executable, "-c", example], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_shell_examples_run(tmp_path):
+    # every linopt-bp line of README.md's sh blocks, run in-process
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [block.split("```", 1)[0] for block in readme.split("```sh\n")[1:]]
+    commands = [shlex.split(line)[1:] for block in blocks for line in block.splitlines()
+                if line.startswith("linopt-bp ")]
+    assert commands
+    for i, args in enumerate(commands):
+        assert main(args + ["--output", str(tmp_path / f"example{i}.csv")]) == 0, args

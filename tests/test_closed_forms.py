@@ -36,7 +36,7 @@ from linopt_bp.estimators import (
 )
 from linopt_bp import estimate_abs_grad, toy_grad_abs_expectation
 
-from conftest import assert_within_sigma, loose_prefactor, simpson
+from conftest import assert_within_sigma, attenuation_values, law_values, loose_prefactor, simpson
 
 GRID = list(range(4, 65, 4))
 
@@ -210,6 +210,27 @@ class TestHeterodynePrefactor:
         assert heterodyne_prefactor(4, 1.0, 0.0).log_value == -math.inf
         assert heterodyne_prefactor(4, 0.0, 1.0).log_value == -math.inf
 
+    @pytest.mark.parametrize("energy", [1e-160, 1e-170, 1e-200, 0.37, 1e3])
+    def test_equal_intensities_bitwise(self, energy):
+        # at 1e-160 and below E0 E1 underflows; the geometric mean must not
+        assert (heterodyne_prefactor(4, energy, energy).log_value
+                == second_moment_prefactor(4, energy).log_value)
+
+    @pytest.mark.parametrize("e0,e1", [(1.0, 1e-320), (1e-150, 1e-165), (1e-160, 1e-170)])
+    def test_subnormal_product_against_mpmath(self, e0, e1):
+        mpmath = pytest.importorskip("mpmath")
+        m = 4
+        with mpmath.workdps(40):
+            geo = mpmath.sqrt(mpmath.mpf(e0) * mpmath.mpf(e1))
+            ref = float(
+                -2 * (mpmath.mpf(e0) + mpmath.mpf(e1))
+                + mpmath.log(mpmath.gamma(m))
+                + mpmath.log(mpmath.besseli(m, 4 * geo))
+                - mpmath.log(2)
+                - (m - 2) * mpmath.log(2 * geo)
+            )
+        assert heterodyne_prefactor(m, e0, e1).log_value == pytest.approx(ref, rel=1e-12)
+
     def test_chains_with_attenuation(self):
         m, e0, k = 5, 2.0, 0.9
         for n_layers in (0, 3, 11):
@@ -322,9 +343,9 @@ class TestIntensityLawGrammar:
         law = intensity_law(text)
         assert float(law(np.asarray(float(m)))) == pytest.approx(expected, rel=1e-12)
 
-    def test_callable_passthrough(self):
-        law = intensity_law(lambda m: m + 1)
-        assert law(3) == 4
+    def test_rejects_callable(self):
+        with pytest.raises(ValueError, match="cannot parse"):
+            intensity_law(lambda m: m + 1)
 
     def test_rejects_malformed(self):
         for bad in ("bogus:1", "linear", "power:1", "expdecay:1,0.5", ""):
@@ -332,21 +353,25 @@ class TestIntensityLawGrammar:
                 intensity_law(bad)
 
 
+def _regime(law, grid=GRID):
+    return classify_regime(grid, law_values(law, grid))
+
+
 class TestRegimeClassifier:
     def test_linear_intensity_is_plateau(self):
-        verdict = classify_regime("linear:1", GRID)
+        verdict = _regime("linear:1")
         assert verdict.is_bpl
         assert verdict.fit.slope <= SLOPE_THRESHOLD
 
     def test_exponentially_vanishing_intensity_is_plateau(self):
-        assert classify_regime("expdecay:1,2", GRID).is_bpl
+        assert _regime("expdecay:1,2").is_bpl
 
     def test_sublinear_intensity_trainable(self):
-        verdict = classify_regime("power:1,0.5", GRID)
+        verdict = _regime("power:1,0.5")
         assert not verdict.is_bpl
 
     def test_log_over_sqrt_trainable(self):
-        assert not classify_regime("logpower:1,-0.5", GRID).is_bpl
+        assert not _regime("logpower:1,-0.5").is_bpl
 
     def test_degenerate_series_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -354,17 +379,28 @@ class TestRegimeClassifier:
 
     def test_short_grid_rejected(self):
         with pytest.raises(ValueError, match="at least 6"):
-            classify_regime("linear:1", [4, 8, 12])
+            _regime("linear:1", [4, 8, 12])
 
     def test_fit_diagnostics_exposed(self):
-        verdict = classify_regime("linear:1", GRID)
+        verdict = _regime("linear:1")
         assert set(verdict.fit.coefficients) == {"const", "m", "sqrt_m", "log_m"}
         assert len(verdict.fit.m_grid) == len(GRID)
 
     def test_noise_layer_scaling_transition(self):
-        bpl = classify_noise("power:1,0.5", 0.9, lambda m: m, GRID)
-        ok = classify_noise("power:1,0.5", 0.9, lambda m: math.ceil(math.sqrt(m)), GRID)
+        bpl = classify_noise(GRID, *attenuation_values("power:1,0.5", 0.9, lambda m: m, GRID))
+        ok = classify_noise(
+            GRID, *attenuation_values("power:1,0.5", 0.9, lambda m: math.ceil(math.sqrt(m)), GRID)
+        )
         assert bpl.is_bpl and not ok.is_bpl
+
+    def test_value_count_must_match_grid(self):
+        energies = law_values("linear:1", GRID)
+        with pytest.raises(ValueError, match="15 intensities for 16 grid points"):
+            classify_regime(GRID, energies[:-1])
+        with pytest.raises(ValueError, match="17 intensities for 16 grid points"):
+            classify_noise(GRID, energies, energies + [1.0])
+        with pytest.raises(ValueError, match="15 intensities for 16 grid points"):
+            classify_noise(GRID, energies[1:], energies)
 
 
 class TestLinearRateFit:

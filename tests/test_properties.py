@@ -27,6 +27,7 @@ from linopt_bp import (  # noqa: E402
     measurement_cost,
     uniform_sphere,
 )
+from linopt_bp.closed_forms import _geometric_mean  # noqa: E402
 from linopt_bp.estimators import (  # noqa: E402
     CHUNK_SIZE,
     MIN_SAMPLES,
@@ -147,3 +148,13 @@ def test_bessel_i_matches_scaled_scipy_oracle(nu, x):
     assume(np.finfo(float).tiny <= scaled < math.inf)
     oracle = math.log(scaled) + x
     assert abs(bessel_i(nu, x).log_value - oracle) <= 1e-12 * max(abs(oracle), 1.0)
+
+
+@SETTINGS
+@given(a=st.floats(min_value=5e-324, max_value=1e308), b=st.floats(min_value=5e-324, max_value=1e308))
+def test_geometric_mean_is_sqrt_of_product_where_normal(a, b):
+    # heterodyne_prefactor's geometric mean must not move any value whose
+    # product a b was already a normal double
+    assume(np.finfo(float).tiny <= a * b < math.inf)
+    assert _geometric_mean(a, b) == math.sqrt(a * b)
+    assert _geometric_mean(a, a) == a

@@ -213,7 +213,8 @@ class TestDescentBehavior:
     def test_non_finite_step_raises(self):
         circ, u = _instance(8)
         with pytest.raises(NonFiniteCostError):
-            train(circ, "compiling", u, TrainConfig(lr=1e308, max_iters=10, tol=0.0, backoff=False))
+            # the first step's |theta| passes MAX_ANGLE before any backoff
+            train(circ, "compiling", u, TrainConfig(lr=1e308, max_iters=10, tol=0.0))
 
     def test_angle_without_precision_raises(self):
         circ, u = _instance(8, depth=1)
@@ -233,6 +234,4 @@ class TestDescentBehavior:
             lr *= 0.5 ** rec.backoffs
             assert rec.lr == lr
         assert sum(rec.backoffs for rec in records) > 0
-        plain = train(circ, "compiling", u, TrainConfig(lr=8.0, max_iters=40, tol=0.0, backoff=False))
-        assert all(rec.backoffs == 0 and rec.lr == 8.0 for rec in plain)
 
