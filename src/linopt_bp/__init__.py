@@ -2,12 +2,13 @@
 
 Coherent states on m modes are phase-space mean vectors; passive linear
 optics acts on them through orthogonal (and symplectic) transfer matrices.
-The package provides the cost families defined on such circuits, their
-analytic split-layer gradients, closed-form predictions for the gradient
+The package provides the cost families defined on such circuits and their
+split-layer gradient kernels, closed-form predictions for the gradient
 moments over Haar-random circuits, reproducible Monte Carlo estimators that
-verify those predictions, a regime classifier separating barren-plateau from
-trainable intensity scalings, a small gradient-descent trainer, and a CLI
-that emits plot-ready CSV/JSON artifacts.
+verify those predictions on sphere points, a regime classifier separating
+barren-plateau from trainable intensity scalings, a gradient-descent trainer
+that propagates vectors through the layers, and a CLI that emits plot-ready
+CSV/JSON artifacts.
 """
 
 __version__ = "0.1.0"
@@ -17,7 +18,6 @@ from .linear_optics import (
     GeneratorPair,
     Layer,
     LayeredCircuit,
-    gate_action,
     make_generator,
     random_circuit,
     symplectic_form,
@@ -28,13 +28,6 @@ from .cost_functions import (
     QuadraticHamiltonian,
     attenuated_intensity,
     bk_matrix,
-    compiling_cost,
-    compiling_grad,
-    measurement_cost,
-    measurement_grad,
-    photon_count_target,
-    quadratic_cost,
-    quadratic_grad,
     toy_cost,
     toy_grad,
     toy_grad_abs_expectation,
@@ -62,10 +55,8 @@ from .estimators import (
     MeasurementGradientFamily,
     MomentEstimate,
     QuadraticGradientFamily,
-    TailEstimate,
     ToyGradientFamily,
     estimate_abs_grad,
     estimate_grad_moments,
-    tail_frequency,
 )
 from .trainer import NonFiniteCostError, TrainConfig, TrainRecord, train

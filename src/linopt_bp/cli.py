@@ -198,13 +198,20 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _need(cfg, field, kind, low=None, high=None):
-    value = cfg.get(field)
-    if value is None:
+    """``cfg[field]`` as ``kind``: a float must be finite and an int exact (3.7 is
+    not truncated to 3); anything else is a config error naming the field."""
+    raw = cfg.get(field)
+    if raw is None:
         raise ConfigError(f"{field}: required")
     try:
-        value = kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field}: expected {kind.__name__}, got {cfg[field]!r}") from None
+        value = kind(raw)
+        if kind is float and not math.isfinite(value):
+            raise ValueError
+        if kind is int and not isinstance(raw, str) and value != raw:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        what = "finite float" if kind is float else kind.__name__
+        raise ConfigError(f"{field}: expected {what}, got {raw!r}") from None
     if low is not None and value < low:
         raise ConfigError(f"{field}: must be >= {low}, got {value}")
     if high is not None and value > high:
@@ -233,15 +240,20 @@ def _parse_m_grid(text) -> list:
 
 
 def _parse_layers_law(text):
+    """Layer count as a function of m: ``linear:a`` (round(a m), a finite),
+    ``sqrt`` (ceil(sqrt(m))) or ``const:L`` (L an integer)."""
     text = str(text)
+    kind, _, arg = text.partition(":")
     if text == "sqrt":
         return lambda m: math.ceil(math.sqrt(m))
-    if text.startswith("linear:"):
-        a = float(text.split(":", 1)[1])
-        return lambda m: int(round(a * m))
-    if text.startswith("const:"):
-        n = int(text.split(":", 1)[1])
-        return lambda m: n
+    try:
+        if kind == "linear" and math.isfinite(a := float(arg)):
+            return lambda m: int(round(a * m))
+        if kind == "const":
+            n = int(arg)
+            return lambda m: n
+    except ValueError:
+        pass
     raise ConfigError(f"layers_law: cannot parse {text!r}; expected linear:a | sqrt | const:L")
 
 
@@ -304,6 +316,8 @@ def _prop1_generator(cfg, m):
     modes = cfg.get("modes")
     if modes is None:
         modes = {"global-phase": (), "phase-shifter": (0,)}.get(kind, (0, 1))
+    elif not (isinstance(modes, list) and all(type(j) is int for j in modes)):
+        raise ConfigError(f"modes: expected a list of ints, got {modes!r}")
     try:
         return make_generator(kind, tuple(modes), m)
     except ValueError as exc:
@@ -387,11 +401,14 @@ def _run_noise(cfg) -> tuple:
         raise ConfigError(f"k: must lie strictly inside (0, 1), got {k}")
     e0s = _sweep_intensities("e0_law", cfg["e0_law"], grid)
     layers_law = _parse_layers_law(cfg["layers_law"])
-    layer_counts = [layers_law(m) for m in grid]
-    for m, n_layers in zip(grid, layer_counts):
-        if n_layers < 0:
-            raise ConfigError(f"layers_law: layer count {n_layers} at m={m} is negative")
-    e1s = [cf.attenuated_intensity(e0, k, n) for e0, n in zip(e0s, layer_counts)]
+    try:  # a * m, or 2 L in k^(2L), can pass the largest double
+        layer_counts = [layers_law(m) for m in grid]
+        for m, n_layers in zip(grid, layer_counts):
+            if n_layers < 0:
+                raise ConfigError(f"layers_law: layer count {n_layers} at m={m} is negative")
+        e1s = [cf.attenuated_intensity(e0, k, n) for e0, n in zip(e0s, layer_counts)]
+    except OverflowError:
+        raise ConfigError(f"layers_law: {cfg['layers_law']!r} gives a layer count beyond the float range") from None
     verdict = _closed_form(cforms.classify_noise, grid, e0s, e1s)
     rows = [list(row) for row in zip(grid, e0s, layer_counts, e1s, verdict.fit.log_values)]
     extra = {"verdict": verdict.verdict, "fit_slope": verdict.fit.slope}

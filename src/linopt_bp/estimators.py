@@ -63,26 +63,6 @@ class MomentEstimate:
         }
 
 
-@dataclass(frozen=True)
-class TailEstimate:
-    """Empirical tail frequency P(|dC| >= epsilon) with binomial standard error."""
-
-    n_samples: int
-    epsilon: float
-    fraction: float
-    std_error: float
-    seed: int
-
-    def as_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "epsilon": self.epsilon,
-            "fraction": self.fraction,
-            "std_error": self.std_error,
-            "seed": self.seed,
-        }
-
-
 @dataclass(frozen=True, eq=False)
 class ToyGradientFamily:
     """Local phase-shifter bank: gradient of the toy cost w.r.t. the first angle."""
@@ -233,28 +213,3 @@ def estimate_grad_moments(family, n_samples: int, rng, n_jobs: int = 1) -> Momen
 def estimate_abs_grad(family, n_samples: int, rng, n_jobs: int = 1) -> MomentEstimate:
     """Moments of |dC|: mean is the expected gradient magnitude."""
     return _estimate(family, n_samples, rng, n_jobs, use_abs=True)
-
-
-def tail_frequency(family, epsilon: float, n_samples: int, rng, n_jobs: int = 1) -> TailEstimate:
-    """Empirical fraction of samples with |dC| >= epsilon."""
-    _check_family(family)
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    if n_samples < MIN_SAMPLES:
-        raise ValueError(f"n_samples must be >= {MIN_SAMPLES}, got {n_samples}")
-    source = as_source(rng)
-
-    def one(chunk) -> float:
-        index, size = chunk
-        x = family.sample_gradients(size, source.substream(index))
-        return float(np.count_nonzero(np.abs(x) >= epsilon))
-
-    count = math.fsum(_run_chunks(one, n_samples, n_jobs))
-    frac = count / n_samples
-    return TailEstimate(
-        n_samples=n_samples,
-        epsilon=epsilon,
-        fraction=frac,
-        std_error=math.sqrt(max(0.0, frac * (1.0 - frac)) / n_samples),
-        seed=source.seed,
-    )

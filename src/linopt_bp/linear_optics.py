@@ -18,8 +18,9 @@ A depth-L circuit alternates parameterized gates with fixed passive layers
 
     T(theta) = prod_l exp(theta_l D_l) W_l,
 
-and ``split_action(k)`` splits it at layer k as ``T = O_minus O_plus`` with
-``O_minus`` covering layers 1..k-1.
+and splitting it at layer k as ``T = O_minus O_plus`` (``O_minus`` covering
+layers 1..k-1) gives the split-layer gradients.  No such matrix is formed
+here: the trainer propagates the vectors ``u O_minus`` and ``O_plus n^T``.
 
 A fixed layer is a unitary ``U`` in U(m), stored as its complex m x m matrix.
 With ``z_j = q_j + i p_j`` the interleaved mean vector is a complex m-vector
@@ -272,18 +273,6 @@ class GateBlocks:
                 for j, gen, x in zip(self._slot, self._gens, theta)]
 
 
-def gate_action(gen: GeneratorPair, theta: float) -> np.ndarray:
-    """Transfer matrix exp(theta D) of one gate; orthogonal for all theta.
-
-    The 2m x 2m identity with ``gen.block(theta)`` on the generator's support.
-    This is the one place a full gate matrix is formed (``Layer.transfer``
-    and the split actions use it); the trainer applies the block directly.
-    """
-    out = np.eye(2 * gen.m)
-    out[np.ix_(gen.support, gen.support)] = gen.block(float(theta))
-    return out
-
-
 def embed_unitary(u) -> np.ndarray:
     """Real 2m x 2m matrix of ``z -> z u`` on interleaved (q, p) row vectors.
 
@@ -320,37 +309,25 @@ class Layer:
         unitary.flags.writeable = False
         object.__setattr__(self, "unitary", unitary)
 
-    def transfer(self, theta: float) -> np.ndarray:
-        return gate_action(self.gen, theta) @ embed_unitary(self.unitary)
-
 
 class LayeredCircuit:
     """Alternating parameterized gates and fixed passive layers.
 
-    Immutable after construction; evaluation methods are read-only, so one
-    circuit can be evaluated concurrently at different parameter vectors.
-    The split layer is an argument of ``split_action``, not circuit state.
+    Immutable after construction, so one circuit can be evaluated
+    concurrently at different parameter vectors.
     """
 
-    def __init__(self, layers: Sequence, theta):
-        built = []
-        for entry in layers:
-            layer = entry if isinstance(entry, Layer) else Layer(*entry)
-            built.append(layer)
+    def __init__(self, layers: Sequence[Layer], theta):
+        built = tuple(layers)
         if not built:
             raise ValueError("a circuit needs at least one layer")
         m = built[0].gen.m
         if any(layer.gen.m != m for layer in built):
             raise ValueError("all layers must act on the same number of modes")
-        theta = np.array(theta, dtype=float, copy=True).reshape(-1)
-        if theta.size != len(built):
-            raise ValueError(
-                f"theta length {theta.size} does not match depth {len(built)}"
-            )
-        theta.flags.writeable = False
-        self._layers = tuple(built)
-        self._theta = theta
+        self._layers = built
         self._m = m
+        self._theta = np.array(self._check_theta(theta))  # a copy, frozen below
+        self._theta.flags.writeable = False
 
     @property
     def layers(self) -> tuple:
@@ -372,36 +349,10 @@ class LayeredCircuit:
         return LayeredCircuit(self._layers, theta)
 
     def _check_theta(self, theta) -> np.ndarray:
-        if theta is None:
-            return self._theta
         theta = np.asarray(theta, dtype=float).reshape(-1)
         if theta.size != self.depth:
             raise ValueError(f"theta length {theta.size} does not match depth {self.depth}")
         return theta
-
-    def layer_transfers(self, theta=None) -> list:
-        theta = self._check_theta(theta)
-        return [layer.transfer(t) for layer, t in zip(self._layers, theta)]
-
-    def orthogonal_action(self, theta=None) -> np.ndarray:
-        """Full transfer matrix of the circuit (layers composed in order)."""
-        out = np.eye(2 * self._m)
-        for transfer in self.layer_transfers(theta):
-            out = out @ transfer
-        return out
-
-    def split_action(self, split: int, theta=None) -> tuple:
-        """(O_minus, O_plus): the layers before layer ``split`` (1-based), and from it on."""
-        if not 1 <= split <= self.depth:
-            raise ValueError(f"split layer {split} out of range 1..{self.depth}")
-        transfers = self.layer_transfers(theta)
-        o_minus = np.eye(2 * self._m)
-        for t in transfers[: split - 1]:
-            o_minus = o_minus @ t
-        o_plus = np.eye(2 * self._m)
-        for t in transfers[split - 1 :]:
-            o_plus = o_plus @ t
-        return o_minus, o_plus
 
 
 def random_circuit(m: int, depth: int, rng) -> "LayeredCircuit":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .validation import check_orthogonal, check_same_modes
+from .validation import check_same_modes
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,12 +58,6 @@ class MeanVector:
     def intensity(self) -> float:
         """Total mean photon number, |u|^2 / 2."""
         return float(self.values @ self.values) / 2.0
-
-    def transform(self, t) -> "MeanVector":
-        """Image under a linear-optical transfer matrix, u -> u T."""
-        t = check_orthogonal(t, "transfer matrix")
-        check_same_modes(self.m, t.shape[0] // 2, "state and transfer matrix")
-        return MeanVector(self.values @ t)
 
     def __repr__(self) -> str:  # keep reprs small for m >> 1
         return f"MeanVector(m={self.m}, intensity={self.intensity():.6g})"

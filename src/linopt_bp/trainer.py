@@ -6,13 +6,12 @@ Gradients come from adjoint (reverse-mode) propagation of vectors: a forward
 pass keeps the row vectors ``v_l = u T_1 ... T_l``
 (``T_l = exp(theta_l D_l) W_l``), a backward pass carries one column vector
 from the output back through the layers, and each layer's gradient is a
-bilinear form in the two: ``GeneratorPair.bilinear``,
-O(k^2) on the generator's support (k = 2 or 4 for the local kinds), the
-kernel of the Monte Carlo families too; the overlap family calls it through
-``cost_functions.overlap_grad``, as ``measurement_grad`` does.  A gate is
-applied as its k x k block on the same support (the blocks of all layers
-come from one ``GateBlocks``), so no 2m x 2m gate or generator matrix is
-formed.  A fixed layer ``W_l`` is its complex m x m unitary ``U``: the
+bilinear form in the two: ``GeneratorPair.bilinear``, O(k^2) on the
+generator's support (k = 2 or 4 for the local kinds), the kernel of the
+Monte Carlo families too; the overlap family calls it through
+``cost_functions.overlap_grad``.  A gate is applied as its k x k block on
+the same support (the blocks of all layers come from one ``GateBlocks``), so
+no 2m x 2m gate or generator matrix is formed.  A fixed layer ``W_l`` is its complex m x m unitary ``U``: the
 forward pass maps the complex view ``z = q + i p`` of the row vector to
 ``z U``, and the backward pass maps the column vector ``g`` to ``conj(U) g``,
 computed as ``conj(U conj(g))`` so that no conjugated copy of ``U`` is stored.

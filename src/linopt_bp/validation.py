@@ -33,15 +33,6 @@ def check_symmetric(a, name: str = "matrix", tol: float = 1e-10) -> np.ndarray:
     return arr
 
 
-def check_orthogonal(a, name: str = "matrix", tol: float = 1e-10) -> np.ndarray:
-    """Validate T^T T = I in Frobenius norm."""
-    arr = as_square_matrix(a, name)
-    defect = float(np.linalg.norm(arr.T @ arr - np.eye(arr.shape[0])))
-    if defect > tol:
-        raise ValueError(f"{name} is not orthogonal (defect {defect:.3e} > {tol:.1e})")
-    return arr
-
-
 def check_unitary(a, name: str = "matrix", tol: float = 1e-10) -> np.ndarray:
     """Validate U^H U = I in Frobenius norm; returns a complex128 array."""
     arr = as_square_matrix(a, name, np.complex128)

@@ -21,7 +21,6 @@ from linopt_bp import (
     bk_matrix,
     classify_noise,
     classify_regime,
-    compiling_grad,
     estimate_abs_grad,
     estimate_grad_moments,
     fit_linear_rate,
@@ -29,7 +28,6 @@ from linopt_bp import (
     heterodyne_prefactor,
     linear_intensity_rate,
     make_generator,
-    quadratic_grad,
     quadratic_second_moment,
     random_circuit,
     second_moment_interval,
@@ -48,7 +46,8 @@ from linopt_bp.estimators import (
 from linopt_bp.sampling import haar_orthogonal_batch, uniform_sphere_batch
 from linopt_bp.cli import main as cli_main
 
-from conftest import attenuation_values, fd_gradient, law_values, series_bessel_i
+from conftest import (attenuation_values, compiling_grad, fd_gradient, law_values, quadratic_grad,
+                      series_bessel_i, split_action)
 
 M_GRID = list(range(4, 65, 4))
 
@@ -224,7 +223,7 @@ def test_criterion_06_gradient_correctness():
         direction = gen.standard_normal(2 * m)
         direction /= np.linalg.norm(direction)
         u = MeanVector(math.sqrt(2 * float(gen.uniform(0.2, 2.0))) * direction)
-        o_minus, o_plus = circ.split_action(k)
+        o_minus, o_plus = split_action(circ, k)
         analytic = compiling_grad(u, circ.layers[k - 1].gen, o_minus, o_plus)
         if abs(analytic) < floor:
             continue
@@ -245,7 +244,7 @@ def test_criterion_06_gradient_correctness():
         direction = gen.standard_normal(2 * m)
         direction /= np.linalg.norm(direction)
         u = MeanVector(math.sqrt(2 * float(gen.uniform(0.2, 2.0))) * direction)
-        o_minus, o_plus = circ.split_action(k)
+        o_minus, o_plus = split_action(circ, k)
         analytic = quadratic_grad(u, circ.layers[k - 1].gen, ham, o_minus, o_plus)
         if abs(analytic) < floor:
             continue

@@ -319,13 +319,48 @@ class TestExitCodes:
          "closed form: argument must be finite"),
         (["toy", "--m", "4", "--s", "1e308", "--samples", "1000"], 3,
          "closed form: I_nu(x) at order 0, argument 1e+308"),
+        # a layer-count law that does not parse, or whose count leaves the float range
+        (["noise", "--layers-law", "linear:x"], 2, "layers_law: cannot parse 'linear:x'"),
+        (["noise", "--layers-law", "linear:1e400"], 2, "layers_law: cannot parse 'linear:1e400'"),
+        (["noise", "--layers-law", "linear:nan"], 2, "layers_law: cannot parse 'linear:nan'"),
+        (["noise", "--layers-law", "const:x"], 2, "layers_law: cannot parse 'const:x'"),
+        (["noise", "--layers-law", "const:1.5"], 2, "layers_law: cannot parse 'const:1.5'"),
+        (["noise", "--layers-law", "linear:1e308"], 2, "layers_law: 'linear:1e308' gives a layer count"),
+        # a float flag must be finite
+        (["train", "--tol", "nan"], 2, "tol: expected finite float, got nan"),
+        (["train", "--intensity", "inf"], 2, "intensity: expected finite float, got inf"),
+        (["prop2", "--intensity", "nan"], 2, "intensity: expected finite float, got nan"),
+        (["prop1", "--intensity", "nan"], 2, "intensity: expected finite float, got nan"),
+        (["train", "--lr", "nan"], 2, "lr: expected finite float, got nan"),
     ], ids=["noise-e1-underflow", "regimes-zero-at-m1", "regimes-negative-law",
             "regimes-infinite-law", "regimes-negative-list-entry", "regimes-bessel-overflow",
             "noise-bessel-overflow", "regimes-bessel-window", "heterodyne-bessel-overflow",
-            "prop1-bessel-overflow", "toy-bessel-window"])
+            "prop1-bessel-overflow", "toy-bessel-window",
+            "layers-linear-text", "layers-linear-overflow", "layers-linear-nan", "layers-const-text",
+            "layers-const-fraction", "layers-count-overflow",
+            "train-tol-nan", "train-intensity-inf", "prop2-intensity-nan", "prop1-intensity-nan",
+            "train-lr-nan"])
     def test_bad_sweep_point_exit_code(self, tmp_path, capsys, args, code, message):
         # an exception escaping main would fail the test with its traceback
         assert main(args + ["--output", str(tmp_path / "x.csv")]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert message in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"m": 3.7}, "m: expected int, got 3.7"),
+        ({"m": float("inf")}, "m: expected int, got inf"),
+        ({"samples": 1000.5}, "samples: expected int, got 1000.5"),
+        ({"intensity": float("nan")}, "intensity: expected finite float, got nan"),
+        ({"modes": 5}, "modes: expected a list of ints, got 5"),
+        ({"modes": [0.5]}, "modes: expected a list of ints, got [0.5]"),
+    ], ids=["m-fraction", "m-inf", "samples-fraction", "intensity-nan", "modes-int", "modes-float"])
+    def test_bad_config_field_exit_code(self, tmp_path, capsys, fields, message):
+        # a --config value is never truncated or coerced into range: it exits 2 naming the field
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"generator": "phase-shifter", "samples": 1000, **fields}))
+        assert main(["prop1", "--config", str(cfg_path), "--output", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert message in err

@@ -32,11 +32,11 @@ from linopt_bp.estimators import (
     QuadraticGradientFamily,
     ToyGradientFamily,
     estimate_grad_moments,
-    tail_frequency,
 )
 from linopt_bp import estimate_abs_grad, toy_grad_abs_expectation
 
-from conftest import assert_within_sigma, attenuation_values, law_values, loose_prefactor, simpson
+from conftest import (assert_within_sigma, attenuation_values, law_values, loose_prefactor, simpson,
+                      tail_frequency)
 
 GRID = list(range(4, 65, 4))
 

@@ -15,10 +15,8 @@ from linopt_bp import (
     make_generator,
     quadratic_second_moment,
     second_moment_point,
-    tail_frequency,
     toy_grad_abs_expectation,
 )
-from linopt_bp import cost_functions as cf
 from linopt_bp import estimators, sampling
 from linopt_bp.estimators import (
     CHUNK_SIZE,
@@ -28,7 +26,7 @@ from linopt_bp.estimators import (
     ToyGradientFamily,
 )
 
-from conftest import assert_within_sigma
+from conftest import assert_within_sigma, measurement_grad, quadratic_grad, tail_frequency
 
 
 def _toy():
@@ -218,10 +216,6 @@ class TestTailFrequency:
         assert all(a > b for a, b in zip(freqs, freqs[1:])), freqs
         assert math.log(freqs[-1] / freqs[0]) <= -3.0
 
-    def test_negative_epsilon_rejected(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            tail_frequency(_toy(), -0.1, 10_000, RandomSource(0))
-
 
 class TestSphereSampling:
     """The overlap and quadratic families draw sphere points, never Haar matrices."""
@@ -266,12 +260,12 @@ class TestSphereSampling:
             (
                 "measurement",
                 MeasurementGradientFamily(u=u, n=n, gen=bs),
-                [cf.measurement_grad(u, n, bs, om, op) for om, op in zip(o_minus, o_plus_draws)],
+                [measurement_grad(u, n, bs, om, op) for om, op in zip(o_minus, o_plus_draws)],
             ),
             (
                 "quadratic",
                 QuadraticGradientFamily(u=u, b=b),
-                [cf.quadratic_grad(u, bs, ham, om, o_plus) for om in o_minus],
+                [quadratic_grad(u, bs, ham, om, o_plus) for om in o_minus],
             ),
         ]
         for label, family, grads in cases:

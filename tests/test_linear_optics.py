@@ -9,7 +9,6 @@ from linopt_bp import (
     LayeredCircuit,
     MeanVector,
     RandomSource,
-    gate_action,
     make_generator,
     random_circuit,
     symplectic_form,
@@ -17,7 +16,7 @@ from linopt_bp import (
 from linopt_bp.linear_optics import GateBlocks, Layer, embed_unitary
 from linopt_bp.sampling import haar_unitary_batch
 
-from conftest import fd_gradient, identity_fixed
+from conftest import dense_gate, fd_gradient, identity_fixed, layer_transfers, orthogonal_action, split_action
 
 
 def test_symplectic_form_single_mode():
@@ -121,7 +120,7 @@ class TestGenerators:
 class TestGateAction:
     def test_theta_zero_is_identity(self):
         gen = make_generator("beamsplitter", (0, 1), 2)
-        np.testing.assert_array_equal(gate_action(gen, 0.0), np.eye(4))
+        np.testing.assert_array_equal(dense_gate(gen, 0.0), np.eye(4))
 
     def test_phase_shifter_rotation_closed_form(self):
         gen = make_generator("phase-shifter", (0,), 1)
@@ -129,7 +128,7 @@ class TestGateAction:
             expected = np.array(
                 [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
             )
-            np.testing.assert_allclose(gate_action(gen, theta), expected, atol=1e-14)
+            np.testing.assert_allclose(dense_gate(gen, theta), expected, atol=1e-14)
 
     def test_sign_convention_phase_rotation(self):
         # exp(-i theta a* a): alpha -> exp(-i theta) alpha
@@ -137,14 +136,14 @@ class TestGateAction:
         theta = 0.7
         alpha = 0.4 - 0.9j
         u = MeanVector.of([math.sqrt(2) * alpha.real, math.sqrt(2) * alpha.imag])
-        out = u.transform(gate_action(gen, theta)).values
+        out = u.values @ dense_gate(gen, theta)
         alpha_out = (out[0] + 1j * out[1]) / math.sqrt(2)
         assert alpha_out == pytest.approx(alpha * np.exp(-1j * theta), rel=1e-12)
 
     def test_group_inverse(self):
         gen = make_generator("two-mode-phase", (0, 2), 3)
-        t = gate_action(gen, 0.9)
-        np.testing.assert_allclose(t @ gate_action(gen, -0.9), np.eye(6), atol=1e-13)
+        t = dense_gate(gen, 0.9)
+        np.testing.assert_allclose(t @ dense_gate(gen, -0.9), np.eye(6), atol=1e-13)
 
     @pytest.mark.parametrize("kind,modes", [("phase-shifter", (1,)), ("beamsplitter", (0, 2)), ("two-mode-phase", (2, 1))])
     def test_orthogonal_and_symplectic(self, kind, modes):
@@ -153,7 +152,7 @@ class TestGateAction:
         delta = symplectic_form(m)
         rng = RandomSource(17).generator()
         for theta in rng.uniform(-6, 6, 100):
-            t = gate_action(gen, theta)
+            t = dense_gate(gen, theta)
             assert np.linalg.norm(t.T @ t - np.eye(2 * m)) <= 1e-9
             assert np.linalg.norm(t @ delta @ t.T - delta) <= 1e-9
 
@@ -179,7 +178,7 @@ class TestSupport:
         gen = make_generator(kind, modes, m)
         off = np.setdiff1d(np.arange(2 * m), gen.support)
         for theta in (0.3, -2.5, 10.0):
-            t = gate_action(gen, theta)
+            t = dense_gate(gen, theta)
             np.testing.assert_array_equal(t[off], np.eye(2 * m)[off])
             np.testing.assert_array_equal(t[:, off], np.eye(2 * m)[:, off])
             np.testing.assert_array_equal(t[np.ix_(gen.support, gen.support)], gen.block(theta))
@@ -203,13 +202,13 @@ class TestClosedFormGate:
     def test_matches_expm(self, theta):
         for gen in _standard_generators():
             np.testing.assert_allclose(
-                gate_action(gen, theta), expm(theta * gen.d), rtol=0, atol=1e-13, err_msg=gen.label
+                dense_gate(gen, theta), expm(theta * gen.d), rtol=0, atol=1e-13, err_msg=gen.label
             )
 
     def test_large_angle_stays_orthogonal(self):
         # expm itself drifts at theta = 1e3, so agreement with it is loose here
         for gen in _standard_generators():
-            t = gate_action(gen, 1e3)
+            t = dense_gate(gen, 1e3)
             np.testing.assert_allclose(t.T @ t, np.eye(t.shape[0]), rtol=0, atol=1e-14)
             np.testing.assert_allclose(t, expm(1e3 * gen.d), rtol=0, atol=1e-10)
 
@@ -220,7 +219,7 @@ class TestClosedFormGate:
         gen = GeneratorPair.from_symmetric(eps)
         assert not gen.rodrigues
         for theta in (0.3, -2.0, 10.0):
-            np.testing.assert_allclose(gate_action(gen, theta), expm(theta * gen.d), rtol=0, atol=1e-13)
+            np.testing.assert_allclose(dense_gate(gen, theta), expm(theta * gen.d), rtol=0, atol=1e-13)
 
 
 def _passive_defects(w):
@@ -237,7 +236,7 @@ class TestFixedLayers:
         for layer in circ.layers:
             assert layer.unitary.shape == (m, m)
             assert max(_passive_defects(embed_unitary(layer.unitary))) <= 1e-12
-        total = circ.with_theta(np.linspace(-3.0, 3.0, 6)).orthogonal_action()
+        total = orthogonal_action(circ.with_theta(np.linspace(-3.0, 3.0, 6)))
         assert max(_passive_defects(total)) <= 1e-12
 
     def test_embedding_matches_complex_action(self):
@@ -257,7 +256,7 @@ class TestFixedLayers:
     def test_phase_convention_matches_phase_shifter(self):
         # the phase shifter multiplies z = q + i p by exp(-i theta)
         theta = 0.7
-        gate = gate_action(make_generator("phase-shifter", (0,), 1), theta)
+        gate = dense_gate(make_generator("phase-shifter", (0,), 1), theta)
         np.testing.assert_allclose(gate, embed_unitary([[np.exp(-1j * theta)]]), rtol=0, atol=1e-15)
 
     def test_layer_validates_its_unitary(self):
@@ -295,51 +294,51 @@ class TestLayeredCircuit:
 
     def test_identity_at_zero_theta_identity_fixed(self):
         circ = identity_fixed(random_circuit(2, 4, RandomSource(0).generator()))
-        o_minus, o_plus = circ.split_action(1)
+        o_minus, o_plus = split_action(circ, 1)
         np.testing.assert_array_equal(o_minus, np.eye(4))
         np.testing.assert_array_equal(o_plus, np.eye(4))
 
     def test_single_layer_split(self):
         gen = make_generator("phase-shifter", (0,), 1)
         circ = LayeredCircuit([Layer(gen, np.eye(1, dtype=complex))], [0.8])
-        o_minus, o_plus = circ.split_action(1)
+        o_minus, o_plus = split_action(circ, 1)
         np.testing.assert_array_equal(o_minus, np.eye(2))
-        np.testing.assert_allclose(o_plus, gate_action(gen, 0.8), atol=1e-14)
+        np.testing.assert_allclose(o_plus, dense_gate(gen, 0.8), atol=1e-14)
 
     def test_action_is_orthogonal(self):
         circ = self._circuit()
-        t = circ.orthogonal_action()
+        t = orthogonal_action(circ)
         assert np.linalg.norm(t.T @ t - np.eye(6)) <= 1e-10
 
     def test_split_matches_brute_force_product(self):
         circ = self._circuit()
-        transfers = circ.layer_transfers()
+        transfers = layer_transfers(circ)
         brute = np.eye(6)
         for t in transfers:
             brute = brute @ t
-        o_minus, o_plus = circ.split_action(3)
+        o_minus, o_plus = split_action(circ, 3)
         np.testing.assert_allclose(o_minus @ o_plus, brute, atol=1e-13)
-        np.testing.assert_allclose(circ.orthogonal_action(), brute, atol=1e-13)
+        np.testing.assert_allclose(orthogonal_action(circ), brute, atol=1e-13)
 
     def test_split_ranges(self):
         circ = self._circuit()
-        o_minus, _ = circ.split_action(1)
+        o_minus, _ = split_action(circ, 1)
         np.testing.assert_array_equal(o_minus, np.eye(6))
         for bad in (0, 6):
             with pytest.raises(ValueError, match="split"):
-                circ.split_action(bad)
+                split_action(circ, bad)
 
     def test_perturbed_layer_matches_derivative_structure(self):
         # d/dtheta_k of the full action is O_minus D_k O_plus
         circ = self._circuit(seed=21)
-        o_minus, o_plus = circ.split_action(3)
+        o_minus, o_plus = split_action(circ, 3)
         d_k = circ.layers[2].gen.d
         step = 1e-6
         up = np.array(circ.theta)
         dn = up.copy()
         up[2] += step
         dn[2] -= step
-        fd = (circ.orthogonal_action(up) - circ.orthogonal_action(dn)) / (2 * step)
+        fd = (orthogonal_action(circ, up) - orthogonal_action(circ, dn)) / (2 * step)
         analytic = o_minus @ d_k @ o_plus
         np.testing.assert_allclose(fd, analytic, rtol=0, atol=1e-6)
 

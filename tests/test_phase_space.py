@@ -27,7 +27,7 @@ class TestIntensity:
         for _ in range(20):
             u = MeanVector(gen.standard_normal(8))
             t = haar_orthogonal(4, gen)
-            assert u.transform(t).intensity() == pytest.approx(u.intensity(), rel=1e-12)
+            assert MeanVector(u.values @ t).intensity() == pytest.approx(u.intensity(), rel=1e-12)
 
 
 class TestOverlapFidelity:
@@ -60,7 +60,7 @@ class TestOverlapFidelity:
             u = MeanVector(gen.standard_normal(6))
             v = MeanVector(gen.standard_normal(6))
             t = haar_orthogonal(3, gen)
-            assert overlap_fidelity(u.transform(t), v.transform(t)) == pytest.approx(
+            assert overlap_fidelity(MeanVector(u.values @ t), MeanVector(v.values @ t)) == pytest.approx(
                 overlap_fidelity(u, v), rel=1e-12
             )
 

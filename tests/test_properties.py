@@ -19,12 +19,9 @@ from linopt_bp import (  # noqa: E402
     MeanVector,
     RandomSource,
     bessel_i,
-    compiling_cost,
     estimate_grad_moments,
-    gate_action,
     haar_orthogonal,
     make_generator,
-    measurement_cost,
     uniform_sphere,
 )
 from linopt_bp.closed_forms import _geometric_mean  # noqa: E402
@@ -40,6 +37,8 @@ from linopt_bp.linear_optics import (  # noqa: E402
     symplectic_form,
     times_symplectic_form,
 )
+
+from conftest import compiling_cost, dense_gate, measurement_cost  # noqa: E402
 
 SETTINGS = settings(max_examples=50, deadline=None)
 SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
@@ -68,7 +67,7 @@ def generators(draw, max_m=6, graded=False):
 @SETTINGS
 @given(gen=generators(), theta=st.floats(min_value=-1e3, max_value=1e3))
 def test_gate_action_is_orthogonal(gen, theta):
-    t = gate_action(gen, theta)
+    t = dense_gate(gen, theta)
     np.testing.assert_allclose(t @ t.T, np.eye(t.shape[0]), rtol=0, atol=1e-13)
 
 

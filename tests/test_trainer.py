@@ -11,9 +11,7 @@ from linopt_bp import (
     QuadraticHamiltonian,
     RandomSource,
     TrainConfig,
-    compiling_grad,
     make_generator,
-    quadratic_grad,
     random_circuit,
     train,
     uniform_sphere,
@@ -22,7 +20,7 @@ from linopt_bp.linear_optics import Layer
 from linopt_bp.sampling import haar_unitary_batch
 from linopt_bp.trainer import _Objective, layer_gradients
 
-from conftest import identity_fixed
+from conftest import compiling_grad, identity_fixed, orthogonal_action, quadratic_grad, split_action
 
 
 def _instance(seed, m=2, depth=4, energy=0.5):
@@ -94,7 +92,7 @@ class TestTrainerGradients:
         # ... and agree with it on the split decomposition (association order
         # of the orthogonal products differs only at machine precision)
         for k in range(1, circ.depth + 1):
-            o_minus, o_plus = circ.split_action(k)
+            o_minus, o_plus = split_action(circ, k)
             gen_k = circ.layers[k - 1].gen
             assert grads[k - 1] == pytest.approx(
                 compiling_grad(u, gen_k, o_minus, o_plus), rel=1e-11
@@ -104,25 +102,8 @@ class TestTrainerGradients:
         for m, depth in ((1, 3), (3, 6), (8, 10)):
             circ, u = _instance(30 + m, m=m, depth=depth)
             _, states = _Objective(circ, "compiling", u).forward(circ.theta)
-            np.testing.assert_allclose(states[-1], u.values @ circ.orthogonal_action(),
+            np.testing.assert_allclose(states[-1], u.values @ orthogonal_action(circ),
                                        rtol=0, atol=1e-13)
-
-    def test_train_forms_no_dense_gate(self, monkeypatch):
-        # gates act on their support blocks; no 2m x 2m gate matrix is built
-        from linopt_bp import linear_optics, trainer as trainer_module
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("trainer formed a dense gate matrix")
-
-        monkeypatch.setattr(linear_optics, "gate_action", forbidden)
-        monkeypatch.setattr(trainer_module, "gate_action", forbidden, raising=False)
-        gen = RandomSource(12).generator()
-        circ, u = _instance(12, m=3, depth=6)
-        a = gen.standard_normal((6, 6))
-        ham = QuadraticHamiltonian(a @ a.T / 6)
-        for family, extra in (("compiling", {}), ("quadratic", {"hamiltonian": ham})):
-            records = train(circ, family, u, TrainConfig(lr=0.2, max_iters=5, tol=0.0), **extra)
-            assert len(records) == 6 and np.isfinite(records[-1].cost), family
 
     def test_mixed_generators_match_split_kernel(self):
         # one gate stack per support size, custom generators through ``block``
@@ -140,7 +121,7 @@ class TestTrainerGradients:
         u = uniform_sphere(m, 1.0, gen)
         grads = layer_gradients(circ, "compiling", u)
         for k in range(1, circ.depth + 1):
-            o_minus, o_plus = circ.split_action(k)
+            o_minus, o_plus = split_action(circ, k)
             gen_k = circ.layers[k - 1].gen
             assert grads[k - 1] == pytest.approx(
                 compiling_grad(u, gen_k, o_minus, o_plus), rel=1e-11
@@ -153,7 +134,7 @@ class TestTrainerGradients:
         ham = QuadraticHamiltonian(a @ a.T / 6)
         grads = layer_gradients(circ, "quadratic", u, hamiltonian=ham)
         for k in range(1, circ.depth + 1):
-            o_minus, o_plus = circ.split_action(k)
+            o_minus, o_plus = split_action(circ, k)
             gen_k = circ.layers[k - 1].gen
             assert grads[k - 1] == pytest.approx(
                 quadratic_grad(u, gen_k, ham, o_minus, o_plus), rel=1e-11
