@@ -32,6 +32,7 @@ The default output directory is taken from LINOPT_BP_OUTDIR when set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -103,6 +104,7 @@ _DEFAULTS = {
 }
 
 
+@functools.cache  # built on first use, once per process; parsing never mutates it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linopt-bp",
@@ -285,6 +287,8 @@ def _closed_form(fn, *args):
         return fn(*args)
     except ValueError as exc:  # e.g. a moment that underflows, or a Bessel argument out of range
         raise NumericalError(f"closed form: {exc}") from None
+    except OverflowError:  # a float power past the largest double
+        raise NumericalError(f"closed form: {fn.__name__} overflows") from None
 
 
 def _finite(value, what) -> float:
@@ -292,6 +296,11 @@ def _finite(value, what) -> float:
     if not math.isfinite(value):
         raise NumericalError(f"{what} is not finite")
     return value
+
+
+def _radius(energy) -> float:
+    """The input state's radius sqrt(2 E), which passes the largest double near E = 9e307."""
+    return _finite(math.sqrt(2 * energy), f"input radius sqrt(2E) at E={energy!r}")
 
 
 # -- command handlers ----------------------------------------------------------
@@ -362,8 +371,8 @@ def _run_prop2(cfg) -> tuple:
     o_plus = haar_orthogonal(m, inst)  # still O(2m); README "Conventions" says why
     eta_tilde = o_plus @ ham.eta @ o_plus.T
     b = cf.bk_matrix(gen, eta_tilde)
-    u = uniform_sphere(m, math.sqrt(2 * energy), inst)
-    pred = cforms.quadratic_second_moment(u, b)
+    u = uniform_sphere(m, _radius(energy), inst)
+    pred = _closed_form(cforms.quadratic_second_moment, u, b)
     family = est.QuadraticGradientFamily(u=u, b=b)
     moments = est.estimate_grad_moments(family, samples, source, cfg["jobs"])
     rows = [[m, energy, _finite(pred, "prediction"),
@@ -444,7 +453,7 @@ def _run_train(cfg) -> tuple:
     circuit = random_circuit(m, depth, inst)
     theta0 = inst.uniform(-math.pi, math.pi, depth)
     circuit = circuit.with_theta(theta0)
-    u = uniform_sphere(m, math.sqrt(2 * energy), inst)
+    u = uniform_sphere(m, _radius(energy), inst)
     ham = None
     if family == "quadratic":
         dim = 2 * m

@@ -13,9 +13,9 @@ Four families, each an exact closed form in the phase-space mean:
   from the coherent-state covariance ``I/2``.
 
 The toy family lives here in full.  Of the circuit families this module
-holds what the trainer, the Monte Carlo families and the closed forms share:
-``overlap_grad``, ``attenuated_intensity``, ``QuadraticHamiltonian`` and
-``bk_matrix``; the trainer evaluates the costs themselves.
+holds what the Monte Carlo families and the closed forms share:
+``attenuated_intensity``, ``QuadraticHamiltonian`` and ``bk_matrix``; the
+trainer evaluates the costs and their gradients itself.
 
 Gradients are with respect to the parameter of the split layer, whose gate
 is a ``GeneratorPair``.  They depend on the circuit only through the vectors
@@ -24,13 +24,14 @@ the Monte Carlo families draw as sphere points.  The overlap-family gradient is
 
     dC/dtheta_k = -exp(-(E0+E1)) (y D_k b) exp(y . b),
 
-``overlap_grad``, oriented so that it matches central finite differences of
-the layered circuit's cost under this package's composition convention (see
-``linear_optics``); ``y D_k b`` is ``GeneratorPair.bilinear``.  The
-quadratic gradient is ``w B w^T`` with ``w = u O_minus`` and
-``B = [D_k, eta~]``, symmetric and traceless for any energy-conserving gate;
-the trainer evaluates it on the gate's support as ``2 w D_k (eta~ w^T)``,
-and ``bk_matrix(gen, eta~)`` forms the dense ``B`` for the closed form.
+oriented so that it matches central finite differences of the layered
+circuit's cost under this package's composition convention (see
+``linear_optics``); ``y D_k b`` is ``GeneratorPair.bilinear`` in the Monte
+Carlo families and ``GateBlocks.bilinear`` in the trainer.  The quadratic
+gradient is ``w B w^T`` with ``w = u O_minus`` and ``B = [D_k, eta~]``,
+symmetric and traceless for any energy-conserving gate; the trainer evaluates
+it on the gate's support as ``2 w D_k (eta~ w^T)``, and ``bk_matrix(gen, eta~)``
+forms the dense ``B`` for the closed form.
 """
 
 from __future__ import annotations
@@ -106,15 +107,6 @@ def _log_sinh(s: float) -> float:
 
 
 # -- compiling / measurement family ---------------------------------------
-
-
-def overlap_grad(y, gen: GeneratorPair, b, e_total: float) -> float:
-    """Overlap-family gradient kernel -exp(-e_total + y.b) * (y D_k b).
-
-    Unvalidated: ``y`` and ``b`` are the propagated state and target vectors
-    and ``e_total`` is E0 + E1.  The trainer calls it once per layer.
-    """
-    return -math.exp(-e_total + float(y @ b)) * gen.bilinear(y, b)
 
 
 def attenuated_intensity(e0: float, k: float, n_layers: int) -> float:

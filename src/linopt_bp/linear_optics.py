@@ -29,7 +29,10 @@ With ``z_j = q_j + i p_j`` the interleaved mean vector is a complex m-vector
 ``[[Re U_jk, Im U_jk], [-Im U_jk, Re U_jk]]`` at mode pair (j, k); it commutes
 with ``Delta`` and is orthogonal exactly when ``U`` is unitary, so it is
 orthogonal and symplectic.  The gates are complex-linear in the same
-convention (a phase-shifter multiplies ``z_j`` by ``exp(-i theta)``).
+convention, because every generator commutes with ``Delta``: a gate on k
+modes is the embedding of a complex k x k block (a phase-shifter multiplies
+``z_j`` by ``exp(-i theta)``), and the trainer applies it as that block
+(``GateBlocks``).
 
 A generator acts only on its support, the coordinates of the modes it
 touches: 2 for a phase-shifter, 4 for the two-mode kinds, all 2m for the
@@ -228,37 +231,46 @@ def make_generator(kind: str, modes: Sequence[int], m: int) -> GeneratorPair:
 
 
 class GateBlocks:
-    """The gate blocks of a fixed sequence of generators, evaluated together.
+    """The gates of a fixed sequence of generators as complex blocks, evaluated together.
 
-    ``at(theta)`` equals ``[gen.block(t) for gen, t in zip(gens, theta)]``.
-    The Rodrigues blocks of all generators with the same support size come
-    from one batched product of the coefficients ``(1, sin t, 1 - cos t)``
-    with the stacked ``(I, d_s, d2_s)``; custom generators use ``block``.
+    Every generator commutes with Delta, so its gate and ``D`` are complex-linear
+    on the modes of the support: the real block is the embedding (``embed_unitary``'s
+    convention) of the complex k x k block ``Gc[a, b] = G[2a, 2b] + i G[2a, 2b+1]``,
+    k the number of modes.  ``at(theta)`` gives these blocks for all generators;
+    the blocks of all generators with the same k come from one batched product of
+    the coefficients ``(1, sin t, 1 - cos t)`` with the stacked ``(I, Dc, Dc^2)``
+    (Rodrigues' formula holds on the complex block, since ``Dc^3 = -Dc`` exactly
+    when ``D^3 = -D``); a custom generator's block is converted from ``block``.
+    ``modes[l]`` indexes the modes of generator l in a complex m-vector.
     """
 
     def __init__(self, gens: Sequence[GeneratorPair]):
         self._gens = tuple(gens)
+        self._custom = [i for i, gen in enumerate(self._gens) if not gen.rodrigues]
         by_size = {}
         for i, gen in enumerate(self._gens):
-            if gen.rodrigues:
-                by_size.setdefault(gen.support.size, []).append(i)
-        # the Rodrigues generators ordered by support size; _slot[i] is the
-        # position of generator i in that order (None for a custom generator)
-        order = [i for idx in by_size.values() for i in idx]
-        self._order = np.array(order, dtype=np.intp)
-        self._slot = [None] * len(self._gens)
-        for j, i in enumerate(order):
-            self._slot[i] = j
-        self._stacks = []
+            by_size.setdefault(gen.support.size // 2, []).append(i)
+        # the generators ordered by support size; per size, its slice of that
+        # order, the generators as a column (n, 1), their modes (n, k), Dc (n, k, k)
+        # and the stacked (I, Dc, Dc^2) as real (n, 3, 2 k^2), so one real
+        # product gives the blocks
+        self._order = np.array([i for idx in by_size.values() for i in idx], dtype=np.intp)
+        self.modes = [None] * len(self._gens)
+        self._groups = []
+        start = 0
         for k, idx in by_size.items():
-            eye = np.eye(k).ravel()
-            basis = np.stack([
-                np.stack((eye, self._gens[i].d_s.ravel(), self._gens[i].d2_s.ravel()))
-                for i in idx
-            ])
-            self._stacks.append((k, basis))
+            part = slice(start, start + len(idx))
+            modes = np.stack([self._gens[i].support[0::2] for i in idx]) // 2
+            dc = _complex_block(np.stack([self._gens[i].d_s for i in idx]))
+            basis = np.stack((np.broadcast_to(np.eye(k), dc.shape), dc, dc @ dc), axis=1)
+            self._groups.append((part, self._order[part, None], modes, dc,
+                                 basis.reshape(len(idx), 3, k * k).view(np.float64)))
+            for i, row in zip(idx, modes):
+                self.modes[i] = row
+            start = part.stop
 
     def at(self, theta) -> list:
+        """The complex gate block of every generator at its angle in ``theta``."""
         theta = np.asarray(theta, dtype=float)
         t = theta[self._order]
         coef = np.empty((t.size, 1, 3))
@@ -266,11 +278,30 @@ class GateBlocks:
         coef[:, 0, 1] = np.sin(t)
         coef[:, 0, 2] = 2.0 * np.sin(0.5 * t) ** 2  # 1 - cos(t), without cancellation
         stacked = []
-        for k, basis in self._stacks:
-            start = len(stacked)
-            stacked.extend(np.matmul(coef[start : start + len(basis)], basis).reshape(-1, k, k))
-        return [gen.block(float(x)) if j is None else stacked[j]
-                for j, gen, x in zip(self._slot, self._gens, theta)]
+        for part, _, modes, _, basis in self._groups:
+            k = modes.shape[1]
+            stacked.extend(np.matmul(coef[part], basis).view(np.complex128).reshape(-1, k, k))
+        blocks = [None] * len(self._gens)
+        for i, block in zip(self._order, stacked):
+            blocks[i] = block
+        for i in self._custom:
+            blocks[i] = _complex_block(self._gens[i].block(float(theta[i])))
+        return blocks
+
+    def bilinear(self, rows, cols) -> np.ndarray:
+        """``Re(rows[l] Dc_l cols[l])`` for every generator l, one gathered product per
+        support size; with ``rows[l]`` the complex view of y and ``cols[l]`` that of
+        b conjugated, it equals ``gen.bilinear(y, b)``."""
+        out = np.empty(len(self._gens))
+        for _, layers, modes, dc, _ in self._groups:
+            out[layers[:, 0]] = np.einsum("nj,njk,nk->n", rows[layers, modes], dc, cols[layers, modes]).real
+        return out
+
+
+def _complex_block(block) -> np.ndarray:
+    """The complex k x k matrix whose embedding is the complex-linear real 2k x 2k
+    ``block``; a stack of blocks (n, 2k, 2k) gives the stack (n, k, k)."""
+    return block[..., 0::2, 0::2] + 1j * block[..., 0::2, 1::2]
 
 
 def embed_unitary(u) -> np.ndarray:

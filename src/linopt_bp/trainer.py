@@ -2,19 +2,19 @@
 
 Constant-step descent on all layer parameters; a step that raises the cost is
 rejected and the step size halved, at most ``MAX_BACKOFFS`` times per run.
-Gradients come from adjoint (reverse-mode) propagation of vectors: a forward
-pass keeps the row vectors ``v_l = u T_1 ... T_l``
-(``T_l = exp(theta_l D_l) W_l``), a backward pass carries one column vector
-from the output back through the layers, and each layer's gradient is a
-bilinear form in the two: ``GeneratorPair.bilinear``, O(k^2) on the
-generator's support (k = 2 or 4 for the local kinds), the kernel of the
-Monte Carlo families too; the overlap family calls it through
-``cost_functions.overlap_grad``.  A gate is applied as its k x k block on
-the same support (the blocks of all layers come from one ``GateBlocks``), so
-no 2m x 2m gate or generator matrix is formed.  A fixed layer ``W_l`` is its complex m x m unitary ``U``: the
-forward pass maps the complex view ``z = q + i p`` of the row vector to
-``z U``, and the backward pass maps the column vector ``g`` to ``conj(U) g``,
-computed as ``conj(U conj(g))`` so that no conjugated copy of ``U`` is stored.
+Gradients come from adjoint (reverse-mode) propagation of vectors, carried as
+complex mode amplitudes ``z_j = q_j + i p_j`` (``linear_optics``' convention).
+The forward pass keeps the rows ``z_l = u T_1 ... T_l``
+(``T_l = exp(theta_l D_l) W_l``); the backward pass carries the conjugate
+``h = conj(g)`` of the column vector ``g`` from the output back through the
+layers and keeps it after each gate.  A gate acts as its complex block on its
+modes (``GateBlocks.at``), a fixed layer ``U`` as ``z U`` forward and ``U h``
+backward, so neither a conjugated copy of U nor a 2m x 2m matrix is formed.
+Each layer's gradient is a bilinear form ``y D b = Re(z Dc h)`` in the two,
+taken for all layers at once by ``GateBlocks.bilinear`` (O(k^2) per layer on
+the generator's support, k = 1 or 2 modes for the local kinds).  The overlap
+family's factor ``exp(-(E0+E1) + y . b)`` is the same on every layer, since
+``y_l . b_l = w . n`` for the orthogonal circuit, so it is taken once.
 
 Each accepted step records its step size and the halvings that preceded it;
 the CLI writes the records as its ``train`` rows.
@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cost_functions as cf
 from .linear_optics import GateBlocks, LayeredCircuit
 from .phase_space import MeanVector, as_mean_vector
 
@@ -96,56 +95,51 @@ class _Objective:
             self.ham = hamiltonian
         else:
             self.target = as_mean_vector(target) if target is not None else self.u
+            self._e_total = self.u.intensity() + self.target.intensity()
         self._gates = GateBlocks([layer.gen for layer in circuit.layers])
 
     def forward(self, theta) -> tuple:
-        """(gates, states): the gate blocks and the row vectors ``u T_1 ... T_l``
-        for l = 0..L, after validating ``theta``."""
+        """(gates, states): the complex gate blocks and the complex rows
+        ``z_l = u T_1 ... T_l`` for l = 0..L, shape (L+1, m), after validating ``theta``."""
         theta = self.circuit._check_theta(theta)
         if not np.all(np.isfinite(theta)):
             raise ValueError("non-finite circuit parameters")
         if np.abs(theta).max() >= MAX_ANGLE:
             raise ValueError(f"circuit parameters beyond {MAX_ANGLE:.3e} carry no angle")
         gates = self._gates.at(theta)
-        states = [self.u.values]
-        for layer, gate in zip(self.circuit.layers, gates):
-            v = states[-1].copy()
-            s = layer.gen.support
-            v[s] = v[s].dot(gate)
-            states.append(v.view(np.complex128).dot(layer.unitary).view(np.float64))
+        states = np.empty((len(gates) + 1, self.circuit.m), dtype=np.complex128)
+        states[0] = self.u.values.view(np.complex128)
+        for l, (layer, modes, gate) in enumerate(zip(self.circuit.layers, self._gates.modes, gates)):
+            z = states[l].copy()
+            z[modes] = z[modes].dot(gate)
+            np.dot(z, layer.unitary, out=states[l + 1])
         return gates, states
 
     def evaluate(self, theta) -> tuple:
         """(cost, gradient vector over all layers) at the given parameters."""
         gates, states = self.forward(theta)
-        w = states.pop()
+        w = states[-1].view(np.float64)
+        cols = np.empty_like(states)  # cols[l]: conj of the column after layer l's gate
 
         if self.family == "compiling":
             n = self.target.values
             diff = w - n
             cost = -math.expm1(-0.5 * float(diff @ diff))
-            e_total = self.u.intensity() + self.target.intensity()
+            # y_l . b_l = w . n on every layer, since the circuit is orthogonal
+            scale = -math.exp(-self._e_total + float(w @ n))
             g = n
-
-            def kernel(y, gen, g):
-                return cf.overlap_grad(y, gen, g, e_total)
         else:
             eta = self.ham.eta
             g = eta @ w
             cost = float(w @ g) + 0.5 * float(np.trace(eta))
-
-            def kernel(y, gen, g):
-                return 2.0 * gen.bilinear(y, g)
-        layers = self.circuit.layers
-        grads = np.empty(len(layers))
-        for idx in range(len(layers) - 1, -1, -1):
-            layer = layers[idx]
-            # the column action of the fixed layer: conj(U) g = conj(U conj(g))
-            g = layer.unitary.dot(g.view(np.complex128).conj()).conj().view(np.float64)
-            s = layer.gen.support
-            g[s] = gates[idx].dot(g[s])
-            grads[idx] = kernel(states[idx], layer.gen, g)
-        return cost, grads
+            scale = 2.0
+        np.conjugate(g.view(np.complex128), out=cols[-1])
+        for l in range(len(gates) - 1, -1, -1):
+            # the column action of the fixed layer, conj(U) g, is U h for h = conj(g)
+            h = np.dot(self.circuit.layers[l].unitary, cols[l + 1], out=cols[l])
+            modes = self._gates.modes[l]
+            h[modes] = gates[l].dot(h[modes])
+        return cost, scale * self._gates.bilinear(states, cols)
 
 
 def layer_gradients(circuit: LayeredCircuit, family: str, u: MeanVector,

@@ -7,10 +7,11 @@ Tests compare package outputs against these.
 The dense circuit oracles are the exception.  They build each layer as a
 2m x 2m matrix, multiply the matrices out and evaluate the costs and
 split-layer gradients from ``(O_minus, O_plus)``, where the package
-propagates vectors.  They reuse ``gen.block`` for the gate (``dense_gate``),
-``cf.overlap_grad`` and ``GeneratorPair.bilinear``, so they check the
-vector path, not those kernels; ``test_matches_expm`` keeps the gate formula
-checked against ``expm``.  They validate nothing.
+propagates vectors.  They reuse ``gen.block`` for the gate (``dense_gate``)
+and ``GeneratorPair.bilinear`` for y D b (``overlap_grad``, ``quadratic_grad``),
+so they check the trainer's complex-mode adjoint pass, not those kernels;
+``test_matches_expm`` keeps the gate formula checked against ``expm``.  They
+validate nothing.
 """
 
 import math
@@ -155,9 +156,15 @@ def compiling_cost(u, o_minus, o_plus) -> float:
     return measurement_cost(u, u, o_minus, o_plus)
 
 
+def overlap_grad(y, gen, b, e_total: float) -> float:
+    """Overlap-family gradient kernel -exp(-e_total + y.b) * (y D_k b), with
+    ``e_total`` = E0 + E1."""
+    return -math.exp(-e_total + float(y @ b)) * gen.bilinear(y, b)
+
+
 def measurement_grad(u, n, gen, o_minus, o_plus) -> float:
     """Split-layer overlap gradient with y = u O_minus and b = O_plus n^T."""
-    return cf.overlap_grad(u.values @ o_minus, gen, n.values @ o_plus.T, u.intensity() + n.intensity())
+    return overlap_grad(u.values @ o_minus, gen, n.values @ o_plus.T, u.intensity() + n.intensity())
 
 
 def compiling_grad(u, gen, o_minus, o_plus) -> float:

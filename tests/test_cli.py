@@ -332,6 +332,14 @@ class TestExitCodes:
         (["prop2", "--intensity", "nan"], 2, "intensity: expected finite float, got nan"),
         (["prop1", "--intensity", "nan"], 2, "intensity: expected finite float, got nan"),
         (["train", "--lr", "nan"], 2, "lr: expected finite float, got nan"),
+        # E = 1e308 is finite, but the input radius sqrt(2E) is not; at E = 1e200
+        # the radius is finite and the prediction's |u|^4 overflows
+        (["train", "--intensity", "1e308", "--max-iters", "1"], 3,
+         "input radius sqrt(2E) at E=1e+308 is not finite"),
+        (["prop2", "--intensity", "1e308", "--samples", "1000"], 3,
+         "input radius sqrt(2E) at E=1e+308 is not finite"),
+        (["prop2", "--intensity", "1e200", "--samples", "1000"], 3,
+         "closed form: quadratic_second_moment overflows"),
     ], ids=["noise-e1-underflow", "regimes-zero-at-m1", "regimes-negative-law",
             "regimes-infinite-law", "regimes-negative-list-entry", "regimes-bessel-overflow",
             "noise-bessel-overflow", "regimes-bessel-window", "heterodyne-bessel-overflow",
@@ -339,7 +347,8 @@ class TestExitCodes:
             "layers-linear-text", "layers-linear-overflow", "layers-linear-nan", "layers-const-text",
             "layers-const-fraction", "layers-count-overflow",
             "train-tol-nan", "train-intensity-inf", "prop2-intensity-nan", "prop1-intensity-nan",
-            "train-lr-nan"])
+            "train-lr-nan", "train-radius-overflow", "prop2-radius-overflow",
+            "prop2-prediction-overflow"])
     def test_bad_sweep_point_exit_code(self, tmp_path, capsys, args, code, message):
         # an exception escaping main would fail the test with its traceback
         assert main(args + ["--output", str(tmp_path / "x.csv")]) == code

@@ -270,7 +270,7 @@ class TestFixedLayers:
 
 
 def test_gate_blocks_match_block():
-    # the batched evaluation against the per-generator reference
+    # the batched complex blocks, embedded, against the per-generator real reference
     m = 4
     eps = np.zeros((2 * m, 2 * m))
     eps[:2, :2] = 0.5 * np.eye(2)
@@ -281,9 +281,9 @@ def test_gate_blocks_match_block():
     blocks = GateBlocks(gens)
     for theta in (np.zeros(6), np.array([0.3, -2.0, 10.0, math.pi, -1e-9, 1e3])):
         for gen, t, got in zip(gens, theta, blocks.at(theta)):
-            np.testing.assert_allclose(got, gen.block(t), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(embed_unitary(got), gen.block(t), rtol=0, atol=1e-15)
     for got in blocks.at(np.zeros(6)):
-        np.testing.assert_array_equal(got, np.eye(got.shape[0]))
+        np.testing.assert_array_equal(embed_unitary(got), np.eye(2 * got.shape[0]))
 
 
 class TestLayeredCircuit:

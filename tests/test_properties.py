@@ -34,6 +34,8 @@ from linopt_bp.estimators import (  # noqa: E402
 )
 from linopt_bp.linear_optics import (  # noqa: E402
     GENERATOR_KINDS,
+    GateBlocks,
+    embed_unitary,
     symplectic_form,
     times_symplectic_form,
 )
@@ -83,6 +85,53 @@ def test_bilinear_matches_dense_product(gen, rows, seed):
     assert np.all(np.abs(single - dense) <= tol)
     batched = gen.bilinear(y, b)
     assert batched.shape == (rows,) and np.all(np.abs(batched - dense) <= tol)
+
+
+@st.composite
+def circuit_generators(draw, max_m=8, max_layers=6):
+    """A sequence of generators on one m-mode register, m in [1, max_m]: any
+    standard kind, or a custom one, ``embed_unitary`` of a random Hermitian
+    matrix on a random set of modes (complex-linear, no closed-form gate)."""
+    m = draw(st.integers(1, max_m))
+    kinds = GENERATOR_KINDS if m >= 2 else ("phase-shifter", "global-phase")
+    gens = []
+    for kind in draw(st.lists(st.sampled_from(kinds + ("custom",)), min_size=1, max_size=max_layers)):
+        if kind == "custom":
+            modes = sorted(draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True)))
+            a = RandomSource(draw(SEEDS)).generator().uniform(-1.0, 1.0, (2, len(modes), len(modes)))
+            herm = a[0] + 1j * a[1]
+            support = (2 * np.array(modes)[:, None] + np.arange(2)).reshape(-1)
+            gens.append(GeneratorPair(m, support, embed_unitary(0.5 * (herm + herm.conj().T))))
+        elif kind == "global-phase":
+            gens.append(make_generator(kind, (), m))
+        elif kind == "phase-shifter":
+            gens.append(make_generator(kind, (draw(st.integers(0, m - 1)),), m))
+        else:
+            pair = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+            gens.append(make_generator(kind, pair, m))
+    return gens
+
+
+@SETTINGS
+@given(gens=circuit_generators(), data=st.data(), seed=SEEDS)
+def test_gate_blocks_are_complex_forms_of_the_real_gate(gens, data, seed):
+    # each complex gate block embeds to the real block, and the batched kernel
+    # Re(z Dc h) is y D b for y = z and b = conj(h), both read as real rows
+    theta = np.array(data.draw(st.lists(st.floats(min_value=-1e3, max_value=1e3),
+                                        min_size=len(gens), max_size=len(gens))))
+    blocks = GateBlocks(gens)
+    for gen, t, got in zip(gens, theta, blocks.at(theta)):
+        # a custom block comes from expm of |theta D| up to ~1e3 k, which is
+        # complex-linear only to a few hundred ulps; the closed form is exact
+        atol = 1e-15 if gen.rodrigues else 1e-12
+        np.testing.assert_allclose(embed_unitary(got), gen.block(t), rtol=0, atol=atol)
+    m = gens[0].m
+    rows, cols = RandomSource(seed).generator().standard_normal((2, len(gens), 2 * m)).view(np.complex128)
+    kernel = blocks.bilinear(rows, cols)
+    for gen, z, h, got in zip(gens, rows, cols, kernel):
+        y, b = z.view(np.float64), h.conj().view(np.float64)
+        tol = 1e-12 * np.linalg.norm(y) * np.linalg.norm(b) * np.abs(gen.d_s).max()
+        assert abs(got - gen.bilinear(y, b)) <= tol
 
 
 @SETTINGS
