@@ -23,9 +23,9 @@ Every output file embeds the schema string, the full config (JSON) and the
 seed as preamble records, so any file can be reproduced exactly from its own
 header.  Exit codes: 0 success, 2 configuration error (such as a negative or
 non-finite sweep intensity), 3 numerical failure (such as a closed-form moment
-that is exactly zero or underflows, a Bessel argument that overflows or needs
-more than ``special_functions.MAX_HALF_WIDTH`` series terms per side; a sweep
-names the first such m).
+that is exactly zero or underflows, a Bessel argument that overflows or
+exceeds ``special_functions.MAX_ARGUMENT`` = 1e12, past which a closed form's
+-4E + log I(4E) would lose about ulp(4E) nats; a sweep names the first such m).
 The default output directory is taken from LINOPT_BP_OUTDIR when set.
 """
 

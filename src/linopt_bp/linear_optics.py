@@ -89,8 +89,11 @@ class GeneratorPair:
     ``support`` lists the coordinates ``2j, 2j + 1`` of each mode j the gate
     touches, ascending, and ``eps_s`` is the Hamiltonian matrix there.  Checked
     once, on construction: ``eps_s`` fits the support, is symmetric and commutes
-    with the symplectic form.  Also stored: ``d_s = -2 eps_s Delta``, its square
-    ``d2_s`` and whether ``D^3 = -D`` (``rodrigues``, the closed form in ``block``).
+    with the symplectic form to 1e-10.  The stored ``eps_s`` is then its commuting
+    part ``(eps_s + Delta^T eps_s Delta) / 2``, the part the trainer's complex
+    blocks represent; an ``eps_s`` that commutes exactly is kept bit for bit.
+    Also stored: ``d_s = -2 eps_s Delta``, its square ``d2_s`` and whether
+    ``D^3 = -D`` (``rodrigues``, the closed form in ``block``).
     """
 
     m: int
@@ -117,6 +120,12 @@ class GeneratorPair:
         d_s = -2.0 * times_symplectic_form(check_symmetric(eps_s, "eps"))
         if np.abs(d_s + d_s.T).max(initial=0.0) > 1e-10:
             raise ValueError("eps does not commute with the symplectic form; the gate would not conserve energy")
+        # Delta^T eps_s Delta by two signed column swaps, exact; an eps_s equal to it
+        # is kept as given, signed zeros included
+        conjugated = times_symplectic_form(times_symplectic_form(eps_s).T).T
+        if not np.array_equal(conjugated, eps_s):
+            eps_s = 0.5 * (eps_s + conjugated)
+            d_s = -2.0 * times_symplectic_form(eps_s)
         d2_s = d_s @ d_s
         for name, arr in (("support", support), ("eps_s", eps_s), ("d_s", d_s), ("d2_s", d2_s)):
             arr.flags.writeable = False

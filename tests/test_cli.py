@@ -310,7 +310,7 @@ class TestExitCodes:
         # E = 1e308 is finite, but the Bessel argument 4E overflows
         (["regimes", "--law", "constant:1e308"], 3, "at m=4, E=1e+308"),
         (["noise", "--e0-law", "constant:1e308", "--k", "0.9"], 3, "at m=4, E0=1e+308"),
-        # 4E = 4e12 needs a Bessel window wider than MAX_HALF_WIDTH terms per side
+        # 4E = 4e12 is above the Bessel MAX_ARGUMENT = 1e12
         (["regimes", "--law", "constant:1e12"], 3, "at m=4, E=1000000000000.0"),
         # single points: the closed form fails, and the command exits 3 as a sweep does
         (["heterodyne", "--m", "4", "--e0", "1e308", "--e1", "1e308"], 3,

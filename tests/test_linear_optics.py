@@ -81,6 +81,34 @@ class TestGenerators:
         with pytest.raises(ValueError, match="conserve energy"):
             GeneratorPair.from_symmetric(eps)
 
+    def test_builtin_blocks_are_stored_bit_for_bit(self):
+        # every built-in eps commutes with Delta exactly, so keeping its commuting
+        # part changes no bit, signed zeros included
+        bs = 0.5 * np.array([[0.0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+        swap = np.ix_([2, 3, 0, 1], [2, 3, 0, 1])
+        phases = np.kron(np.diag([0.5, -0.5]), np.eye(2))
+        cases = [(make_generator("phase-shifter", (2,), 4), 0.5 * np.eye(2)),
+                 (make_generator("two-mode-phase", (1, 3), 5), phases),
+                 (make_generator("two-mode-phase", (3, 1), 5), phases[swap]),
+                 (make_generator("beamsplitter", (0, 1), 2), bs),
+                 (make_generator("beamsplitter", (2, 0), 3), bs[swap]),
+                 (make_generator("global-phase", (), 3), 0.5 * np.eye(6))]
+        for gen, block in cases:
+            assert gen.eps_s.tobytes() == block.tobytes(), gen.label
+
+    def test_nearly_commuting_block_keeps_its_commuting_part(self):
+        # a 2e-11 q_0 q_1 coupling without its p_0 p_1 partner passes the 1e-10 check;
+        # the stored block is the average of eps and Delta^T eps Delta
+        eps_s = np.diag([0.5, 0.5, 1.5, 1.5])
+        eps_s[0, 2] = eps_s[2, 0] = 2e-11
+        gen = GeneratorPair(2, np.arange(4), eps_s)
+        expected = np.diag([0.5, 0.5, 1.5, 1.5])
+        expected[0, 2] = expected[2, 0] = expected[1, 3] = expected[3, 1] = 1e-11
+        np.testing.assert_array_equal(gen.eps_s, expected)
+        delta = symplectic_form(2)
+        np.testing.assert_array_equal(gen.eps_s @ delta, delta @ gen.eps_s)
+        np.testing.assert_array_equal(gen.d_s, -2.0 * gen.eps_s @ delta)
+
     @pytest.mark.parametrize("support", [[1, 2], [2, 3, 0, 1], [0, 1, 0, 1], [4, 5], [-2, -1], [0], [[0, 1]]])
     def test_rejects_support_that_is_not_whole_ascending_mode_pairs(self, support):
         with pytest.raises(ValueError, match="whole mode pairs"):

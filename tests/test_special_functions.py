@@ -1,4 +1,6 @@
 import math
+from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,12 +20,16 @@ def _assert_matches_mpmath():
     # subnormals (where x / 2 rounds) to 4.1e6; error relative to
     # max(|log I|, 1) so tiny logs keep an absolute floor
     mpmath = pytest.importorskip("mpmath")
+    grid = [(nu, x) for nu in (0, 1, 7, 63, 1023, 10_000)
+            for x in (5e-324, 1.5e-323, 1e-310, 1e-8, 1e-2, 1.0, 40.0, 4096.0, 4.1e6)]
+    # both sides of r = hypot(nu, x) = DEBYE_R0, where the series hands over to
+    # the Debye expansion
+    grid += [(127, 1.0), (128, 1.0), (0, 127.9), (0, 128.1), (90, 91.0), (91, 90.0)]
     with mpmath.workdps(40):
-        for nu in (0, 1, 7, 63, 1023, 10_000):
-            for x in (5e-324, 1.5e-323, 1e-310, 1e-8, 1e-2, 1.0, 40.0, 4096.0, 4.1e6):
-                oracle = float(mpmath.log(mpmath.besseli(nu, mpmath.mpf(x))))
-                mine = bessel_i(nu, x).log_value
-                assert abs(mine - oracle) <= 1e-12 * max(abs(oracle), 1.0), (nu, x)
+        for nu, x in grid:
+            oracle = float(mpmath.log(mpmath.besseli(nu, mpmath.mpf(x))))
+            mine = bessel_i(nu, x).log_value
+            assert abs(mine - oracle) <= 1e-12 * max(abs(oracle), 1.0), (nu, x)
 
 
 class TestBesselI:
@@ -75,6 +81,38 @@ class TestBesselI:
         monkeypatch.setattr(special_functions, "_half_width", lambda nu, k: 1)
         _assert_matches_mpmath()
 
+    def test_debye_table_matches_recurrence(self):
+        # DLMF 10.41.10: u_0 = 1, u_(k+1)(p) = p^2 (1 - p^2) u_k'(p) / 2
+        # + (1/8) int_0^p (1 - 5 t^2) u_k(t) dt, in exact rationals
+        u = {0: Fraction(1)}  # power of p -> coefficient
+        for k, row in enumerate(special_functions._DEBYE_U):
+            assert sorted(u) == list(range(k, 3 * k + 1, 2)), k
+            assert row == tuple(float(u[j]) for j in sorted(u)), k
+            nxt = defaultdict(Fraction)
+            for j, c in u.items():
+                nxt[j + 1] += Fraction(j, 2) * c + c / (8 * (j + 1))
+                nxt[j + 3] -= Fraction(j, 2) * c + 5 * c / (8 * (j + 3))
+            u = nxt
+
+    def test_debye_error_bounds_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            # just past DEBYE_R0 the first omitted term, at most 0.58 / r^6 = 1.3e-13,
+            # dominates the error
+            for nu, x in [(0, 128.1), (1, 128.0), (128, 1.0), (100, 80.0)]:
+                oracle = float(mpmath.log(mpmath.besseli(nu, mpmath.mpf(x))))
+                assert abs(bessel_i(nu, x).log_value - oracle) <= 2.5e-13, (nu, x)
+            # where log I crosses 0 at large order, r and nu log((nu + r) / x) cancel;
+            # the error stays within a few ulp of r
+            crossings = {300: (200.5, 201.0, 201.5), 1000: (664.7, 665.2, 665.7),
+                         2000: (1327.6, 1328.1, 1328.6), 3000: (1990.5, 1991.0, 1991.5),
+                         5000: (3316.1, 3316.6, 3317.1), 7000: (4641.7, 4642.2, 4642.7),
+                         10_000: (6630.0, 6630.5, 6631.0)}
+            for nu, xs in crossings.items():
+                for x in xs:
+                    oracle = float(mpmath.log(mpmath.besseli(nu, mpmath.mpf(x))))
+                    assert abs(bessel_i(nu, x).log_value - oracle) <= 3 * math.ulp(math.hypot(nu, x)), (nu, x)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError, match="order"):
             bessel_i(-1, 1.0)
@@ -82,10 +120,10 @@ class TestBesselI:
             bessel_i(0, -0.5)
         with pytest.raises(ValueError, match="argument"):
             bessel_i(0, math.inf)
-        # the window would need more than MAX_HALF_WIDTH terms per side
-        with pytest.raises(ValueError, match=r"order 1024, argument 4000000000000000\.0 .*MAX_HALF_WIDTH"):
+        # the argument is above MAX_ARGUMENT
+        with pytest.raises(ValueError, match=r"order 1024, argument 4000000000000000\.0 .*MAX_ARGUMENT"):
             bessel_i(1024, 4e15)
-        with pytest.raises(ValueError, match=r"order 0, argument 1e\+308 .*MAX_HALF_WIDTH"):
+        with pytest.raises(ValueError, match=r"order 0, argument 1e\+308 .*MAX_ARGUMENT"):
             bessel_i(0, 1e308)
 
 

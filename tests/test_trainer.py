@@ -31,6 +31,21 @@ def _instance(seed, m=2, depth=4, energy=0.5):
     return circ, u
 
 
+def _assert_matches_split_kernel(gens, gen, rel):
+    """Compiling-cost layer gradients of a Haar-layered circuit over ``gens``
+    against the split-layer oracle, to relative tolerance ``rel``."""
+    m = gens[0].m
+    unitaries = haar_unitary_batch(m, len(gens), gen)
+    circ = LayeredCircuit([Layer(g, w) for g, w in zip(gens, unitaries)],
+                          gen.uniform(-math.pi, math.pi, len(gens)))
+    u = uniform_sphere(m, 1.0, gen)
+    grads = layer_gradients(circ, "compiling", u)
+    for k in range(1, circ.depth + 1):
+        o_minus, o_plus = split_action(circ, k)
+        gen_k = circ.layers[k - 1].gen
+        assert grads[k - 1] == pytest.approx(compiling_grad(u, gen_k, o_minus, o_plus), rel=rel), k
+
+
 class TestTrainBasics:
     def test_already_at_optimum_takes_zero_iterations(self):
         circ = identity_fixed(random_circuit(2, 3, RandomSource(1).generator()))
@@ -103,18 +118,20 @@ class TestTrainerGradients:
         gens = [make_generator("beamsplitter", (0, 2), m), GeneratorPair.from_symmetric(eps),
                 make_generator("phase-shifter", (1,), m), make_generator("global-phase", (), m),
                 make_generator("two-mode-phase", (2, 1), m), make_generator("phase-shifter", (0,), m)]
-        gen = RandomSource(14).generator()
-        unitaries = haar_unitary_batch(m, len(gens), gen)
-        circ = LayeredCircuit([Layer(g, w) for g, w in zip(gens, unitaries)],
-                              gen.uniform(-math.pi, math.pi, len(gens)))
-        u = uniform_sphere(m, 1.0, gen)
-        grads = layer_gradients(circ, "compiling", u)
-        for k in range(1, circ.depth + 1):
-            o_minus, o_plus = split_action(circ, k)
-            gen_k = circ.layers[k - 1].gen
-            assert grads[k - 1] == pytest.approx(
-                compiling_grad(u, gen_k, o_minus, o_plus), rel=1e-11
-            )
+        _assert_matches_split_kernel(gens, RandomSource(14).generator(), rel=1e-11)
+
+    def test_nearly_commuting_custom_generator_matches_split_kernel(self):
+        # a 2e-11 q_0 q_1 coupling without its p_0 p_1 partner passes the generator
+        # check; the trainer's complex blocks and the real split oracle must both
+        # see the same commuting part of it
+        m = 3
+        eps = np.zeros((2 * m, 2 * m))
+        eps[:2, :2] = 0.5 * np.eye(2)
+        eps[2:4, 2:4] = 1.5 * np.eye(2)
+        eps[0, 2] = eps[2, 0] = 2e-11
+        gens = [make_generator("beamsplitter", (0, 2), m), GeneratorPair.from_symmetric(eps),
+                make_generator("phase-shifter", (1,), m)]
+        _assert_matches_split_kernel(gens, RandomSource(15).generator(), rel=1e-14)
 
     def test_quadratic_gradients_match_split_kernel(self):
         gen = RandomSource(10).generator()
