@@ -14,8 +14,10 @@ squared column norms xi_min and xi_max, the moment always falls inside
 with equal column norms.  This prefactor is the exact moment: Monte Carlo
 agrees with it, and at m = 1 it matches direct quadrature.  The gate
 enters only through the column norms of D_k, so these functions take its
-validated ``GeneratorPair`` (m is ``gen.m``) and read the norms from the
-block ``gen.d_s``; the columns off the support are zero.
+validated ``GeneratorPair`` (m is ``gen.m``) and read the norms from its
+complex block ``gen.dc``: both real columns of mode b have the squared norm
+``sum_a |dc_ab|^2``, so ``|D_k|_F^2 = 2 sum |dc|^2``; the columns off the
+support are zero.
 
 The unequal-intensity (heterodyne) generalization substitutes
 ``exp(-2(E0+E1))`` and argument ``4 sqrt(E0 E1)``.
@@ -98,8 +100,8 @@ def xi_bounds(gen: GeneratorPair) -> tuple:
     """Extreme squared column norms (xi_min, xi_max) of a gate generator D_k;
     xi_min is 0.0 unless the support covers all 2m coordinates."""
     gen = check_generator(gen)
-    norms = np.sum(gen.d_s * gen.d_s, axis=0)
-    lo = float(norms.min()) if gen.support.size == 2 * gen.m else 0.0
+    norms = (gen.dc * gen.dc.conj()).real.sum(axis=0)  # each mode's two real columns share it
+    lo = float(norms.min()) if gen.modes.size == gen.m else 0.0
     return lo, float(norms.max())
 
 
@@ -129,7 +131,7 @@ def second_moment_prefactor(m: int, energy: float) -> LogScaled:
 def second_moment_point(gen: GeneratorPair, energy: float) -> LogScaled:
     """Exact second moment of the split-layer gradient: pref * |D_k|_F^2/(2m)."""
     gen = check_generator(gen)
-    mean_sq = float(np.sum(gen.d_s * gen.d_s)) / (2 * gen.m)
+    mean_sq = float((gen.dc * gen.dc.conj()).real.sum()) / gen.m  # |D_k|_F^2 = 2 sum |dc|^2
     return second_moment_prefactor(gen.m, energy).scaled(mean_sq)
 
 
@@ -144,13 +146,18 @@ def heterodyne_prefactor(m: int, e0: float, e1: float) -> LogScaled:
     """Unequal-intensity prefactor; equals the equal-intensity one at e0 = e1.
 
     At e0 = 0 or e1 = 0 the cost is circuit-independent and the moment is an
-    exact zero (log -inf).
+    exact zero (log -inf).  Otherwise the moment is not zero, and an exponent
+    -2(E0+E1) past the float range is a ValueError, not a log of -inf.
     """
     _check_me(m, e0, "e0")
     _check_me(m, e1, "e1")
     if e0 == 0.0 or e1 == 0.0:
         return LogScaled(-math.inf)
-    return _kernel(m, 2.0 * _geometric_mean(e0, e1), -2.0 * (e0 + e1))
+    exp_term = -2.0 * (e0 + e1)
+    pref = _kernel(m, 2.0 * _geometric_mean(e0, e1), exp_term)  # an overflowing Bessel argument fails first
+    if not math.isfinite(exp_term):
+        raise ValueError(f"exponent -2(E0+E1) at E0={e0!r}, E1={e1!r} is not finite")
+    return pref
 
 
 def _geometric_mean(a: float, b: float) -> float:

@@ -28,29 +28,20 @@ With ``z_j = q_j + i p_j`` the interleaved mean vector is a complex m-vector
 2m x 2m matrix of that action, ``embed_unitary(U)``, has the 2 x 2 block
 ``[[Re U_jk, Im U_jk], [-Im U_jk, Re U_jk]]`` at mode pair (j, k); it commutes
 with ``Delta`` and is orthogonal exactly when ``U`` is unitary, so it is
-orthogonal and symplectic.  The gates are complex-linear in the same
-convention, because every generator commutes with ``Delta``: a gate on k
-modes is the embedding of a complex k x k block (a phase-shifter multiplies
-``z_j`` by ``exp(-i theta)``), and the trainer applies it as that block
+orthogonal and symplectic.  Every generator commutes with ``Delta``, so ``D``
+is the embedding of a skew-Hermitian k x k block ``dc`` on the k modes the
+gate touches (a phase-shifter has ``dc = -i``); ``GeneratorPair`` stores only
+that block, and y D b costs O(k^2) per vector.  With the eigendecomposition
+``0.5i dc = sum_j lambda_j P_j``, every gate is the identity off its modes and
+
+    exp(theta dc) = I + sum_j (exp(i phi_j) - 1) P_j,    phi_j = -2 theta lambda_j,
+
+with ``exp(i phi) - 1 = i sin(phi) - 2 sin(phi / 2)^2``: exactly I at theta = 0
 (``GateBlocks``).
-
-A generator acts only on its support, the coordinates of the modes it
-touches: 2 for a phase-shifter, 4 for the two-mode kinds, all 2m for the
-global phase.  ``GeneratorPair`` stores only its k x k blocks there; every
-gradient's y D b and the gate ``exp(theta D)`` (the identity off the
-support) cost O(k^2) per vector.  The block is evaluated in closed form
-whenever ``D^3 = -D``, which holds exactly for all four standard kinds
-(``D`` has eigenvalues 0 and +-i only).  Then Rodrigues' formula gives
-
-    exp(theta D) = I + sin(theta) D + (1 - cos(theta)) D^2
-
-on the block.  Any other generator falls back to ``scipy.linalg.expm`` of
-the block.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -73,65 +64,51 @@ def symplectic_form(m: int) -> np.ndarray:
     return out
 
 
-def times_symplectic_form(a) -> np.ndarray:
-    """``a @ symplectic_form(m)`` for a (n, 2m) array, as a signed column swap."""
-    a = np.asarray(a, dtype=float)
-    out = np.empty_like(a)
-    out[:, 0::2] = -a[:, 1::2]
-    out[:, 1::2] = a[:, 0::2]
-    return out
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GeneratorPair:
-    """A parameterized gate, stored only as its generator block on its support.
+    """A parameterized gate, stored only as the complex block of its generator.
 
-    ``support`` lists the coordinates ``2j, 2j + 1`` of each mode j the gate
-    touches, ascending, and ``eps_s`` is the Hamiltonian matrix there.  Checked
-    once, on construction: ``eps_s`` fits the support, is symmetric and commutes
-    with the symplectic form to 1e-10.  The stored ``eps_s`` is then its commuting
-    part ``(eps_s + Delta^T eps_s Delta) / 2``, the part the trainer's complex
-    blocks represent; an ``eps_s`` that commutes exactly is kept bit for bit.
-    Also stored: ``d_s = -2 eps_s Delta``, its square ``d2_s`` and whether
-    ``D^3 = -D`` (``rodrigues``, the closed form in ``block``).
+    Built from the Hamiltonian block ``eps_s`` on ``support``, the coordinates
+    ``2j, 2j + 1`` of each mode j the gate touches, ascending, and checked once:
+    ``eps_s`` fits the support, is symmetric and commutes with the symplectic
+    form to 1e-10.  Stored: those ``modes`` and the k x k block of D = -2 eps Delta,
+
+        dc = -i ((p + s) + i (q - r)),
+
+    with p, q, r, s the entries (2a, 2b), (2a, 2b+1), (2a+1, 2b), (2a+1, 2b+1) of the
+    symmetric part of ``eps_s`` for modes a, b.  The same formula projects ``eps``
+    onto its commuting part, so a nearly commuting ``eps_s`` gives that part's block.
     """
 
     m: int
-    support: np.ndarray
-    eps_s: np.ndarray
+    modes: np.ndarray
+    dc: np.ndarray = field(repr=False)
     label: str = "custom"
-    d_s: np.ndarray = field(init=False, repr=False)
-    d2_s: np.ndarray = field(init=False, repr=False)
-    rodrigues: bool = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", int(self.m))
-        if self.m < 1:
-            raise ValueError(f"mode count must be >= 1, got {self.m}")
-        s = np.asarray(self.support)
-        if not (s.ndim == 1 and s.size % 2 == 0 and np.all(np.diff(s) > 0)
-                and np.array_equal(s, _coordinates(s[0::2] // 2)) and np.all((s >= 0) & (s < 2 * self.m))):
+    def __init__(self, m: int, support, eps_s, label: str = "custom"):
+        m = int(m)
+        if m < 1:
+            raise ValueError(f"mode count must be >= 1, got {m}")
+        support = np.asarray(support)
+        if not (support.ndim == 1 and support.size % 2 == 0 and np.all(np.diff(support) > 0)
+                and np.array_equal(support, _coordinates(support[0::2] // 2))
+                and np.all((support >= 0) & (support < 2 * m))):
             raise ValueError(f"support must be whole mode pairs (2j, 2j+1), ascending, "
-                             f"inside the {2 * self.m} coordinates; got {s.tolist()}")
-        support = _coordinates(s[0::2] // 2)
-        eps_s = np.array(self.eps_s, dtype=float)  # a copy, frozen below
+                             f"inside the {2 * m} coordinates; got {support.tolist()}")
+        modes = np.asarray(support[0::2] // 2, dtype=np.intp)
+        eps_s = np.asarray(eps_s, dtype=float)
         if eps_s.shape != (support.size, support.size):
             raise ValueError(f"eps_s has shape {eps_s.shape} but the support has {support.size} coordinates")
-        d_s = -2.0 * times_symplectic_form(check_symmetric(eps_s, "eps"))
-        if np.abs(d_s + d_s.T).max(initial=0.0) > 1e-10:
+        eps_s = 0.5 * (eps_s + check_symmetric(eps_s, "eps").T)  # exactly symmetric: dc is skew-Hermitian
+        p, q, r, s = eps_s[0::2, 0::2], eps_s[0::2, 1::2], eps_s[1::2, 0::2], eps_s[1::2, 1::2]
+        # D + D^T = -2 [eps, Delta] has the 2 x 2 blocks 2 [[q + r, s - p], [s - p, -(q + r)]]
+        if 2.0 * max(np.abs(q + r).max(initial=0.0), np.abs(p - s).max(initial=0.0)) > 1e-10:
             raise ValueError("eps does not commute with the symplectic form; the gate would not conserve energy")
-        # Delta^T eps_s Delta by two signed column swaps, exact; an eps_s equal to it
-        # is kept as given, signed zeros included
-        conjugated = times_symplectic_form(times_symplectic_form(eps_s).T).T
-        if not np.array_equal(conjugated, eps_s):
-            eps_s = 0.5 * (eps_s + conjugated)
-            d_s = -2.0 * times_symplectic_form(eps_s)
-        d2_s = d_s @ d_s
-        for name, arr in (("support", support), ("eps_s", eps_s), ("d_s", d_s), ("d2_s", d2_s)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        # d vanishes off the support, so D^3 = -D holds iff it holds on the block
-        object.__setattr__(self, "rodrigues", bool(np.abs(d_s @ d2_s + d_s).max(initial=0.0) <= 1e-12))
+        dc = np.empty(p.shape, dtype=np.complex128)
+        dc.real, dc.imag = q - r, -(p + s)
+        modes.flags.writeable = dc.flags.writeable = False
+        for name, value in (("m", m), ("modes", modes), ("dc", dc), ("label", label)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_symmetric(cls, eps, label: str = "custom") -> "GeneratorPair":
@@ -144,45 +121,36 @@ class GeneratorPair:
         return cls(m, support, eps[np.ix_(support, support)], label)
 
     @property
+    def support(self) -> np.ndarray:
+        """The coordinates ``2j, 2j + 1`` of each mode j in ``modes``."""
+        return _coordinates(self.modes)
+
+    @property
     def d(self) -> np.ndarray:
-        """Dense 2m x 2m ``D = -2 eps Delta``, formed on each access."""
-        return -2.0 * times_symplectic_form(self.eps)
+        """Dense 2m x 2m ``D = -2 eps Delta``, ``embed_unitary(dc)`` on the support."""
+        return self._dense(self.dc)
 
     @property
     def eps(self) -> np.ndarray:
-        """Dense 2m x 2m Hamiltonian matrix, formed on each access."""
+        """Dense 2m x 2m Hamiltonian matrix ``D Delta / 2``, ``embed_unitary(0.5i dc)`` on the support."""
+        return self._dense(0.5j * self.dc)
+
+    def _dense(self, block) -> np.ndarray:
         out = np.zeros((2 * self.m, 2 * self.m))
-        out[np.ix_(self.support, self.support)] = self.eps_s
+        out[np.ix_(self.support, self.support)] = embed_unitary(block)
         return out
 
     def bilinear(self, y, b):
-        """y D b^T, the one place it is formed: for rows y, b of length 2m (a float)
-        or row by row for (n, 2m) batches (a length-n array); O(k^2) per row."""
-        # a full support (global phase) is read as a view, not copied
-        s = slice(None) if self.support.size == 2 * self.m else self.support
-        if y.ndim == 1:
-            return float(y[s].dot(self.d_s).dot(b[s]))
-        out = y[:, s] @ self.d_s
-        out *= b[:, s]  # in place: one (n, k) temporary, not two
-        return out.sum(axis=1)
-
-    def block(self, theta: float) -> np.ndarray:
-        """exp(theta D) on ``support``; the gate is the identity everywhere else.
-
-        Rodrigues' formula ``I + sin(theta) D + (1 - cos(theta)) D^2`` when
-        ``D^3 = -D`` (every standard kind), ``expm`` otherwise.
-        """
-        k = self.support.size
-        if theta == 0.0:
-            return np.eye(k)
-        if not self.rodrigues:
-            from scipy.linalg import expm  # only custom generators need it
-
-            return expm(theta * self.d_s)
-        out = math.sin(theta) * self.d_s
-        out += 2.0 * math.sin(0.5 * theta) ** 2 * self.d2_s  # 1 - cos(theta), without cancellation
-        out.flat[:: k + 1] += 1.0
-        return out
+        """y D b^T = Re(z dc conj(c)) on the modes, z and c the complex views of y and b:
+        for rows of length 2m (a float) or row by row for (n, 2m) batches (a length-n
+        array), O(k^2) per row.  The one place it is formed, as a real product with D's
+        block ``embed_unitary(dc)``: a complex (n, k) x (k, k) product goes to a threaded
+        BLAS zgemm, which under the estimators' thread pool took twice as long."""
+        s = slice(None) if self.modes.size == self.m else self.support  # global phase: a view
+        out = y[..., s] @ embed_unitary(self.dc)
+        out *= b[..., s]  # in place: one (n, 2k) temporary, not two
+        out = out.sum(axis=-1)
+        return float(out) if out.ndim == 0 else out
 
 
 def check_generator(gen) -> GeneratorPair:
@@ -242,75 +210,56 @@ def make_generator(kind: str, modes: Sequence[int], m: int) -> GeneratorPair:
 class GateBlocks:
     """The gates of a fixed sequence of generators as complex blocks, evaluated together.
 
-    Every generator commutes with Delta, so its gate and ``D`` are complex-linear
-    on the modes of the support: the real block is the embedding (``embed_unitary``'s
-    convention) of the complex k x k block ``Gc[a, b] = G[2a, 2b] + i G[2a, 2b+1]``,
-    k the number of modes.  ``at(theta)`` gives these blocks for all generators;
-    the blocks of all generators with the same k come from one batched product of
-    the coefficients ``(1, sin t, 1 - cos t)`` with the stacked ``(I, Dc, Dc^2)``
-    (Rodrigues' formula holds on the complex block, since ``Dc^3 = -Dc`` exactly
-    when ``D^3 = -D``); a custom generator's block is converted from ``block``.
-    ``modes[l]`` indexes the modes of generator l in a complex m-vector.
+    Per support size k, one batched ``eigh`` of the stacked Hermitian ``0.5i dc``
+    gives the eigenvalues ``lambda`` and eigenvectors ``V`` of every generator;
+    ``at(theta)`` then forms each block as ``I + V diag(exp(i phi) - 1) V^H``,
+    ``phi = -2 theta lambda``, one batched product per size.  ``modes[l]`` indexes
+    the modes of generator l in a complex m-vector.
     """
 
     def __init__(self, gens: Sequence[GeneratorPair]):
-        self._gens = tuple(gens)
-        self._custom = [i for i, gen in enumerate(self._gens) if not gen.rodrigues]
+        gens = tuple(gens)
+        self.modes = [gen.modes for gen in gens]
         by_size = {}
-        for i, gen in enumerate(self._gens):
-            by_size.setdefault(gen.support.size // 2, []).append(i)
-        # the generators ordered by support size; per size, its slice of that
-        # order, the generators as a column (n, 1), their modes (n, k), Dc (n, k, k)
-        # and the stacked (I, Dc, Dc^2) as real (n, 3, 2 k^2), so one real
-        # product gives the blocks
-        self._order = np.array([i for idx in by_size.values() for i in idx], dtype=np.intp)
-        self.modes = [None] * len(self._gens)
-        self._groups = []
-        start = 0
-        for k, idx in by_size.items():
-            part = slice(start, start + len(idx))
-            modes = np.stack([self._gens[i].support[0::2] for i in idx]) // 2
-            dc = _complex_block(np.stack([self._gens[i].d_s for i in idx]))
-            basis = np.stack((np.broadcast_to(np.eye(k), dc.shape), dc, dc @ dc), axis=1)
-            self._groups.append((part, self._order[part, None], modes, dc,
-                                 basis.reshape(len(idx), 3, k * k).view(np.float64)))
-            for i, row in zip(idx, modes):
-                self.modes[i] = row
-            start = part.stop
+        for i, gen in enumerate(gens):
+            by_size.setdefault(gen.modes.size, []).append(i)
+        # per support size: the generators as a list and as a column (n, 1), their modes
+        # (n, k), dc (n, k, k), their eigenvalues' slice of the flat order below, their
+        # eigenvectors V and V^H (n, k, k), and I (k, k)
+        self._groups, owner, rate = [], [], []
+        for idx in by_size.values():
+            dc = np.stack([gens[i].dc for i in idx])
+            lam, vecs = np.linalg.eigh(0.5j * dc)
+            part = slice(len(rate), len(rate) + lam.size)
+            owner.extend(np.repeat(idx, lam.shape[1]))
+            rate.extend(-2.0 * lam.ravel())
+            self._groups.append((idx, np.array(idx, dtype=np.intp)[:, None], np.stack([self.modes[i] for i in idx]),
+                                 dc, part, vecs, vecs.conj().swapaxes(1, 2).copy(), np.eye(lam.shape[1])))
+        # every eigenvalue of every generator in one flat order: phi = theta[owner] * rate
+        self._owner, self._rate = np.array(owner, dtype=np.intp), np.array(rate, dtype=float)
 
     def at(self, theta) -> list:
         """The complex gate block of every generator at its angle in ``theta``."""
-        theta = np.asarray(theta, dtype=float)
-        t = theta[self._order]
-        coef = np.empty((t.size, 1, 3))
-        coef[:, 0, 0] = 1.0
-        coef[:, 0, 1] = np.sin(t)
-        coef[:, 0, 2] = 2.0 * np.sin(0.5 * t) ** 2  # 1 - cos(t), without cancellation
-        stacked = []
-        for part, _, modes, _, basis in self._groups:
-            k = modes.shape[1]
-            stacked.extend(np.matmul(coef[part], basis).view(np.complex128).reshape(-1, k, k))
-        blocks = [None] * len(self._gens)
-        for i, block in zip(self._order, stacked):
-            blocks[i] = block
-        for i in self._custom:
-            blocks[i] = _complex_block(self._gens[i].block(float(theta[i])))
+        phi = np.asarray(theta, dtype=float)[self._owner] * self._rate
+        coef = np.empty(phi.shape, dtype=np.complex128)
+        coef.real = -2.0 * np.sin(0.5 * phi) ** 2  # cos(phi) - 1, without cancellation
+        coef.imag = np.sin(phi)
+        blocks = [None] * len(self.modes)
+        for idx, _, _, _, part, vecs, vecs_h, eye in self._groups:
+            out = np.matmul(vecs * coef[part].reshape(len(idx), 1, -1), vecs_h)
+            out += eye
+            for i, block in zip(idx, out):
+                blocks[i] = block
         return blocks
 
     def bilinear(self, rows, cols) -> np.ndarray:
-        """``Re(rows[l] Dc_l cols[l])`` for every generator l, one gathered product per
+        """``Re(rows[l] dc_l cols[l])`` for every generator l, one gathered product per
         support size; with ``rows[l]`` the complex view of y and ``cols[l]`` that of
         b conjugated, it equals ``gen.bilinear(y, b)``."""
-        out = np.empty(len(self._gens))
-        for _, layers, modes, dc, _ in self._groups:
-            out[layers[:, 0]] = np.einsum("nj,njk,nk->n", rows[layers, modes], dc, cols[layers, modes]).real
+        out = np.empty(len(self.modes))
+        for idx, layers, modes, dc, *_ in self._groups:
+            out[idx] = np.einsum("nj,njk,nk->n", rows[layers, modes], dc, cols[layers, modes]).real
         return out
-
-
-def _complex_block(block) -> np.ndarray:
-    """The complex k x k matrix whose embedding is the complex-linear real 2k x 2k
-    ``block``; a stack of blocks (n, 2k, 2k) gives the stack (n, k, k)."""
-    return block[..., 0::2, 0::2] + 1j * block[..., 0::2, 1::2]
 
 
 def embed_unitary(u) -> np.ndarray:

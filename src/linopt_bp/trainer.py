@@ -7,12 +7,13 @@ complex mode amplitudes ``z_j = q_j + i p_j`` (``linear_optics``' convention).
 The forward pass keeps the rows ``z_l = u T_1 ... T_l``
 (``T_l = exp(theta_l D_l) W_l``); the backward pass carries the conjugate
 ``h = conj(g)`` of the column vector ``g`` from the output back through the
-layers and keeps it after each gate.  A gate acts as its complex block on its
-modes (``GateBlocks.at``), a fixed layer ``U`` as ``z U`` forward and ``U h``
+layers and keeps it after each gate.  A gate acts as its complex block
+``exp(theta dc)`` on its modes (``GateBlocks.at``, one spectral formula for
+every generator), a fixed layer ``U`` as ``z U`` forward and ``U h``
 backward, so neither a conjugated copy of U nor a 2m x 2m matrix is formed.
-Each layer's gradient is a bilinear form ``y D b = Re(z Dc h)`` in the two,
+Each layer's gradient is a bilinear form ``y D b = Re(z dc h)`` in the two,
 taken for all layers at once by ``GateBlocks.bilinear`` (O(k^2) per layer on
-the generator's support, k = 1 or 2 modes for the local kinds).  The overlap
+the generator's k modes, k = 1 or 2 for the local kinds).  The overlap
 family's factor ``exp(-(E0+E1) + y . b)`` is the same on every layer, since
 ``y_l . b_l = w . n`` for the orthogonal circuit, so it is taken once.
 

@@ -7,11 +7,12 @@ Tests compare package outputs against these.
 The dense circuit oracles are the exception.  They build each layer as a
 2m x 2m matrix, multiply the matrices out and evaluate the costs and
 split-layer gradients from ``(O_minus, O_plus)``, where the package
-propagates vectors.  They reuse ``gen.block`` for the gate (``dense_gate``)
-and ``GeneratorPair.bilinear`` for y D b (``overlap_grad``, ``quadratic_grad``),
-so they check the trainer's complex-mode adjoint pass, not those kernels;
-``test_matches_expm`` keeps the gate formula checked against ``expm``.  They
-validate nothing.
+propagates vectors.  Their gate (``dense_gate``) is the real block of
+``gen.d`` by Rodrigues' formula, or ``expm`` for a custom generator, not the
+package's spectral formula; they reuse ``GeneratorPair.bilinear`` for y D b
+(``overlap_grad``, ``quadratic_grad``), so they check the trainer's gates and
+its complex-mode adjoint pass, not that kernel.  ``mp_gate`` is a
+high-precision reference for a custom gate.  They validate nothing.
 """
 
 import math
@@ -19,6 +20,8 @@ from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
+import pytest
+from scipy.linalg import expm
 
 from linopt_bp import LayeredCircuit, LogScaled, bessel_i, intensity_law
 from linopt_bp import cost_functions as cf
@@ -116,10 +119,42 @@ def identity_fixed(circuit) -> LayeredCircuit:
 
 
 def dense_gate(gen, theta) -> np.ndarray:
-    """exp(theta D) as a 2m x 2m matrix: the identity with ``gen.block(theta)`` on the support."""
+    """exp(theta D) as a 2m x 2m matrix, the identity off the support.
+
+    On the support it is Rodrigues' formula ``I + sin(theta) D + (1 - cos(theta)) D^2``
+    of the real block of ``gen.d`` when ``D^3 = -D`` (every standard kind), and
+    ``expm`` of that block otherwise.
+    """
+    theta = float(theta)
+    support = gen.support
+    d = gen.d[np.ix_(support, support)]
+    d2 = d @ d
+    if theta == 0.0:
+        block = np.eye(support.size)
+    elif np.abs(d @ d2 + d).max(initial=0.0) <= 1e-12:
+        block = math.sin(theta) * d
+        block += 2.0 * math.sin(0.5 * theta) ** 2 * d2  # 1 - cos(theta), without cancellation
+        block.flat[:: support.size + 1] += 1.0
+    else:
+        block = expm(theta * d)
     out = np.eye(2 * gen.m)
-    out[np.ix_(gen.support, gen.support)] = gen.block(float(theta))
+    out[np.ix_(support, support)] = block
     return out
+
+
+def custom_gate_tol(gen, theta) -> float:
+    """Max-abs tolerance of a custom gate against ``mp_gate``: the eigenvalues carry
+    an error of a few ulp of max|dc|, which the gate multiplies by |theta|."""
+    return 4e-15 * (1.0 + abs(theta) * np.abs(gen.dc).max())
+
+
+def mp_gate(gen, theta, dps: int = 30) -> np.ndarray:
+    """The complex gate block exp(theta dc) by mpmath's ``expm`` at ``dps`` digits,
+    rounded to complex128; it shares no eigendecomposition with the package."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        out = mpmath.expm(mpmath.mpf(float(theta)) * mpmath.matrix(gen.dc.tolist()))
+        return np.array(out.tolist(), dtype=np.complex128)
 
 
 def layer_transfers(circuit, theta=None) -> list:

@@ -315,6 +315,12 @@ class TestExitCodes:
         # single points: the closed form fails, and the command exits 3 as a sweep does
         (["heterodyne", "--m", "4", "--e0", "1e308", "--e1", "1e308"], 3,
          "closed form: argument must be finite"),
+        # the Bessel argument 4 sqrt(E0 E1) = 4e4 is fine, but -2(E0+E1) overflows; the
+        # moment is not the exact zero that log -inf stands for
+        (["heterodyne", "--m", "4", "--e0", "1e308", "--e1", "1e-300", "--samples", "0"], 3,
+         "closed form: exponent -2(E0+E1) at E0=1e+308, E1=1e-300 is not finite"),
+        (["heterodyne", "--m", "4", "--e0", "1e308", "--e1", "1e-300", "--samples", "1000"], 3,
+         "closed form: exponent -2(E0+E1) at E0=1e+308, E1=1e-300 is not finite"),
         (["prop1", "--m", "4", "--intensity", "1e308", "--samples", "1000"], 3,
          "closed form: argument must be finite"),
         (["toy", "--m", "4", "--s", "1e308", "--samples", "1000"], 3,
@@ -343,6 +349,7 @@ class TestExitCodes:
     ], ids=["noise-e1-underflow", "regimes-zero-at-m1", "regimes-negative-law",
             "regimes-infinite-law", "regimes-negative-list-entry", "regimes-bessel-overflow",
             "noise-bessel-overflow", "regimes-bessel-window", "heterodyne-bessel-overflow",
+            "heterodyne-exponent-overflow", "heterodyne-exponent-overflow-mc",
             "prop1-bessel-overflow", "toy-bessel-window",
             "layers-linear-text", "layers-linear-overflow", "layers-linear-nan", "layers-const-text",
             "layers-const-fraction", "layers-count-overflow",
@@ -381,29 +388,38 @@ class TestExitCodes:
         assert "layers_law: layer count -4 at m=4" in capsys.readouterr().err
 
 
-def test_cli_import_skips_scipy_linalg():
-    # only custom gate generators need expm; no CLI path builds one
+_NO_SCIPY_RUN = """
+import sys
+sys.modules["scipy"] = None  # every import of scipy or a submodule now raises ImportError
+import numpy as np
+from linopt_bp import GeneratorPair, LayeredCircuit, MeanVector, make_generator
+from linopt_bp.cli import main
+from linopt_bp.linear_optics import GateBlocks, Layer
+from linopt_bp.trainer import layer_gradients
+
+eps = np.diag([0.5, 0.5, 1.5, 1.5])  # unequal phases: no Rodrigues form
+custom = GeneratorPair.from_symmetric(eps)
+gate = GateBlocks([custom]).at([0.7])[0]
+assert np.allclose(gate, np.diag(np.exp([-0.7j, -2.1j])), rtol=0, atol=1e-15)
+layers = [Layer(custom, np.eye(2)), Layer(make_generator("beamsplitter", (0, 1), 2), np.eye(2))]
+grads = layer_gradients(LayeredCircuit(layers, [0.3, -0.4]), "compiling", MeanVector.of([1.0, 0.0, 0.0, 0.5]))
+assert grads.shape == (2,) and np.all(np.isfinite(grads)) and np.any(grads != 0.0)
+assert main(["train", "--m", "4", "--layers", "6", "--max-iters", "2", "--output", sys.argv[1]]) == 0
+print("ok")
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    # numpy is the only run-time dependency: a custom gate, the trainer's gradients on
+    # a circuit holding it and the CLI's train command all run with scipy blocked
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, linopt_bp.cli; print('scipy.linalg' in sys.modules)"],
+        [sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path / "train.csv")],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
-def test_cli_import_loads_no_scipy_module():
-    # bessel_i needs only numpy; scipy is left for custom-generator expm
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, linopt_bp.cli; "
-         "print(sorted(n for n in sys.modules if n == 'scipy' or n.startswith('scipy.')))"],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "ok"
+    assert (tmp_path / "train.csv").exists()
 
 
 class TestReproducibility:

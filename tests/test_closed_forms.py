@@ -27,6 +27,7 @@ from linopt_bp import (
     xi_bounds,
 )
 from linopt_bp.closed_forms import SLOPE_THRESHOLD
+from linopt_bp.linear_optics import embed_unitary
 from linopt_bp.estimators import (
     CompilingGradientFamily,
     QuadraticGradientFamily,
@@ -72,6 +73,22 @@ class TestXiBounds:
             assert second_moment_point(gen, 0.7).log_value == pytest.approx(
                 second_moment_prefactor(m, 0.7).scaled(float(np.sum(d * d)) / (2 * m)).log_value,
                 rel=1e-15, abs=0.0), gen.label
+
+    @pytest.mark.parametrize("m,modes", [(3, [0, 1, 2]), (5, [1, 3, 4])])
+    def test_dense_column_norm_oracle_for_a_complex_block(self, m, modes):
+        # a random Hermitian block on the modes: dc has complex off-diagonal entries,
+        # and both real columns of a mode share its norm sum_a |dc_ab|^2
+        a = RandomSource(m).generator().uniform(-1.0, 1.0, (2, len(modes), len(modes)))
+        herm = 0.5 * (a[0] + 1j * a[1] + (a[0] + 1j * a[1]).conj().T)
+        support = (2 * np.array(modes)[:, None] + np.arange(2)).reshape(-1)
+        gen = GeneratorPair(m, support, embed_unitary(herm))
+        d = gen.d
+        norms = np.sum(d * d, axis=0)
+        lo = float(norms.min()) if len(modes) == m else 0.0
+        assert xi_bounds(gen) == pytest.approx((lo, float(norms.max())), rel=1e-15, abs=0.0)
+        assert second_moment_point(gen, 0.7).log_value == pytest.approx(
+            second_moment_prefactor(m, 0.7).scaled(float(np.sum(d * d)) / (2 * m)).log_value,
+            rel=1e-15, abs=0.0)
 
     def test_rejects_anything_but_a_generator_pair(self):
         gen = make_generator("global-phase", (), 3)
@@ -209,6 +226,14 @@ class TestHeterodynePrefactor:
     def test_zero_target_intensity_sentinel(self):
         assert heterodyne_prefactor(4, 1.0, 0.0).log_value == -math.inf
         assert heterodyne_prefactor(4, 0.0, 1.0).log_value == -math.inf
+
+    def test_overflowing_exponent_is_an_error(self):
+        # 4 sqrt(E0 E1) = 4e4 is a fine Bessel argument, but -2(E0+E1) overflows;
+        # the moment is not zero, so the log -inf of an exact zero would be wrong
+        for e0, e1 in [(1e308, 1e-300), (1e-300, 1e308), (1.7e308, 1e-290)]:
+            with pytest.raises(ValueError, match=r"exponent -2\(E0\+E1\)"):
+                heterodyne_prefactor(4, e0, e1)
+        assert heterodyne_prefactor(4, 1e308, 0.0).log_value == -math.inf
 
     @pytest.mark.parametrize("energy", [1e-160, 1e-170, 1e-200, 0.37, 1e3])
     def test_equal_intensities_bitwise(self, energy):

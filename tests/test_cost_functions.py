@@ -332,7 +332,8 @@ class TestGradientFiniteDifferences:
             0.7 * make_generator("beamsplitter", (0, 3), m).eps
             + 0.3 * make_generator("two-mode-phase", (1, 3), m).eps
             + 1.1 * make_generator("phase-shifter", (4,), m).eps)
-        assert not custom.rodrigues
+        d = custom.d
+        assert np.abs(d @ d @ d + d).max() > 1e-3  # no Rodrigues form
         gens = [make_generator("phase-shifter", (2,), m), make_generator("two-mode-phase", (1, 4), m),
                 make_generator("beamsplitter", (3, 0), m), make_generator("global-phase", (), m), custom]
         for gen_k in gens:

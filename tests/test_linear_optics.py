@@ -16,7 +16,13 @@ from linopt_bp import (
 from linopt_bp.linear_optics import GateBlocks, Layer, embed_unitary
 from linopt_bp.sampling import haar_unitary_batch
 
-from conftest import dense_gate, fd_gradient, identity_fixed, layer_transfers, orthogonal_action, split_action
+from conftest import (custom_gate_tol, dense_gate, fd_gradient, identity_fixed, layer_transfers, mp_gate,
+                      orthogonal_action, split_action)
+
+
+def _gate(gen, theta):
+    """The package's gate on the support: the real embedding of its complex block."""
+    return embed_unitary(GateBlocks([gen]).at([theta])[0])
 
 
 def test_symplectic_form_single_mode():
@@ -82,32 +88,40 @@ class TestGenerators:
             GeneratorPair.from_symmetric(eps)
 
     def test_builtin_blocks_are_stored_bit_for_bit(self):
-        # every built-in eps commutes with Delta exactly, so keeping its commuting
-        # part changes no bit, signed zeros included
-        bs = 0.5 * np.array([[0.0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
-        swap = np.ix_([2, 3, 0, 1], [2, 3, 0, 1])
-        phases = np.kron(np.diag([0.5, -0.5]), np.eye(2))
-        cases = [(make_generator("phase-shifter", (2,), 4), 0.5 * np.eye(2)),
+        # dc = (q - r) - i (p + s) rounds nothing on a built-in eps block, so every
+        # stored entry is the literal one (array_equal does not compare signs of zeros)
+        bs = np.array([[0, -1], [1, 0]], dtype=np.complex128)
+        phases = np.diag([-1j, 1j])
+        cases = [(make_generator("phase-shifter", (2,), 4), np.array([[-1j]])),
                  (make_generator("two-mode-phase", (1, 3), 5), phases),
-                 (make_generator("two-mode-phase", (3, 1), 5), phases[swap]),
+                 (make_generator("two-mode-phase", (3, 1), 5), -phases),
                  (make_generator("beamsplitter", (0, 1), 2), bs),
-                 (make_generator("beamsplitter", (2, 0), 3), bs[swap]),
-                 (make_generator("global-phase", (), 3), 0.5 * np.eye(6))]
+                 (make_generator("beamsplitter", (2, 0), 3), -bs),
+                 (make_generator("global-phase", (), 3), -1j * np.eye(3))]
         for gen, block in cases:
-            assert gen.eps_s.tobytes() == block.tobytes(), gen.label
+            assert gen.dc.dtype == np.complex128 and np.array_equal(gen.dc, block), gen.label
 
     def test_nearly_commuting_block_keeps_its_commuting_part(self):
         # a 2e-11 q_0 q_1 coupling without its p_0 p_1 partner passes the 1e-10 check;
-        # the stored block is the average of eps and Delta^T eps Delta
+        # the stored generator is that of the average of eps and Delta^T eps Delta
         eps_s = np.diag([0.5, 0.5, 1.5, 1.5])
         eps_s[0, 2] = eps_s[2, 0] = 2e-11
         gen = GeneratorPair(2, np.arange(4), eps_s)
         expected = np.diag([0.5, 0.5, 1.5, 1.5])
         expected[0, 2] = expected[2, 0] = expected[1, 3] = expected[3, 1] = 1e-11
-        np.testing.assert_array_equal(gen.eps_s, expected)
+        np.testing.assert_array_equal(gen.eps, expected)
         delta = symplectic_form(2)
-        np.testing.assert_array_equal(gen.eps_s @ delta, delta @ gen.eps_s)
-        np.testing.assert_array_equal(gen.d_s, -2.0 * gen.eps_s @ delta)
+        np.testing.assert_array_equal(gen.eps @ delta, delta @ gen.eps)
+        np.testing.assert_array_equal(gen.d, -2.0 * gen.eps @ delta)
+
+    def test_nearly_symmetric_block_keeps_its_symmetric_part(self):
+        # an asymmetry of 5e-11 passes the 1e-10 check; dc must still be exactly
+        # skew-Hermitian, since the gates read one triangle of it (eigh) and y D b all of it
+        eps_s = np.diag([0.5, 0.5, 1.5, 1.5])
+        eps_s[0, 2], eps_s[1, 3], eps_s[2, 0], eps_s[3, 1] = 0.25, 0.25, 0.25 + 5e-11, 0.25 + 5e-11
+        gen = GeneratorPair(2, np.arange(4), eps_s)
+        assert np.array_equal(gen.dc, -gen.dc.conj().T)
+        np.testing.assert_allclose(gen.eps, 0.5 * (eps_s + eps_s.T), rtol=0, atol=1e-16)
 
     @pytest.mark.parametrize("support", [[1, 2], [2, 3, 0, 1], [0, 1, 0, 1], [4, 5], [-2, -1], [0], [[0, 1]]])
     def test_rejects_support_that_is_not_whole_ascending_mode_pairs(self, support):
@@ -123,6 +137,16 @@ class TestGenerators:
         eps_s[0, 0] = 1.0
         with pytest.raises(ValueError, match="conserve energy"):
             GeneratorPair(3, np.array([2, 3]), eps_s)
+
+    def test_generator_stores_one_form(self):
+        # the modes and the complex block; the real forms are built on access
+        eps = np.diag([0.5, 0.5, 1.5, 1.5, 0.0, 0.0])
+        gens = [make_generator(kind, modes, 3) for kind, modes in
+                [("phase-shifter", (1,)), ("two-mode-phase", (2, 0)), ("beamsplitter", (0, 1)), ("global-phase", ())]]
+        for gen in gens + [GeneratorPair.from_symmetric(eps)]:
+            assert set(vars(gen)) == {"m", "modes", "dc", "label"}, gen.label
+            assert gen.dc.shape == (gen.modes.size,) * 2 and not gen.dc.flags.writeable
+            assert not gen.modes.flags.writeable
 
     def test_circuit_generators_store_only_their_blocks(self):
         circ = random_circuit(64, 64, RandomSource(5).generator())
@@ -195,7 +219,7 @@ class TestSupport:
     def test_support_size_per_kind(self, kind, modes, m, size):
         gen = make_generator(kind, modes, m)
         assert gen.support.size == size
-        np.testing.assert_array_equal(gen.d_s, gen.d[np.ix_(gen.support, gen.support)])
+        np.testing.assert_array_equal(embed_unitary(gen.dc), gen.d[np.ix_(gen.support, gen.support)])
         off = np.setdiff1d(np.arange(2 * m), gen.support)
         assert not gen.d[off].any() and not gen.d[:, off].any()
 
@@ -209,7 +233,7 @@ class TestSupport:
             t = dense_gate(gen, theta)
             np.testing.assert_array_equal(t[off], np.eye(2 * m)[off])
             np.testing.assert_array_equal(t[:, off], np.eye(2 * m)[:, off])
-            np.testing.assert_array_equal(t[np.ix_(gen.support, gen.support)], gen.block(theta))
+            np.testing.assert_allclose(t[np.ix_(gen.support, gen.support)], _gate(gen, theta), rtol=0, atol=1e-15)
 
 
 def _standard_generators():
@@ -221,33 +245,38 @@ def _standard_generators():
                 yield make_generator(kind, modes, m)
 
 
-class TestClosedFormGate:
-    def test_standard_kinds_take_closed_form(self):
-        for gen in _standard_generators():
-            assert gen.rodrigues, gen.label
+def _support_d(gen):
+    return gen.d[np.ix_(gen.support, gen.support)]
 
+
+class TestClosedFormGate:
     @pytest.mark.parametrize("theta", [0.3, -0.3, math.pi, -math.pi, 10.0])
     def test_matches_expm(self, theta):
         for gen in _standard_generators():
             np.testing.assert_allclose(
-                dense_gate(gen, theta), expm(theta * gen.d), rtol=0, atol=1e-13, err_msg=gen.label
+                _gate(gen, theta), expm(theta * _support_d(gen)), rtol=0, atol=1e-13, err_msg=gen.label
             )
 
     def test_large_angle_stays_orthogonal(self):
         # expm itself drifts at theta = 1e3, so agreement with it is loose here
         for gen in _standard_generators():
-            t = dense_gate(gen, 1e3)
+            t = _gate(gen, 1e3)
             np.testing.assert_allclose(t.T @ t, np.eye(t.shape[0]), rtol=0, atol=1e-14)
-            np.testing.assert_allclose(t, expm(1e3 * gen.d), rtol=0, atol=1e-10)
+            np.testing.assert_allclose(t, expm(1e3 * _support_d(gen)), rtol=0, atol=1e-10)
 
-    def test_custom_generator_falls_back_to_expm(self):
+    def test_custom_generator_matches_mpmath(self):
+        # unequal phases on two modes: D^3 != -D, so no Rodrigues form exists; expm
+        # itself drifts by 1.9e-13 at theta = 10, so agreement with it is loose
         eps = np.zeros((4, 4))
         eps[:2, :2] = 0.5 * np.eye(2)
         eps[2:, 2:] = 1.5 * np.eye(2)
         gen = GeneratorPair.from_symmetric(eps)
-        assert not gen.rodrigues
+        d = _support_d(gen)
+        assert np.abs(d @ d @ d + d).max() > 1.0
         for theta in (0.3, -2.0, 10.0):
-            np.testing.assert_allclose(dense_gate(gen, theta), expm(theta * gen.d), rtol=0, atol=1e-13)
+            got = GateBlocks([gen]).at([theta])[0]
+            np.testing.assert_allclose(got, mp_gate(gen, theta), rtol=0, atol=custom_gate_tol(gen, theta))
+            np.testing.assert_allclose(embed_unitary(got), expm(theta * d), rtol=0, atol=1e-12)
 
 
 def _passive_defects(w):
@@ -298,7 +327,8 @@ class TestFixedLayers:
 
 
 def test_gate_blocks_match_block():
-    # the batched complex blocks, embedded, against the per-generator real reference
+    # the batched complex blocks, embedded, against the real Rodrigues block of each
+    # standard generator, and the custom one (index 1) against 30-digit mpmath
     m = 4
     eps = np.zeros((2 * m, 2 * m))
     eps[:2, :2] = 0.5 * np.eye(2)
@@ -308,8 +338,12 @@ def test_gate_blocks_match_block():
             make_generator("two-mode-phase", (1, 2), m), make_generator("phase-shifter", (0,), m)]
     blocks = GateBlocks(gens)
     for theta in (np.zeros(6), np.array([0.3, -2.0, 10.0, math.pi, -1e-9, 1e3])):
-        for gen, t, got in zip(gens, theta, blocks.at(theta)):
-            np.testing.assert_allclose(embed_unitary(got), gen.block(t), rtol=0, atol=1e-15)
+        for i, (gen, t, got) in enumerate(zip(gens, theta, blocks.at(theta))):
+            if i == 1:
+                np.testing.assert_allclose(got, mp_gate(gen, t), rtol=0, atol=custom_gate_tol(gen, t))
+            else:
+                np.testing.assert_allclose(embed_unitary(got), dense_gate(gen, t)[np.ix_(gen.support, gen.support)],
+                                           rtol=0, atol=1e-15, err_msg=gen.label)
     for got in blocks.at(np.zeros(6)):
         np.testing.assert_array_equal(embed_unitary(got), np.eye(2 * got.shape[0]))
 

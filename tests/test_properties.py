@@ -36,11 +36,9 @@ from linopt_bp.linear_optics import (  # noqa: E402
     GENERATOR_KINDS,
     GateBlocks,
     embed_unitary,
-    symplectic_form,
-    times_symplectic_form,
 )
 
-from conftest import compiling_cost, dense_gate, measurement_cost  # noqa: E402
+from conftest import compiling_cost, custom_gate_tol, dense_gate, measurement_cost, mp_gate  # noqa: E402
 
 SETTINGS = settings(max_examples=50, deadline=None)
 SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
@@ -67,10 +65,13 @@ def generators(draw, max_m=6, graded=False):
 
 
 @SETTINGS
-@given(gen=generators(), theta=st.floats(min_value=-1e3, max_value=1e3))
+@given(gen=generators(graded=True), theta=st.floats(min_value=-1e3, max_value=1e3))
 def test_gate_action_is_orthogonal(gen, theta):
-    t = dense_gate(gen, theta)
-    np.testing.assert_allclose(t @ t.T, np.eye(t.shape[0]), rtol=0, atol=1e-13)
+    # the package's gate is unitary on its modes, and exactly I at theta = 0
+    blocks = GateBlocks([gen])
+    u = blocks.at([theta])[0]
+    np.testing.assert_allclose(u @ u.conj().T, np.eye(u.shape[0]), rtol=0, atol=1e-13)
+    assert np.array_equal(blocks.at([0.0])[0], np.eye(u.shape[0]))
 
 
 @SETTINGS
@@ -115,34 +116,26 @@ def circuit_generators(draw, max_m=8, max_layers=6):
 @SETTINGS
 @given(gens=circuit_generators(), data=st.data(), seed=SEEDS)
 def test_gate_blocks_are_complex_forms_of_the_real_gate(gens, data, seed):
-    # each complex gate block embeds to the real block, and the batched kernel
-    # Re(z Dc h) is y D b for y = z and b = conj(h), both read as real rows
+    # each standard complex gate block embeds to the real Rodrigues block; a custom
+    # one matches 30-digit mpmath to a tolerance growing with |theta| max|dc|; and
+    # the batched kernel Re(z dc h) is y D b for y = z and b = conj(h), both read as
+    # real rows
     theta = np.array(data.draw(st.lists(st.floats(min_value=-1e3, max_value=1e3),
                                         min_size=len(gens), max_size=len(gens))))
     blocks = GateBlocks(gens)
     for gen, t, got in zip(gens, theta, blocks.at(theta)):
-        # a custom block comes from expm of |theta D| up to ~1e3 k, which is
-        # complex-linear only to a few hundred ulps; the closed form is exact
-        atol = 1e-15 if gen.rodrigues else 1e-12
-        np.testing.assert_allclose(embed_unitary(got), gen.block(t), rtol=0, atol=atol)
+        if gen.label == "custom":
+            np.testing.assert_allclose(got, mp_gate(gen, t), rtol=0, atol=custom_gate_tol(gen, t))
+        else:
+            real = dense_gate(gen, t)[np.ix_(gen.support, gen.support)]
+            np.testing.assert_allclose(embed_unitary(got), real, rtol=0, atol=1e-15)
     m = gens[0].m
     rows, cols = RandomSource(seed).generator().standard_normal((2, len(gens), 2 * m)).view(np.complex128)
     kernel = blocks.bilinear(rows, cols)
     for gen, z, h, got in zip(gens, rows, cols, kernel):
         y, b = z.view(np.float64), h.conj().view(np.float64)
-        tol = 1e-12 * np.linalg.norm(y) * np.linalg.norm(b) * np.abs(gen.d_s).max()
+        tol = 1e-12 * np.linalg.norm(y) * np.linalg.norm(b) * np.abs(gen.dc).max()
         assert abs(got - gen.bilinear(y, b)) <= tol
-
-
-@SETTINGS
-@given(data=st.data(), m=st.integers(1, 8), rows=st.integers(1, 16))
-def test_signed_swap_equals_symplectic_product(data, m, rows):
-    # each output entry is one input entry times +-1 plus exact zeros, so the
-    # swap and the product agree exactly (array_equal treats -0.0 as 0.0)
-    values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                                min_size=rows * 2 * m, max_size=rows * 2 * m))
-    a = np.array(values).reshape(rows, 2 * m)
-    assert np.array_equal(times_symplectic_form(a), a @ symplectic_form(m))
 
 
 @SETTINGS
