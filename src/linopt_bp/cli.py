@@ -27,6 +27,13 @@ that is exactly zero or underflows, a Bessel argument that overflows or
 exceeds ``special_functions.MAX_ARGUMENT`` = 1e12, past which a closed form's
 -4E + log I(4E) would lose about ulp(4E) nats; a sweep names the first such m).
 The default output directory is taken from LINOPT_BP_OUTDIR when set.
+
+Each option is declared once, as a field of its command in ``_COMMANDS``: the
+flag is ``--`` plus the field name with ``_`` written as ``-``, and the field's
+type or choices, default and bounds serve the parser, the config defaults and
+the check that ``run_config`` makes on every field before the command runs.  A
+``--config`` file's values are checked like flags: an int or float field
+rejects a JSON boolean, and ``output`` must be a string.
 """
 
 from __future__ import annotations
@@ -64,44 +71,53 @@ class NumericalError(RuntimeError):
 
 # -- option schema -----------------------------------------------------------
 
-_COMMON = {
-    "seed": 0,
-    "format": "csv",
-    "output": None,
-    "jobs": 1,
-}
 
-_DEFAULTS = {
-    "toy": {**_COMMON, "m": 5, "s": 0.5, "samples": 100_000},
-    "prop1": {
-        **_COMMON,
-        "m": 3,
-        "intensity": 1.0,
-        "samples": 100_000,
-        "generator": "global-phase",
-        "modes": None,
-    },
-    "prop2": {**_COMMON, "m": 2, "intensity": 1.0, "samples": 100_000},
-    "heterodyne": {**_COMMON, "m": 4, "e0": 1.0, "e1": 0.5, "samples": 0},
-    "noise": {
-        **_COMMON,
-        "m_grid": "4:64:4",
-        "e0_law": "power:1,0.5",
-        "k": 0.9,
-        "layers_law": "linear:1",
-    },
-    "regimes": {**_COMMON, "m_grid": "4:64:4", "law": None},
-    "train": {
-        **_COMMON,
-        "m": 2,
-        "layers": 4,
-        "intensity": 0.5,
-        "lr": 1.0,
-        "max_iters": 2000,
-        "tol": 1e-8,
-        "family": "compiling",
-    },
-}
+class _Field:
+    """One option of a command, declared once: its flag is ``--`` plus the name
+    with ``_`` written as ``-``, its default fills the config, and ``check`` types
+    its value before the command's handler runs."""
+
+    def __init__(self, name, kind, default=None, help=None, low=None, high=None, optional=False):
+        # kind: int, float, str, list (of ints) or a tuple of choices; an optional
+        # field takes None as a value (output's default path, prop1's default modes)
+        self.name, self.kind, self.default, self.help = name, kind, default, help
+        self.low, self.high, self.optional = low, high, optional
+
+    def check(self, raw):
+        """``raw`` as this field's kind: a float must be finite and an int exact (3.7
+        is not truncated to 3), neither may be a bool, a str or list must be one;
+        anything else is a config error naming the field."""
+        name, kind = self.name, self.kind
+        if raw is None:
+            if self.optional:
+                return None
+            raise ConfigError(f"{name}: required")
+        if isinstance(kind, tuple):
+            if raw not in kind:
+                raise ConfigError(f"{name}: expected one of ({', '.join(kind)}), got {raw!r}")
+            return raw
+        if kind is str and not isinstance(raw, str):
+            raise ConfigError(f"{name}: expected str, got {raw!r}")
+        if kind is list and not (isinstance(raw, list) and all(type(j) is int for j in raw)):
+            raise ConfigError(f"{name}: expected a list of ints, got {raw!r}")
+        if kind is str or kind is list:
+            return raw
+        try:
+            if isinstance(raw, bool):
+                raise ValueError
+            value = kind(raw)
+            if kind is float and not math.isfinite(value):
+                raise ValueError
+            if kind is int and not isinstance(raw, str) and value != raw:
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
+            what = "finite float" if kind is float else kind.__name__
+            raise ConfigError(f"{name}: expected {what}, got {raw!r}") from None
+        if self.low is not None and value < self.low:
+            raise ConfigError(f"{name}: must be >= {self.low}, got {value}")
+        if self.high is not None and value > self.high:
+            raise ConfigError(f"{name}: must be <= {self.high}, got {value}")
+        return value
 
 
 @functools.cache  # built on first use, once per process; parsing never mutates it
@@ -111,69 +127,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Trainability experiments for random linear-optical circuits",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--seed", type=int, help="64-bit seed recorded in the output")
-        p.add_argument("--format", choices=["csv", "json"], help="output format")
-        p.add_argument("--output", "-o", help="output file path")
-        p.add_argument("--jobs", type=int, help="parallel chunk workers")
+    for name, (help_line, _, fields) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for field in fields:
+            flags = ["--" + field.name.replace("_", "-")] + (["-o"] if field.name == "output" else [])
+            if isinstance(field.kind, tuple):
+                p.add_argument(*flags, choices=field.kind, help=field.help)
+            elif field.kind is list:
+                p.add_argument(*flags, type=int, nargs="*", help=field.help)
+            else:
+                p.add_argument(*flags, type=field.kind, help=field.help)
         p.add_argument("--config", help="JSON config file; explicit flags override it")
-
-    p = sub.add_parser("toy", help="toy-model |gradient| vs closed form")
-    p.add_argument("--m", type=int)
-    p.add_argument("--s", type=float, help="squared single-mode mean norm u1^2+u2^2")
-    p.add_argument("--samples", type=int)
-    add_common(p)
-
-    p = sub.add_parser("prop1", help="compiling gradient second moment vs closed form")
-    p.add_argument("--m", type=int)
-    p.add_argument("--intensity", type=float, help="total input intensity E")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--generator", choices=["global-phase", "phase-shifter", "two-mode-phase", "beamsplitter"])
-    p.add_argument("--modes", type=int, nargs="*", help="mode indices for the generator")
-    add_common(p)
-
-    p = sub.add_parser("prop2", help="quadratic gradient second moment vs closed form")
-    p.add_argument("--m", type=int)
-    p.add_argument("--intensity", type=float)
-    p.add_argument("--samples", type=int)
-    add_common(p)
-
-    p = sub.add_parser("heterodyne", help="unequal-intensity moment prefactor")
-    p.add_argument("--m", type=int)
-    p.add_argument("--e0", type=float)
-    p.add_argument("--e1", type=float)
-    p.add_argument("--samples", type=int, help="0 for closed form only")
-    add_common(p)
-
-    p = sub.add_parser("noise", help="attenuation sweep with regime verdict")
-    p.add_argument("--m-grid", dest="m_grid")
-    p.add_argument("--e0-law", dest="e0_law", help="intensity law for E0, e.g. power:1,0.5")
-    p.add_argument("--k", type=float, help="attenuation factor in (0,1)")
-    p.add_argument("--layers-law", dest="layers_law", help="linear:a | sqrt | const:L")
-    add_common(p)
-
-    p = sub.add_parser("regimes", help="intensity-law sweep with regime verdict")
-    p.add_argument("--m-grid", dest="m_grid")
-    p.add_argument("--law", help="intensity law, e.g. linear:1, or list:E1,E2,... over the grid")
-    add_common(p)
-
-    p = sub.add_parser("train", help="gradient-descent training trace")
-    p.add_argument("--m", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--intensity", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--family", choices=list(tr.COST_FAMILIES))
-    add_common(p)
-
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
     command = args.command
-    cfg = dict(_DEFAULTS[command])
+    _, _, fields = _COMMANDS[command]
+    cfg = {field.name: field.default for field in fields}
     cfg["command"] = command
     file_path = getattr(args, "config", None)
     if file_path:
@@ -197,29 +168,6 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 # -- small validators ---------------------------------------------------------
-
-
-def _need(cfg, field, kind, low=None, high=None):
-    """``cfg[field]`` as ``kind``: a float must be finite and an int exact (3.7 is
-    not truncated to 3); anything else is a config error naming the field."""
-    raw = cfg.get(field)
-    if raw is None:
-        raise ConfigError(f"{field}: required")
-    try:
-        value = kind(raw)
-        if kind is float and not math.isfinite(value):
-            raise ValueError
-        if kind is int and not isinstance(raw, str) and value != raw:
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):
-        what = "finite float" if kind is float else kind.__name__
-        raise ConfigError(f"{field}: expected {what}, got {raw!r}") from None
-    if low is not None and value < low:
-        raise ConfigError(f"{field}: must be >= {low}, got {value}")
-    if high is not None and value > high:
-        raise ConfigError(f"{field}: must be <= {high}, got {value}")
-    cfg[field] = value
-    return value
 
 
 def _parse_m_grid(text) -> list:
@@ -307,9 +255,7 @@ def _radius(energy) -> float:
 
 
 def _run_toy(cfg) -> tuple:
-    m = _need(cfg, "m", int, low=1)
-    s = _need(cfg, "s", float, low=0.0)
-    samples = _need(cfg, "samples", int, low=est.MIN_SAMPLES)
+    m, s, samples = cfg["m"], cfg["s"], cfg["samples"]
     closed = _closed_form(cf.toy_grad_abs_expectation, s, m)
     family = est.ToyGradientFamily(m=m, s=s)
     moments = est.estimate_abs_grad(family, samples, RandomSource(cfg["seed"]), cfg["jobs"])
@@ -321,12 +267,9 @@ def _run_toy(cfg) -> tuple:
 
 
 def _prop1_generator(cfg, m):
-    kind = cfg["generator"]
-    modes = cfg.get("modes")
+    kind, modes = cfg["generator"], cfg["modes"]
     if modes is None:
         modes = {"global-phase": (), "phase-shifter": (0,)}.get(kind, (0, 1))
-    elif not (isinstance(modes, list) and all(type(j) is int for j in modes)):
-        raise ConfigError(f"modes: expected a list of ints, got {modes!r}")
     try:
         return make_generator(kind, tuple(modes), m)
     except ValueError as exc:
@@ -334,9 +277,7 @@ def _prop1_generator(cfg, m):
 
 
 def _run_prop1(cfg) -> tuple:
-    m = _need(cfg, "m", int, low=1)
-    energy = _need(cfg, "intensity", float, low=0.0)
-    samples = _need(cfg, "samples", int, low=est.MIN_SAMPLES)
+    m, energy, samples = cfg["m"], cfg["intensity"], cfg["samples"]
     gen = _prop1_generator(cfg, m)
     xi_min, xi_max = cforms.xi_bounds(gen)
     interval = _closed_form(cforms.second_moment_interval, gen, energy)
@@ -359,9 +300,7 @@ def _run_prop1(cfg) -> tuple:
 
 
 def _run_prop2(cfg) -> tuple:
-    m = _need(cfg, "m", int, low=2)
-    energy = _need(cfg, "intensity", float, low=0.0)
-    samples = _need(cfg, "samples", int, low=est.MIN_SAMPLES)
+    m, energy, samples = cfg["m"], cfg["intensity"], cfg["samples"]
     source = RandomSource(cfg["seed"])
     inst = source.substream(INSTANCE_STREAM)
     dim = 2 * m
@@ -382,10 +321,7 @@ def _run_prop2(cfg) -> tuple:
 
 
 def _run_heterodyne(cfg) -> tuple:
-    m = _need(cfg, "m", int, low=1)
-    e0 = _need(cfg, "e0", float, low=0.0)
-    e1 = _need(cfg, "e1", float, low=0.0)
-    samples = _need(cfg, "samples", int, low=0)
+    m, e0, e1, samples = cfg["m"], cfg["e0"], cfg["e1"], cfg["samples"]
     extra = {}
     row = [m, e0, e1, _closed_form(cforms.heterodyne_prefactor, m, e0, e1).log_value]
     columns = ["m", "e0", "e1", "log_prefactor"]
@@ -405,7 +341,7 @@ def _run_heterodyne(cfg) -> tuple:
 
 def _run_noise(cfg) -> tuple:
     grid = _parse_m_grid(cfg["m_grid"])
-    k = _need(cfg, "k", float)
+    k = cfg["k"]
     if not 0.0 < k < 1.0:
         raise ConfigError(f"k: must lie strictly inside (0, 1), got {k}")
     e0s = _sweep_intensities("e0_law", cfg["e0_law"], grid)
@@ -426,7 +362,7 @@ def _run_noise(cfg) -> tuple:
 
 def _run_regimes(cfg) -> tuple:
     grid = _parse_m_grid(cfg["m_grid"])
-    law = _need(cfg, "law", str)
+    law = cfg["law"]
     energies = _sweep_intensities("law", law, grid)
     verdict = _closed_form(cforms.classify_regime, grid, energies)
     rows = [list(row) for row in zip(grid, energies, verdict.fit.log_values)]
@@ -435,17 +371,9 @@ def _run_regimes(cfg) -> tuple:
 
 
 def _run_train(cfg) -> tuple:
-    m = _need(cfg, "m", int, low=1)
-    depth = _need(cfg, "layers", int, low=1)
-    energy = _need(cfg, "intensity", float, low=0.0)
-    lr = _need(cfg, "lr", float)
-    max_iters = _need(cfg, "max_iters", int, low=0)
-    tol = _need(cfg, "tol", float, low=0.0)
-    family = cfg["family"]
-    if family not in tr.COST_FAMILIES:
-        raise ConfigError(f"family: unknown cost family {family!r}")
+    m, depth, energy, family = cfg["m"], cfg["layers"], cfg["intensity"], cfg["family"]
     try:
-        config = tr.TrainConfig(lr=lr, max_iters=max_iters, tol=tol)
+        config = tr.TrainConfig(lr=cfg["lr"], max_iters=cfg["max_iters"], tol=cfg["tol"])
     except ValueError as exc:
         raise ConfigError(f"lr/max_iters/tol: {exc}") from exc
     source = RandomSource(cfg["seed"])
@@ -466,27 +394,75 @@ def _run_train(cfg) -> tuple:
     return ["iteration", "cost", "grad_norm"], rows, extra
 
 
-_HANDLERS = {
-    "toy": _run_toy,
-    "prop1": _run_prop1,
-    "prop2": _run_prop2,
-    "heterodyne": _run_heterodyne,
-    "noise": _run_noise,
-    "regimes": _run_regimes,
-    "train": _run_train,
-}
+# -- command table ---------------------------------------------------------------
+
+_SHARED = (  # every command's fields after its own, in flag order
+    _Field("seed", int, 0, "64-bit seed recorded in the output", low=0, high=2**64 - 1),
+    _Field("format", ("csv", "json"), "csv", "output format"),
+    _Field("output", str, None, "output file path", optional=True),
+    _Field("jobs", int, 1, "parallel chunk workers", low=1),
+)
+
+# command -> (help line, handler, fields); the parser, the config defaults and the
+# checks in run_config are all read from here
+_COMMANDS = {name: (help_line, run, fields + _SHARED) for name, help_line, run, fields in (
+    ("toy", "toy-model |gradient| vs closed form", _run_toy, (
+        _Field("m", int, 5, low=1),
+        _Field("s", float, 0.5, "squared single-mode mean norm u1^2+u2^2", low=0.0),
+        _Field("samples", int, 100_000, low=est.MIN_SAMPLES),
+    )),
+    ("prop1", "compiling gradient second moment vs closed form", _run_prop1, (
+        _Field("m", int, 3, low=1),
+        _Field("intensity", float, 1.0, "total input intensity E", low=0.0),
+        _Field("samples", int, 100_000, low=est.MIN_SAMPLES),
+        _Field("generator", ("global-phase", "phase-shifter", "two-mode-phase", "beamsplitter"),
+               "global-phase"),
+        _Field("modes", list, None, "mode indices for the generator", optional=True),
+    )),
+    ("prop2", "quadratic gradient second moment vs closed form", _run_prop2, (
+        _Field("m", int, 2, low=2),
+        _Field("intensity", float, 1.0, low=0.0),
+        _Field("samples", int, 100_000, low=est.MIN_SAMPLES),
+    )),
+    ("heterodyne", "unequal-intensity moment prefactor", _run_heterodyne, (
+        _Field("m", int, 4, low=1),
+        _Field("e0", float, 1.0, low=0.0),
+        _Field("e1", float, 0.5, low=0.0),
+        _Field("samples", int, 0, "0 for closed form only", low=0),
+    )),
+    ("noise", "attenuation sweep with regime verdict", _run_noise, (
+        _Field("m_grid", str, "4:64:4"),
+        _Field("e0_law", str, "power:1,0.5", "intensity law for E0, e.g. power:1,0.5"),
+        _Field("k", float, 0.9, "attenuation factor in (0,1)"),
+        _Field("layers_law", str, "linear:1", "linear:a | sqrt | const:L"),
+    )),
+    ("regimes", "intensity-law sweep with regime verdict", _run_regimes, (
+        _Field("m_grid", str, "4:64:4"),
+        _Field("law", str, None, "intensity law, e.g. linear:1, or list:E1,E2,... over the grid"),
+    )),
+    ("train", "gradient-descent training trace", _run_train, (
+        _Field("m", int, 2, low=1),
+        _Field("layers", int, 4, low=1),
+        _Field("intensity", float, 0.5, low=0.0),
+        _Field("lr", float, 1.0),
+        _Field("max_iters", int, 2000, low=0),
+        _Field("tol", float, 1e-8, low=0.0),
+        _Field("family", tr.COST_FAMILIES, "compiling"),
+    )),
+)}
 
 
 def run_config(cfg: dict) -> tuple:
-    """Run a full config dict; returns (columns, rows, extra_preamble)."""
+    """Run a full config dict; returns (columns, rows, extra_preamble).  Every field
+    of the command is checked, and replaced by its typed value, before its handler
+    runs, so a config file's values are held to the same rules as flags."""
     command = cfg.get("command")
-    if command not in _HANDLERS:
-        raise ConfigError(f"command: unknown command {cfg.get('command')!r}")
-    _need(cfg, "seed", int, low=0, high=2**64 - 1)
-    _need(cfg, "jobs", int, low=1)
-    if cfg.get("format") not in ("csv", "json"):
-        raise ConfigError(f"format: expected csv or json, got {cfg.get('format')!r}")
-    return _HANDLERS[command](cfg)
+    if command not in _COMMANDS:
+        raise ConfigError(f"command: unknown command {command!r}")
+    _, run, fields = _COMMANDS[command]
+    for field in fields:
+        cfg[field.name] = field.check(cfg.get(field.name))
+    return run(cfg)
 
 
 # -- output writers -------------------------------------------------------------

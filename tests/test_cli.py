@@ -371,7 +371,15 @@ class TestExitCodes:
         ({"intensity": float("nan")}, "intensity: expected finite float, got nan"),
         ({"modes": 5}, "modes: expected a list of ints, got 5"),
         ({"modes": [0.5]}, "modes: expected a list of ints, got [0.5]"),
-    ], ids=["m-fraction", "m-inf", "samples-fraction", "intensity-nan", "modes-int", "modes-float"])
+        ({"generator": "bogus"}, "generator: expected one of (global-phase, phase-shifter, "
+                                 "two-mode-phase, beamsplitter), got 'bogus'"),
+        ({"generator": None}, "generator: required"),
+        # a JSON boolean is not a number, although int(True) == 1
+        ({"m": True}, "m: expected int, got True"),
+        ({"seed": False}, "seed: expected int, got False"),
+        ({"intensity": True}, "intensity: expected finite float, got True"),
+    ], ids=["m-fraction", "m-inf", "samples-fraction", "intensity-nan", "modes-int", "modes-float",
+            "generator-unknown", "generator-null", "m-bool", "seed-bool", "intensity-bool"])
     def test_bad_config_field_exit_code(self, tmp_path, capsys, fields, message):
         # a --config value is never truncated or coerced into range: it exits 2 naming the field
         cfg_path = tmp_path / "cfg.json"
@@ -381,6 +389,20 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert message in err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("output", [1, 7, ["a"]], ids=["fd1", "fd7", "list"])
+    def test_non_string_output_is_config_error(self, tmp_path, output):
+        # an int output would be taken as a file descriptor: run in a child process,
+        # so a regression cannot close this process's stdout
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"samples": 1000, "output": output}))
+        proc = subprocess.run([sys.executable, "-m", "linopt_bp.cli", "toy", "--config", str(cfg_path)],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 2
+        assert f"config error: output: expected str, got {output!r}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_negative_layer_count_is_config_error(self, tmp_path, capsys):
         code = main(["noise", "--layers-law", "linear:-1", "--output", str(tmp_path / "x.csv")])
@@ -422,15 +444,32 @@ def test_runs_without_scipy(tmp_path):
     assert (tmp_path / "train.csv").exists()
 
 
+_REPLAY_ARGS = {
+    "toy": ["--m", "4", "--s", "0.3", "--samples", "15000"],
+    "prop1": ["--m", "3", "--intensity", "0.5", "--samples", "2000",
+              "--generator", "two-mode-phase", "--modes", "0", "2"],
+    "prop2": ["--m", "3", "--samples", "2000"],
+    "heterodyne": ["--m", "2", "--e0", "1.0", "--e1", "0.4", "--samples", "2000"],
+    "noise": ["--m-grid", "4:24:4", "--k", "0.8", "--layers-law", "sqrt"],
+    "regimes": ["--m-grid", "4:24:4", "--law", "power:1,0.5"],
+    "train": ["--m", "2", "--layers", "3", "--max-iters", "20", "--family", "quadratic"],
+}
+
+
 class TestReproducibility:
-    def test_rerun_from_embedded_config_is_identical(self, tmp_path):
-        code, path = run(tmp_path, ["toy", "--m", "4", "--s", "0.3", "--samples", "15000", "--seed", "11"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", list(_REPLAY_ARGS))
+    def test_rerun_from_embedded_config_is_identical(self, tmp_path, command, fmt):
+        args = [command, *_REPLAY_ARGS[command], "--seed", "11", "--format", fmt]
+        code, path = run(tmp_path, args)
         assert code == 0
-        preamble, _, _ = parse_csv(path)
-        cfg = json.loads(preamble["config"])
+        if fmt == "csv":
+            cfg = json.loads(parse_csv(path)[0]["config"])
+        else:
+            cfg = json.loads(path.read_text().splitlines()[0])["config"]
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        code2, path2 = run(tmp_path, ["toy", "--config", str(cfg_path)], name="rerun.csv")
+        code2, path2 = run(tmp_path, [command, "--config", str(cfg_path)], name="rerun.csv")
         assert code2 == 0
         assert path.read_bytes() == path2.read_bytes()
 
