@@ -13,22 +13,19 @@ CSV/JSON artifacts.
 
 __version__ = "0.1.0"
 
-from .phase_space import MeanVector, intensity, overlap_fidelity
+from .phase_space import MeanVector, intensity
 from .linear_optics import (
     GeneratorPair,
-    Layer,
     LayeredCircuit,
     make_generator,
     random_circuit,
-    symplectic_form,
 )
-from .sampling import RandomSource, haar_orthogonal, uniform_angles, uniform_sphere
+from .sampling import RandomSource, haar_orthogonal, uniform_sphere
 from .special_functions import LogScaled, bessel_i
 from .cost_functions import (
     QuadraticHamiltonian,
     attenuated_intensity,
     bk_matrix,
-    toy_cost,
     toy_grad,
     toy_grad_abs_expectation,
 )

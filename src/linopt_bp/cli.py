@@ -22,10 +22,13 @@ also takes ``list:E1,...``, one intensity per grid point.
 Every output file embeds the schema string, the full config (JSON) and the
 seed as preamble records, so any file can be reproduced exactly from its own
 header.  Exit codes: 0 success, 2 configuration error (such as a negative or
-non-finite sweep intensity), 3 numerical failure (such as a closed-form moment
-that is exactly zero or underflows, a Bessel argument that overflows or
-exceeds ``special_functions.MAX_ARGUMENT`` = 1e12, past which a closed form's
--4E + log I(4E) would lose about ulp(4E) nats; a sweep names the first such m).
+non-finite sweep intensity), 3 numerical failure: a sweep-point moment that is
+exactly zero or underflows to zero, a nonzero prediction of ``toy`` or
+``prop1`` that rounds to 0.0 in linear scale, a Bessel argument that overflows
+or exceeds ``special_functions.MAX_ARGUMENT`` = 1e12, past which a closed
+form's -4E + log I(4E) would lose about ulp(4E) nats.  A sweep names the first
+such m, and an underflowing prediction its log.  An exact zero at a single
+point (``toy --s 0``, ``prop1 --intensity 0``) is written as 0.0 and exits 0.
 The default output directory is taken from LINOPT_BP_OUTDIR when set.
 
 Each option is declared once, as a field of its command in ``_COMMANDS``: the
@@ -39,6 +42,7 @@ rejects a JSON boolean, and ``output`` must be a string.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -239,6 +243,14 @@ def _closed_form(fn, *args):
         raise NumericalError(f"closed form: {fn.__name__} overflows") from None
 
 
+def _linear(pred, what) -> float:
+    """A log-scale prediction in linear scale; a nonzero one that rounds to 0.0 is
+    a numerical failure naming its log, and an exact zero (log -inf) passes."""
+    if pred.value == 0.0 and pred.log_value > -math.inf:
+        raise NumericalError(f"{what} underflows to 0.0 (log {pred.log_value!r})")
+    return pred.value
+
+
 def _finite(value, what) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -256,14 +268,14 @@ def _radius(energy) -> float:
 
 def _run_toy(cfg) -> tuple:
     m, s, samples = cfg["m"], cfg["s"], cfg["samples"]
-    closed = _closed_form(cf.toy_grad_abs_expectation, s, m)
+    closed = _linear(_closed_form(cf.toy_log_abs_expectation, s, m), "closed form")
     family = est.ToyGradientFamily(m=m, s=s)
     moments = est.estimate_abs_grad(family, samples, RandomSource(cfg["seed"]), cfg["jobs"])
     rows = [
         [m, s, "closed_form", _finite(closed, "closed form"), 0.0],
         [m, s, "mc", _finite(moments.mean, "MC mean"), moments.std_error_mean],
     ]
-    return ["m", "s", "kind", "value", "std_error"], rows, {"estimate": moments.as_dict()}
+    return ["m", "s", "kind", "value", "std_error"], rows, {"estimate": dataclasses.asdict(moments)}
 
 
 def _prop1_generator(cfg, m):
@@ -281,6 +293,7 @@ def _run_prop1(cfg) -> tuple:
     gen = _prop1_generator(cfg, m)
     xi_min, xi_max = cforms.xi_bounds(gen)
     interval = _closed_form(cforms.second_moment_interval, gen, energy)
+    pred_lo, pred_hi = _linear(interval.lo, "pred_lo"), _linear(interval.hi, "pred_hi")
     u = MeanVector.of([math.sqrt(2 * energy)] + [0.0] * (2 * m - 1))
     family = est.CompilingGradientFamily(u, gen)
     moments = est.estimate_grad_moments(family, samples, RandomSource(cfg["seed"]), cfg["jobs"])
@@ -289,14 +302,14 @@ def _run_prop1(cfg) -> tuple:
         energy,
         xi_min,
         xi_max,
-        interval.lo.value,
-        interval.hi.value,
+        pred_lo,
+        pred_hi,
         _finite(moments.second_moment, "MC second moment"),
         moments.std_error_second,
     ]]
     columns = ["m", "E", "xi_min", "xi_max", "pred_lo", "pred_hi",
                "mc_second_moment", "mc_stderr"]
-    return columns, rows, {"estimate": moments.as_dict()}
+    return columns, rows, {"estimate": dataclasses.asdict(moments)}
 
 
 def _run_prop2(cfg) -> tuple:
@@ -317,7 +330,7 @@ def _run_prop2(cfg) -> tuple:
     rows = [[m, energy, _finite(pred, "prediction"),
              _finite(moments.second_moment, "MC second moment"),
              moments.std_error_second]]
-    return ["m", "E", "prediction", "mc_second_moment", "mc_stderr"], rows, {"estimate": moments.as_dict()}
+    return ["m", "E", "prediction", "mc_second_moment", "mc_stderr"], rows, {"estimate": dataclasses.asdict(moments)}
 
 
 def _run_heterodyne(cfg) -> tuple:
@@ -335,7 +348,7 @@ def _run_heterodyne(cfg) -> tuple:
         moments = est.estimate_grad_moments(family, samples, RandomSource(cfg["seed"]), cfg["jobs"])
         row += [_finite(moments.second_moment, "MC second moment"), moments.std_error_second]
         columns += ["mc_second_moment", "mc_stderr"]
-        extra["estimate"] = moments.as_dict()
+        extra["estimate"] = dataclasses.asdict(moments)
     return columns, [row], extra
 
 

@@ -12,7 +12,8 @@ Four families, each an exact closed form in the phase-space mean:
   ``(u T) eta (u T)^T`` plus the theta-independent vacuum term ``tr(eta)/2``
   from the coherent-state covariance ``I/2``.
 
-The toy family lives here in full.  Of the circuit families this module
+Of the toy family this module holds the gradient and its closed-form mean
+|gradient|; the cost is a test oracle.  Of the circuit families this module
 holds what the Monte Carlo families and the closed forms share:
 ``attenuated_intensity``, ``QuadraticHamiltonian`` and ``bk_matrix``; the
 trainer evaluates the costs and their gradients itself.
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import bessel_i
+from .special_functions import LogScaled, bessel_i
 from .validation import check_same_modes, check_symmetric, modes_of
 from .linear_optics import GeneratorPair, check_generator
 
@@ -56,47 +57,33 @@ def _local_weight(u_single) -> float:
     return u1 * u1 + u2 * u2
 
 
-def toy_cost(u_single, theta) -> float:
-    """Local phase-shifter cost on the m-fold product of one single-mode state.
-
-    With s = u1^2 + u2^2 (twice the local intensity) and one angle per mode:
-    ``1 - exp(s * sum_j (cos theta_j - 1) * ... )``; zero at theta = 0 and
-    invariant under permutations of the angles.
-    """
-    s = _local_weight(u_single)
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    m = theta.size
-    return 1.0 - math.exp(s * float(np.cos(theta).sum()) - m * s)
-
-
 def toy_grad(u_single, theta) -> float:
-    """Derivative of the toy cost with respect to the first angle."""
+    """Derivative of the toy cost ``1 - exp(s sum_j (cos theta_j - 1))`` with respect to
+    the first angle, with s = u1^2 + u2^2 (twice the local intensity)."""
     s = _local_weight(u_single)
     theta = np.asarray(theta, dtype=float).reshape(-1)
     m = theta.size
     return s * math.sin(theta[0]) * math.exp(s * float(np.cos(theta).sum()) - m * s)
 
 
-def toy_grad_abs_expectation(s: float, m: int) -> float:
-    """Closed-form mean of |d(toy cost)/d(theta_1)| over uniform angles.
+def toy_log_abs_expectation(s: float, m: int) -> LogScaled:
+    """Closed-form mean of |d(toy cost)/d(theta_1)| over uniform angles, in log scale.
 
-    Equals ``(2/pi) exp(-m s) I_0(s)^(m-1) sinh(s)``, evaluated in log scale
-    so deep-plateau regimes underflow cleanly to 0.0 instead of overflowing
-    intermediate factors.
+    Equals ``(2/pi) exp(-m s) I_0(s)^(m-1) sinh(s)``; the log form keeps the
+    deep-plateau values that a double cannot hold, and s = 0 is an exact zero.
     """
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
     if m < 1:
         raise ValueError(f"mode count must be >= 1, got {m}")
     if s == 0.0:
-        return 0.0
-    log_val = (
-        math.log(2.0 / math.pi)
-        - m * s
-        + (m - 1) * bessel_i(0, s).log_value
-        + _log_sinh(s)
-    )
-    return math.exp(log_val)
+        return LogScaled(-math.inf)
+    return LogScaled(math.log(2.0 / math.pi) - m * s + (m - 1) * bessel_i(0, s).log_value + _log_sinh(s))
+
+
+def toy_grad_abs_expectation(s: float, m: int) -> float:
+    """``toy_log_abs_expectation`` in linear scale; deep-plateau values underflow to 0.0."""
+    return toy_log_abs_expectation(s, m).value
 
 
 def _log_sinh(s: float) -> float:

@@ -51,17 +51,6 @@ class MomentEstimate:
     std_error_second: float
     seed: int
 
-    def as_dict(self) -> dict:
-        """JSON-ready record of all fields (consumed by the CLI writers)."""
-        return {
-            "n_samples": self.n_samples,
-            "mean": self.mean,
-            "second_moment": self.second_moment,
-            "std_error_mean": self.std_error_mean,
-            "std_error_second": self.std_error_second,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class ToyGradientFamily:
@@ -69,8 +58,6 @@ class ToyGradientFamily:
 
     m: int
     s: float
-
-    name = "toy"
 
     def __post_init__(self):
         if self.m < 1:
@@ -92,8 +79,6 @@ class MeasurementGradientFamily:
     u: MeanVector
     n: MeanVector
     gen: GeneratorPair
-
-    name = "measurement"
 
     def __post_init__(self):
         u = as_mean_vector(self.u)
@@ -124,8 +109,6 @@ class QuadraticGradientFamily:
 
     u: MeanVector
     b: np.ndarray
-
-    name = "quadratic"
 
     def __post_init__(self):
         u = as_mean_vector(self.u)

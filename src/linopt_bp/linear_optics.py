@@ -1,8 +1,11 @@
 """Generators, gate exponentials and layered circuits of passive linear optics.
 
-A parameterized gate is specified by a symmetric matrix ``eps`` through the
-quadratic Hamiltonian ``R eps R^T`` (with ``R = (q1, p1, ..., qm, pm)``).  Its
-Heisenberg action on the mean vector is ``u -> u exp(theta D)`` with
+A parameterized gate acts on the mean vector as ``u -> u exp(theta D)``.  With
+``z_j = q_j + i p_j`` the mean vector is a complex m-vector (``v.view(np.complex128)``),
+and an energy-conserving ``D`` is complex-linear: the embedding of a skew-Hermitian
+k x k block ``dc`` on the k modes the gate touches, which ``GeneratorPair`` takes
+and stores (a phase-shifter has ``dc = -i``).  A Hamiltonian ``R eps R^T``
+(``R = (q1, p1, ..., qm, pm)``) enters through ``GeneratorPair.from_symmetric``, by
 
     D = -2 eps Delta,
 
@@ -22,17 +25,13 @@ and splitting it at layer k as ``T = O_minus O_plus`` (``O_minus`` covering
 layers 1..k-1) gives the split-layer gradients.  No such matrix is formed
 here: the trainer propagates the vectors ``u O_minus`` and ``O_plus n^T``.
 
-A fixed layer is a unitary ``U`` in U(m), stored as its complex m x m matrix.
-With ``z_j = q_j + i p_j`` the interleaved mean vector is a complex m-vector
-(``v.view(np.complex128)``), and the layer acts as ``z -> z U``.  The real
-2m x 2m matrix of that action, ``embed_unitary(U)``, has the 2 x 2 block
+A fixed layer is a unitary ``U`` in U(m) acting as ``z -> z U``; a circuit
+holds its generators and one (L, m, m) stack of them.  The real 2m x 2m matrix
+of that action, ``embed_unitary(U)``, has the 2 x 2 block
 ``[[Re U_jk, Im U_jk], [-Im U_jk, Re U_jk]]`` at mode pair (j, k); it commutes
-with ``Delta`` and is orthogonal exactly when ``U`` is unitary, so it is
-orthogonal and symplectic.  Every generator commutes with ``Delta``, so ``D``
-is the embedding of a skew-Hermitian k x k block ``dc`` on the k modes the
-gate touches (a phase-shifter has ``dc = -i``); ``GeneratorPair`` stores only
-that block, and y D b costs O(k^2) per vector.  With the eigendecomposition
-``0.5i dc = sum_j lambda_j P_j``, every gate is the identity off its modes and
+with ``Delta`` and is orthogonal exactly when ``U`` is unitary.  With the
+eigendecomposition ``0.5i dc = sum_j lambda_j P_j``, every gate is the identity
+off its modes and
 
     exp(theta dc) = I + sum_j (exp(i phi_j) - 1) P_j,    phi_j = -2 theta lambda_j,
 
@@ -42,6 +41,7 @@ with ``exp(i phi) - 1 = i sin(phi) - 2 sin(phi / 2)^2``: exactly I at theta = 0
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -53,31 +53,15 @@ from .validation import as_square_matrix, check_mode_index, check_symmetric, che
 GENERATOR_KINDS = ("phase-shifter", "two-mode-phase", "beamsplitter", "global-phase")
 
 
-def symplectic_form(m: int) -> np.ndarray:
-    """Block-diagonal symplectic form, one [[0,1],[-1,0]] block per mode."""
-    if m < 1:
-        raise ValueError(f"mode count must be >= 1, got {m}")
-    out = np.zeros((2 * m, 2 * m))
-    q = np.arange(0, 2 * m, 2)
-    out[q, q + 1] = 1.0
-    out[q + 1, q] = -1.0
-    return out
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class GeneratorPair:
-    """A parameterized gate, stored only as the complex block of its generator.
+    """A parameterized gate, stored as the complex block ``dc`` of its generator on ``modes``.
 
-    Built from the Hamiltonian block ``eps_s`` on ``support``, the coordinates
-    ``2j, 2j + 1`` of each mode j the gate touches, ascending, and checked once:
-    ``eps_s`` fits the support, is symmetric and commutes with the symplectic
-    form to 1e-10.  Stored: those ``modes`` and the k x k block of D = -2 eps Delta,
-
-        dc = -i ((p + s) + i (q - r)),
-
-    with p, q, r, s the entries (2a, 2b), (2a, 2b+1), (2a+1, 2b), (2a+1, 2b+1) of the
-    symmetric part of ``eps_s`` for modes a, b.  The same formula projects ``eps``
-    onto its commuting part, so a nearly commuting ``eps_s`` gives that part's block.
+    Checked once: ``modes`` is ascending, distinct and inside the m modes, and ``dc``
+    is k x k for its k modes and skew-Hermitian to 1e-10, which for a complex-linear
+    D is energy conservation.  Stored, read-only: the modes and the exactly
+    skew-Hermitian part of ``dc``.  A real Hamiltonian block enters through
+    ``from_symmetric``.
     """
 
     m: int
@@ -85,40 +69,48 @@ class GeneratorPair:
     dc: np.ndarray = field(repr=False)
     label: str = "custom"
 
-    def __init__(self, m: int, support, eps_s, label: str = "custom"):
+    def __init__(self, m: int, modes, dc, label: str = "custom"):
         m = int(m)
         if m < 1:
             raise ValueError(f"mode count must be >= 1, got {m}")
-        support = np.asarray(support)
-        if not (support.ndim == 1 and support.size % 2 == 0 and np.all(np.diff(support) > 0)
-                and np.array_equal(support, _coordinates(support[0::2] // 2))
-                and np.all((support >= 0) & (support < 2 * m))):
-            raise ValueError(f"support must be whole mode pairs (2j, 2j+1), ascending, "
-                             f"inside the {2 * m} coordinates; got {support.tolist()}")
-        modes = np.asarray(support[0::2] // 2, dtype=np.intp)
-        eps_s = np.asarray(eps_s, dtype=float)
-        if eps_s.shape != (support.size, support.size):
-            raise ValueError(f"eps_s has shape {eps_s.shape} but the support has {support.size} coordinates")
-        eps_s = 0.5 * (eps_s + check_symmetric(eps_s, "eps").T)  # exactly symmetric: dc is skew-Hermitian
-        p, q, r, s = eps_s[0::2, 0::2], eps_s[0::2, 1::2], eps_s[1::2, 0::2], eps_s[1::2, 1::2]
-        # D + D^T = -2 [eps, Delta] has the 2 x 2 blocks 2 [[q + r, s - p], [s - p, -(q + r)]]
-        if 2.0 * max(np.abs(q + r).max(initial=0.0), np.abs(p - s).max(initial=0.0)) > 1e-10:
-            raise ValueError("eps does not commute with the symplectic form; the gate would not conserve energy")
-        dc = np.empty(p.shape, dtype=np.complex128)
-        dc.real, dc.imag = q - r, -(p + s)
+        given = np.asarray(modes)
+        if not (given.ndim == 1 and np.issubdtype(given.dtype, np.integer) and np.all(np.diff(given) > 0)
+                and np.all((given >= 0) & (given < m))):
+            raise ValueError(f"modes must be ascending, distinct and inside the {m} modes; got {given.tolist()}")
+        modes = np.array(given, dtype=np.intp)
+        dc = np.asarray(dc, dtype=np.complex128)
+        if dc.shape != (modes.size, modes.size):
+            raise ValueError(f"dc has shape {dc.shape} but the gate has {modes.size} modes")
+        dev = float(np.abs(dc + dc.conj().T).max(initial=0.0))
+        if not dev <= 1e-10:
+            raise ValueError(f"dc is not skew-Hermitian (max |dc + dc^H| = {dev:.3e} > 1e-10); "
+                             "the gate would not conserve energy")
+        dc = 0.5 * (dc - dc.conj().T)
         modes.flags.writeable = dc.flags.writeable = False
         for name, value in (("m", m), ("modes", modes), ("dc", dc), ("label", label)):
             object.__setattr__(self, name, value)
 
     @classmethod
     def from_symmetric(cls, eps, label: str = "custom") -> "GeneratorPair":
-        """The pair of a dense eps; its support covers every nonzero row and column of eps."""
+        """The pair of a dense symmetric eps, on the modes of its nonzero rows and columns.
+
+        Checked: eps is symmetric and commutes with the symplectic form, both to 1e-10.
+        With p, q, r, s the entries (2a, 2b), (2a, 2b+1), (2a+1, 2b), (2a+1, 2b+1) of
+        the symmetric part of eps for modes a, b, ``dc = (q - r) - i (p + s)``, which
+        projects a nearly commuting eps onto its commuting part.
+        """
         eps = as_square_matrix(eps, "eps")
         m = modes_of(eps, "eps")
         nonzero = eps != 0.0
         modes = np.flatnonzero((nonzero.any(axis=0) | nonzero.any(axis=1)).reshape(m, 2).any(axis=1))
         support = _coordinates(modes)
-        return cls(m, support, eps[np.ix_(support, support)], label)
+        eps_s = eps[np.ix_(support, support)]
+        eps_s = 0.5 * (eps_s + check_symmetric(eps_s, "eps").T)  # exactly symmetric: dc is skew-Hermitian
+        p, q, r, s = eps_s[0::2, 0::2], eps_s[0::2, 1::2], eps_s[1::2, 0::2], eps_s[1::2, 1::2]
+        # D + D^T = -2 [eps, Delta] has the 2 x 2 blocks 2 [[q + r, s - p], [s - p, -(q + r)]]
+        if 2.0 * max(np.abs(q + r).max(initial=0.0), np.abs(p - s).max(initial=0.0)) > 1e-10:
+            raise ValueError("eps does not commute with the symplectic form; the gate would not conserve energy")
+        return cls(m, modes, (q - r) - 1j * (p + s), label)
 
     @property
     def support(self) -> np.ndarray:
@@ -166,13 +158,15 @@ def _coordinates(modes) -> np.ndarray:
 
 
 def make_generator(kind: str, modes: Sequence[int], m: int) -> GeneratorPair:
-    """Standard gate generators embedded in an m-mode register.
+    """Standard gate generators embedded in an m-mode register, as literal blocks dc.
 
     kinds:
-      phase-shifter(j)     eps has a +1/2 identity block on mode j
-      two-mode-phase(i,j)  +1/2 block on mode i, -1/2 block on mode j
-      beamsplitter(i,j)    mixing generator q_j p_i - q_i p_j
-      global-phase         +1/2 identity on every mode (equal column norms)
+      phase-shifter(j)     -i on mode j (eps has a +1/2 identity block on mode j)
+      two-mode-phase(i,j)  diag(-i, i) on (i, j) (+1/2 block on mode i, -1/2 on mode j)
+      beamsplitter(i,j)    [[0, -1], [1, 0]] on (i, j) (mixing generator q_j p_i - q_i p_j)
+      global-phase         -i I on every mode (equal column norms)
+
+    A two-mode block is written for i < j and reversed when i > j.
     """
     modes = tuple(int(j) for j in modes)
     if kind == "phase-shifter":
@@ -180,7 +174,7 @@ def make_generator(kind: str, modes: Sequence[int], m: int) -> GeneratorPair:
             raise ValueError("phase-shifter takes exactly one mode index")
         (j,) = modes
         check_mode_index(j, m)
-        eps_s = 0.5 * np.eye(2)
+        dc = [[-1j]]
         label = f"phase-shifter({j})"
     elif kind in ("two-mode-phase", "beamsplitter"):
         if len(modes) != 2:
@@ -188,23 +182,19 @@ def make_generator(kind: str, modes: Sequence[int], m: int) -> GeneratorPair:
         i, j = (check_mode_index(k, m) for k in modes)
         if i == j:
             raise ValueError(f"mode indices must be distinct, got ({i}, {j})")
-        # the block on (q_i, p_i, q_j, p_j), reordered to ascending modes
-        if kind == "two-mode-phase":
-            eps_s = np.kron(np.diag([0.5, -0.5]), np.eye(2))
-        else:
-            eps_s = 0.5 * np.array([[0.0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
-        order = [0, 1, 2, 3] if i < j else [2, 3, 0, 1]
-        eps_s = eps_s[np.ix_(order, order)]
+        dc = np.array([[-1j, 0], [0, 1j]] if kind == "two-mode-phase" else [[0, -1], [1, 0]], dtype=np.complex128)
+        if i > j:
+            dc = dc[::-1, ::-1]
         label = f"{kind}({i},{j})"
     elif kind == "global-phase":
         if modes:
             raise ValueError("global-phase takes no mode indices")
         modes = range(m)
-        eps_s = 0.5 * np.eye(2 * m)
+        dc = -1j * np.eye(m)
         label = "global-phase"
     else:
         raise ValueError(f"unknown generator kind {kind!r}; expected one of {GENERATOR_KINDS}")
-    return GeneratorPair(m, _coordinates(sorted(modes)), eps_s, label)
+    return GeneratorPair(m, sorted(modes), dc, label)
 
 
 class GateBlocks:
@@ -277,70 +267,62 @@ def embed_unitary(u) -> np.ndarray:
     return out.reshape(2 * m, 2 * m)
 
 
-@dataclass(frozen=True, eq=False)
-class Layer:
-    """A parameterized gate followed by a fixed passive layer.
-
-    ``unitary`` is the fixed layer as an m x m complex unitary, checked once
-    here; it acts on the complex mean vector as ``z -> z unitary``.
-    """
-
-    gen: GeneratorPair
-    unitary: np.ndarray
-
-    def __post_init__(self):
-        unitary = check_unitary(self.unitary, "fixed layer")
-        if unitary.shape[0] != self.gen.m:
-            raise ValueError(
-                f"fixed layer is {unitary.shape[0]} x {unitary.shape[0]} "
-                f"but the gate generator acts on {self.gen.m} modes"
-            )
-        unitary.flags.writeable = False
-        object.__setattr__(self, "unitary", unitary)
-
-
+@dataclass(frozen=True, eq=False, init=False)
 class LayeredCircuit:
     """Alternating parameterized gates and fixed passive layers.
 
-    Immutable after construction, so one circuit can be evaluated
-    concurrently at different parameter vectors.
+    Layer l applies the gate of ``gens[l]`` at ``theta[l]``, then the fixed layer
+    ``unitaries[l]`` as ``z -> z unitaries[l]``.  The fixed layers are one
+    read-only (L, m, m) complex stack, each checked unitary once, here.  Immutable,
+    so one circuit can be evaluated concurrently at different parameter vectors;
+    ``with_theta`` shares the generators and the stack.
     """
 
-    def __init__(self, layers: Sequence[Layer], theta):
-        built = tuple(layers)
-        if not built:
+    gens: tuple
+    unitaries: np.ndarray = field(repr=False)
+    theta: np.ndarray
+
+    def __init__(self, gens: Sequence[GeneratorPair], unitaries, theta):
+        gens = tuple(gens)
+        if not gens:
             raise ValueError("a circuit needs at least one layer")
-        m = built[0].gen.m
-        if any(layer.gen.m != m for layer in built):
+        m = gens[0].m
+        if any(gen.m != m for gen in gens):
             raise ValueError("all layers must act on the same number of modes")
-        self._layers = built
-        self._m = m
-        self._theta = np.array(self._check_theta(theta))  # a copy, frozen below
-        self._theta.flags.writeable = False
-
-    @property
-    def layers(self) -> tuple:
-        return self._layers
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self._theta
+        unitaries = np.asarray(unitaries, dtype=np.complex128)  # a complex stack is not copied
+        if unitaries.shape != (len(gens), m, m):
+            raise ValueError(f"fixed layers of shape {unitaries.shape} for {len(gens)} gates; "
+                             f"the gate generator acts on {m} modes")
+        for unitary in unitaries:
+            check_unitary(unitary, "fixed layer")
+        unitaries.flags.writeable = False
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "unitaries", unitaries)
+        object.__setattr__(self, "theta", self._frozen_theta(theta))
 
     @property
     def depth(self) -> int:
-        return len(self._layers)
+        return len(self.gens)
 
     @property
     def m(self) -> int:
-        return self._m
+        return self.gens[0].m
 
     def with_theta(self, theta) -> "LayeredCircuit":
-        return LayeredCircuit(self._layers, theta)
+        """The circuit at other parameters, sharing the generators and the fixed layers unchecked."""
+        out = copy.copy(self)
+        object.__setattr__(out, "theta", self._frozen_theta(theta))
+        return out
 
     def _check_theta(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float).reshape(-1)
         if theta.size != self.depth:
             raise ValueError(f"theta length {theta.size} does not match depth {self.depth}")
+        return theta
+
+    def _frozen_theta(self, theta) -> np.ndarray:
+        theta = np.array(self._check_theta(theta))  # a copy, frozen
+        theta.flags.writeable = False
         return theta
 
 
@@ -352,18 +334,14 @@ def random_circuit(m: int, depth: int, rng) -> "LayeredCircuit":
     m = 1).  Fixed layers are Haar draws from U(m), all taken in one batch
     and frozen at construction.  All parameters start at zero.
     """
-    if not isinstance(rng, np.random.Generator):
-        from .sampling import as_source
-
-        rng = as_source(rng).generator()
-    layers = []
-    for idx, unitary in enumerate(haar_unitary_batch(m, depth, rng)):
+    unitaries = haar_unitary_batch(m, depth, rng)
+    gens = []
+    for idx in range(depth):
         if m == 1:
-            gen = make_generator("phase-shifter", (0,), m)
+            gens.append(make_generator("phase-shifter", (0,), m))
         elif idx % 2 == 0:
             i = (idx // 2) % m
-            gen = make_generator("beamsplitter", (i, (i + 1) % m), m)
+            gens.append(make_generator("beamsplitter", (i, (i + 1) % m), m))
         else:
-            gen = make_generator("phase-shifter", ((idx // 2) % m,), m)
-        layers.append(Layer(gen, unitary))
-    return LayeredCircuit(layers, np.zeros(depth))
+            gens.append(make_generator("phase-shifter", ((idx // 2) % m,), m))
+    return LayeredCircuit(gens, unitaries, np.zeros(depth))

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .validation import check_same_modes
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,15 +70,3 @@ def intensity(u: MeanVector) -> float:
     """Total mean photon number carried by the state."""
     return as_mean_vector(u).intensity()
 
-
-def overlap_fidelity(u: MeanVector, v: MeanVector) -> float:
-    """Squared overlap |<u|v>|^2 = exp(-|u - v|^2 / 2) of two coherent states.
-
-    Symmetric in its arguments, equals 1 exactly when u = v, and is invariant
-    under a common orthogonal transformation of both states.
-    """
-    u = as_mean_vector(u)
-    v = as_mean_vector(v)
-    check_same_modes(u.m, v.m, "overlap arguments")
-    diff = u.values - v.values
-    return float(np.exp(-0.5 * float(diff @ diff)))

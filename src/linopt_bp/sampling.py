@@ -121,7 +121,3 @@ def uniform_angles_batch(m: int, size: int, rng) -> np.ndarray:
         raise ValueError(f"mode count must be >= 1, got {m}")
     gen = _as_generator(rng)
     return gen.uniform(-np.pi, np.pi, (size, m))
-
-
-def uniform_angles(m: int, rng) -> np.ndarray:
-    return uniform_angles_batch(m, 1, rng)[0]

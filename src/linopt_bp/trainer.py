@@ -24,7 +24,7 @@ the CLI writes the records as its ``train`` rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class TrainRecord:
     iteration: int
     cost: float
     grad_norm: float
-    theta: np.ndarray = field(repr=False)
     lr: float
     backoffs: int
 
@@ -97,7 +96,7 @@ class _Objective:
         else:
             self.target = as_mean_vector(target) if target is not None else self.u
             self._e_total = self.u.intensity() + self.target.intensity()
-        self._gates = GateBlocks([layer.gen for layer in circuit.layers])
+        self._gates = GateBlocks(circuit.gens)
 
     def forward(self, theta) -> tuple:
         """(gates, states): the complex gate blocks and the complex rows
@@ -110,10 +109,10 @@ class _Objective:
         gates = self._gates.at(theta)
         states = np.empty((len(gates) + 1, self.circuit.m), dtype=np.complex128)
         states[0] = self.u.values.view(np.complex128)
-        for l, (layer, modes, gate) in enumerate(zip(self.circuit.layers, self._gates.modes, gates)):
+        for l, (unitary, modes, gate) in enumerate(zip(self.circuit.unitaries, self._gates.modes, gates)):
             z = states[l].copy()
             z[modes] = z[modes].dot(gate)
-            np.dot(z, layer.unitary, out=states[l + 1])
+            np.dot(z, unitary, out=states[l + 1])
         return gates, states
 
     def evaluate(self, theta) -> tuple:
@@ -137,7 +136,7 @@ class _Objective:
         np.conjugate(g.view(np.complex128), out=cols[-1])
         for l in range(len(gates) - 1, -1, -1):
             # the column action of the fixed layer, conj(U) g, is U h for h = conj(g)
-            h = np.dot(self.circuit.layers[l].unitary, cols[l + 1], out=cols[l])
+            h = np.dot(self.circuit.unitaries[l], cols[l + 1], out=cols[l])
             modes = self._gates.modes[l]
             h[modes] = gates[l].dot(h[modes])
         return cost, scale * self._gates.bilinear(states, cols)
@@ -162,10 +161,10 @@ def train(circuit: LayeredCircuit, cost_family: str, u: MeanVector,
     gradient leaves the representable range.
     """
     objective = _Objective(circuit, cost_family, u, hamiltonian, target)
-    theta = np.array(circuit.theta, copy=True)
+    theta = circuit.theta
     cost, grads = _safe_evaluate(objective, theta, 0)
     lr = config.lr
-    records = [TrainRecord(0, cost, float(np.linalg.norm(grads)), theta.copy(), lr, 0)]
+    records = [TrainRecord(0, cost, float(np.linalg.norm(grads)), lr, 0)]
 
     backoffs = 0
     step_backoffs = 0
@@ -180,8 +179,7 @@ def train(circuit: LayeredCircuit, cost_family: str, u: MeanVector,
             continue
         theta, cost, grads = candidate, new_cost, new_grads
         iteration += 1
-        records.append(TrainRecord(iteration, cost, float(np.linalg.norm(grads)),
-                                   theta.copy(), lr, step_backoffs))
+        records.append(TrainRecord(iteration, cost, float(np.linalg.norm(grads)), lr, step_backoffs))
         step_backoffs = 0
     return records
 

@@ -13,6 +13,10 @@ package's spectral formula; they reuse ``GeneratorPair.bilinear`` for y D b
 (``overlap_grad``, ``quadratic_grad``), so they check the trainer's gates and
 its complex-mode adjoint pass, not that kernel.  ``mp_gate`` is a
 high-precision reference for a custom gate.  They validate nothing.
+
+``symplectic_form``, ``overlap_fidelity``, ``toy_cost`` and ``uniform_angles``
+are small reference functions that no package code calls; they live here as
+oracles for the tests that pin the conventions.
 """
 
 import math
@@ -26,8 +30,53 @@ from scipy.linalg import expm
 from linopt_bp import LayeredCircuit, LogScaled, bessel_i, intensity_law
 from linopt_bp import cost_functions as cf
 from linopt_bp.estimators import CHUNK_SIZE
-from linopt_bp.linear_optics import Layer, embed_unitary
-from linopt_bp.sampling import as_source
+from linopt_bp.linear_optics import embed_unitary
+from linopt_bp.phase_space import as_mean_vector
+from linopt_bp.sampling import as_source, uniform_angles_batch
+from linopt_bp.validation import check_same_modes
+
+
+def symplectic_form(m: int) -> np.ndarray:
+    """Block-diagonal symplectic form, one [[0,1],[-1,0]] block per mode."""
+    if m < 1:
+        raise ValueError(f"mode count must be >= 1, got {m}")
+    out = np.zeros((2 * m, 2 * m))
+    q = np.arange(0, 2 * m, 2)
+    out[q, q + 1] = 1.0
+    out[q + 1, q] = -1.0
+    return out
+
+
+def overlap_fidelity(u, v) -> float:
+    """Squared overlap |<u|v>|^2 = exp(-|u - v|^2 / 2) of two coherent states.
+
+    Symmetric in its arguments, equals 1 exactly when u = v, and is invariant
+    under a common orthogonal transformation of both states.
+    """
+    u = as_mean_vector(u)
+    v = as_mean_vector(v)
+    check_same_modes(u.m, v.m, "overlap arguments")
+    diff = u.values - v.values
+    return float(np.exp(-0.5 * float(diff @ diff)))
+
+
+def toy_cost(u_single, theta) -> float:
+    """Local phase-shifter cost on the m-fold product of one single-mode state.
+
+    With s = u1^2 + u2^2 (twice the local intensity) and one angle per mode:
+    ``1 - exp(s * sum_j (cos theta_j - 1))``; zero at theta = 0 and
+    invariant under permutations of the angles.
+    """
+    u1, u2 = (float(x) for x in np.asarray(u_single, dtype=float).reshape(-1))
+    s = u1 * u1 + u2 * u2
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    m = theta.size
+    return 1.0 - math.exp(s * float(np.cos(theta).sum()) - m * s)
+
+
+def uniform_angles(m: int, rng) -> np.ndarray:
+    """One vector of m i.i.d. angles uniform on [-pi, pi]."""
+    return uniform_angles_batch(m, 1, rng)[0]
 
 
 def series_bessel_i(nu: int, x: float, terms: int = 30) -> float:
@@ -111,8 +160,8 @@ def simpson(fn, lo: float, hi: float, n: int = 4001) -> float:
 
 def identity_fixed(circuit) -> LayeredCircuit:
     """The circuit with its gates and parameters kept and every fixed layer the identity."""
-    eye = np.eye(circuit.m, dtype=np.complex128)
-    return LayeredCircuit([Layer(layer.gen, eye) for layer in circuit.layers], circuit.theta)
+    eyes = np.broadcast_to(np.eye(circuit.m, dtype=np.complex128), circuit.unitaries.shape)
+    return LayeredCircuit(circuit.gens, eyes, circuit.theta)
 
 
 # -- dense circuit oracles ------------------------------------------------------
@@ -160,8 +209,8 @@ def mp_gate(gen, theta, dps: int = 30) -> np.ndarray:
 def layer_transfers(circuit, theta=None) -> list:
     """exp(theta_l D_l) W_l of every layer, as 2m x 2m matrices."""
     theta = circuit.theta if theta is None else theta
-    return [dense_gate(layer.gen, t) @ embed_unitary(layer.unitary)
-            for layer, t in zip(circuit.layers, theta)]
+    return [dense_gate(gen, t) @ embed_unitary(unitary)
+            for gen, unitary, t in zip(circuit.gens, circuit.unitaries, theta)]
 
 
 def _product(transfers, m) -> np.ndarray:

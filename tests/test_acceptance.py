@@ -193,7 +193,7 @@ def test_criterion_06_gradient_correctness():
     floor = 1e-2
     worst = 0.0
 
-    from linopt_bp import toy_cost
+    from conftest import toy_cost
 
     gen = RandomSource(1601).generator()
     count = 0
@@ -224,7 +224,7 @@ def test_criterion_06_gradient_correctness():
         direction /= np.linalg.norm(direction)
         u = MeanVector(math.sqrt(2 * float(gen.uniform(0.2, 2.0))) * direction)
         o_minus, o_plus = split_action(circ, k)
-        analytic = compiling_grad(u, circ.layers[k - 1].gen, o_minus, o_plus)
+        analytic = compiling_grad(u, circ.gens[k - 1], o_minus, o_plus)
         if abs(analytic) < floor:
             continue
         count += 1
@@ -245,7 +245,7 @@ def test_criterion_06_gradient_correctness():
         direction /= np.linalg.norm(direction)
         u = MeanVector(math.sqrt(2 * float(gen.uniform(0.2, 2.0))) * direction)
         o_minus, o_plus = split_action(circ, k)
-        analytic = quadratic_grad(u, circ.layers[k - 1].gen, ham, o_minus, o_plus)
+        analytic = quadratic_grad(u, circ.gens[k - 1], ham, o_minus, o_plus)
         if abs(analytic) < floor:
             continue
         count += 1

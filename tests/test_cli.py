@@ -80,6 +80,18 @@ class TestProp1Command:
         assert row["pred_lo"] - slack <= row["mc_second_moment"] <= row["pred_hi"] + slack
 
 
+@pytest.mark.parametrize("args,column", [
+    (["toy", "--m", "3", "--s", "0"], 3),
+    (["prop1", "--m", "3", "--intensity", "0"], 4),
+    (["prop1", "--m", "3", "--intensity", "0"], 5),
+], ids=["toy-s0", "prop1-e0-lo", "prop1-e0-hi"])
+def test_exact_zero_prediction_exits_0(tmp_path, args, column):
+    # s = 0 and E = 0 make the moment exactly zero (log -inf), which is written as 0.0
+    code, path = run(tmp_path, args + ["--samples", "1000"])
+    assert code == 0
+    assert float(parse_csv(path)[2][0][column]) == 0.0
+
+
 class TestProp2Command:
     def test_prediction_matches_mc(self, tmp_path):
         code, path = run(tmp_path, ["prop2", "--m", "2", "--intensity", "1.0", "--samples", "30000"])
@@ -325,6 +337,12 @@ class TestExitCodes:
          "closed form: argument must be finite"),
         (["toy", "--m", "4", "--s", "1e308", "--samples", "1000"], 3,
          "closed form: I_nu(x) at order 0, argument 1e+308"),
+        # a nonzero single-point prediction below the smallest double: e^-1854.2 and
+        # e^-2292.8 would be written as 0.0 beside an estimate of 0 +- 0
+        (["prop1", "--m", "1024", "--intensity", "1024", "--samples", "1000"], 3,
+         "pred_lo underflows to 0.0 (log -1854.21"),
+        (["toy", "--m", "3000", "--s", "1", "--samples", "1000"], 3,
+         "closed form underflows to 0.0 (log -2292.78"),
         # a layer-count law that does not parse, or whose count leaves the float range
         (["noise", "--layers-law", "linear:x"], 2, "layers_law: cannot parse 'linear:x'"),
         (["noise", "--layers-law", "linear:1e400"], 2, "layers_law: cannot parse 'linear:1e400'"),
@@ -350,7 +368,8 @@ class TestExitCodes:
             "regimes-infinite-law", "regimes-negative-list-entry", "regimes-bessel-overflow",
             "noise-bessel-overflow", "regimes-bessel-window", "heterodyne-bessel-overflow",
             "heterodyne-exponent-overflow", "heterodyne-exponent-overflow-mc",
-            "prop1-bessel-overflow", "toy-bessel-window",
+            "prop1-bessel-overflow", "toy-bessel-window", "prop1-prediction-underflow",
+            "toy-closed-form-underflow",
             "layers-linear-text", "layers-linear-overflow", "layers-linear-nan", "layers-const-text",
             "layers-const-fraction", "layers-count-overflow",
             "train-tol-nan", "train-intensity-inf", "prop2-intensity-nan", "prop1-intensity-nan",
@@ -416,15 +435,15 @@ sys.modules["scipy"] = None  # every import of scipy or a submodule now raises I
 import numpy as np
 from linopt_bp import GeneratorPair, LayeredCircuit, MeanVector, make_generator
 from linopt_bp.cli import main
-from linopt_bp.linear_optics import GateBlocks, Layer
+from linopt_bp.linear_optics import GateBlocks
 from linopt_bp.trainer import layer_gradients
 
 eps = np.diag([0.5, 0.5, 1.5, 1.5])  # unequal phases: no Rodrigues form
 custom = GeneratorPair.from_symmetric(eps)
 gate = GateBlocks([custom]).at([0.7])[0]
 assert np.allclose(gate, np.diag(np.exp([-0.7j, -2.1j])), rtol=0, atol=1e-15)
-layers = [Layer(custom, np.eye(2)), Layer(make_generator("beamsplitter", (0, 1), 2), np.eye(2))]
-grads = layer_gradients(LayeredCircuit(layers, [0.3, -0.4]), "compiling", MeanVector.of([1.0, 0.0, 0.0, 0.5]))
+circuit = LayeredCircuit([custom, make_generator("beamsplitter", (0, 1), 2)], [np.eye(2), np.eye(2)], [0.3, -0.4])
+grads = layer_gradients(circuit, "compiling", MeanVector.of([1.0, 0.0, 0.0, 0.5]))
 assert grads.shape == (2,) and np.all(np.isfinite(grads)) and np.any(grads != 0.0)
 assert main(["train", "--m", "4", "--layers", "6", "--max-iters", "2", "--output", sys.argv[1]]) == 0
 print("ok")

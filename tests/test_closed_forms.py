@@ -27,7 +27,6 @@ from linopt_bp import (
     xi_bounds,
 )
 from linopt_bp.closed_forms import SLOPE_THRESHOLD
-from linopt_bp.linear_optics import embed_unitary
 from linopt_bp.estimators import (
     CompilingGradientFamily,
     QuadraticGradientFamily,
@@ -80,8 +79,7 @@ class TestXiBounds:
         # and both real columns of a mode share its norm sum_a |dc_ab|^2
         a = RandomSource(m).generator().uniform(-1.0, 1.0, (2, len(modes), len(modes)))
         herm = 0.5 * (a[0] + 1j * a[1] + (a[0] + 1j * a[1]).conj().T)
-        support = (2 * np.array(modes)[:, None] + np.arange(2)).reshape(-1)
-        gen = GeneratorPair(m, support, embed_unitary(herm))
+        gen = GeneratorPair(m, modes, -2j * herm)
         d = gen.d
         norms = np.sum(d * d, axis=0)
         lo = float(norms.min()) if len(modes) == m else 0.0

@@ -12,16 +12,13 @@ from linopt_bp import (
     bk_matrix,
     haar_orthogonal,
     make_generator,
-    overlap_fidelity,
     random_circuit,
-    symplectic_form,
-    toy_cost,
     toy_grad,
     toy_grad_abs_expectation,
 )
 from conftest import (assert_within_sigma, compiling_cost, compiling_grad, dense_gate, fd_gradient,
-                      measurement_cost, measurement_grad, quadratic_cost, quadratic_grad,
-                      series_bessel_i, simpson, split_action)
+                      measurement_cost, measurement_grad, overlap_fidelity, quadratic_cost, quadratic_grad,
+                      series_bessel_i, simpson, split_action, symplectic_form, toy_cost)
 
 
 class TestToyModel:
@@ -280,7 +277,7 @@ class TestGradientFiniteDifferences:
         for _ in range(13):
             circ, u, k = self._random_instance(gen, m, depth=4)
             o_minus, o_plus = split_action(circ, k)
-            gen_k = circ.layers[k - 1].gen
+            gen_k = circ.gens[k - 1]
             analytic = compiling_grad(u, gen_k, o_minus, o_plus)
             fd = fd_gradient(circ, k, "compiling", u)
             assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-11)
@@ -293,7 +290,7 @@ class TestGradientFiniteDifferences:
         for _ in range(17):
             circ, u, k = self._random_instance(gen, m, depth=4)
             o_minus, o_plus = split_action(circ, k)
-            gen_k = circ.layers[k - 1].gen
+            gen_k = circ.gens[k - 1]
             analytic = quadratic_grad(u, gen_k, ham, o_minus, o_plus)
             fd = fd_gradient(circ, k, "quadratic", u, hamiltonian=ham)
             assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-11)
@@ -305,7 +302,7 @@ class TestGradientFiniteDifferences:
             circ, u, k = self._random_instance(gen, m, depth=4)
             target = MeanVector(gen.standard_normal(2 * m))
             o_minus, o_plus = split_action(circ, k)
-            gen_k = circ.layers[k - 1].gen
+            gen_k = circ.gens[k - 1]
             analytic = measurement_grad(u, target, gen_k, o_minus, o_plus)
             fd = fd_gradient(circ, k, "compiling", u, target=target)
             assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-11)
@@ -350,7 +347,7 @@ class TestGradientFiniteDifferences:
         ham = QuadraticHamiltonian(eta)
         circ, u, k = TestGradientFiniteDifferences()._random_instance(gen, m, 4)
         o_minus, o_plus = split_action(circ, k)
-        gen_k = circ.layers[k - 1].gen
+        gen_k = circ.gens[k - 1]
         g1 = quadratic_grad(u, gen_k, ham, o_minus, o_plus)
         # identity part of eta~ commutes with D_k, so it cannot contribute
         g2 = quadratic_grad(u, gen_k, ham_shifted, o_minus, o_plus)

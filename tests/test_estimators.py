@@ -246,7 +246,7 @@ class TestSphereSampling:
         ]
         for family in families:
             x = family.sample_gradients(64, RandomSource(32).generator())
-            assert x.shape == (64,) and np.all(np.isfinite(x)), family.name
+            assert x.shape == (64,) and np.all(np.isfinite(x)), type(family).__name__
 
     def test_second_moments_match_explicit_haar_pairs(self):
         # independent route: explicit Haar (O_minus, O_plus) through the

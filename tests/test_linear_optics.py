@@ -11,13 +11,13 @@ from linopt_bp import (
     RandomSource,
     make_generator,
     random_circuit,
-    symplectic_form,
 )
-from linopt_bp.linear_optics import GateBlocks, Layer, embed_unitary
+from linopt_bp import linear_optics
+from linopt_bp.linear_optics import GateBlocks, embed_unitary
 from linopt_bp.sampling import haar_unitary_batch
 
 from conftest import (custom_gate_tol, dense_gate, fd_gradient, identity_fixed, layer_transfers, mp_gate,
-                      orthogonal_action, split_action)
+                      orthogonal_action, split_action, symplectic_form)
 
 
 def _gate(gen, theta):
@@ -106,7 +106,7 @@ class TestGenerators:
         # the stored generator is that of the average of eps and Delta^T eps Delta
         eps_s = np.diag([0.5, 0.5, 1.5, 1.5])
         eps_s[0, 2] = eps_s[2, 0] = 2e-11
-        gen = GeneratorPair(2, np.arange(4), eps_s)
+        gen = GeneratorPair.from_symmetric(eps_s)
         expected = np.diag([0.5, 0.5, 1.5, 1.5])
         expected[0, 2] = expected[2, 0] = expected[1, 3] = expected[3, 1] = 1e-11
         np.testing.assert_array_equal(gen.eps, expected)
@@ -119,24 +119,41 @@ class TestGenerators:
         # skew-Hermitian, since the gates read one triangle of it (eigh) and y D b all of it
         eps_s = np.diag([0.5, 0.5, 1.5, 1.5])
         eps_s[0, 2], eps_s[1, 3], eps_s[2, 0], eps_s[3, 1] = 0.25, 0.25, 0.25 + 5e-11, 0.25 + 5e-11
-        gen = GeneratorPair(2, np.arange(4), eps_s)
+        gen = GeneratorPair.from_symmetric(eps_s)
         assert np.array_equal(gen.dc, -gen.dc.conj().T)
         np.testing.assert_allclose(gen.eps, 0.5 * (eps_s + eps_s.T), rtol=0, atol=1e-16)
 
-    @pytest.mark.parametrize("support", [[1, 2], [2, 3, 0, 1], [0, 1, 0, 1], [4, 5], [-2, -1], [0], [[0, 1]]])
-    def test_rejects_support_that_is_not_whole_ascending_mode_pairs(self, support):
-        with pytest.raises(ValueError, match="whole mode pairs"):
-            GeneratorPair(2, np.array(support), np.zeros((len(support), len(support))))
+    def test_rejects_bad_modes(self):
+        # descending, repeated, outside the 3 modes, negative, not integers, not 1-D
+        for modes in ([1, 0], [0, 0], [3], [-1], [0.0, 1.0], [[0, 1]]):
+            size = np.asarray(modes).size
+            with pytest.raises(ValueError, match="ascending, distinct and inside the 3 modes"):
+                GeneratorPair(3, modes, np.zeros((size, size)))
 
     def test_rejects_block_of_the_wrong_shape(self):
-        with pytest.raises(ValueError, match="support has 4 coordinates"):
-            GeneratorPair(2, np.arange(4), 0.5 * np.eye(2))
+        with pytest.raises(ValueError, match="the gate has 2 modes"):
+            GeneratorPair(2, [0, 1], -1j * np.eye(1))
 
     def test_rejects_noncommuting_block(self):
-        eps_s = np.zeros((2, 2))
-        eps_s[0, 0] = 1.0
+        eps = np.zeros((6, 6))
+        eps[2, 2] = 1.0
         with pytest.raises(ValueError, match="conserve energy"):
-            GeneratorPair(3, np.array([2, 3]), eps_s)
+            GeneratorPair.from_symmetric(eps)
+
+    def test_rejects_block_that_is_not_skew_hermitian(self):
+        # a Hermitian part of 2e-10 fails the 1e-10 check, and so does a NaN entry;
+        # 5e-11 passes and is projected away
+        for dc in ([[-1j, 2e-10], [0.0, 1j]], [[-1j, np.nan], [0.0, 1j]]):
+            with pytest.raises(ValueError, match="not skew-Hermitian.*conserve energy"):
+                GeneratorPair(2, [0, 1], dc)
+        gen = GeneratorPair(2, [0, 1], [[-1j, 5e-11], [0.0, 1j]])
+        np.testing.assert_array_equal(gen.dc, [[-1j, 2.5e-11], [-2.5e-11, 1j]])
+
+    def test_from_symmetric_of_a_standard_kind_returns_its_block(self):
+        for gen in _standard_generators():
+            dense = GeneratorPair.from_symmetric(gen.eps)
+            np.testing.assert_array_equal(dense.modes, gen.modes, err_msg=gen.label)
+            np.testing.assert_array_equal(dense.dc, gen.dc, err_msg=gen.label)
 
     def test_generator_stores_one_form(self):
         # the modes and the complex block; the real forms are built on access
@@ -150,9 +167,9 @@ class TestGenerators:
 
     def test_circuit_generators_store_only_their_blocks(self):
         circ = random_circuit(64, 64, RandomSource(5).generator())
-        for layer in circ.layers:
-            sizes = [v.size for v in vars(layer.gen).values() if isinstance(v, np.ndarray)]
-            assert sizes and max(sizes) <= 16, layer.gen.label
+        for gen in circ.gens:
+            sizes = [v.size for v in vars(gen).values() if isinstance(v, np.ndarray)]
+            assert sizes and max(sizes) <= 16, gen.label
 
     def test_commutator_map_is_traceless(self):
         # for symmetric M commuting with Delta and any symmetric N,
@@ -290,9 +307,9 @@ class TestFixedLayers:
     @pytest.mark.parametrize("m", [1, 2, 4, 16])
     def test_random_circuit_layers_are_passive(self, m):
         circ = random_circuit(m, 6, RandomSource(7).generator())
-        for layer in circ.layers:
-            assert layer.unitary.shape == (m, m)
-            assert max(_passive_defects(embed_unitary(layer.unitary))) <= 1e-12
+        assert circ.unitaries.shape == (6, m, m)
+        for unitary in circ.unitaries:
+            assert max(_passive_defects(embed_unitary(unitary))) <= 1e-12
         total = orthogonal_action(circ.with_theta(np.linspace(-3.0, 3.0, 6)))
         assert max(_passive_defects(total)) <= 1e-12
 
@@ -319,11 +336,21 @@ class TestFixedLayers:
     def test_layer_validates_its_unitary(self):
         gen = make_generator("beamsplitter", (0, 1), 2)
         with pytest.raises(ValueError, match="not unitary"):
-            Layer(gen, np.array([[1.0, 0.0], [0.0, 2.0]]))
+            LayeredCircuit([gen], [np.array([[1.0, 0.0], [0.0, 2.0]])], [0.0])
         with pytest.raises(ValueError, match="acts on 2 modes"):
-            Layer(gen, np.eye(4))
-        layer = Layer(gen, np.eye(2))
-        assert layer.unitary.dtype == np.complex128 and not layer.unitary.flags.writeable
+            LayeredCircuit([gen], [np.eye(4)], [0.0])
+        circ = LayeredCircuit([gen], [np.eye(2)], [0.0])
+        assert circ.unitaries.dtype == np.complex128 and not circ.unitaries.flags.writeable
+
+    def test_with_theta_shares_the_layers_unchecked(self, monkeypatch):
+        circ = random_circuit(4, 6, RandomSource(2).generator())
+        calls = []
+        monkeypatch.setattr(linear_optics, "check_unitary", lambda *a, **k: calls.append(a))
+        moved = circ.with_theta(np.linspace(-1.0, 1.0, 6))
+        assert moved.gens is circ.gens and moved.unitaries is circ.unitaries
+        assert calls == []
+        np.testing.assert_array_equal(moved.theta, np.linspace(-1.0, 1.0, 6))
+        assert not moved.theta.flags.writeable and not circ.theta.any()
 
 
 def test_gate_blocks_match_block():
@@ -362,7 +389,7 @@ class TestLayeredCircuit:
 
     def test_single_layer_split(self):
         gen = make_generator("phase-shifter", (0,), 1)
-        circ = LayeredCircuit([Layer(gen, np.eye(1, dtype=complex))], [0.8])
+        circ = LayeredCircuit([gen], [np.eye(1, dtype=complex)], [0.8])
         o_minus, o_plus = split_action(circ, 1)
         np.testing.assert_array_equal(o_minus, np.eye(2))
         np.testing.assert_allclose(o_plus, dense_gate(gen, 0.8), atol=1e-14)
@@ -394,7 +421,7 @@ class TestLayeredCircuit:
         # d/dtheta_k of the full action is O_minus D_k O_plus
         circ = self._circuit(seed=21)
         o_minus, o_plus = split_action(circ, 3)
-        d_k = circ.layers[2].gen.d
+        d_k = circ.gens[2].d
         step = 1e-6
         up = np.array(circ.theta)
         dn = up.copy()

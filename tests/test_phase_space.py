@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from linopt_bp import MeanVector, RandomSource, haar_orthogonal, intensity, overlap_fidelity
+from linopt_bp import MeanVector, RandomSource, haar_orthogonal, intensity
+
+from conftest import overlap_fidelity
 
 
 class TestIntensity:

@@ -91,8 +91,8 @@ def test_bilinear_matches_dense_product(gen, rows, seed):
 @st.composite
 def circuit_generators(draw, max_m=8, max_layers=6):
     """A sequence of generators on one m-mode register, m in [1, max_m]: any
-    standard kind, or a custom one, ``embed_unitary`` of a random Hermitian
-    matrix on a random set of modes (complex-linear, no closed-form gate)."""
+    standard kind, or a custom one, the block ``-2i H`` of a random Hermitian
+    matrix H on a random set of modes (complex-linear, no closed-form gate)."""
     m = draw(st.integers(1, max_m))
     kinds = GENERATOR_KINDS if m >= 2 else ("phase-shifter", "global-phase")
     gens = []
@@ -101,8 +101,7 @@ def circuit_generators(draw, max_m=8, max_layers=6):
             modes = sorted(draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True)))
             a = RandomSource(draw(SEEDS)).generator().uniform(-1.0, 1.0, (2, len(modes), len(modes)))
             herm = a[0] + 1j * a[1]
-            support = (2 * np.array(modes)[:, None] + np.arange(2)).reshape(-1)
-            gens.append(GeneratorPair(m, support, embed_unitary(0.5 * (herm + herm.conj().T))))
+            gens.append(GeneratorPair(m, modes, -2j * (0.5 * (herm + herm.conj().T))))
         elif kind == "global-phase":
             gens.append(make_generator(kind, (), m))
         elif kind == "phase-shifter":

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from linopt_bp import RandomSource, haar_orthogonal, uniform_angles, uniform_sphere
+from linopt_bp import RandomSource, haar_orthogonal, uniform_sphere
 from linopt_bp.sampling import (
     haar_orthogonal_batch,
     haar_unitary_batch,
     uniform_angles_batch,
     uniform_sphere_batch,
 )
+
+from conftest import uniform_angles
 
 
 class TestRandomSource:

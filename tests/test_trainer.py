@@ -16,7 +16,6 @@ from linopt_bp import (
     train,
     uniform_sphere,
 )
-from linopt_bp.linear_optics import Layer
 from linopt_bp.sampling import haar_unitary_batch
 from linopt_bp.trainer import _Objective, layer_gradients
 
@@ -36,13 +35,12 @@ def _assert_matches_split_kernel(gens, gen, rel):
     against the split-layer oracle, to relative tolerance ``rel``."""
     m = gens[0].m
     unitaries = haar_unitary_batch(m, len(gens), gen)
-    circ = LayeredCircuit([Layer(g, w) for g, w in zip(gens, unitaries)],
-                          gen.uniform(-math.pi, math.pi, len(gens)))
+    circ = LayeredCircuit(gens, unitaries, gen.uniform(-math.pi, math.pi, len(gens)))
     u = uniform_sphere(m, 1.0, gen)
     grads = layer_gradients(circ, "compiling", u)
     for k in range(1, circ.depth + 1):
         o_minus, o_plus = split_action(circ, k)
-        gen_k = circ.layers[k - 1].gen
+        gen_k = circ.gens[k - 1]
         assert grads[k - 1] == pytest.approx(compiling_grad(u, gen_k, o_minus, o_plus), rel=rel), k
 
 
@@ -97,7 +95,7 @@ class TestTrainerGradients:
         # only at machine precision)
         for k in range(1, circ.depth + 1):
             o_minus, o_plus = split_action(circ, k)
-            gen_k = circ.layers[k - 1].gen
+            gen_k = circ.gens[k - 1]
             assert grads[k - 1] == pytest.approx(
                 compiling_grad(u, gen_k, o_minus, o_plus), rel=1e-11
             )
@@ -141,7 +139,7 @@ class TestTrainerGradients:
         grads = layer_gradients(circ, "quadratic", u, hamiltonian=ham)
         for k in range(1, circ.depth + 1):
             o_minus, o_plus = split_action(circ, k)
-            gen_k = circ.layers[k - 1].gen
+            gen_k = circ.gens[k - 1]
             assert grads[k - 1] == pytest.approx(
                 quadratic_grad(u, gen_k, ham, o_minus, o_plus), rel=1e-11
             )
