@@ -331,8 +331,9 @@ def random_circuit(m: int, depth: int, rng) -> "LayeredCircuit":
 
     Gate pattern: even layers are beamsplitters on adjacent mode pairs, odd
     layers single-mode phase shifters (plain phase shifters throughout when
-    m = 1).  Fixed layers are Haar draws from U(m), all taken in one batch
-    and frozen at construction.  All parameters start at zero.
+    m = 1).  Fixed layers are Haar draws from U(m), written block by block
+    into the circuit's one stack and frozen at construction.  All parameters
+    start at zero.
     """
     unitaries = haar_unitary_batch(m, depth, rng)
     gens = []

@@ -14,7 +14,10 @@ Passive linear optics on m modes is U(m) (complex Ginibre matrices, unit
 phases), drawn for the fixed layers of circuits.  O(2m) (real Gaussian
 matrices, signs) remains for the ``prop2`` instance's ``O_plus``.  Whole
 matrices are needed only there: the Monte Carlo estimators draw the sphere
-points ``u O`` directly.
+points ``u O`` directly.  A stack of Haar matrices is filled in place, a
+block of about ``_BLOCK_BYTES`` at a time, so drawing it needs little more
+memory than the stack itself; the draws are the same as one batched QR of
+the whole stack, bit for bit.
 """
 
 from __future__ import annotations
@@ -60,16 +63,38 @@ def _as_generator(rng) -> np.random.Generator:
     return as_source(rng).generator()
 
 
+# bytes of Haar matrices per batched QR.  Each QR call has a fixed cost of tens of
+# microseconds, so small stacks stay in one call (up to 64 layers at m = 16); the
+# draw, LAPACK's copy, R and Q of one block are the scratch beyond the stack itself
+_BLOCK_BYTES = 256 * 1024
+
+
+def _haar_batch(n: int, size: int, rng, dtype) -> np.ndarray:
+    """Fill a (size, n, n) stack with phase-fixed QR factors of Gaussian matrices.
+
+    Each block draws its Gaussian matrices from the one generator in stack
+    order, so the stack equals a single batched draw and QR bit for bit.
+    """
+    gen = _as_generator(rng)
+    out = np.empty((size, n, n), dtype)
+    step = max(1, _BLOCK_BYTES // (out.itemsize * n * n))
+    for start in range(0, size, step):
+        block = out[start:start + step]
+        # a complex draw interleaves real and imaginary parts (n x 2n doubles); the
+        # scale of the entries does not affect the orthogonal or unitary factor
+        g = gen.standard_normal((len(block), n, n * out.itemsize // 8))
+        q, r = np.linalg.qr(g.view(dtype))
+        diag = np.einsum("...ii->...i", r)
+        phases = np.divide(diag, np.abs(diag), out=np.ones_like(diag), where=diag != 0)
+        np.multiply(q, phases[..., None, :], out=block)
+    return out
+
+
 def haar_orthogonal_batch(m: int, size: int, rng) -> np.ndarray:
     """Stack of ``size`` independent Haar draws from O(2m), shape (size, 2m, 2m)."""
     if m < 1:
         raise ValueError(f"mode count must be >= 1, got {m}")
-    gen = _as_generator(rng)
-    g = gen.standard_normal((size, 2 * m, 2 * m))
-    q, r = np.linalg.qr(g)
-    signs = np.sign(np.einsum("...ii->...i", r))
-    signs[signs == 0] = 1.0
-    return q * signs[..., None, :]
+    return _haar_batch(2 * m, size, rng, np.float64)
 
 
 def haar_orthogonal(m: int, rng) -> np.ndarray:
@@ -81,15 +106,7 @@ def haar_unitary_batch(m: int, size: int, rng) -> np.ndarray:
     """Stack of ``size`` independent Haar draws from U(m), shape (size, m, m), complex."""
     if m < 1:
         raise ValueError(f"mode count must be >= 1, got {m}")
-    gen = _as_generator(rng)
-    # complex Ginibre matrices (real and imaginary parts interleaved); the
-    # scale of the entries does not affect the unitary factor
-    z = gen.standard_normal((size, m, 2 * m)).view(np.complex128)
-    q, r = np.linalg.qr(z)
-    diag = np.einsum("...ii->...i", r)
-    phases = np.divide(diag, np.abs(diag), out=np.ones_like(diag), where=diag != 0)
-    q *= phases[..., None, :]
-    return q
+    return _haar_batch(m, size, rng, np.complex128)
 
 
 def uniform_sphere_batch(m: int, radius: float, size: int, rng) -> np.ndarray:
@@ -107,7 +124,8 @@ def uniform_sphere_batch(m: int, radius: float, size: int, rng) -> np.ndarray:
         bad = norms < 1e-12
         g[bad] = gen.standard_normal((int(bad.sum()), 2 * m))
         norms = np.linalg.norm(g, axis=1)
-    return g * (radius / norms)[:, None]
+    g *= (radius / norms)[:, None]
+    return g
 
 
 def uniform_sphere(m: int, radius: float, rng) -> MeanVector:

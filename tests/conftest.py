@@ -17,6 +17,10 @@ high-precision reference for a custom gate.  They validate nothing.
 ``symplectic_form``, ``overlap_fidelity``, ``toy_cost`` and ``uniform_angles``
 are small reference functions that no package code calls; they live here as
 oracles for the tests that pin the conventions.
+
+``one_shot_haar_unitary`` and ``one_shot_haar_orthogonal`` draw a whole Haar
+stack with one Gaussian draw and one batched QR, as the package did before it
+filled stacks block by block; the blocked samplers must match them bit for bit.
 """
 
 import math
@@ -77,6 +81,25 @@ def toy_cost(u_single, theta) -> float:
 def uniform_angles(m: int, rng) -> np.ndarray:
     """One vector of m i.i.d. angles uniform on [-pi, pi]."""
     return uniform_angles_batch(m, 1, rng)[0]
+
+
+def one_shot_haar_unitary(m: int, size: int, gen) -> np.ndarray:
+    """(size, m, m) Haar stack on U(m) from one complex Ginibre draw and one QR."""
+    z = gen.standard_normal((size, m, 2 * m)).view(np.complex128)
+    q, r = np.linalg.qr(z)
+    diag = np.einsum("...ii->...i", r)
+    phases = np.divide(diag, np.abs(diag), out=np.ones_like(diag), where=diag != 0)
+    q *= phases[..., None, :]
+    return q
+
+
+def one_shot_haar_orthogonal(m: int, size: int, gen) -> np.ndarray:
+    """(size, 2m, 2m) Haar stack on O(2m) from one real Gaussian draw and one QR."""
+    g = gen.standard_normal((size, 2 * m, 2 * m))
+    q, r = np.linalg.qr(g)
+    signs = np.sign(np.einsum("...ii->...i", r))
+    signs[signs == 0] = 1.0
+    return q * signs[..., None, :]
 
 
 def series_bessel_i(nu: int, x: float, terms: int = 30) -> float:

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from linopt_bp import RandomSource, haar_orthogonal, uniform_sphere
+from linopt_bp import RandomSource, haar_orthogonal, random_circuit, uniform_sphere
+from linopt_bp import sampling
 from linopt_bp.sampling import (
     haar_orthogonal_batch,
     haar_unitary_batch,
@@ -9,7 +12,7 @@ from linopt_bp.sampling import (
     uniform_sphere_batch,
 )
 
-from conftest import uniform_angles
+from conftest import one_shot_haar_orthogonal, one_shot_haar_unitary, uniform_angles
 
 
 class TestRandomSource:
@@ -98,6 +101,49 @@ class TestHaarUnitary:
         ):
             se = x.std(ddof=1) / np.sqrt(n)
             assert abs(x.mean() - expected) <= 4.0 * se, (m, x.mean(), expected, se)
+
+
+def _blocks(n: int, itemsize: int, size: int) -> int:
+    """How many batched QRs fill a stack of ``size`` n x n matrices."""
+    per_block = max(1, sampling._BLOCK_BYTES // (itemsize * n * n))
+    return -(-size // per_block)
+
+
+class TestBlockedHaar:
+    """Blocked stacks equal one batched draw and QR, and need about one stack of memory."""
+
+    # a short last block; blocks of exactly one layer; one mode
+    @pytest.mark.parametrize("m, size, blocks", [(16, 100, 2), (100, 3, 3), (1, 5, 1)])
+    def test_unitary_stack_matches_one_shot_draw(self, m, size, blocks):
+        assert _blocks(m, 16, size) == blocks
+        gen = RandomSource(3).generator()
+        expected = one_shot_haar_unitary(m, size, gen)
+        blocked, built = RandomSource(3).generator(), RandomSource(3).generator()
+        np.testing.assert_array_equal(haar_unitary_batch(m, size, blocked), expected)
+        np.testing.assert_array_equal(random_circuit(m, size, built).unitaries, expected)
+        after = gen.standard_normal(4)
+        for own in (blocked, built):  # later draws from the generator are unchanged too
+            np.testing.assert_array_equal(own.standard_normal(4), after)
+
+    # a short last block; size 1 with room to spare, and larger than a block
+    @pytest.mark.parametrize("m, size, blocks", [(3, 1000, 2), (2, 1, 1), (100, 1, 1)])
+    def test_orthogonal_stack_matches_one_shot_draw(self, m, size, blocks):
+        assert _blocks(2 * m, 8, size) == blocks
+        gen, own = RandomSource(4).generator(), RandomSource(4).generator()
+        expected = one_shot_haar_orthogonal(m, size, gen)
+        np.testing.assert_array_equal(haar_orthogonal_batch(m, size, own), expected)
+        np.testing.assert_array_equal(own.standard_normal(4), gen.standard_normal(4))
+
+    def test_peak_memory_is_about_one_stack(self):
+        stack_bytes = 256 * 64 * 64 * 16  # 16 MiB; one batched QR peaked at 4x this
+        for build in (haar_unitary_batch, random_circuit):
+            tracemalloc.start()
+            try:
+                build(64, 256, RandomSource(1).generator())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * stack_bytes, (build.__name__, peak / stack_bytes)
 
 
 class TestUniformSphere:
