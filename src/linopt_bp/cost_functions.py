@@ -87,12 +87,9 @@ def toy_grad_abs_expectation(s: float, m: int) -> float:
 
 
 def _log_sinh(s: float) -> float:
-    # sinh(s) = s * sinh(s)/s; stable for tiny s, and s + log((1-e^{-2s})/2) for large
-    if s < 1e-4:
-        return math.log(s) + math.log1p(s * s / 6.0)
-    if s > 350.0:
-        return s - math.log(2.0)
-    return math.log(math.sinh(s))
+    # sinh(s) = e^s (1 - e^(-2s)) / 2 for s > 0; expm1 keeps 1 - e^(-2s) exact at
+    # subnormal s, and e^s never overflows
+    return s - math.log(2.0) + math.log(-math.expm1(-2.0 * s))
 
 
 # -- compiling / measurement family ---------------------------------------

@@ -16,6 +16,7 @@ from linopt_bp import (
     toy_grad,
     toy_grad_abs_expectation,
 )
+from linopt_bp.cost_functions import _log_sinh
 from conftest import (assert_within_sigma, compiling_cost, compiling_grad, dense_gate, fd_gradient,
                       measurement_cost, measurement_grad, overlap_fidelity, quadratic_cost, quadratic_grad,
                       series_bessel_i, simpson, split_action, symplectic_form, toy_cost)
@@ -96,6 +97,18 @@ class TestToyClosedForm:
             float(mags.std(ddof=1) / math.sqrt(n)),
             context="toy closed form",
         )
+
+    def test_log_sinh_against_mpmath(self):
+        # 50-digit oracle at subnormal s, on both sides of 1e-4 and 350 (where small-
+        # and large-s forms of log sinh change over), and out to 1e12
+        mpmath = pytest.importorskip("mpmath")
+        points = [5e-324, 1.5e-323, 1e-310, 1e-8, 0.9e-4, math.nextafter(1e-4, 0.0), 1e-4,
+                  math.nextafter(1e-4, 1.0), 1.1e-4, 0.5, 20.0, 349.0, math.nextafter(350.0, 0.0),
+                  350.0, math.nextafter(350.0, 400.0), 351.0, 1e6, 1e12]
+        with mpmath.workdps(50):
+            for s in points:
+                oracle = float(mpmath.log(mpmath.sinh(mpmath.mpf(s))))
+                assert abs(_log_sinh(s) - oracle) <= 4e-16 * max(abs(oracle), 1.0), s
 
     def test_decreasing_in_mode_count(self):
         s = 0.5

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import defaultdict
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from linopt_bp import LogScaled, bessel_i, special_functions
-from linopt_bp.special_functions import TERM_CUTOFF_LOG
+from linopt_bp.special_functions import DEBYE_R0
 
 from conftest import (
     series_bessel_i,
@@ -25,6 +26,17 @@ def _assert_matches_mpmath():
     # both sides of r = hypot(nu, x) = DEBYE_R0, where the series hands over to
     # the Debye expansion
     grid += [(127, 1.0), (128, 1.0), (0, 127.9), (0, 128.1), (90, 91.0), (91, 90.0)]
+    # the series' overflow corner, where the partial sums come closest to I_0(128),
+    # and its largest order at the smallest argument
+    grid += [(0, 127.99999), (127, 5e-324)]
+    # a seeded sample of the series domain r < DEBYE_R0
+    rng = random.Random(20)
+    sample = []
+    while len(sample) < 300:
+        nu, x = rng.randrange(int(DEBYE_R0)), rng.uniform(0.0, DEBYE_R0)
+        if math.hypot(nu, x) < DEBYE_R0:
+            sample.append((nu, x))
+    grid += sample
     with mpmath.workdps(40):
         for nu, x in grid:
             oracle = float(mpmath.log(mpmath.besseli(nu, mpmath.mpf(x))))
@@ -70,16 +82,17 @@ class TestBesselI:
             val = bessel_i(nu, x).log_value
             assert math.isfinite(val), (nu, x)
 
-    def test_window_policy_constant_pinned(self):
-        assert TERM_CUTOFF_LOG == 46.0
-
     def test_against_mpmath_oracle(self):
         _assert_matches_mpmath()
 
-    def test_window_doubling_against_mpmath_oracle(self, monkeypatch):
-        # a one-term starting window leaves the doubling loop to size the window
-        monkeypatch.setattr(special_functions, "_half_width", lambda nu, k: 1)
-        _assert_matches_mpmath()
+    def test_series_truncation(self):
+        # the ratios t_(k+1) / t_k fall in nu, so nu = 0 just below DEBYE_R0 is the
+        # worst case for the fixed K-term series: t_K / t_0 = (x/2)^(2K) / (K!)^2
+        # must be negligible beside the whole sum I_0(x) / t_0 = I_0(x)
+        terms = special_functions._SERIES_TERMS
+        x = math.nextafter(DEBYE_R0, 0.0)
+        log_last = 2 * terms * math.log(x / 2.0) - 2.0 * math.lgamma(terms + 1.0)
+        assert log_last - bessel_i(0, x).log_value < math.log(1e-30)
 
     def test_debye_table_matches_recurrence(self):
         # DLMF 10.41.10: u_0 = 1, u_(k+1)(p) = p^2 (1 - p^2) u_k'(p) / 2
@@ -116,6 +129,13 @@ class TestBesselI:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError, match="order"):
             bessel_i(-1, 1.0)
+        # a fractional order is not truncated to its integer part
+        for nu in (2.5, -0.5, math.inf, -math.inf, math.nan, np.float64(1e-9)):
+            with pytest.raises(ValueError, match=f"order must be an integer >= 0, got {nu}"):
+                bessel_i(nu, 1.0)
+        # integral values of any numeric type are orders
+        for nu in (3.0, np.int64(3), np.float64(3.0)):
+            assert bessel_i(nu, 1.0) == bessel_i(3, 1.0)
         with pytest.raises(ValueError, match="argument"):
             bessel_i(0, -0.5)
         with pytest.raises(ValueError, match="argument"):
