@@ -13,8 +13,16 @@ Families bundle an experiment instance with its vectorized gradient sampler:
 * ``ToyGradientFamily`` draws uniform angle vectors;
 * ``CompilingGradientFamily`` / ``MeasurementGradientFamily`` draw independent
   sphere points y = u O_minus and b = O_plus n^T and evaluate the analytic
-  overlap gradient (y D b by ``GeneratorPair.bilinear``, on the support);
+  overlap gradient, with y D b summed over the nonzeros of the generator's
+  block ``dc`` (``BilinearKernel``, derived once per family);
 * ``QuadraticGradientFamily`` draws one sphere point w = u O_minus per sample.
+
+A chunk holds one (size, 2m) array, its y or w rows, plus row blocks of about
+``sampling._BLOCK_BYTES`` (``row_blocks``): b is drawn from the chunk's
+generator one block at a time, right after y, and used at once.  Numpy fills
+draws sequentially, so the blocks equal one (size, 2m) draw of b bit for bit;
+only the essentially unreachable redraw of a b row of norm below 1e-12 lands
+inside its block instead of after the whole draw.
 
 The gradients depend on a Haar pair (O_minus, O_plus) only through these
 vectors, and a fixed vector times a Haar-orthogonal matrix is uniform on the
@@ -27,13 +35,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linear_optics import GeneratorPair, check_generator
+from .linear_optics import BilinearKernel, GeneratorPair, check_generator
 from .phase_space import MeanVector, as_mean_vector
-from .sampling import RandomSource, as_source, uniform_angles_batch, uniform_sphere_batch
+from .sampling import RandomSource, as_source, row_blocks, uniform_angles_batch, uniform_sphere_batch
 from .validation import check_same_modes, check_symmetric, modes_of
 
 CHUNK_SIZE = 4096
@@ -67,9 +75,9 @@ class ToyGradientFamily:
 
     def sample_gradients(self, size: int, rng: np.random.Generator) -> np.ndarray:
         theta = uniform_angles_batch(self.m, size, rng)
-        return self.s * np.sin(theta[:, 0]) * np.exp(
-            self.s * (np.cos(theta).sum(axis=1) - self.m)
-        )
+        sin_first = np.sin(theta[:, 0])
+        cos = np.cos(theta, out=theta)  # in place: theta is not needed again
+        return self.s * sin_first * np.exp(self.s * (cos.sum(axis=1) - self.m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +87,7 @@ class MeasurementGradientFamily:
     u: MeanVector
     n: MeanVector
     gen: GeneratorPair
+    _kernel: BilinearKernel = field(init=False, repr=False)
 
     def __post_init__(self):
         u = as_mean_vector(self.u)
@@ -87,14 +96,19 @@ class MeasurementGradientFamily:
         check_same_modes(u.m, check_generator(self.gen).m, "state and generator")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_kernel", BilinearKernel(self.gen))
 
     def sample_gradients(self, size: int, rng: np.random.Generator) -> np.ndarray:
         m = self.u.m
         y = uniform_sphere_batch(m, self.u.norm, size, rng)
-        b = uniform_sphere_batch(m, self.n.norm, size, rng)
-        dots = np.einsum("ni,ni->n", y, b)
         e_total = self.u.intensity() + self.n.intensity()
-        return -np.exp(dots - e_total) * self.gen.bilinear(y, b)
+        out = np.empty(size)
+        for rows in row_blocks(size, y.itemsize * y.shape[1]):
+            y_rows = y[rows]
+            b = uniform_sphere_batch(m, self.n.norm, len(y_rows), rng)
+            dots = np.einsum("ni,ni->n", y_rows, b)
+            out[rows] = -np.exp(dots - e_total) * self._kernel(y_rows, b)
+        return out
 
 
 def CompilingGradientFamily(u: MeanVector, gen: GeneratorPair) -> MeasurementGradientFamily:
@@ -119,7 +133,10 @@ class QuadraticGradientFamily:
 
     def sample_gradients(self, size: int, rng: np.random.Generator) -> np.ndarray:
         w = uniform_sphere_batch(self.u.m, self.u.norm, size, rng)
-        return ((w @ self.b) * w).sum(axis=1)
+        out = np.empty(size)
+        for rows in row_blocks(size, w.itemsize * w.shape[1]):
+            out[rows] = ((w[rows] @ self.b) * w[rows]).sum(axis=1)
+        return out
 
 
 # -- chunked engine ---------------------------------------------------------

@@ -135,14 +135,49 @@ class GeneratorPair:
     def bilinear(self, y, b):
         """y D b^T = Re(z dc conj(c)) on the modes, z and c the complex views of y and b:
         for rows of length 2m (a float) or row by row for (n, 2m) batches (a length-n
-        array), O(k^2) per row.  The one place it is formed, as a real product with D's
-        block ``embed_unitary(dc)``: a complex (n, k) x (k, k) product goes to a threaded
-        BLAS zgemm, which under the estimators' thread pool took twice as long."""
-        s = slice(None) if self.modes.size == self.m else self.support  # global phase: a view
-        out = y[..., s] @ embed_unitary(self.dc)
-        out *= b[..., s]  # in place: one (n, 2k) temporary, not two
-        out = out.sum(axis=-1)
+        array), by ``BilinearKernel``, O(nnz(dc)) per row.  The nonzero pattern is
+        derived on every call; a caller that evaluates many batches keeps one kernel."""
+        out = BilinearKernel(self)(y, b)
         return float(out) if out.ndim == 0 else out
+
+
+class BilinearKernel:
+    """``y D b^T`` of one generator as a sum over the nonzeros of its block ``dc``.
+
+    A nonzero v = dc[j, k] couples mode a = modes[j] of y to mode c = modes[k] of b
+    and adds ``Re(v) (q_a q'_c + p_a p'_c) + Im(v) (q_a p'_c - p_a q'_c)``, with (q, p)
+    the columns of y and (q', p') those of b.  That is O(nnz(dc)) per row, with no
+    product by the dense block ``embed_unitary(dc)`` and no BLAS call.  Columns are
+    gathered per nonzero, except where the nonzeros are the whole diagonal (global
+    phase): there they are strided views of y and b.
+    """
+
+    def __init__(self, gen: GeneratorPair):
+        # the positions of dc's nonzeros: each entry's two "part is nonzero" flags
+        # read as one 2-byte word.  np.nonzero of the complex block itself costs
+        # several times more (about 300 us at k = 200), and ``GeneratorPair.bilinear``
+        # derives the pattern on every call
+        flat = np.flatnonzero((gen.dc.view(np.float64) != 0).view(np.uint16) != 0)
+        v = gen.dc.ravel()[flat]
+        j, k = np.divmod(flat, gen.modes.size)
+        every = np.arange(gen.m)
+        self._rows, self._cols = (slice(None) if np.array_equal(idx, every) else idx
+                                  for idx in (gen.modes[j], gen.modes[k]))
+        # a part that is zero on every nonzero (global phase has no real part) adds no term
+        self._re, self._im = (part if part.any() else None for part in (v.real, v.imag))
+
+    def __call__(self, y, b) -> np.ndarray:
+        """One value per row of y and b: shape y.shape[:-1]."""
+        qy, py = y[..., 0::2][..., self._rows], y[..., 1::2][..., self._rows]
+        qb, pb = b[..., 0::2][..., self._cols], b[..., 1::2][..., self._cols]
+        out = np.zeros(y.shape[:-1])
+        if self._re is not None:
+            out += np.einsum("...j,...j,j->...", qy, qb, self._re)
+            out += np.einsum("...j,...j,j->...", py, pb, self._re)
+        if self._im is not None:
+            out += np.einsum("...j,...j,j->...", qy, pb, self._im)
+            out -= np.einsum("...j,...j,j->...", py, qb, self._im)
+        return out
 
 
 def check_generator(gen) -> GeneratorPair:

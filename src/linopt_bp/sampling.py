@@ -17,7 +17,9 @@ matrices are needed only there: the Monte Carlo estimators draw the sphere
 points ``u O`` directly.  A stack of Haar matrices is filled in place, a
 block of about ``_BLOCK_BYTES`` at a time, so drawing it needs little more
 memory than the stack itself; the draws are the same as one batched QR of
-the whole stack, bit for bit.
+the whole stack, bit for bit.  Sphere points are normalised in row blocks of
+the same size (``row_blocks``), and the Monte Carlo families draw and use
+their second sphere point one such block at a time.
 """
 
 from __future__ import annotations
@@ -65,8 +67,16 @@ def _as_generator(rng) -> np.random.Generator:
 
 # bytes of Haar matrices per batched QR.  Each QR call has a fixed cost of tens of
 # microseconds, so small stacks stay in one call (up to 64 layers at m = 16); the
-# draw, LAPACK's copy, R and Q of one block are the scratch beyond the stack itself
+# draw, LAPACK's copy, R and Q of one block are the scratch beyond the stack itself.
+# Sphere points and the Monte Carlo families' per-sample work use blocks of the same size
 _BLOCK_BYTES = 256 * 1024
+
+
+def row_blocks(size: int, row_bytes: int):
+    """Consecutive slices covering ``range(size)``, each about ``_BLOCK_BYTES`` of rows
+    of ``row_bytes`` bytes (at least one row)."""
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    return (slice(start, min(start + step, size)) for start in range(0, size, step))
 
 
 def _haar_batch(n: int, size: int, rng, dtype) -> np.ndarray:
@@ -77,9 +87,8 @@ def _haar_batch(n: int, size: int, rng, dtype) -> np.ndarray:
     """
     gen = _as_generator(rng)
     out = np.empty((size, n, n), dtype)
-    step = max(1, _BLOCK_BYTES // (out.itemsize * n * n))
-    for start in range(0, size, step):
-        block = out[start:start + step]
+    for rows in row_blocks(size, out.itemsize * n * n):
+        block = out[rows]
         # a complex draw interleaves real and imaginary parts (n x 2n doubles); the
         # scale of the entries does not affect the orthogonal or unitary factor
         g = gen.standard_normal((len(block), n, n * out.itemsize // 8))
@@ -110,7 +119,13 @@ def haar_unitary_batch(m: int, size: int, rng) -> np.ndarray:
 
 
 def uniform_sphere_batch(m: int, radius: float, size: int, rng) -> np.ndarray:
-    """Rows uniform on the (2m-1)-sphere of the given radius, shape (size, 2m)."""
+    """Rows uniform on the (2m-1)-sphere of the given radius, shape (size, 2m).
+
+    One Gaussian draw of the whole array, normalised in place one row block at a
+    time: each block's norms are ``np.linalg.norm``'s, bit for bit, without its two
+    full-size temporaries.  A row of norm below 1e-12 (essentially unreachable) is
+    redrawn within its block, after the whole array's draw.
+    """
     if m < 1:
         raise ValueError(f"mode count must be >= 1, got {m}")
     if radius < 0:
@@ -119,12 +134,14 @@ def uniform_sphere_batch(m: int, radius: float, size: int, rng) -> np.ndarray:
     if radius == 0.0:
         return np.zeros((size, 2 * m))
     g = gen.standard_normal((size, 2 * m))
-    norms = np.linalg.norm(g, axis=1)
-    while np.any(norms < 1e-12):  # essentially unreachable; keeps radius exact
-        bad = norms < 1e-12
-        g[bad] = gen.standard_normal((int(bad.sum()), 2 * m))
-        norms = np.linalg.norm(g, axis=1)
-    g *= (radius / norms)[:, None]
+    for rows in row_blocks(size, g.itemsize * 2 * m):
+        block = g[rows]
+        norms = np.sqrt(np.add.reduce(block * block, axis=1))
+        while np.any(norms < 1e-12):  # keeps the radius exact
+            bad = norms < 1e-12
+            block[bad] = gen.standard_normal((int(bad.sum()), 2 * m))
+            norms = np.sqrt(np.add.reduce(block * block, axis=1))
+        block *= (radius / norms)[:, None]
     return g
 
 

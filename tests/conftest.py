@@ -21,6 +21,7 @@ oracles for the tests that pin the conventions.
 ``one_shot_haar_unitary`` and ``one_shot_haar_orthogonal`` draw a whole Haar
 stack with one Gaussian draw and one batched QR, as the package did before it
 filled stacks block by block; the blocked samplers must match them bit for bit.
+``one_shot_sphere`` likewise normalises a whole draw of sphere points at once.
 """
 
 import math
@@ -100,6 +101,12 @@ def one_shot_haar_orthogonal(m: int, size: int, gen) -> np.ndarray:
     signs = np.sign(np.einsum("...ii->...i", r))
     signs[signs == 0] = 1.0
     return q * signs[..., None, :]
+
+
+def one_shot_sphere(m: int, radius: float, size: int, gen) -> np.ndarray:
+    """(size, 2m) points on the sphere of the given radius: one Gaussian draw, all norms at once."""
+    g = gen.standard_normal((size, 2 * m))
+    return g * (radius / np.linalg.norm(g, axis=1))[:, None]
 
 
 def series_bessel_i(nu: int, x: float, terms: int = 30) -> float:

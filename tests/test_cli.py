@@ -366,9 +366,9 @@ class TestExitCodes:
          "closed form: quadratic_second_moment overflows"),
     ], ids=["noise-e1-underflow", "regimes-zero-at-m1", "regimes-negative-law",
             "regimes-infinite-law", "regimes-negative-list-entry", "regimes-bessel-overflow",
-            "noise-bessel-overflow", "regimes-bessel-window", "heterodyne-bessel-overflow",
+            "noise-bessel-overflow", "regimes-max-argument", "heterodyne-bessel-overflow",
             "heterodyne-exponent-overflow", "heterodyne-exponent-overflow-mc",
-            "prop1-bessel-overflow", "toy-bessel-window", "prop1-prediction-underflow",
+            "prop1-bessel-overflow", "toy-max-argument", "prop1-prediction-underflow",
             "toy-closed-form-underflow",
             "layers-linear-text", "layers-linear-overflow", "layers-linear-nan", "layers-const-text",
             "layers-const-fraction", "layers-count-overflow",

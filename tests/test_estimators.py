@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from linopt_bp.estimators import (
     ToyGradientFamily,
 )
 
-from conftest import assert_within_sigma, measurement_grad, quadratic_grad, tail_frequency
+from conftest import assert_within_sigma, measurement_grad, one_shot_sphere, quadratic_grad, tail_frequency
 
 
 def _toy():
@@ -280,3 +281,46 @@ class TestSphereSampling:
                 haar_mean,
                 combined,
             )
+
+
+class TestStreamedChunks:
+    """A chunk holds one (size, 2m) array of y or w rows plus bounded row blocks."""
+
+    M = 200
+
+    def _measurement(self, kind, modes):
+        gen = RandomSource(41).generator()
+        u = MeanVector.of(gen.standard_normal(2 * self.M) / math.sqrt(self.M))
+        n = MeanVector.of(0.7 * gen.standard_normal(2 * self.M) / math.sqrt(self.M))
+        return MeasurementGradientFamily(u=u, n=n, gen=make_generator(kind, modes, self.M))
+
+    @pytest.mark.parametrize("kind,modes", [("global-phase", ()), ("beamsplitter", (7, 3))])
+    def test_gradients_match_one_shot_draws(self, kind, modes):
+        # 300 rows: 81-row blocks of b, the last one short; the oracle draws y and b
+        # whole and multiplies by the dense D
+        family, size = self._measurement(kind, modes), 300
+        got = family.sample_gradients(size, RandomSource(5).generator())
+        gen = RandomSource(5).generator()
+        y = one_shot_sphere(self.M, family.u.norm, size, gen)
+        b = one_shot_sphere(self.M, family.n.norm, size, gen)
+        d = family.gen.d
+        weight = np.exp(np.einsum("ni,ni->n", y, b) - family.u.intensity() - family.n.intensity())
+        expected = -weight * np.einsum("ni,ij,nj->n", y, d, b)
+        tol = 1e-13 * weight * family.u.norm * family.n.norm * np.abs(d).max()
+        assert np.all(np.abs(got - expected) <= tol)
+
+    @pytest.mark.parametrize("kind,modes", [("global-phase", ()), ("beamsplitter", (7, 3)), ("quadratic", ())])
+    def test_chunk_peak_memory_is_about_one_array(self, kind, modes):
+        array_bytes = CHUNK_SIZE * 2 * self.M * 8  # 13.1 MB; drawing b whole peaked near 3x this
+        if kind == "quadratic":
+            a = RandomSource(42).generator().standard_normal((2 * self.M, 2 * self.M))
+            family = QuadraticGradientFamily(u=self._measurement("global-phase", ()).u, b=a + a.T)
+        else:
+            family = self._measurement(kind, modes)
+        tracemalloc.start()
+        try:
+            family.sample_gradients(CHUNK_SIZE, RandomSource(1).generator())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * array_bytes, (kind, peak / array_bytes)

@@ -13,7 +13,7 @@ from linopt_bp import (
     random_circuit,
 )
 from linopt_bp import linear_optics
-from linopt_bp.linear_optics import GateBlocks, embed_unitary
+from linopt_bp.linear_optics import BilinearKernel, GateBlocks, embed_unitary
 from linopt_bp.sampling import haar_unitary_batch
 
 from conftest import (custom_gate_tol, dense_gate, fd_gradient, identity_fixed, layer_transfers, mp_gate,
@@ -251,6 +251,43 @@ class TestSupport:
             np.testing.assert_array_equal(t[off], np.eye(2 * m)[off])
             np.testing.assert_array_equal(t[:, off], np.eye(2 * m)[:, off])
             np.testing.assert_allclose(t[np.ix_(gen.support, gen.support)], _gate(gen, theta), rtol=0, atol=1e-15)
+
+
+def _coupled_generator():
+    """A dense custom block from ``from_symmetric``: every pair of modes 0, 2, 3 of 5 coupled."""
+    a = RandomSource(17).generator().uniform(-1.0, 1.0, (2, 3, 3))
+    herm = 0.5 * (a[0] + 1j * a[1] + (a[0] + 1j * a[1]).conj().T)
+    gen = GeneratorPair.from_symmetric(GeneratorPair(5, [0, 2, 3], -2j * herm).eps)
+    assert np.count_nonzero(gen.dc) == 9
+    return gen
+
+
+class TestBilinearKernel:
+    """y D b^T summed over the nonzeros of dc, against the dense oracle y @ gen.d @ b."""
+
+    @pytest.mark.parametrize("kind,modes,m", [
+        ("phase-shifter", (3,), 5),
+        ("two-mode-phase", (1, 3), 5),
+        ("two-mode-phase", (3, 1), 5),
+        ("beamsplitter", (0, 1), 2),
+        ("beamsplitter", (4, 1), 5),
+        ("global-phase", (), 1),
+        ("global-phase", (), 7),
+        ("custom", (), 5),
+    ])
+    def test_matches_dense_product(self, kind, modes, m):
+        gen = _coupled_generator() if kind == "custom" else make_generator(kind, modes, m)
+        y, b = RandomSource(23).generator().standard_normal((2, 9, 2 * m))
+        d = gen.d
+        dense = np.einsum("ni,ij,nj->n", y, d, b)
+        # relative to the bound |y D b^T| <= |y| |b| max|D| (up to the block size)
+        tol = 1e-13 * np.linalg.norm(y, axis=1) * np.linalg.norm(b, axis=1) * np.abs(d).max()
+        batched = BilinearKernel(gen)(y, b)
+        assert batched.shape == (9,) and np.all(np.abs(batched - dense) <= tol), gen.label
+        np.testing.assert_array_equal(gen.bilinear(y, b), batched)
+        for row in range(9):
+            single = gen.bilinear(y[row], b[row])
+            assert isinstance(single, float) and abs(single - float(y[row] @ d @ b[row])) <= tol[row], gen.label
 
 
 def _standard_generators():

@@ -12,7 +12,7 @@ from linopt_bp.sampling import (
     uniform_sphere_batch,
 )
 
-from conftest import one_shot_haar_orthogonal, one_shot_haar_unitary, uniform_angles
+from conftest import one_shot_haar_orthogonal, one_shot_haar_unitary, one_shot_sphere, uniform_angles
 
 
 class TestRandomSource:
@@ -162,6 +162,23 @@ class TestUniformSphere:
         expected = radius**2 / (2 * m)
         se = sq.std(ddof=1, axis=0) / np.sqrt(n)
         assert np.all(np.abs(sq.mean(axis=0) - expected) <= 3.0 * se)
+
+    # blocks of up to 5461 rows at m = 3, 546 at m = 30 and 81 at m = 200, the last one short
+    @pytest.mark.parametrize("m, blocks", [(3, 2), (30, 11), (200, 75)])
+    def test_second_point_in_row_blocks_matches_one_shot_draws(self, m, blocks):
+        # y in one call, then b one row block at a time from the same generator, as
+        # the overlap families draw them: each equals one (size, 2m) draw, bit for bit
+        size = 6000
+        gen, own = RandomSource(8).generator(), RandomSource(8).generator()
+        expected_y = one_shot_sphere(m, 1.3, size, gen)
+        expected_b = one_shot_sphere(m, 0.4, size, gen)
+        row_blocks = list(sampling.row_blocks(size, 16 * m))
+        assert len(row_blocks) == blocks
+        y = uniform_sphere_batch(m, 1.3, size, own)
+        b = np.concatenate([uniform_sphere_batch(m, 0.4, rows.stop - rows.start, own) for rows in row_blocks])
+        np.testing.assert_array_equal(y, expected_y)
+        np.testing.assert_array_equal(b, expected_b)
+        np.testing.assert_array_equal(own.standard_normal(4), gen.standard_normal(4))
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError, match="radius"):
