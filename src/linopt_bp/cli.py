@@ -60,7 +60,7 @@ from .linear_optics import make_generator, random_circuit
 from .phase_space import MeanVector
 from .sampling import RandomSource, haar_orthogonal, uniform_sphere
 
-SCHEMA = "linopt-bp/5"
+SCHEMA = "linopt-bp/6"
 ENV_OUTDIR = "LINOPT_BP_OUTDIR"
 INSTANCE_STREAM = 2**32  # substream index reserved for instance construction
 

@@ -30,7 +30,7 @@ circuit's cost under this package's composition convention (see
 ``linear_optics``); ``y D_k b`` is ``Re(z dc conj(c))`` on the gate's modes,
 with z and c the complex views of y and b and ``dc`` the gate's complex
 generator block: ``BilinearKernel``, a sum over the nonzeros of ``dc``, in
-the Monte Carlo families (and ``GeneratorPair.bilinear``), and
+the Monte Carlo families (on the few coordinates of y and b they draw), and
 ``GateBlocks.bilinear`` in the trainer.  The quadratic gradient is ``w B w^T``
 with ``w = u O_minus`` and ``B = [D_k, eta~]``, symmetric and traceless for
 any energy-conserving gate; the trainer evaluates it on the gate's modes as

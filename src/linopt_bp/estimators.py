@@ -11,24 +11,37 @@ accurate.
 Families bundle an experiment instance with its vectorized gradient sampler:
 
 * ``ToyGradientFamily`` draws uniform angle vectors;
-* ``CompilingGradientFamily`` / ``MeasurementGradientFamily`` draw independent
-  sphere points y = u O_minus and b = O_plus n^T and evaluate the analytic
-  overlap gradient, with y D b summed over the nonzeros of the generator's
-  block ``dc`` (``BilinearKernel``, derived once per family);
-* ``QuadraticGradientFamily`` draws one sphere point w = u O_minus per sample.
-
-A chunk holds one (size, 2m) array, its y or w rows, plus row blocks of about
-``sampling._BLOCK_BYTES`` (``row_blocks``): b is drawn from the chunk's
-generator one block at a time, right after y, and used at once.  Numpy fills
-draws sequentially, so the blocks equal one (size, 2m) draw of b bit for bit;
-only the essentially unreachable redraw of a b row of norm below 1e-12 lands
-inside its block instead of after the whole draw.
+* ``CompilingGradientFamily`` / ``MeasurementGradientFamily`` evaluate the
+  overlap gradient ``g = -exp(y . b - E0 - E1) y D b^T`` of independent sphere
+  points y = u O_minus and b = O_plus n^T, drawing only the few coordinates of
+  each that g depends on (below);
+* ``QuadraticGradientFamily`` draws one sphere point w = u O_minus per sample,
+  a (size, 2m) array per chunk, and forms ``w B w^T`` in row blocks of about
+  ``sampling._BLOCK_BYTES`` (``row_blocks``).
 
 The gradients depend on a Haar pair (O_minus, O_plus) only through these
 vectors, and a fixed vector times a Haar-orthogonal matrix is uniform on the
 sphere of its own radius; independent matrices give independent points.
-Drawing the points directly is therefore exact in distribution and costs
-O(m) per sample instead of two QR decompositions of 2m x 2m matrices.
+
+The overlap gradient does not change when y and b are both rotated by an
+orthogonal O with ``O D O^T = D``.  Every rotation of the 2(m - k) coordinates
+off the gate's k modes qualifies, since D is zero there; when the gate's block
+is a scalar ``dc = c I`` (global phase, a phase shifter), so does every U(k)
+on the gate's modes.  Choosing O from y moves y to a canonical point, and
+since b is independent of y and its law is rotation invariant, ``b O`` is
+still uniform and independent of y.  So a sample draws
+
+* for y: with a scalar block, ``|y_S|`` on the first gate mode's q and
+  ``|y_R|`` on one off-gate coordinate, ``|y_S|^2 / |u|^2`` being
+  Beta(k, m - k); with any other block, its 2k gate coordinates and ``|y_R|``,
+  Gaussians and a chi-squared(2(m - k)) draw normalised together;
+* for b: the matching 2 or 2k coordinates and the off-gate one, Gaussians
+  normalised with a chi-squared draw for the other coordinates of S^(2m-1);
+
+no off-gate coordinate when the gate covers every mode.  ``y D b^T`` is then a
+``BilinearKernel`` of the block on 1 or k local modes.  This is exact in
+distribution and costs, at any m, O(1) per sample for a scalar block and
+O(k + nnz(dc)) for any other.
 """
 
 from __future__ import annotations
@@ -82,11 +95,18 @@ class ToyGradientFamily:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementGradientFamily:
-    """Overlap cost against a fixed target mean, Haar (O_minus, O_plus) pairs."""
+    """Overlap cost against a fixed target mean, Haar (O_minus, O_plus) pairs.
+
+    Draws only the reduced coordinates of y and b (module docstring): the kernel's
+    ``_gate`` coordinates, 2 for a scalar block ``dc = c I`` (the first gate mode's)
+    and 2k for any other k x k block, then one off-gate coordinate when the gate
+    misses a mode.  ``_kernel`` is y D b^T on those 1 or k local modes.
+    """
 
     u: MeanVector
     n: MeanVector
     gen: GeneratorPair
+    _gate: int = field(init=False, repr=False)
     _kernel: BilinearKernel = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -94,21 +114,44 @@ class MeasurementGradientFamily:
         n = as_mean_vector(self.n)
         check_same_modes(u.m, n.m, "state and target")
         check_same_modes(u.m, check_generator(self.gen).m, "state and generator")
+        dc = self.gen.dc
+        k = len(dc)
+        if k == 0:
+            raise ValueError("the generator acts on no mode, so every gradient is zero")
+        block = dc[:1, :1] if np.all(dc == dc[0, 0] * np.eye(k)) else dc
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_kernel", BilinearKernel(self.gen))
+        object.__setattr__(self, "_gate", 2 * len(block))
+        object.__setattr__(self, "_kernel", BilinearKernel(GeneratorPair(len(block), range(len(block)), block)))
 
     def sample_gradients(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        m = self.u.m
-        y = uniform_sphere_batch(m, self.u.norm, size, rng)
+        m, k = self.u.m, self.gen.modes.size
+        rest = k < m  # the gate misses a mode: one off-gate coordinate
+        y = np.zeros((size, self._gate + rest))
+        if self._gate == 2:  # a scalar block, as every one-mode block is
+            # |y_S|^2 / |u|^2 is Beta(k, m - k): 2k of 2m squared Gaussians over their sum
+            t = rng.beta(k, m - k, size) if rest else 1.0
+            y[:, 0] = self.u.norm * np.sqrt(t)
+            if rest:
+                y[:, -1] = self.u.norm * np.sqrt(1.0 - t)
+        else:
+            y[:, :self._gate] = rng.standard_normal((size, self._gate))
+            if rest:
+                y[:, -1] = np.sqrt(rng.chisquare(2 * (m - k), size))
+            y *= (self.u.norm / np.sqrt(np.add.reduce(y * y, axis=1)))[:, None]
+        # b's matching coordinates, normalised with a chi-squared draw for the other ones
+        b = rng.standard_normal(y.shape)
+        sq = np.add.reduce(b * b, axis=1)
+        if 2 * m > b.shape[1]:
+            sq += rng.chisquare(2 * m - b.shape[1], size)
+        b *= (self.n.norm / np.sqrt(sq))[:, None]
+        return self._gradients(y, b)
+
+    def _gradients(self, y, b) -> np.ndarray:
+        """The gradients at reduced rows of y and b (the kernel's coordinates first)."""
         e_total = self.u.intensity() + self.n.intensity()
-        out = np.empty(size)
-        for rows in row_blocks(size, y.itemsize * y.shape[1]):
-            y_rows = y[rows]
-            b = uniform_sphere_batch(m, self.n.norm, len(y_rows), rng)
-            dots = np.einsum("ni,ni->n", y_rows, b)
-            out[rows] = -np.exp(dots - e_total) * self._kernel(y_rows, b)
-        return out
+        gate = slice(self._gate)
+        return -np.exp(np.einsum("ni,ni->n", y, b) - e_total) * self._kernel(y[:, gate], b[:, gate])
 
 
 def CompilingGradientFamily(u: MeanVector, gen: GeneratorPair) -> MeasurementGradientFamily:

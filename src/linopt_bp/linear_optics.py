@@ -132,14 +132,6 @@ class GeneratorPair:
         out[np.ix_(self.support, self.support)] = embed_unitary(block)
         return out
 
-    def bilinear(self, y, b):
-        """y D b^T = Re(z dc conj(c)) on the modes, z and c the complex views of y and b:
-        for rows of length 2m (a float) or row by row for (n, 2m) batches (a length-n
-        array), by ``BilinearKernel``, O(nnz(dc)) per row.  The nonzero pattern is
-        derived on every call; a caller that evaluates many batches keeps one kernel."""
-        out = BilinearKernel(self)(y, b)
-        return float(out) if out.ndim == 0 else out
-
 
 class BilinearKernel:
     """``y D b^T`` of one generator as a sum over the nonzeros of its block ``dc``.
@@ -153,11 +145,7 @@ class BilinearKernel:
     """
 
     def __init__(self, gen: GeneratorPair):
-        # the positions of dc's nonzeros: each entry's two "part is nonzero" flags
-        # read as one 2-byte word.  np.nonzero of the complex block itself costs
-        # several times more (about 300 us at k = 200), and ``GeneratorPair.bilinear``
-        # derives the pattern on every call
-        flat = np.flatnonzero((gen.dc.view(np.float64) != 0).view(np.uint16) != 0)
+        flat = np.flatnonzero(gen.dc)
         v = gen.dc.ravel()[flat]
         j, k = np.divmod(flat, gen.modes.size)
         every = np.arange(gen.m)
@@ -280,7 +268,7 @@ class GateBlocks:
     def bilinear(self, rows, cols) -> np.ndarray:
         """``Re(rows[l] dc_l cols[l])`` for every generator l, one gathered product per
         support size; with ``rows[l]`` the complex view of y and ``cols[l]`` that of
-        b conjugated, it equals ``gen.bilinear(y, b)``."""
+        b conjugated, it equals y D_l b^T (``BilinearKernel``)."""
         out = np.empty(len(self.modes))
         for idx, layers, modes, dc, *_ in self._groups:
             out[idx] = np.einsum("nj,njk,nk->n", rows[layers, modes], dc, cols[layers, modes]).real

@@ -9,9 +9,10 @@ The dense circuit oracles are the exception.  They build each layer as a
 split-layer gradients from ``(O_minus, O_plus)``, where the package
 propagates vectors.  Their gate (``dense_gate``) is the real block of
 ``gen.d`` by Rodrigues' formula, or ``expm`` for a custom generator, not the
-package's spectral formula; they reuse ``GeneratorPair.bilinear`` for y D b
-(``overlap_grad``, ``quadratic_grad``), so they check the trainer's gates and
-its complex-mode adjoint pass, not that kernel.  ``mp_gate`` is a
+package's spectral formula; they take y D b from ``bilinear``, the package's
+``BilinearKernel`` cached per generator (``overlap_grad``, ``quadratic_grad``),
+so they check the trainer's gates and its complex-mode adjoint pass, not that
+kernel.  ``mp_gate`` is a
 high-precision reference for a custom gate.  They validate nothing.
 
 ``symplectic_form``, ``overlap_fidelity``, ``toy_cost`` and ``uniform_angles``
@@ -25,6 +26,7 @@ filled stacks block by block; the blocked samplers must match them bit for bit.
 """
 
 import math
+import weakref
 from functools import reduce
 from typing import NamedTuple
 
@@ -35,7 +37,7 @@ from scipy.linalg import expm
 from linopt_bp import LayeredCircuit, LogScaled, bessel_i, intensity_law
 from linopt_bp import cost_functions as cf
 from linopt_bp.estimators import CHUNK_SIZE
-from linopt_bp.linear_optics import embed_unitary
+from linopt_bp.linear_optics import BilinearKernel, embed_unitary
 from linopt_bp.phase_space import as_mean_vector
 from linopt_bp.sampling import as_source, uniform_angles_batch
 from linopt_bp.validation import check_same_modes
@@ -270,10 +272,23 @@ def compiling_cost(u, o_minus, o_plus) -> float:
     return measurement_cost(u, u, o_minus, o_plus)
 
 
+_KERNELS = weakref.WeakKeyDictionary()
+
+
+def bilinear(gen, y, b):
+    """y D b^T for rows of length 2m (a float) or row by row for (n, 2m) batches (a
+    length-n array), by one ``BilinearKernel`` per generator, derived on first use."""
+    kernel = _KERNELS.get(gen)
+    if kernel is None:
+        kernel = _KERNELS[gen] = BilinearKernel(gen)
+    out = kernel(y, b)
+    return float(out) if out.ndim == 0 else out
+
+
 def overlap_grad(y, gen, b, e_total: float) -> float:
     """Overlap-family gradient kernel -exp(-e_total + y.b) * (y D_k b), with
     ``e_total`` = E0 + E1."""
-    return -math.exp(-e_total + float(y @ b)) * gen.bilinear(y, b)
+    return -math.exp(-e_total + float(y @ b)) * bilinear(gen, y, b)
 
 
 def measurement_grad(u, n, gen, o_minus, o_plus) -> float:
@@ -295,7 +310,7 @@ def quadratic_grad(u, gen, ham, o_minus, o_plus) -> float:
     """Split-layer quadratic gradient w [D_k, eta~] w^T = 2 w D_k (eta~ w^T), w = u O_minus."""
     eta_tilde = o_plus @ ham.eta @ o_plus.T
     w = u.values @ o_minus
-    return 2.0 * gen.bilinear(w, w @ eta_tilde)
+    return 2.0 * bilinear(gen, w, w @ eta_tilde)
 
 
 def circuit_cost(circuit, theta, family: str, u, hamiltonian=None, target=None) -> float:

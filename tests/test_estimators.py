@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from linopt_bp import (
+    GeneratorPair,
     MeanVector,
     QuadraticHamiltonian,
     RandomSource,
@@ -284,43 +285,98 @@ class TestSphereSampling:
 
 
 class TestStreamedChunks:
-    """A chunk holds one (size, 2m) array of y or w rows plus bounded row blocks."""
+    """The overlap families draw only the reduced coordinates of y and b; the quadratic
+    family holds one (size, 2m) array of w plus bounded row blocks."""
 
     M = 200
 
-    def _measurement(self, kind, modes):
+    def _measurement(self, kind, modes, m=M):
         gen = RandomSource(41).generator()
-        u = MeanVector.of(gen.standard_normal(2 * self.M) / math.sqrt(self.M))
-        n = MeanVector.of(0.7 * gen.standard_normal(2 * self.M) / math.sqrt(self.M))
-        return MeasurementGradientFamily(u=u, n=n, gen=make_generator(kind, modes, self.M))
+        u = MeanVector.of(gen.standard_normal(2 * m) / math.sqrt(m))
+        n = MeanVector.of(0.7 * gen.standard_normal(2 * m) / math.sqrt(m))
+        if kind == "graded":  # acceptance C2b's full-support block, unequal weights
+            pair = GeneratorPair.from_symmetric(np.diag(np.repeat(0.5 * (1.0 + np.arange(m)) / m, 2)), "graded")
+        else:
+            pair = make_generator(kind, modes, m)
+        return MeasurementGradientFamily(u=u, n=n, gen=pair)
 
-    @pytest.mark.parametrize("kind,modes", [("global-phase", ()), ("beamsplitter", (7, 3))])
-    def test_gradients_match_one_shot_draws(self, kind, modes):
-        # 300 rows: 81-row blocks of b, the last one short; the oracle draws y and b
-        # whole and multiplies by the dense D
-        family, size = self._measurement(kind, modes), 300
-        got = family.sample_gradients(size, RandomSource(5).generator())
-        gen = RandomSource(5).generator()
-        y = one_shot_sphere(self.M, family.u.norm, size, gen)
-        b = one_shot_sphere(self.M, family.n.norm, size, gen)
-        d = family.gen.d
+    @staticmethod
+    def _dense_gradients(family, y, b):
+        """The overlap gradient of full points y and b with the dense D."""
         weight = np.exp(np.einsum("ni,ni->n", y, b) - family.u.intensity() - family.n.intensity())
-        expected = -weight * np.einsum("ni,ij,nj->n", y, d, b)
-        tol = 1e-13 * weight * family.u.norm * family.n.norm * np.abs(d).max()
-        assert np.all(np.abs(got - expected) <= tol)
+        return weight, -weight * np.einsum("ni,ij,nj->n", y, family.gen.d, b)
+
+    @pytest.mark.parametrize("kind,modes,m,scalar", [
+        ("global-phase", (), M, True),
+        ("phase-shifter", (5,), M, True),
+        ("beamsplitter", (7, 3), M, False),
+        ("graded", (), 4, False),
+    ])
+    def test_reduced_gradients_match_dense_oracle(self, kind, modes, m, scalar):
+        # full sphere points mapped to the reduced coordinates by the rotations that
+        # commute with D: a U(k) rotation taking y's gate modes to |y_S| on the first
+        # q (scalar blocks only), and one taking y's off-gate part to |y_R|
+        family, size = self._measurement(kind, modes, m), 300
+        gen = RandomSource(5).generator()
+        y = one_shot_sphere(m, family.u.norm, size, gen)
+        b = one_shot_sphere(m, family.n.norm, size, gen)
+        support = family.gen.support
+        rest = np.setdiff1d(np.arange(2 * m), support)
+        y_s, b_s = y[:, support], b[:, support]
+        if scalar:
+            norm = np.linalg.norm(y_s, axis=1)
+            z, c = (x[:, 0::2] + 1j * x[:, 1::2] for x in (y_s, b_s))
+            first = np.einsum("nj,nj->n", (z / norm[:, None]).conj(), c)
+            y_s = np.stack([norm, np.zeros(size)], axis=1)
+            b_s = np.stack([first.real, first.imag], axis=1)
+        assert family._gate == y_s.shape[1]
+        if rest.size:
+            norm = np.linalg.norm(y[:, rest], axis=1)
+            along = np.einsum("ni,ni->n", y[:, rest], b[:, rest]) / norm
+            y_s, b_s = np.column_stack([y_s, norm]), np.column_stack([b_s, along])
+        weight, expected = self._dense_gradients(family, y, b)
+        got = family._gradients(y_s, b_s)
+        assert np.all(np.abs(got - expected) <= 1e-13 * weight * family.u.norm * family.n.norm)
+
+    @pytest.mark.parametrize("kind,modes,m", [
+        ("global-phase", (), 10),
+        ("phase-shifter", (5,), 10),
+        ("two-mode-phase", (1, 3), 10),
+        ("beamsplitter", (7, 3), 10),
+        ("graded", (), 4),
+    ])
+    def test_gradients_match_full_sphere_draws_in_distribution(self, kind, modes, m):
+        # two-sample Kolmogorov-Smirnov test against gradients of whole sphere points
+        from scipy.stats import ks_2samp
+
+        family, size = self._measurement(kind, modes, m), 20_000
+        got = family.sample_gradients(size, RandomSource(6).generator())
+        gen = RandomSource(7).generator()
+        y = one_shot_sphere(m, family.u.norm, size, gen)
+        b = one_shot_sphere(m, family.n.norm, size, gen)
+        assert ks_2samp(got, self._dense_gradients(family, y, b)[1]).pvalue > 0.01
+
+    def test_generator_on_no_mode_rejected(self):
+        with pytest.raises(ValueError, match="no mode"):
+            MeasurementGradientFamily(u=MeanVector.vacuum(2), n=MeanVector.vacuum(2),
+                                      gen=GeneratorPair.from_symmetric(np.zeros((4, 4))))
 
     @pytest.mark.parametrize("kind,modes", [("global-phase", ()), ("beamsplitter", (7, 3)), ("quadratic", ())])
     def test_chunk_peak_memory_is_about_one_array(self, kind, modes):
-        array_bytes = CHUNK_SIZE * 2 * self.M * 8  # 13.1 MB; drawing b whole peaked near 3x this
         if kind == "quadratic":
+            array_bytes = CHUNK_SIZE * 2 * self.M * 8  # 13.1 MB, one (4096, 2m) array of w
             a = RandomSource(42).generator().standard_normal((2 * self.M, 2 * self.M))
             family = QuadraticGradientFamily(u=self._measurement("global-phase", ()).u, b=a + a.T)
+            bound = 1.25 * array_bytes
         else:
-            family = self._measurement(kind, modes)
+            # reduced coordinates: well under 1 MiB at m = 1024, where one (4096, 2m)
+            # array of whole sphere points is 64 MiB
+            family = self._measurement(kind, modes, 1024)
+            bound = 2 * 2**20
         tracemalloc.start()
         try:
             family.sample_gradients(CHUNK_SIZE, RandomSource(1).generator())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * array_bytes, (kind, peak / array_bytes)
+        assert peak <= bound, (kind, peak / 2**20)

@@ -166,8 +166,8 @@ class TestUniformSphere:
     # blocks of up to 5461 rows at m = 3, 546 at m = 30 and 81 at m = 200, the last one short
     @pytest.mark.parametrize("m, blocks", [(3, 2), (30, 11), (200, 75)])
     def test_second_point_in_row_blocks_matches_one_shot_draws(self, m, blocks):
-        # y in one call, then b one row block at a time from the same generator, as
-        # the overlap families draw them: each equals one (size, 2m) draw, bit for bit
+        # y in one call, then b one row block at a time from the same generator:
+        # each equals one (size, 2m) draw, bit for bit
         size = 6000
         gen, own = RandomSource(8).generator(), RandomSource(8).generator()
         expected_y = one_shot_sphere(m, 1.3, size, gen)
