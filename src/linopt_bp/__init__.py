@@ -25,7 +25,6 @@ from .special_functions import LogScaled, bessel_i
 from .cost_functions import (
     QuadraticHamiltonian,
     attenuated_intensity,
-    bk_matrix,
     toy_grad,
     toy_grad_abs_expectation,
 )

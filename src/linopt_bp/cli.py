@@ -322,10 +322,9 @@ def _run_prop2(cfg) -> tuple:
     gen = make_generator("two-mode-phase", (0, 1), m)
     o_plus = haar_orthogonal(m, inst)  # still O(2m); README "Conventions" says why
     eta_tilde = o_plus @ ham.eta @ o_plus.T
-    b = cf.bk_matrix(gen, eta_tilde)
     u = uniform_sphere(m, _radius(energy), inst)
-    pred = _closed_form(cforms.quadratic_second_moment, u, b)
-    family = est.QuadraticGradientFamily(u=u, b=b)
+    pred = _closed_form(cforms.quadratic_second_moment, u, gen, eta_tilde)
+    family = est.QuadraticGradientFamily(u, gen, eta_tilde)
     moments = est.estimate_grad_moments(family, samples, source, cfg["jobs"])
     rows = [[m, energy, _finite(pred, "prediction"),
              _finite(moments.second_moment, "MC second moment"),

@@ -22,9 +22,20 @@ support are zero.
 The unequal-intensity (heterodyne) generalization substitutes
 ``exp(-2(E0+E1))`` and argument ``4 sqrt(E0 E1)``.
 
-For the quadratic family the second moment over O_minus is exactly
+For the quadratic family the gradient is ``w [D_k, eta~] w^T`` with
+w = u O_minus uniform on the sphere of radius |u|.  On complex modes
+z = q + i p, the symmetric eta~ splits into a Hermitian and a complex
+symmetric part,
 
-    |u|^4 (tr B^2 + |B|_F^2) / (2m (2m+2)).
+    A = (eta_qq + eta_pp) / 2 + i (eta_qp - eta_pq) / 2,
+    S = (eta_qq - eta_pp) / 2 - i (eta_qp + eta_pq) / 2,
+
+with ``eta_qp = eta~[0::2, 1::2]`` and so on, and ``w eta~ w^T = z A z^H +
+Re(z S z^T)``.  With ``dc`` padded to m x m the gradient is then
+``z K z^H + Re(z T z^T)``, K = [dc, A] Hermitian and traceless and
+T = dc S + S dc^T symmetric, and its second moment over O_minus is exactly
+
+    |u|^4 (|K|_F^2 + |T|_F^2) / (m (m+1)).
 
 Regime classification fits the log of the closed-form moment against the mode
 count with basis {1, m, sqrt(m), log m} and declares a barren plateau when
@@ -47,7 +58,7 @@ import numpy as np
 from .linear_optics import GeneratorPair, check_generator
 from .phase_space import MeanVector, as_mean_vector
 from .special_functions import LogScaled, bessel_i
-from .validation import check_symmetric, modes_of
+from .validation import check_same_modes, check_symmetric, modes_of
 
 SLOPE_THRESHOLD = -0.05  # nats per mode; below this the fitted decay is a plateau
 
@@ -168,27 +179,22 @@ def _geometric_mean(a: float, b: float) -> float:
     return math.ldexp(math.sqrt(math.ldexp(fa * fb, x % 2)), x // 2)
 
 
-def quadratic_second_moment(u: MeanVector, b_k) -> float:
-    """Second moment |u|^4 (tr B^2 + |B|_F^2) / (2m (2m+2)) of w B w^T.
-
-    Requires tr B = 0 (guaranteed for energy-conserving gate generators);
-    both algebraic forms of the numerator are evaluated and must agree.
-    """
+def quadratic_second_moment(u: MeanVector, gen: GeneratorPair, eta_tilde) -> float:
+    """Second moment ``|u|^4 (|K|_F^2 + |T|_F^2) / (m (m+1))`` of the quadratic
+    gradient ``w [D_k, eta~] w^T`` (module docstring), from m x m complex blocks."""
     u = as_mean_vector(u)
-    b_k = check_symmetric(b_k, "b_k")
-    m = modes_of(b_k, "b_k")
-    if u.m != m:
-        raise ValueError(f"state has {u.m} modes but b_k acts on {m}")
-    fro_sq = float(np.sum(b_k * b_k))
-    scale = max(1.0, fro_sq)
-    trace = float(np.trace(b_k))
-    if abs(trace) > 1e-8 * math.sqrt(scale):
-        raise ValueError(f"b_k must be traceless, got trace {trace:.3e}")
-    tr_b2 = float(np.trace(b_k @ b_k))
-    both = tr_b2 + fro_sq
-    if abs(both - 2.0 * fro_sq) > 1e-10 * scale:
-        raise ValueError("tr B^2 and |B|_F^2 disagree; b_k is not symmetric enough")
-    return u.norm**4 * both / (2 * m * (2 * m + 2))
+    gen = check_generator(gen)
+    eta = check_symmetric(eta_tilde, "eta_tilde")
+    check_same_modes(u.m, gen.m, "state and generator")
+    check_same_modes(gen.m, modes_of(eta, "eta_tilde"), "generator and eta_tilde")
+    qq, qp, pq, pp = eta[0::2, 0::2], eta[0::2, 1::2], eta[1::2, 0::2], eta[1::2, 1::2]
+    a = 0.5 * (qq + pp) + 0.5j * (qp - pq)
+    s = 0.5 * (qq - pp) - 0.5j * (qp + pq)
+    dc = np.zeros((gen.m, gen.m), dtype=np.complex128)
+    dc[np.ix_(gen.modes, gen.modes)] = gen.dc
+    k = dc @ a - a @ dc
+    t = dc @ s + s @ dc.T
+    return u.norm**4 * float(np.vdot(k, k).real + np.vdot(t, t).real) / (gen.m * (gen.m + 1))
 
 
 def chebyshev_bound(moment: float, order: int, epsilon: float) -> float:

@@ -15,8 +15,8 @@ Four families, each an exact closed form in the phase-space mean:
 Of the toy family this module holds the gradient and its closed-form mean
 |gradient|; the cost is a test oracle.  Of the circuit families this module
 holds what the Monte Carlo families and the closed forms share:
-``attenuated_intensity``, ``QuadraticHamiltonian`` and ``bk_matrix``; the
-trainer evaluates the costs and their gradients itself.
+``attenuated_intensity`` and ``QuadraticHamiltonian``; the trainer evaluates
+the costs and their gradients itself.
 
 Gradients are with respect to the parameter of the split layer, whose gate
 is a ``GeneratorPair``.  They depend on the circuit only through the vectors
@@ -31,11 +31,12 @@ circuit's cost under this package's composition convention (see
 with z and c the complex views of y and b and ``dc`` the gate's complex
 generator block: ``BilinearKernel``, a sum over the nonzeros of ``dc``, in
 the Monte Carlo families (on the few coordinates of y and b they draw), and
-``GateBlocks.bilinear`` in the trainer.  The quadratic gradient is ``w B w^T``
-with ``w = u O_minus`` and ``B = [D_k, eta~]``, symmetric and traceless for
-any energy-conserving gate; the trainer evaluates it on the gate's modes as
-``2 w D_k (eta~ w^T)``, and ``bk_matrix(gen, eta~)`` forms the dense ``B``
-for the closed form.
+``GateBlocks.bilinear`` in the trainer.  The quadratic gradient is
+``w [D_k, eta~] w^T`` with ``w = u O_minus`` and eta~ symmetric, which is
+``2 y D_k b^T`` at ``y = w`` and ``b = w eta~``: the trainer and
+``QuadraticGradientFamily`` evaluate it with the same kernels, and
+``closed_forms.quadratic_second_moment`` takes its moment from the complex
+blocks of eta~, so no dense 2m x 2m ``[D_k, eta~]`` is formed.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special_functions import LogScaled, bessel_i
-from .validation import check_same_modes, check_symmetric, modes_of
-from .linear_optics import GeneratorPair, check_generator
+from .validation import check_symmetric, modes_of
 
 
 # -- toy family ----------------------------------------------------------
@@ -117,7 +117,7 @@ class QuadraticHamiltonian:
     eta: np.ndarray
 
     def __post_init__(self):
-        eta = check_symmetric(self.eta, "eta")
+        eta = np.array(check_symmetric(self.eta, "eta"))  # a copy, frozen: the caller's array stays writeable
         modes_of(eta, "eta")
         smallest = float(np.linalg.eigvalsh(eta)[0])
         if smallest < -1e-12:
@@ -129,15 +129,3 @@ class QuadraticHamiltonian:
     def m(self) -> int:
         return self.eta.shape[0] // 2
 
-
-def bk_matrix(gen: GeneratorPair, eta_tilde) -> np.ndarray:
-    """Dense gradient kernel [D_k, eta~] of a gate generator, for the closed form.
-
-    Symmetric and exactly traceless, since ``GeneratorPair`` admits only
-    energy-conserving generators (D_k skew) and eta~ is symmetric.
-    """
-    gen = check_generator(gen)
-    eta_tilde = check_symmetric(eta_tilde, "eta_tilde")
-    check_same_modes(gen.m, modes_of(eta_tilde, "eta_tilde"), "generator and eta_tilde")
-    d = gen.d
-    return d @ eta_tilde - eta_tilde @ d

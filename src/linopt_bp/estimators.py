@@ -15,9 +15,10 @@ Families bundle an experiment instance with its vectorized gradient sampler:
   overlap gradient ``g = -exp(y . b - E0 - E1) y D b^T`` of independent sphere
   points y = u O_minus and b = O_plus n^T, drawing only the few coordinates of
   each that g depends on (below);
-* ``QuadraticGradientFamily`` draws one sphere point w = u O_minus per sample,
-  a (size, 2m) array per chunk, and forms ``w B w^T`` in row blocks of about
-  ``sampling._BLOCK_BYTES`` (``row_blocks``).
+* ``QuadraticGradientFamily`` draws one whole sphere point w = u O_minus per
+  sample, a (size, 2m) array per chunk, and evaluates the gradient
+  ``w [D_k, eta~] w^T = 2 y D_k b^T`` at y = w and b = w eta~ on the gate's 2k
+  coordinates only: O(mk) per sample.
 
 The gradients depend on a Haar pair (O_minus, O_plus) only through these
 vectors, and a fixed vector times a Haar-orthogonal matrix is uniform on the
@@ -48,13 +49,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .linear_optics import BilinearKernel, GeneratorPair, check_generator
 from .phase_space import MeanVector, as_mean_vector
-from .sampling import RandomSource, as_source, row_blocks, uniform_angles_batch, uniform_sphere_batch
+from .sampling import RandomSource, as_source, uniform_angles_batch, uniform_sphere_batch
 from .validation import check_same_modes, check_symmetric, modes_of
 
 CHUNK_SIZE = 4096
@@ -118,7 +119,9 @@ class MeasurementGradientFamily:
         k = len(dc)
         if k == 0:
             raise ValueError("the generator acts on no mode, so every gradient is zero")
-        block = dc[:1, :1] if np.all(dc == dc[0, 0] * np.eye(k)) else dc
+        diag = np.diagonal(dc)
+        scalar = np.all(diag == diag[0]) and np.count_nonzero(dc) == np.count_nonzero(diag)
+        block = dc[:1, :1] if scalar else dc
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_gate", 2 * len(block))
@@ -162,24 +165,36 @@ def CompilingGradientFamily(u: MeanVector, gen: GeneratorPair) -> MeasurementGra
 
 @dataclass(frozen=True, eq=False)
 class QuadraticGradientFamily:
-    """Quadratic-cost gradient w B w^T with w = u O_minus, over Haar O_minus."""
+    """Quadratic-cost gradient ``w [D_k, eta~] w^T = 2 y D_k b^T`` with y = w = u O_minus
+    and b = w eta~, over Haar O_minus.
+
+    Draws whole sphere points w but reads only the gate's 2k coordinates of w and
+    of ``w @ eta~[:, gen.support]``: ``_kernel`` is y D b^T on the k local modes,
+    and ``_columns`` is a copy of those 2k columns of eta~, the only part of it
+    the family keeps, so a sample costs O(mk).
+    """
 
     u: MeanVector
-    b: np.ndarray
+    gen: GeneratorPair
+    eta_tilde: InitVar[np.ndarray]
+    _columns: np.ndarray = field(init=False, repr=False)
+    _kernel: BilinearKernel = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, eta_tilde):
         u = as_mean_vector(self.u)
-        b = check_symmetric(self.b, "b")
-        check_same_modes(u.m, modes_of(b, "b"), "state and b")
+        check_same_modes(u.m, check_generator(self.gen).m, "state and generator")
+        eta = check_symmetric(eta_tilde, "eta_tilde")
+        check_same_modes(u.m, modes_of(eta, "eta_tilde"), "state and eta_tilde")
+        k = self.gen.modes.size
+        if k == 0:
+            raise ValueError("the generator acts on no mode, so every gradient is zero")
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_columns", eta[:, self.gen.support])
+        object.__setattr__(self, "_kernel", BilinearKernel(GeneratorPair(k, range(k), self.gen.dc)))
 
     def sample_gradients(self, size: int, rng: np.random.Generator) -> np.ndarray:
         w = uniform_sphere_batch(self.u.m, self.u.norm, size, rng)
-        out = np.empty(size)
-        for rows in row_blocks(size, w.itemsize * w.shape[1]):
-            out[rows] = ((w[rows] @ self.b) * w[rows]).sum(axis=1)
-        return out
+        return 2.0 * self._kernel(w[:, self.gen.support], w @ self._columns)
 
 
 # -- chunked engine ---------------------------------------------------------

@@ -26,10 +26,11 @@ layers 1..k-1) gives the split-layer gradients.  No such matrix is formed
 here: the trainer propagates the vectors ``u O_minus`` and ``O_plus n^T``.
 
 A fixed layer is a unitary ``U`` in U(m) acting as ``z -> z U``; a circuit
-holds its generators and one (L, m, m) stack of them.  The real 2m x 2m matrix
-of that action, ``embed_unitary(U)``, has the 2 x 2 block
-``[[Re U_jk, Im U_jk], [-Im U_jk, Re U_jk]]`` at mode pair (j, k); it commutes
-with ``Delta`` and is orthogonal exactly when ``U`` is unitary.  With the
+holds its generators and one (L, m, m) stack of them.  On the real coordinates
+the same action is the 2m x 2m matrix with the 2 x 2 block
+``[[Re U_jk, Im U_jk], [-Im U_jk, Re U_jk]]`` at mode pair (j, k), which commutes
+with ``Delta`` and is orthogonal exactly when ``U`` is unitary; no code here
+forms it, nor the dense 2m x 2m ``D`` or ``eps`` of a generator.  With the
 eigendecomposition ``0.5i dc = sum_j lambda_j P_j``, every gate is the identity
 off its modes and
 
@@ -117,21 +118,6 @@ class GeneratorPair:
         """The coordinates ``2j, 2j + 1`` of each mode j in ``modes``."""
         return _coordinates(self.modes)
 
-    @property
-    def d(self) -> np.ndarray:
-        """Dense 2m x 2m ``D = -2 eps Delta``, ``embed_unitary(dc)`` on the support."""
-        return self._dense(self.dc)
-
-    @property
-    def eps(self) -> np.ndarray:
-        """Dense 2m x 2m Hamiltonian matrix ``D Delta / 2``, ``embed_unitary(0.5i dc)`` on the support."""
-        return self._dense(0.5j * self.dc)
-
-    def _dense(self, block) -> np.ndarray:
-        out = np.zeros((2 * self.m, 2 * self.m))
-        out[np.ix_(self.support, self.support)] = embed_unitary(block)
-        return out
-
 
 class BilinearKernel:
     """``y D b^T`` of one generator as a sum over the nonzeros of its block ``dc``.
@@ -139,7 +125,7 @@ class BilinearKernel:
     A nonzero v = dc[j, k] couples mode a = modes[j] of y to mode c = modes[k] of b
     and adds ``Re(v) (q_a q'_c + p_a p'_c) + Im(v) (q_a p'_c - p_a q'_c)``, with (q, p)
     the columns of y and (q', p') those of b.  That is O(nnz(dc)) per row, with no
-    product by the dense block ``embed_unitary(dc)`` and no BLAS call.  Columns are
+    product by a dense real form of the block and no BLAS call.  Columns are
     gathered per nonzero, except where the nonzeros are the whole diagonal (global
     phase): there they are strided views of y and b.
     """
@@ -273,21 +259,6 @@ class GateBlocks:
         for idx, layers, modes, dc, *_ in self._groups:
             out[idx] = np.einsum("nj,njk,nk->n", rows[layers, modes], dc, cols[layers, modes]).real
         return out
-
-
-def embed_unitary(u) -> np.ndarray:
-    """Real 2m x 2m matrix of ``z -> z u`` on interleaved (q, p) row vectors.
-
-    Mode pair (j, k) gets the block ``[[Re u_jk, Im u_jk], [-Im u_jk, Re u_jk]]``,
-    so ``v @ embed_unitary(u)`` equals ``(v.view(complex) @ u).view(float)``.
-    """
-    u = np.asarray(u, dtype=np.complex128)
-    m = u.shape[0]
-    out = np.empty((m, 2, m, 2))
-    out[:, 0, :, 0] = out[:, 1, :, 1] = u.real
-    out[:, 0, :, 1] = u.imag
-    out[:, 1, :, 0] = -u.imag
-    return out.reshape(2 * m, 2 * m)
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -18,9 +18,8 @@ points ``u O`` directly.  A stack of Haar matrices is filled in place, a
 block of about ``_BLOCK_BYTES`` at a time, so drawing it needs little more
 memory than the stack itself; the draws are the same as one batched QR of
 the whole stack, bit for bit.  Sphere points are normalised in row blocks of
-the same size (``row_blocks``), as is the quadratic family's per-sample
-work; the overlap families draw only a few coordinates of each sphere point
-(``estimators``).
+the same size (``row_blocks``); the overlap families draw only a few
+coordinates of each sphere point (``estimators``).
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ def _as_generator(rng) -> np.random.Generator:
 # bytes of Haar matrices per batched QR.  Each QR call has a fixed cost of tens of
 # microseconds, so small stacks stay in one call (up to 64 layers at m = 16); the
 # draw, LAPACK's copy, R and Q of one block are the scratch beyond the stack itself.
-# Sphere points and the quadratic family's per-sample work use blocks of the same size
+# Sphere points are normalised in blocks of the same size
 _BLOCK_BYTES = 256 * 1024
 
 

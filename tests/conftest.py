@@ -8,7 +8,7 @@ The dense circuit oracles are the exception.  They build each layer as a
 2m x 2m matrix, multiply the matrices out and evaluate the costs and
 split-layer gradients from ``(O_minus, O_plus)``, where the package
 propagates vectors.  Their gate (``dense_gate``) is the real block of
-``gen.d`` by Rodrigues' formula, or ``expm`` for a custom generator, not the
+``dense_d(gen)`` by Rodrigues' formula, or ``expm`` for a custom generator, not the
 package's spectral formula; they take y D b from ``bilinear``, the package's
 ``BilinearKernel`` cached per generator (``overlap_grad``, ``quadratic_grad``),
 so they check the trainer's gates and its complex-mode adjoint pass, not that
@@ -17,7 +17,16 @@ high-precision reference for a custom gate.  They validate nothing.
 
 ``symplectic_form``, ``overlap_fidelity``, ``toy_cost`` and ``uniform_angles``
 are small reference functions that no package code calls; they live here as
-oracles for the tests that pin the conventions.
+oracles for the tests that pin the conventions.  ``every_kind(m)`` lists a
+generator of each standard kind on m modes, two-mode gates both ways round,
+and a custom one, for the tests that sweep gate kinds.
+
+``embed_unitary``, ``dense_d``, ``dense_eps`` and ``bk_matrix`` are the dense
+real forms that the package no longer builds: the 2m x 2m matrix of
+``z -> z U``, a generator's ``D = -2 eps Delta`` and ``eps`` from its block
+``dc``, and the quadratic kernel ``B = [D_k, eta~]``.  They reproduce the
+package's former functions bit for bit and, like the circuit oracles,
+validate nothing.
 
 ``one_shot_haar_unitary`` and ``one_shot_haar_orthogonal`` draw a whole Haar
 stack with one Gaussian draw and one batched QR, as the package did before it
@@ -34,10 +43,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from linopt_bp import LayeredCircuit, LogScaled, bessel_i, intensity_law
+from linopt_bp import GeneratorPair, LayeredCircuit, LogScaled, bessel_i, intensity_law, make_generator
 from linopt_bp import cost_functions as cf
 from linopt_bp.estimators import CHUNK_SIZE
-from linopt_bp.linear_optics import BilinearKernel, embed_unitary
+from linopt_bp.linear_optics import BilinearKernel
 from linopt_bp.phase_space import as_mean_vector
 from linopt_bp.sampling import as_source, uniform_angles_batch
 from linopt_bp.validation import check_same_modes
@@ -190,10 +199,69 @@ def simpson(fn, lo: float, hi: float, n: int = 4001) -> float:
     return float(h / 3.0 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-2:2].sum()))
 
 
+def every_kind(m):
+    """Every standard kind on m modes (two-mode gates with i > j as well), and a custom
+    ``from_symmetric`` generator coupling modes 0 and m - 1 with unequal phases."""
+    gens = [make_generator("phase-shifter", (m - 1,), m), make_generator("global-phase", (), m)]
+    if m > 1:
+        gens += [make_generator(kind, modes, m) for kind in ("two-mode-phase", "beamsplitter")
+                 for modes in ((0, m - 1), (m - 1, 0))]
+    eps = np.zeros((2 * m, 2 * m))
+    eps[0:2, 0:2] = 0.5 * np.eye(2)
+    eps[-2:, -2:] += 1.5 * np.eye(2)
+    if m > 1:
+        eps[0, -2] = eps[-2, 0] = eps[1, -1] = eps[-1, 1] = 0.3  # a beamsplitter-like coupling
+        eps[0, -1] = eps[-1, 0] = 0.2
+        eps[1, -2] = eps[-2, 1] = -0.2
+    return gens + [GeneratorPair.from_symmetric(eps)]
+
+
 def identity_fixed(circuit) -> LayeredCircuit:
     """The circuit with its gates and parameters kept and every fixed layer the identity."""
     eyes = np.broadcast_to(np.eye(circuit.m, dtype=np.complex128), circuit.unitaries.shape)
     return LayeredCircuit(circuit.gens, eyes, circuit.theta)
+
+
+# -- dense real forms ------------------------------------------------------------
+
+
+def embed_unitary(u) -> np.ndarray:
+    """Real 2m x 2m matrix of ``z -> z u`` on interleaved (q, p) row vectors.
+
+    Mode pair (j, k) gets the block ``[[Re u_jk, Im u_jk], [-Im u_jk, Re u_jk]]``,
+    so ``v @ embed_unitary(u)`` equals ``(v.view(complex) @ u).view(float)``.
+    """
+    u = np.asarray(u, dtype=np.complex128)
+    m = u.shape[0]
+    out = np.empty((m, 2, m, 2))
+    out[:, 0, :, 0] = out[:, 1, :, 1] = u.real
+    out[:, 0, :, 1] = u.imag
+    out[:, 1, :, 0] = -u.imag
+    return out.reshape(2 * m, 2 * m)
+
+
+def _dense(gen, block) -> np.ndarray:
+    out = np.zeros((2 * gen.m, 2 * gen.m))
+    out[np.ix_(gen.support, gen.support)] = embed_unitary(block)
+    return out
+
+
+def dense_d(gen) -> np.ndarray:
+    """Dense 2m x 2m ``D = -2 eps Delta`` of a generator, ``embed_unitary(dc)`` on the support."""
+    return _dense(gen, gen.dc)
+
+
+def dense_eps(gen) -> np.ndarray:
+    """Dense 2m x 2m Hamiltonian matrix ``D Delta / 2``, ``embed_unitary(0.5i dc)`` on the support."""
+    return _dense(gen, 0.5j * gen.dc)
+
+
+def bk_matrix(gen, eta_tilde) -> np.ndarray:
+    """Dense quadratic gradient kernel ``B = [D_k, eta~]``, so that the gradient is
+    ``w B w^T``; symmetric and traceless for a symmetric eta~."""
+    d = dense_d(gen)
+    eta_tilde = np.asarray(eta_tilde, dtype=float)
+    return d @ eta_tilde - eta_tilde @ d
 
 
 # -- dense circuit oracles ------------------------------------------------------
@@ -203,12 +271,12 @@ def dense_gate(gen, theta) -> np.ndarray:
     """exp(theta D) as a 2m x 2m matrix, the identity off the support.
 
     On the support it is Rodrigues' formula ``I + sin(theta) D + (1 - cos(theta)) D^2``
-    of the real block of ``gen.d`` when ``D^3 = -D`` (every standard kind), and
+    of the real block of ``dense_d(gen)`` when ``D^3 = -D`` (every standard kind), and
     ``expm`` of that block otherwise.
     """
     theta = float(theta)
     support = gen.support
-    d = gen.d[np.ix_(support, support)]
+    d = dense_d(gen)[np.ix_(support, support)]
     d2 = d @ d
     if theta == 0.0:
         block = np.eye(support.size)

@@ -18,7 +18,6 @@ from linopt_bp import (
     RandomSource,
     TrainConfig,
     bessel_i,
-    bk_matrix,
     classify_noise,
     classify_regime,
     estimate_abs_grad,
@@ -46,7 +45,7 @@ from linopt_bp.estimators import (
 from linopt_bp.sampling import haar_orthogonal_batch, uniform_sphere_batch
 from linopt_bp.cli import main as cli_main
 
-from conftest import (attenuation_values, compiling_grad, fd_gradient, law_values, quadratic_grad,
+from conftest import (attenuation_values, bk_matrix, compiling_grad, fd_gradient, law_values, quadratic_grad,
                       series_bessel_i, split_action)
 
 M_GRID = list(range(4, 65, 4))
@@ -117,13 +116,13 @@ def test_criterion_03_quadratic_moment():
         a = gen.standard_normal((2 * m, 2 * m))
         eta = a @ a.T / (2 * m)
         o_plus = haar_orthogonal(m, gen)
-        b = bk_matrix(make_generator("two-mode-phase", (0, 1), m), o_plus @ eta @ o_plus.T)
-        worst_trace = max(worst_trace, abs(float(np.trace(b))))
+        gen_k, eta_tilde = make_generator("two-mode-phase", (0, 1), m), o_plus @ eta @ o_plus.T
+        worst_trace = max(worst_trace, abs(float(np.trace(bk_matrix(gen_k, eta_tilde)))))  # the dense oracle's
         direction = gen.standard_normal(2 * m)
         direction /= np.linalg.norm(direction)
         u = MeanVector(math.sqrt(2 * 1.5) * direction)
-        est = estimate_grad_moments(QuadraticGradientFamily(u=u, b=b), 1_000_000, RandomSource(seed + 10))
-        z = abs(est.second_moment - quadratic_second_moment(u, b)) / est.std_error_second
+        est = estimate_grad_moments(QuadraticGradientFamily(u, gen_k, eta_tilde), 1_000_000, RandomSource(seed + 10))
+        z = abs(est.second_moment - quadratic_second_moment(u, gen_k, eta_tilde)) / est.std_error_second
         worst_z = max(worst_z, z)
     ok = worst_z <= 3.0 and worst_trace <= 1e-10
     _report(

@@ -9,7 +9,6 @@ from linopt_bp import (
     RandomSource,
     attenuated_intensity,
     bessel_i,
-    bk_matrix,
     chebyshev_bound,
     classify_noise,
     classify_regime,
@@ -35,8 +34,8 @@ from linopt_bp.estimators import (
 )
 from linopt_bp import estimate_abs_grad, toy_grad_abs_expectation
 
-from conftest import (assert_within_sigma, attenuation_values, law_values, loose_prefactor, simpson,
-                      tail_frequency)
+from conftest import (assert_within_sigma, attenuation_values, bk_matrix, dense_d, dense_eps, every_kind, law_values,
+                      loose_prefactor, simpson, tail_frequency)
 
 GRID = list(range(4, 65, 4))
 
@@ -52,7 +51,7 @@ class TestXiBounds:
 
     def test_beamsplitter_by_column_norm_oracle(self):
         gen = make_generator("beamsplitter", (0, 1), 2)
-        d = gen.d
+        d = dense_d(gen)
         oracle = [float(np.linalg.norm(d[:, j]) ** 2) for j in range(4)]
         assert xi_bounds(gen) == (min(oracle), max(oracle))
         assert xi_bounds(gen) == (1.0, 1.0)
@@ -66,7 +65,7 @@ class TestXiBounds:
                 make_generator("beamsplitter", (0, 2), m), make_generator("global-phase", (), m),
                 GeneratorPair.from_symmetric(eps)]
         for gen in gens:
-            d = gen.d
+            d = dense_d(gen)
             norms = np.sum(d * d, axis=0)
             assert xi_bounds(gen) == (float(norms.min()), float(norms.max())), gen.label
             assert second_moment_point(gen, 0.7).log_value == pytest.approx(
@@ -80,7 +79,7 @@ class TestXiBounds:
         a = RandomSource(m).generator().uniform(-1.0, 1.0, (2, len(modes), len(modes)))
         herm = 0.5 * (a[0] + 1j * a[1] + (a[0] + 1j * a[1]).conj().T)
         gen = GeneratorPair(m, modes, -2j * herm)
-        d = gen.d
+        d = dense_d(gen)
         norms = np.sum(d * d, axis=0)
         lo = float(norms.min()) if len(modes) == m else 0.0
         assert xi_bounds(gen) == pytest.approx((lo, float(norms.max())), rel=1e-15, abs=0.0)
@@ -90,11 +89,13 @@ class TestXiBounds:
 
     def test_rejects_anything_but_a_generator_pair(self):
         gen = make_generator("global-phase", (), 3)
-        for bare in (gen.d, gen.eps, gen.d.tolist()):
+        u = MeanVector.vacuum(3)
+        for bare in (dense_d(gen), dense_eps(gen), dense_d(gen).tolist()):
             for call in (lambda: xi_bounds(bare),
                          lambda: second_moment_point(bare, 1.0),
                          lambda: second_moment_interval(bare, 1.0),
-                         lambda: bk_matrix(bare, np.eye(6))):
+                         lambda: quadratic_second_moment(u, bare, np.eye(6)),
+                         lambda: QuadraticGradientFamily(u, bare, np.eye(6))):
                 with pytest.raises(TypeError, match="GeneratorPair"):
                     call()
 
@@ -287,38 +288,53 @@ class TestQuadraticSecondMoment:
         a = gen.standard_normal((2 * m, 2 * m))
         eta = a @ a.T / (2 * m)
         o_plus = haar_orthogonal(m, gen)
-        b = bk_matrix(make_generator("two-mode-phase", (0, 1), m), o_plus @ eta @ o_plus.T)
         direction = gen.standard_normal(2 * m)
         direction /= np.linalg.norm(direction)
         u = MeanVector(math.sqrt(2 * energy) * direction)
-        return u, b
+        return u, make_generator("two-mode-phase", (0, 1), m), o_plus @ eta @ o_plus.T
 
     def test_trivial_zeros(self):
-        u, b = self._instance(60, 2)
-        assert quadratic_second_moment(MeanVector.vacuum(2), np.zeros((4, 4))) == 0.0
-        assert quadratic_second_moment(u, np.zeros((4, 4))) == 0.0
+        u, gen_k, eta_tilde = self._instance(60, 2)
+        assert quadratic_second_moment(MeanVector.vacuum(2), gen_k, eta_tilde) == 0.0
+        assert quadratic_second_moment(u, gen_k, np.zeros((4, 4))) == 0.0
+        # the identity commutes with every generator
+        assert quadratic_second_moment(u, gen_k, np.eye(4)) == 0.0
 
     def test_two_algebraic_forms_agree(self):
+        # on the dense oracle B = [D_k, eta~]: tr B^2 = |B|_F^2 (B symmetric), and
+        # the complex-block moment is |u|^4 (tr B^2 + |B|_F^2) / (2m (2m+2))
         for seed in (61, 62):
-            u, b = self._instance(seed, 3)
+            u, gen_k, eta_tilde = self._instance(seed, 3)
+            b = bk_matrix(gen_k, eta_tilde)
             fro = float(np.sum(b * b))
             tr = float(np.trace(b @ b))
-            value = quadratic_second_moment(u, b)
+            value = quadratic_second_moment(u, gen_k, eta_tilde)
             m = u.m
-            assert value == pytest.approx(u.norm**4 * 2 * fro / (2 * m * (2 * m + 2)), rel=1e-10)
+            assert value == pytest.approx(u.norm**4 * (tr + fro) / (2 * m * (2 * m + 2)), rel=1e-13)
             assert tr == pytest.approx(fro, rel=1e-10)
+            assert abs(np.trace(b)) <= 1e-12 * math.sqrt(fro)
 
-    def test_traceful_matrix_rejected(self):
-        u = MeanVector.vacuum(2)
-        with pytest.raises(ValueError, match="traceless"):
-            quadratic_second_moment(u, np.eye(4))
+    @pytest.mark.parametrize("m", [1, 2, 5, 12, 40])
+    def test_complex_blocks_match_dense_oracle(self, m):
+        # every standard kind (two-mode gates both ways round) and a custom
+        # from_symmetric generator, against |u|^4 2 |B|_F^2 / (2m (2m+2)) of the dense
+        # oracle, at a random symmetric eta~ and at a PSD one rotated by Haar O(2m)
+        rng = RandomSource(800 + m).generator()
+        u = MeanVector(rng.standard_normal(2 * m))
+        a = rng.standard_normal((2 * m, 2 * m))
+        o_plus = haar_orthogonal(m, rng)
+        for eta_tilde in (a + a.T, o_plus @ (a @ a.T) @ o_plus.T):
+            for gen_k in every_kind(m):
+                b = bk_matrix(gen_k, eta_tilde)
+                dense = u.norm**4 * 2.0 * float(np.sum(b * b)) / (2 * m * (2 * m + 2))
+                assert quadratic_second_moment(u, gen_k, eta_tilde) == pytest.approx(dense, rel=1e-13), gen_k.label
 
     def test_monte_carlo_agreement(self):
-        u, b = self._instance(63, 2)
-        est = estimate_grad_moments(QuadraticGradientFamily(u=u, b=b), 60_000, RandomSource(64))
+        u, gen_k, eta_tilde = self._instance(63, 2)
+        est = estimate_grad_moments(QuadraticGradientFamily(u, gen_k, eta_tilde), 60_000, RandomSource(64))
         assert_within_sigma(
             est.second_moment,
-            quadratic_second_moment(u, b),
+            quadratic_second_moment(u, gen_k, eta_tilde),
             est.std_error_second,
             n_sigma=4.0,
             context="quadratic moment",

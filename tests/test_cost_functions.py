@@ -9,17 +9,18 @@ from linopt_bp import (
     QuadraticHamiltonian,
     RandomSource,
     attenuated_intensity,
-    bk_matrix,
     haar_orthogonal,
     make_generator,
+    quadratic_second_moment,
     random_circuit,
     toy_grad,
     toy_grad_abs_expectation,
 )
 from linopt_bp.cost_functions import _log_sinh
-from conftest import (assert_within_sigma, compiling_cost, compiling_grad, dense_gate, fd_gradient,
-                      measurement_cost, measurement_grad, overlap_fidelity, quadratic_cost, quadratic_grad,
-                      series_bessel_i, simpson, split_action, symplectic_form, toy_cost)
+from linopt_bp.estimators import QuadraticGradientFamily
+from conftest import (assert_within_sigma, bk_matrix, compiling_cost, compiling_grad, dense_d, dense_eps, dense_gate,
+                      fd_gradient, measurement_cost, measurement_grad, overlap_fidelity, quadratic_cost,
+                      quadratic_grad, series_bessel_i, simpson, split_action, symplectic_form, toy_cost)
 
 
 class TestToyModel:
@@ -222,6 +223,18 @@ class TestQuadraticCost:
         with pytest.raises(ValueError, match="symmetric"):
             QuadraticHamiltonian(np.triu(np.ones((4, 4))))
 
+    def test_copies_the_callers_array(self):
+        # the Hamiltonian freezes its own copy: the caller's array stays writeable,
+        # and changing it later changes nothing the Hamiltonian returns
+        a = np.eye(4)
+        ham = QuadraticHamiltonian(a)
+        assert a.flags.writeable and ham.eta is not a and not ham.eta.flags.writeable
+        u = MeanVector.of([1.0, 2.0, 3.0, 4.0])
+        before = quadratic_cost(u, ham, np.eye(4), np.eye(4))
+        a[0, 0] = 5.0
+        assert quadratic_cost(u, ham, np.eye(4), np.eye(4)) == before
+        np.testing.assert_array_equal(ham.eta, np.eye(4))
+
     def test_nonnegative_for_psd(self):
         gen = RandomSource(20).generator()
         a = gen.standard_normal((6, 6))
@@ -233,6 +246,8 @@ class TestQuadraticCost:
 
 
 class TestBkMatrix:
+    """The dense kernel B = [D_k, eta~] (a test oracle) and the checks on eta~."""
+
     def _eta_tilde(self, gen, m):
         a = gen.standard_normal((2 * m, 2 * m))
         return (a + a.T) / 2
@@ -251,7 +266,7 @@ class TestBkMatrix:
     def test_commuting_pair_need_not_vanish(self):
         m = 2
         gen_k = make_generator("two-mode-phase", (0, 1), m)
-        eps = gen_k.eps
+        eps = dense_eps(gen_k)
         delta = symplectic_form(m)
         eta = eps + delta @ eps @ delta.T  # symmetric, commutes with delta
         b = bk_matrix(gen_k, eta)
@@ -264,11 +279,17 @@ class TestBkMatrix:
             bk_matrix(GeneratorPair.from_symmetric(eps), np.eye(4))
 
     def test_checks_eta_tilde(self):
+        # the closed form and the Monte Carlo family check eta~ and the state against
+        # the generator; the oracle checks nothing
         gen_k = make_generator("two-mode-phase", (0, 1), 2)
-        with pytest.raises(ValueError, match="mismatched mode counts"):
-            bk_matrix(gen_k, np.eye(6))
-        with pytest.raises(ValueError, match="symmetric"):
-            bk_matrix(gen_k, np.triu(np.ones((4, 4))))
+        u = MeanVector.of([1.0, 0.0, 0.0, 0.0])
+        for build in (quadratic_second_moment, QuadraticGradientFamily):
+            with pytest.raises(ValueError, match="mismatched mode counts"):
+                build(u, gen_k, np.eye(6))
+            with pytest.raises(ValueError, match="mismatched mode counts"):
+                build(MeanVector.vacuum(3), gen_k, np.eye(4))
+            with pytest.raises(ValueError, match="symmetric"):
+                build(u, gen_k, np.triu(np.ones((4, 4))))
 
 
 class TestGradientFiniteDifferences:
@@ -339,10 +360,10 @@ class TestGradientFiniteDifferences:
         w = u.values @ o_minus
         eta_tilde = o_plus @ ham.eta @ o_plus.T
         custom = GeneratorPair.from_symmetric(
-            0.7 * make_generator("beamsplitter", (0, 3), m).eps
-            + 0.3 * make_generator("two-mode-phase", (1, 3), m).eps
-            + 1.1 * make_generator("phase-shifter", (4,), m).eps)
-        d = custom.d
+            0.7 * dense_eps(make_generator("beamsplitter", (0, 3), m))
+            + 0.3 * dense_eps(make_generator("two-mode-phase", (1, 3), m))
+            + 1.1 * dense_eps(make_generator("phase-shifter", (4,), m)))
+        d = dense_d(custom)
         assert np.abs(d @ d @ d + d).max() > 1e-3  # no Rodrigues form
         gens = [make_generator("phase-shifter", (2,), m), make_generator("two-mode-phase", (1, 4), m),
                 make_generator("beamsplitter", (3, 0), m), make_generator("global-phase", (), m), custom]

@@ -9,7 +9,6 @@ from linopt_bp import (
     MeanVector,
     QuadraticHamiltonian,
     RandomSource,
-    bk_matrix,
     chebyshev_bound,
     estimate_abs_grad,
     estimate_grad_moments,
@@ -28,7 +27,8 @@ from linopt_bp.estimators import (
     ToyGradientFamily,
 )
 
-from conftest import assert_within_sigma, measurement_grad, one_shot_sphere, quadratic_grad, tail_frequency
+from conftest import (assert_within_sigma, bk_matrix, dense_d, every_kind, measurement_grad, one_shot_sphere,
+                      quadratic_grad, tail_frequency)
 
 
 def _toy():
@@ -152,38 +152,71 @@ class TestMeasurementFamily:
 
     def test_bare_matrix_rejected(self):
         u = MeanVector.of([1.0, 0.0, 0.0, 0.0])
-        d = make_generator("global-phase", (), 2).d
+        d = dense_d(make_generator("global-phase", (), 2))
         with pytest.raises(TypeError, match="GeneratorPair"):
             MeasurementGradientFamily(u=u, n=u, gen=d)
         with pytest.raises(TypeError, match="GeneratorPair"):
             CompilingGradientFamily(u, d)
+        with pytest.raises(TypeError, match="GeneratorPair"):
+            QuadraticGradientFamily(u, d, np.eye(4))
 
 
 class TestQuadraticFamily:
     def test_second_moment_matches_closed_form(self):
         gen = RandomSource(19).generator()
         m = 2
-        from linopt_bp import bk_matrix, haar_orthogonal
+        from linopt_bp import haar_orthogonal
 
         a = gen.standard_normal((4, 4))
         eta = a @ a.T / 4
         o_plus = haar_orthogonal(m, gen)
-        b = bk_matrix(make_generator("two-mode-phase", (0, 1), m), o_plus @ eta @ o_plus.T)
+        gen_k, eta_tilde = make_generator("two-mode-phase", (0, 1), m), o_plus @ eta @ o_plus.T
         u = MeanVector.of(math.sqrt(2 * 1.5) * np.array([0.6, -0.8, 0.0, 0.0]))
-        est = estimate_grad_moments(QuadraticGradientFamily(u=u, b=b), 80_000, RandomSource(20))
+        est = estimate_grad_moments(QuadraticGradientFamily(u, gen_k, eta_tilde), 80_000, RandomSource(20))
         assert_within_sigma(
             est.second_moment,
-            quadratic_second_moment(u, b),
+            quadratic_second_moment(u, gen_k, eta_tilde),
             est.std_error_second,
             n_sigma=4.0,
             context="quadratic second moment",
         )
 
     def test_signed_mean_vanishes(self):
+        # E[w B w^T] = |u|^2 tr(B) / (2m) = 0
         u = MeanVector.of([1.0, 0.0, 1.0, 0.0])
-        b = np.diag([1.0, -1.0, 1.0, -1.0])
-        est = estimate_grad_moments(QuadraticGradientFamily(u=u, b=b), 60_000, RandomSource(21))
+        family = QuadraticGradientFamily(u, make_generator("beamsplitter", (0, 1), 2), np.diag([1.0, -1.0, 2.0, 0.5]))
+        est = estimate_grad_moments(family, 60_000, RandomSource(21))
         assert abs(est.mean) <= 3.0 * est.std_error_mean
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 12, 40])
+    def test_gradients_match_dense_oracle(self, m):
+        # each sample's 2 y D b^T on the gate's coordinates against the dense w B w^T of
+        # the same sphere point w, B = [D_k, eta~] (conftest.bk_matrix)
+        rng = RandomSource(700 + m).generator()
+        a = rng.standard_normal((2 * m, 2 * m))
+        eta_tilde = a + a.T
+        u = MeanVector(rng.standard_normal(2 * m))
+        for gen_k in every_kind(m):
+            family = QuadraticGradientFamily(u, gen_k, eta_tilde)
+            got = family.sample_gradients(500, RandomSource(m).generator())
+            w = sampling.uniform_sphere_batch(m, u.norm, 500, RandomSource(m).generator())
+            dense = np.einsum("ni,ij,nj->n", w, bk_matrix(gen_k, eta_tilde), w)
+            assert np.all(np.abs(got - dense) <= 1e-13 * np.abs(dense).max()), gen_k.label
+
+    def test_copies_eta_tilde(self):
+        # the family keeps a copy of the columns it reads: the caller's array stays
+        # writeable, and changing it later changes no gradient
+        eta_tilde = np.diag([1.0, -1.0, 2.0, 0.5])
+        family = QuadraticGradientFamily(MeanVector.of([1.0, 0.0, 1.0, 0.0]),
+                                         make_generator("beamsplitter", (0, 1), 2), eta_tilde)
+        assert eta_tilde.flags.writeable
+        before = family.sample_gradients(64, RandomSource(3).generator())
+        eta_tilde[0, 1] = eta_tilde[1, 0] = 7.0
+        np.testing.assert_array_equal(family.sample_gradients(64, RandomSource(3).generator()), before)
+
+    def test_generator_on_no_mode_rejected(self):
+        with pytest.raises(ValueError, match="no mode"):
+            QuadraticGradientFamily(MeanVector.vacuum(2), GeneratorPair.from_symmetric(np.zeros((4, 4))), np.eye(4))
 
 
 class TestTailFrequency:
@@ -230,21 +263,20 @@ class TestSphereSampling:
         a = gen.standard_normal((2 * m, 2 * m))
         ham = QuadraticHamiltonian(a @ a.T / (2 * m))
         o_plus = sampling.haar_orthogonal(m, gen)
-        b = bk_matrix(bs, o_plus @ ham.eta @ o_plus.T)
-        return u, n, bs, ham, o_plus, b
+        return u, n, bs, ham, o_plus, o_plus @ ham.eta @ o_plus.T
 
     def test_families_draw_no_haar_matrices(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("Monte Carlo family drew a Haar matrix")
 
-        u, n, bs, _, _, b = self._instance()
+        u, n, bs, _, _, eta_tilde = self._instance()
         for name in ("haar_orthogonal_batch", "haar_orthogonal"):
             monkeypatch.setattr(sampling, name, forbidden)
             monkeypatch.setattr(estimators, name, forbidden, raising=False)
         families = [
             CompilingGradientFamily(u, bs),
             MeasurementGradientFamily(u=u, n=n, gen=bs),
-            QuadraticGradientFamily(u=u, b=b),
+            QuadraticGradientFamily(u, bs, eta_tilde),
         ]
         for family in families:
             x = family.sample_gradients(64, RandomSource(32).generator())
@@ -254,7 +286,7 @@ class TestSphereSampling:
         # independent route: explicit Haar (O_minus, O_plus) through the
         # split-layer gradients of cost_functions, one pair per draw
         m, draws = 3, 20_000
-        u, n, bs, ham, o_plus, b = self._instance(m)
+        u, n, bs, ham, o_plus, eta_tilde = self._instance(m)
         gen = RandomSource(33).generator()
         o_minus = sampling.haar_orthogonal_batch(m, draws, gen)
         o_plus_draws = sampling.haar_orthogonal_batch(m, draws, gen)
@@ -266,7 +298,7 @@ class TestSphereSampling:
             ),
             (
                 "quadratic",
-                QuadraticGradientFamily(u=u, b=b),
+                QuadraticGradientFamily(u, bs, eta_tilde),
                 [quadratic_grad(u, bs, ham, om, o_plus) for om in o_minus],
             ),
         ]
@@ -286,7 +318,7 @@ class TestSphereSampling:
 
 class TestStreamedChunks:
     """The overlap families draw only the reduced coordinates of y and b; the quadratic
-    family holds one (size, 2m) array of w plus bounded row blocks."""
+    family holds one (size, 2m) array of w plus its 2k gate coordinates."""
 
     M = 200
 
@@ -304,7 +336,7 @@ class TestStreamedChunks:
     def _dense_gradients(family, y, b):
         """The overlap gradient of full points y and b with the dense D."""
         weight = np.exp(np.einsum("ni,ni->n", y, b) - family.u.intensity() - family.n.intensity())
-        return weight, -weight * np.einsum("ni,ij,nj->n", y, family.gen.d, b)
+        return weight, -weight * np.einsum("ni,ij,nj->n", y, dense_d(family.gen), b)
 
     @pytest.mark.parametrize("kind,modes,m,scalar", [
         ("global-phase", (), M, True),
@@ -361,12 +393,26 @@ class TestStreamedChunks:
             MeasurementGradientFamily(u=MeanVector.vacuum(2), n=MeanVector.vacuum(2),
                                       gen=GeneratorPair.from_symmetric(np.zeros((4, 4))))
 
+    def test_scalar_block_construction_allocates_no_dense_matrix(self):
+        # the scalar-block test reads dc's diagonal and counts its nonzeros; an m x m
+        # identity and its complex product would be 24 MiB at m = 1024
+        gen = make_generator("global-phase", (), 1024)
+        u, n = (MeanVector.of(np.eye(2048)[j]) for j in (0, 1))
+        tracemalloc.start()
+        try:
+            family = MeasurementGradientFamily(u=u, n=n, gen=gen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert family._gate == 2 and peak <= 2**20, peak / 2**20
+
     @pytest.mark.parametrize("kind,modes", [("global-phase", ()), ("beamsplitter", (7, 3)), ("quadratic", ())])
     def test_chunk_peak_memory_is_about_one_array(self, kind, modes):
         if kind == "quadratic":
             array_bytes = CHUNK_SIZE * 2 * self.M * 8  # 13.1 MB, one (4096, 2m) array of w
             a = RandomSource(42).generator().standard_normal((2 * self.M, 2 * self.M))
-            family = QuadraticGradientFamily(u=self._measurement("global-phase", ()).u, b=a + a.T)
+            family = QuadraticGradientFamily(self._measurement("global-phase", ()).u,
+                                             make_generator("beamsplitter", (7, 3), self.M), a + a.T)
             bound = 1.25 * array_bytes
         else:
             # reduced coordinates: well under 1 MiB at m = 1024, where one (4096, 2m)

@@ -13,11 +13,11 @@ from linopt_bp import (
     random_circuit,
 )
 from linopt_bp import linear_optics
-from linopt_bp.linear_optics import BilinearKernel, GateBlocks, embed_unitary
+from linopt_bp.linear_optics import BilinearKernel, GateBlocks
 from linopt_bp.sampling import haar_unitary_batch
 
-from conftest import (bilinear, custom_gate_tol, dense_gate, fd_gradient, identity_fixed, layer_transfers, mp_gate,
-                      orthogonal_action, split_action, symplectic_form)
+from conftest import (bilinear, custom_gate_tol, dense_d, dense_eps, dense_gate, embed_unitary, fd_gradient,
+                      identity_fixed, layer_transfers, mp_gate, orthogonal_action, split_action, symplectic_form)
 
 
 def _gate(gen, theta):
@@ -54,23 +54,25 @@ class TestGenerators:
     def test_invariants(self, kind, modes, m):
         gen = make_generator(kind, modes, m)
         delta = symplectic_form(m)
-        np.testing.assert_allclose(gen.d + gen.d.T, 0, atol=1e-14)
-        np.testing.assert_allclose(gen.eps - gen.eps.T, 0, atol=1e-14)
+        d, eps = dense_d(gen), dense_eps(gen)
+        np.testing.assert_allclose(d + d.T, 0, atol=1e-14)
+        np.testing.assert_allclose(eps - eps.T, 0, atol=1e-14)
         # energy conservation: eps commutes with the symplectic form
-        np.testing.assert_allclose(gen.eps @ delta - delta @ gen.eps, 0, atol=1e-14)
+        np.testing.assert_allclose(eps @ delta - delta @ eps, 0, atol=1e-14)
         # Heisenberg relation for the stored pair
-        np.testing.assert_allclose(gen.d, -2.0 * gen.eps @ delta, atol=1e-14)
+        np.testing.assert_allclose(d, -2.0 * eps @ delta, atol=1e-14)
 
     def test_phase_shifter_eps_block(self):
         gen = make_generator("phase-shifter", (1,), 3)
         expected = np.zeros((6, 6))
         expected[2:4, 2:4] = 0.5 * np.eye(2)
-        np.testing.assert_array_equal(gen.eps, expected)
+        np.testing.assert_array_equal(dense_eps(gen), expected)
 
     def test_two_mode_phase_blocks(self):
         gen = make_generator("two-mode-phase", (0, 1), 2)
-        np.testing.assert_array_equal(gen.eps[0:2, 0:2], 0.5 * np.eye(2))
-        np.testing.assert_array_equal(gen.eps[2:4, 2:4], -0.5 * np.eye(2))
+        eps = dense_eps(gen)
+        np.testing.assert_array_equal(eps[0:2, 0:2], 0.5 * np.eye(2))
+        np.testing.assert_array_equal(eps[2:4, 2:4], -0.5 * np.eye(2))
 
     def test_invalid_modes_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -109,10 +111,11 @@ class TestGenerators:
         gen = GeneratorPair.from_symmetric(eps_s)
         expected = np.diag([0.5, 0.5, 1.5, 1.5])
         expected[0, 2] = expected[2, 0] = expected[1, 3] = expected[3, 1] = 1e-11
-        np.testing.assert_array_equal(gen.eps, expected)
+        eps = dense_eps(gen)
+        np.testing.assert_array_equal(eps, expected)
         delta = symplectic_form(2)
-        np.testing.assert_array_equal(gen.eps @ delta, delta @ gen.eps)
-        np.testing.assert_array_equal(gen.d, -2.0 * gen.eps @ delta)
+        np.testing.assert_array_equal(eps @ delta, delta @ eps)
+        np.testing.assert_array_equal(dense_d(gen), -2.0 * eps @ delta)
 
     def test_nearly_symmetric_block_keeps_its_symmetric_part(self):
         # an asymmetry of 5e-11 passes the 1e-10 check; dc must still be exactly
@@ -121,7 +124,7 @@ class TestGenerators:
         eps_s[0, 2], eps_s[1, 3], eps_s[2, 0], eps_s[3, 1] = 0.25, 0.25, 0.25 + 5e-11, 0.25 + 5e-11
         gen = GeneratorPair.from_symmetric(eps_s)
         assert np.array_equal(gen.dc, -gen.dc.conj().T)
-        np.testing.assert_allclose(gen.eps, 0.5 * (eps_s + eps_s.T), rtol=0, atol=1e-16)
+        np.testing.assert_allclose(dense_eps(gen), 0.5 * (eps_s + eps_s.T), rtol=0, atol=1e-16)
 
     def test_rejects_bad_modes(self):
         # descending, repeated, outside the 3 modes, negative, not integers, not 1-D
@@ -151,12 +154,12 @@ class TestGenerators:
 
     def test_from_symmetric_of_a_standard_kind_returns_its_block(self):
         for gen in _standard_generators():
-            dense = GeneratorPair.from_symmetric(gen.eps)
+            dense = GeneratorPair.from_symmetric(dense_eps(gen))
             np.testing.assert_array_equal(dense.modes, gen.modes, err_msg=gen.label)
             np.testing.assert_array_equal(dense.dc, gen.dc, err_msg=gen.label)
 
     def test_generator_stores_one_form(self):
-        # the modes and the complex block; the real forms are built on access
+        # the modes and the complex block; the package builds no real form
         eps = np.diag([0.5, 0.5, 1.5, 1.5, 0.0, 0.0])
         gens = [make_generator(kind, modes, 3) for kind, modes in
                 [("phase-shifter", (1,)), ("two-mode-phase", (2, 0)), ("beamsplitter", (0, 1)), ("global-phase", ())]]
@@ -236,9 +239,10 @@ class TestSupport:
     def test_support_size_per_kind(self, kind, modes, m, size):
         gen = make_generator(kind, modes, m)
         assert gen.support.size == size
-        np.testing.assert_array_equal(embed_unitary(gen.dc), gen.d[np.ix_(gen.support, gen.support)])
+        d = dense_d(gen)
+        np.testing.assert_array_equal(embed_unitary(gen.dc), d[np.ix_(gen.support, gen.support)])
         off = np.setdiff1d(np.arange(2 * m), gen.support)
-        assert not gen.d[off].any() and not gen.d[:, off].any()
+        assert not d[off].any() and not d[:, off].any()
 
     @pytest.mark.parametrize("kind,modes", [("phase-shifter", (1,)), ("beamsplitter", (3, 0)),
                                             ("two-mode-phase", (2, 1))])
@@ -257,13 +261,13 @@ def _coupled_generator():
     """A dense custom block from ``from_symmetric``: every pair of modes 0, 2, 3 of 5 coupled."""
     a = RandomSource(17).generator().uniform(-1.0, 1.0, (2, 3, 3))
     herm = 0.5 * (a[0] + 1j * a[1] + (a[0] + 1j * a[1]).conj().T)
-    gen = GeneratorPair.from_symmetric(GeneratorPair(5, [0, 2, 3], -2j * herm).eps)
+    gen = GeneratorPair.from_symmetric(dense_eps(GeneratorPair(5, [0, 2, 3], -2j * herm)))
     assert np.count_nonzero(gen.dc) == 9
     return gen
 
 
 class TestBilinearKernel:
-    """y D b^T summed over the nonzeros of dc, against the dense oracle y @ gen.d @ b."""
+    """y D b^T summed over the nonzeros of dc, against the dense oracle y @ dense_d(gen) @ b."""
 
     @pytest.mark.parametrize("kind,modes,m", [
         ("phase-shifter", (3,), 5),
@@ -278,7 +282,7 @@ class TestBilinearKernel:
     def test_matches_dense_product(self, kind, modes, m):
         gen = _coupled_generator() if kind == "custom" else make_generator(kind, modes, m)
         y, b = RandomSource(23).generator().standard_normal((2, 9, 2 * m))
-        d = gen.d
+        d = dense_d(gen)
         dense = np.einsum("ni,ij,nj->n", y, d, b)
         # relative to the bound |y D b^T| <= |y| |b| max|D| (up to the block size)
         tol = 1e-13 * np.linalg.norm(y, axis=1) * np.linalg.norm(b, axis=1) * np.abs(d).max()
@@ -300,7 +304,7 @@ def _standard_generators():
 
 
 def _support_d(gen):
-    return gen.d[np.ix_(gen.support, gen.support)]
+    return dense_d(gen)[np.ix_(gen.support, gen.support)]
 
 
 class TestClosedFormGate:
@@ -458,7 +462,7 @@ class TestLayeredCircuit:
         # d/dtheta_k of the full action is O_minus D_k O_plus
         circ = self._circuit(seed=21)
         o_minus, o_plus = split_action(circ, 3)
-        d_k = circ.gens[2].d
+        d_k = dense_d(circ.gens[2])
         step = 1e-6
         up = np.array(circ.theta)
         dn = up.copy()

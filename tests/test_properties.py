@@ -32,13 +32,10 @@ from linopt_bp.estimators import (  # noqa: E402
     QuadraticGradientFamily,
     ToyGradientFamily,
 )
-from linopt_bp.linear_optics import (  # noqa: E402
-    GENERATOR_KINDS,
-    GateBlocks,
-    embed_unitary,
-)
+from linopt_bp.linear_optics import GENERATOR_KINDS, GateBlocks  # noqa: E402
 
-from conftest import bilinear, compiling_cost, custom_gate_tol, dense_gate, measurement_cost, mp_gate  # noqa: E402
+from conftest import (bilinear, compiling_cost, custom_gate_tol, dense_d, dense_gate, embed_unitary,  # noqa: E402
+                      measurement_cost, mp_gate)
 
 SETTINGS = settings(max_examples=50, deadline=None)
 SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
@@ -79,7 +76,7 @@ def test_gate_action_is_orthogonal(gen, theta):
 def test_bilinear_matches_dense_product(gen, rows, seed):
     # the support kernel against the dense y D b, row by row and batched
     y, b = RandomSource(seed).generator().standard_normal((2, rows, 2 * gen.m))
-    d = gen.d
+    d = dense_d(gen)
     dense = np.array([yy @ d @ bb for yy, bb in zip(y, b)])
     tol = 1e-12 * np.linalg.norm(y, axis=1) * np.linalg.norm(b, axis=1) * np.abs(d).max()
     single = np.array([bilinear(gen, yy, bb) for yy, bb in zip(y, b)])
@@ -162,8 +159,8 @@ def _family(kind, m):
     if kind == "measurement":
         n = MeanVector.of([0.0, 1.0] + [0.0] * (2 * m - 2))
         return MeasurementGradientFamily(u=u, n=n, gen=gen)
-    b = make_generator("two-mode-phase", (0, 1), m).eps if m > 1 else np.zeros((2, 2))
-    return QuadraticGradientFamily(u=u, b=b)
+    eta_tilde = np.add.outer(np.arange(2.0 * m), np.arange(2.0 * m))  # symmetric; does not commute with D
+    return QuadraticGradientFamily(u, make_generator("phase-shifter", (0,), m), eta_tilde)
 
 
 @SETTINGS
