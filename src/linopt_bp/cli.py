@@ -37,6 +37,11 @@ type or choices, default and bounds serve the parser, the config defaults and
 the check that ``run_config`` makes on every field before the command runs.  A
 ``--config`` file's values are checked like flags: an int or float field
 rejects a JSON boolean, and ``output`` must be a string.
+
+``--jobs`` defaults to the number of CPUs this process may run on (its
+affinity set, else ``os.cpu_count()``), and the estimators start at most that
+many chunk workers whatever ``--jobs`` asks for.  The rows do not depend on
+it: only the ``jobs`` value of the config record does.
 """
 
 from __future__ import annotations
@@ -412,7 +417,8 @@ _SHARED = (  # every command's fields after its own, in flag order
     _Field("seed", int, 0, "64-bit seed recorded in the output", low=0, high=2**64 - 1),
     _Field("format", ("csv", "json"), "csv", "output format"),
     _Field("output", str, None, "output file path", optional=True),
-    _Field("jobs", int, 1, "parallel chunk workers", low=1),
+    _Field("jobs", int, est.usable_cpus(),
+           "chunk workers (default: the CPUs this process may run on; never more start)", low=1),
 )
 
 # command -> (help line, handler, fields); the parser, the config defaults and the

@@ -3,10 +3,11 @@
 Sampling is organized in fixed-size chunks: chunk ``i`` always covers the same
 sample indices and draws from substream ``i`` of the seed, so an estimate is a
 pure function of (family, n_samples, seed).  Chunks may be evaluated on a
-thread pool; partial sums are merged with ``math.fsum`` (exact for doubles),
-making the result bitwise independent of scheduling.  Within a chunk numpy's
-pairwise summation keeps the tiny, cancellation-prone plateau-regime moments
-accurate.
+thread pool of ``min(n_jobs, chunks, usable_cpus())`` workers (none when that
+is 1); partial sums are merged with ``math.fsum`` (exact for doubles), making
+the result bitwise independent of scheduling and of the worker count.  Within
+a chunk numpy's pairwise summation keeps the tiny, cancellation-prone
+plateau-regime moments accurate.
 
 Families bundle an experiment instance with its vectorized gradient sampler:
 
@@ -48,6 +49,7 @@ O(k + nnz(dc)) for any other.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field
 
@@ -88,10 +90,17 @@ class ToyGradientFamily:
             raise ValueError(f"s must be >= 0, got {self.s}")
 
     def sample_gradients(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        # s sin(theta_0) exp(s (sum cos theta - m)); in place, so that a chunk makes
+        # no temporary beyond theta and two (size,) arrays for the threads to wait on
         theta = uniform_angles_batch(self.m, size, rng)
-        sin_first = np.sin(theta[:, 0])
-        cos = np.cos(theta, out=theta)  # in place: theta is not needed again
-        return self.s * sin_first * np.exp(self.s * (cos.sum(axis=1) - self.m))
+        g = np.sin(theta[:, 0])
+        total = np.cos(theta, out=theta).sum(axis=1)
+        total -= self.m
+        total *= self.s
+        np.exp(total, out=total)
+        g *= self.s
+        g *= total
+        return g
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,6 +209,13 @@ class QuadraticGradientFamily:
 # -- chunked engine ---------------------------------------------------------
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _chunks(n_samples: int):
     start = 0
     index = 0
@@ -236,9 +252,10 @@ def _moment_sums(family, n_samples: int, source: RandomSource, n_jobs: int):
 
 def _run_chunks(fn, n_samples: int, n_jobs: int) -> list:
     chunks = list(_chunks(n_samples))
-    if n_jobs <= 1:
+    workers = min(n_jobs, len(chunks), usable_cpus())
+    if workers == 1:
         return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, chunks))
 
 
@@ -246,6 +263,8 @@ def _estimate(family, n_samples, rng, n_jobs, use_abs: bool) -> MomentEstimate:
     _check_family(family)
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= {MIN_SAMPLES}, got {n_samples}")
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     source = as_source(rng)
     sum_x, sum_abs, sum_x2, sum_x4 = _moment_sums(family, n_samples, source, n_jobs)
     n = float(n_samples)

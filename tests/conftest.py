@@ -28,6 +28,9 @@ real forms that the package no longer builds: the 2m x 2m matrix of
 package's former functions bit for bit and, like the circuit oracles,
 validate nothing.
 
+``toy_gradients`` is the toy family's chunk as one expression, the form the
+package used before the chunk worked in place.
+
 ``one_shot_haar_unitary`` and ``one_shot_haar_orthogonal`` draw a whole Haar
 stack with one Gaussian draw and one batched QR, as the package did before it
 filled stacks block by block; the blocked samplers must match them bit for bit.
@@ -93,6 +96,13 @@ def toy_cost(u_single, theta) -> float:
 def uniform_angles(m: int, rng) -> np.ndarray:
     """One vector of m i.i.d. angles uniform on [-pi, pi]."""
     return uniform_angles_batch(m, 1, rng)[0]
+
+
+def toy_gradients(m: int, s: float, size: int, rng) -> np.ndarray:
+    """``ToyGradientFamily.sample_gradients`` as one expression with temporaries, as the
+    package computed it before it worked in place; the chunk must match it bit for bit."""
+    theta = uniform_angles_batch(m, size, rng)
+    return s * np.sin(theta[:, 0]) * np.exp(s * (np.cos(theta).sum(axis=1) - m))
 
 
 def one_shot_haar_unitary(m: int, size: int, gen) -> np.ndarray:

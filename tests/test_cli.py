@@ -11,6 +11,7 @@ import pytest
 from linopt_bp import cli
 from linopt_bp import closed_forms as cforms
 from linopt_bp import cost_functions as cf
+from linopt_bp import estimators as est
 from linopt_bp.cli import ENV_OUTDIR, SCHEMA, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -491,6 +492,26 @@ class TestReproducibility:
         code2, path2 = run(tmp_path, [command, "--config", str(cfg_path)], name="rerun.csv")
         assert code2 == 0
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("command", ["toy", "prop1", "prop2", "heterodyne"])
+    def test_default_jobs_writes_the_rows_of_one_job(self, tmp_path, command, monkeypatch):
+        # four CPUs are claimed so that the default runs a thread pool on any host;
+        # the default is read at import, so the field's is patched as well
+        monkeypatch.setattr(est, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(next(f for f in cli._SHARED if f.name == "jobs"), "default", 4)
+        args = [command, *_REPLAY_ARGS[command], "--samples", "20000", "--seed", "5"]
+        _, default = run(tmp_path, list(args), name="default.csv")
+        _, serial = run(tmp_path, args + ["--jobs", "1"], name="serial.csv")
+        (pre_d, head_d, rows_d), (pre_s, head_s, rows_s) = parse_csv(default), parse_csv(serial)
+        assert (head_d, rows_d) == (head_s, rows_s)
+        cfg_d, cfg_s = json.loads(pre_d.pop("config")), json.loads(pre_s.pop("config"))
+        assert pre_d == pre_s
+        assert (cfg_d.pop("jobs"), cfg_s.pop("jobs")) == (4, 1)
+        assert cfg_d == cfg_s
+
+    def test_default_jobs_is_the_usable_cpu_count(self, tmp_path):
+        _, path = run(tmp_path, ["toy", "--samples", "10000"])
+        assert json.loads(parse_csv(path)[0]["config"])["jobs"] == est.usable_cpus()
 
     def test_same_seed_same_bytes(self, tmp_path):
         args = ["prop1", "--m", "2", "--intensity", "0.5", "--samples", "10000", "--seed", "9"]

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -28,7 +30,7 @@ from linopt_bp.estimators import (
 )
 
 from conftest import (assert_within_sigma, bk_matrix, dense_d, every_kind, measurement_grad, one_shot_sphere,
-                      quadratic_grad, tail_frequency)
+                      quadratic_grad, tail_frequency, toy_gradients)
 
 
 def _toy():
@@ -52,8 +54,10 @@ class TestReproducibility:
         b = estimate_grad_moments(_toy(), 20_000, RandomSource(8))
         assert a.second_moment != b.second_moment
 
-    def test_chunk_scheduling_invariance(self):
-        # more samples than one chunk, serial vs 4 workers: bitwise equal
+    def test_chunk_scheduling_invariance(self, monkeypatch):
+        # more samples than one chunk, serial vs 4 workers: bitwise equal; four CPUs
+        # are claimed so that four threads run on any host
+        monkeypatch.setattr(estimators, "usable_cpus", lambda: 4)
         n = 3 * CHUNK_SIZE + 17
         serial = estimate_grad_moments(_toy(), n, RandomSource(11), n_jobs=1)
         threaded = estimate_grad_moments(_toy(), n, RandomSource(11), n_jobs=4)
@@ -62,6 +66,77 @@ class TestReproducibility:
     def test_integer_seed_accepted(self):
         a = estimate_grad_moments(_toy(), 10_000, 21)
         assert a.seed == 21
+
+
+class _ZeroFamily:
+    """A family whose chunks cost almost nothing."""
+
+    def sample_gradients(self, size, rng):
+        return np.zeros(size)
+
+
+class TestWorkerCount:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The ``max_workers`` of each pool made; the stand-in pool maps inline, so a
+        test of the worker count starts no thread."""
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(estimators, "ThreadPoolExecutor", InlinePool)
+        return sizes
+
+    @pytest.mark.parametrize("cpus, n_jobs, n_samples, workers", [
+        (3, 5000, 10_000_000, 3),  # 2442 chunks: capped at the CPUs
+        (8, 5000, 3 * CHUNK_SIZE, 3),  # capped at the chunks
+        (8, 2, 3 * CHUNK_SIZE, 2),
+    ])
+    def test_workers_capped_by_cpus_and_chunks(self, pool_sizes, monkeypatch, cpus, n_jobs, n_samples, workers):
+        monkeypatch.setattr(estimators, "usable_cpus", lambda: cpus)
+        threads = threading.active_count()
+        est = estimate_grad_moments(_ZeroFamily(), n_samples, RandomSource(1), n_jobs=n_jobs)
+        assert pool_sizes == [workers]
+        assert threading.active_count() == threads
+        assert est.n_samples == n_samples and est.second_moment == 0.0
+
+    @pytest.mark.parametrize("cpus, n_jobs, n_samples", [
+        (8, 8, CHUNK_SIZE),  # a single chunk
+        (1, 8, 3 * CHUNK_SIZE),  # a single CPU
+        (8, 1, 3 * CHUNK_SIZE),
+    ])
+    def test_one_worker_creates_no_pool(self, pool_sizes, monkeypatch, cpus, n_jobs, n_samples):
+        monkeypatch.setattr(estimators, "usable_cpus", lambda: cpus)
+        serial = estimate_abs_grad(_toy(), n_samples, RandomSource(4), n_jobs=1)
+        assert estimate_abs_grad(_toy(), n_samples, RandomSource(4), n_jobs=n_jobs) == serial
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("n_jobs", [0, -1])
+    def test_non_positive_jobs_rejected(self, n_jobs):
+        with pytest.raises(ValueError, match="n_jobs"):
+            estimate_grad_moments(_toy(), 10_000, RandomSource(1), n_jobs=n_jobs)
+        with pytest.raises(ValueError, match="n_jobs"):
+            estimate_abs_grad(_toy(), 10_000, RandomSource(1), n_jobs=n_jobs)
+
+    def test_usable_cpus_reads_the_affinity_set(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert estimators.usable_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert estimators.usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert estimators.usable_cpus() == 1
 
 
 class TestMomentEstimateContract:
@@ -79,6 +154,11 @@ class TestMomentEstimateContract:
 
 
 class TestToyFamily:
+    @pytest.mark.parametrize("m, s", [(1, 0.3), (5, 0.5), (40, 2.0)])
+    def test_chunk_matches_one_expression_oracle(self, m, s):
+        got = ToyGradientFamily(m=m, s=s).sample_gradients(CHUNK_SIZE, RandomSource(9).substream(3))
+        assert np.array_equal(got, toy_gradients(m, s, CHUNK_SIZE, RandomSource(9).substream(3)))
+
     def test_abs_gradient_matches_closed_form(self):
         est = estimate_abs_grad(_toy(), 150_000, RandomSource(12))
         assert_within_sigma(
