@@ -514,12 +514,16 @@ def render_csv(cfg: dict, columns, rows, extra) -> str:
 
 
 def render_jsonl(cfg: dict, columns, rows, extra) -> str:
+    """One JSON object per line (RFC 8259, which has no infinities): a log of an
+    exact zero, -inf in CSV, is written as null, and any other non-finite float
+    is a ValueError rather than an invalid token."""
     head = {"record": "config", "schema": SCHEMA, "version": __version__,
             "seed": cfg["seed"], "config": json.loads(_config_echo(cfg))}
     head.update(extra)
-    lines = [json.dumps(head, sort_keys=True)]
+    lines = [json.dumps(head, sort_keys=True, allow_nan=False)]
     for row in rows:
-        lines.append(json.dumps({"record": "row", **dict(zip(columns, row))}, sort_keys=True))
+        record = {c: None if v == -math.inf else v for c, v in zip(columns, row)}
+        lines.append(json.dumps({"record": "row", **record}, sort_keys=True, allow_nan=False))
     return "\n".join(lines) + "\n"
 
 

@@ -116,27 +116,11 @@ def xi_bounds(gen: GeneratorPair) -> tuple:
     return lo, float(norms.max())
 
 
-def _kernel(m: int, half_arg: float, exp_term: float) -> LogScaled:
-    """Log-scale prefactor shared by the equal- and unequal-intensity forms.
-
-    ``half_arg`` is 2E (equal intensities) or 2 sqrt(E0 E1); the Bessel
-    argument is twice that.
-    """
-    return LogScaled(
-        exp_term
-        + math.lgamma(m)
-        + bessel_i(m, 2.0 * half_arg).log_value
-        - math.log(2.0)
-        - (m - 2) * math.log(half_arg)
-    )
-
-
 def second_moment_prefactor(m: int, energy: float) -> LogScaled:
-    """Prefactor exp(-4E) Gamma(m) I_m(4E) / (2 (2E)^(m-2))."""
+    """Prefactor exp(-4E) Gamma(m) I_m(4E) / (2 (2E)^(m-2)): ``heterodyne_prefactor``
+    at E0 = E1 = E, bit for bit."""
     _check_me(m, energy)
-    if energy == 0.0:
-        return LogScaled(-math.inf)
-    return _kernel(m, 2.0 * energy, -4.0 * energy)
+    return heterodyne_prefactor(m, energy, energy)
 
 
 def second_moment_point(gen: GeneratorPair, energy: float) -> LogScaled:
@@ -154,7 +138,8 @@ def second_moment_interval(gen: GeneratorPair, energy: float) -> MomentInterval:
 
 
 def heterodyne_prefactor(m: int, e0: float, e1: float) -> LogScaled:
-    """Unequal-intensity prefactor; equals the equal-intensity one at e0 = e1.
+    """Unequal-intensity prefactor exp(-2(E0+E1)) Gamma(m) I_m(4x) / (2 (2x)^(m-2)),
+    x = sqrt(E0 E1); ``second_moment_prefactor`` is this form at e0 = e1.
 
     At e0 = 0 or e1 = 0 the cost is circuit-independent and the moment is an
     exact zero (log -inf).  Otherwise the moment is not zero, and an exponent
@@ -165,10 +150,11 @@ def heterodyne_prefactor(m: int, e0: float, e1: float) -> LogScaled:
     if e0 == 0.0 or e1 == 0.0:
         return LogScaled(-math.inf)
     exp_term = -2.0 * (e0 + e1)
-    pref = _kernel(m, 2.0 * _geometric_mean(e0, e1), exp_term)  # an overflowing Bessel argument fails first
+    half_arg = 2.0 * _geometric_mean(e0, e1)
+    log_bessel = bessel_i(m, 2.0 * half_arg).log_value  # an overflowing Bessel argument fails first
     if not math.isfinite(exp_term):
         raise ValueError(f"exponent -2(E0+E1) at E0={e0!r}, E1={e1!r} is not finite")
-    return pref
+    return LogScaled(exp_term + math.lgamma(m) + log_bessel - math.log(2.0) - (m - 2) * math.log(half_arg))
 
 
 def _geometric_mean(a: float, b: float) -> float:

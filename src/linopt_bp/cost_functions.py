@@ -29,12 +29,12 @@ oriented so that it matches central finite differences of the layered
 circuit's cost under this package's composition convention (see
 ``linear_optics``); ``y D_k b`` is ``Re(z dc conj(c))`` on the gate's modes,
 with z and c the complex views of y and b and ``dc`` the gate's complex
-generator block: ``BilinearKernel``, a sum over the nonzeros of ``dc``, in
-the Monte Carlo families (on the few coordinates of y and b they draw), and
-``GateBlocks.bilinear`` in the trainer.  The quadratic gradient is
+generator block.  One contraction, ``linear_optics.bilinear``, takes it in
+the Monte Carlo families (on the few coordinates of y and b they draw) and,
+through ``GateBlocks.bilinear``, in the trainer.  The quadratic gradient is
 ``w [D_k, eta~] w^T`` with ``w = u O_minus`` and eta~ symmetric, which is
 ``2 y D_k b^T`` at ``y = w`` and ``b = w eta~``: the trainer and
-``QuadraticGradientFamily`` evaluate it with the same kernels, and
+``QuadraticGradientFamily`` evaluate it with the same contraction, and
 ``closed_forms.quadratic_second_moment`` takes its moment from the complex
 blocks of eta~, so no dense 2m x 2m ``[D_k, eta~]`` is formed.
 """

@@ -40,10 +40,10 @@ still uniform and independent of y.  So a sample draws
 * for b: the matching 2 or 2k coordinates and the off-gate one, Gaussians
   normalised with a chi-squared draw for the other coordinates of S^(2m-1);
 
-no off-gate coordinate when the gate covers every mode.  ``y D b^T`` is then a
-``BilinearKernel`` of the block on 1 or k local modes.  This is exact in
-distribution and costs, at any m, O(1) per sample for a scalar block and
-O(k + nnz(dc)) for any other.
+no off-gate coordinate when the gate covers every mode.  ``y D b^T`` is then
+``linear_optics.bilinear`` of the block on those 1 or k local modes, the
+contraction the trainer uses too.  This is exact in distribution and costs, at
+any m, O(1) per sample for a scalar block and O(k^2) for any other.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .linear_optics import BilinearKernel, GeneratorPair, check_generator
+from .linear_optics import GeneratorPair, bilinear, check_generator
 from .phase_space import MeanVector, as_mean_vector
 from .sampling import RandomSource, as_source, uniform_angles_batch, uniform_sphere_batch
 from .validation import check_same_modes, check_symmetric, modes_of
@@ -107,17 +107,17 @@ class ToyGradientFamily:
 class MeasurementGradientFamily:
     """Overlap cost against a fixed target mean, Haar (O_minus, O_plus) pairs.
 
-    Draws only the reduced coordinates of y and b (module docstring): the kernel's
-    ``_gate`` coordinates, 2 for a scalar block ``dc = c I`` (the first gate mode's)
-    and 2k for any other k x k block, then one off-gate coordinate when the gate
-    misses a mode.  ``_kernel`` is y D b^T on those 1 or k local modes.
+    Draws only the reduced coordinates of y and b (module docstring): the
+    ``_gate`` coordinates of ``_block``, 2 for a scalar block ``dc = c I`` (its 1 x 1
+    corner, on the first gate mode) and 2k for any other k x k block (``dc``), then
+    one off-gate coordinate when the gate misses a mode.
     """
 
     u: MeanVector
     n: MeanVector
     gen: GeneratorPair
     _gate: int = field(init=False, repr=False)
-    _kernel: BilinearKernel = field(init=False, repr=False)
+    _block: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         u = as_mean_vector(self.u)
@@ -134,7 +134,7 @@ class MeasurementGradientFamily:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_gate", 2 * len(block))
-        object.__setattr__(self, "_kernel", BilinearKernel(GeneratorPair(len(block), range(len(block)), block)))
+        object.__setattr__(self, "_block", block)
 
     def sample_gradients(self, size: int, rng: np.random.Generator) -> np.ndarray:
         m, k = self.u.m, self.gen.modes.size
@@ -160,10 +160,11 @@ class MeasurementGradientFamily:
         return self._gradients(y, b)
 
     def _gradients(self, y, b) -> np.ndarray:
-        """The gradients at reduced rows of y and b (the kernel's coordinates first)."""
+        """The gradients at reduced rows of y and b (the block's coordinates first)."""
         e_total = self.u.intensity() + self.n.intensity()
-        gate = slice(self._gate)
-        return -np.exp(np.einsum("ni,ni->n", y, b) - e_total) * self._kernel(y[:, gate], b[:, gate])
+        # on C-ordered rows, as drawn, the block's coordinates are a complex view, not a copy
+        z, c = (np.ascontiguousarray(x)[:, :self._gate].view(np.complex128) for x in (y, b))
+        return -np.exp(np.einsum("ni,ni->n", y, b) - e_total) * bilinear(z, self._block, c.conj())
 
 
 def CompilingGradientFamily(u: MeanVector, gen: GeneratorPair) -> MeasurementGradientFamily:
@@ -177,33 +178,33 @@ class QuadraticGradientFamily:
     """Quadratic-cost gradient ``w [D_k, eta~] w^T = 2 y D_k b^T`` with y = w = u O_minus
     and b = w eta~, over Haar O_minus.
 
-    Draws whole sphere points w but reads only the gate's 2k coordinates of w and
-    of ``w @ eta~[:, gen.support]``: ``_kernel`` is y D b^T on the k local modes,
-    and ``_columns`` is a copy of those 2k columns of eta~, the only part of it
-    the family keeps, so a sample costs O(mk).
+    Draws whole sphere points w but reads only the gate's k modes of w and of
+    ``w @ eta~[:, gen.support]``, contracted with ``gen.dc`` by ``bilinear``;
+    ``_columns`` is a copy of those 2k columns of eta~, the only part of it the
+    family keeps, so a sample costs O(mk).
     """
 
     u: MeanVector
     gen: GeneratorPair
     eta_tilde: InitVar[np.ndarray]
     _columns: np.ndarray = field(init=False, repr=False)
-    _kernel: BilinearKernel = field(init=False, repr=False)
 
     def __post_init__(self, eta_tilde):
         u = as_mean_vector(self.u)
         check_same_modes(u.m, check_generator(self.gen).m, "state and generator")
         eta = check_symmetric(eta_tilde, "eta_tilde")
         check_same_modes(u.m, modes_of(eta, "eta_tilde"), "state and eta_tilde")
-        k = self.gen.modes.size
-        if k == 0:
+        if self.gen.modes.size == 0:
             raise ValueError("the generator acts on no mode, so every gradient is zero")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "_columns", eta[:, self.gen.support])
-        object.__setattr__(self, "_kernel", BilinearKernel(GeneratorPair(k, range(k), self.gen.dc)))
 
     def sample_gradients(self, size: int, rng: np.random.Generator) -> np.ndarray:
         w = uniform_sphere_batch(self.u.m, self.u.norm, size, rng)
-        return 2.0 * self._kernel(w[:, self.gen.support], w @ self._columns)
+        z = w.view(np.complex128)[:, self.gen.modes]
+        c = (w @ self._columns).view(np.complex128)
+        np.conjugate(c, out=c)
+        return 2.0 * bilinear(z, self.gen.dc, c)
 
 
 # -- chunked engine ---------------------------------------------------------

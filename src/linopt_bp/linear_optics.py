@@ -37,7 +37,10 @@ off its modes and
     exp(theta dc) = I + sum_j (exp(i phi_j) - 1) P_j,    phi_j = -2 theta lambda_j,
 
 with ``exp(i phi) - 1 = i sin(phi) - 2 sin(phi / 2)^2``: exactly I at theta = 0
-(``GateBlocks``).
+(``GateBlocks``).  Every gradient of the package comes down to the bilinear
+form ``y D b^T = Re(z dc c)`` on the gate's modes, z the complex view of y and
+c that of b conjugated; ``bilinear`` is its one implementation, for the
+trainer and the Monte Carlo families alike.
 """
 
 from __future__ import annotations
@@ -119,39 +122,18 @@ class GeneratorPair:
         return _coordinates(self.modes)
 
 
-class BilinearKernel:
-    """``y D b^T`` of one generator as a sum over the nonzeros of its block ``dc``.
+def bilinear(z, dc, c) -> np.ndarray:
+    """``Re(z dc c)`` over the last axis: y D b^T, where z is the complex view of y
+    and c that of b conjugated, both on the gate's k modes.
 
-    A nonzero v = dc[j, k] couples mode a = modes[j] of y to mode c = modes[k] of b
-    and adds ``Re(v) (q_a q'_c + p_a p'_c) + Im(v) (q_a p'_c - p_a q'_c)``, with (q, p)
-    the columns of y and (q', p') those of b.  That is O(nnz(dc)) per row, with no
-    product by a dense real form of the block and no BLAS call.  Columns are
-    gathered per nonzero, except where the nonzeros are the whole diagonal (global
-    phase): there they are strided views of y and b.
+    An entry v = dc[i, j] adds ``Re(v) (q_i q'_j + p_i p'_j) + Im(v) (q_i p'_j - p_i q'_j)``,
+    with (q, p) the columns of y and (q', p') those of b.  ``dc`` is one k x k block
+    for every row, applied as one matrix product ``z @ dc``, or a stack of blocks,
+    one per row, contracted by one einsum (a stacked matmul loops over tiny products).
     """
-
-    def __init__(self, gen: GeneratorPair):
-        flat = np.flatnonzero(gen.dc)
-        v = gen.dc.ravel()[flat]
-        j, k = np.divmod(flat, gen.modes.size)
-        every = np.arange(gen.m)
-        self._rows, self._cols = (slice(None) if np.array_equal(idx, every) else idx
-                                  for idx in (gen.modes[j], gen.modes[k]))
-        # a part that is zero on every nonzero (global phase has no real part) adds no term
-        self._re, self._im = (part if part.any() else None for part in (v.real, v.imag))
-
-    def __call__(self, y, b) -> np.ndarray:
-        """One value per row of y and b: shape y.shape[:-1]."""
-        qy, py = y[..., 0::2][..., self._rows], y[..., 1::2][..., self._rows]
-        qb, pb = b[..., 0::2][..., self._cols], b[..., 1::2][..., self._cols]
-        out = np.zeros(y.shape[:-1])
-        if self._re is not None:
-            out += np.einsum("...j,...j,j->...", qy, qb, self._re)
-            out += np.einsum("...j,...j,j->...", py, pb, self._re)
-        if self._im is not None:
-            out += np.einsum("...j,...j,j->...", qy, pb, self._im)
-            out -= np.einsum("...j,...j,j->...", py, qb, self._im)
-        return out
+    if dc.ndim == 2:
+        return np.einsum("...k,...k->...", z @ dc, c).real
+    return np.einsum("...j,...jk,...k->...", z, dc, c).real
 
 
 def check_generator(gen) -> GeneratorPair:
@@ -252,12 +234,11 @@ class GateBlocks:
         return blocks
 
     def bilinear(self, rows, cols) -> np.ndarray:
-        """``Re(rows[l] dc_l cols[l])`` for every generator l, one gathered product per
-        support size; with ``rows[l]`` the complex view of y and ``cols[l]`` that of
-        b conjugated, it equals y D_l b^T (``BilinearKernel``)."""
+        """``bilinear(rows[l], dc_l, cols[l])`` on the modes of every generator l, one
+        gathered contraction per support size."""
         out = np.empty(len(self.modes))
         for idx, layers, modes, dc, *_ in self._groups:
-            out[idx] = np.einsum("nj,njk,nk->n", rows[layers, modes], dc, cols[layers, modes]).real
+            out[idx] = bilinear(rows[layers, modes], dc, cols[layers, modes])
         return out
 
 

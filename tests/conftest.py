@@ -9,11 +9,12 @@ The dense circuit oracles are the exception.  They build each layer as a
 split-layer gradients from ``(O_minus, O_plus)``, where the package
 propagates vectors.  Their gate (``dense_gate``) is the real block of
 ``dense_d(gen)`` by Rodrigues' formula, or ``expm`` for a custom generator, not the
-package's spectral formula; they take y D b from ``bilinear``, the package's
-``BilinearKernel`` cached per generator (``overlap_grad``, ``quadratic_grad``),
-so they check the trainer's gates and its complex-mode adjoint pass, not that
-kernel.  ``mp_gate`` is a
-high-precision reference for a custom gate.  They validate nothing.
+package's spectral formula; they take y D b from ``bilinear``, the dense
+product ``y @ dense_d(gen) @ b^T`` (``overlap_grad``, ``quadratic_grad``), not
+the package's contraction ``linear_optics.bilinear``, so they check the
+trainer's gates, its complex-mode adjoint pass and that contraction.
+``mp_gate`` is a high-precision reference for a custom gate.  They validate
+nothing.
 
 ``symplectic_form``, ``overlap_fidelity``, ``toy_cost`` and ``uniform_angles``
 are small reference functions that no package code calls; they live here as
@@ -38,7 +39,6 @@ filled stacks block by block; the blocked samplers must match them bit for bit.
 """
 
 import math
-import weakref
 from functools import reduce
 from typing import NamedTuple
 
@@ -49,7 +49,6 @@ from scipy.linalg import expm
 from linopt_bp import GeneratorPair, LayeredCircuit, LogScaled, bessel_i, intensity_law, make_generator
 from linopt_bp import cost_functions as cf
 from linopt_bp.estimators import CHUNK_SIZE
-from linopt_bp.linear_optics import BilinearKernel
 from linopt_bp.phase_space import as_mean_vector
 from linopt_bp.sampling import as_source, uniform_angles_batch
 from linopt_bp.validation import check_same_modes
@@ -350,16 +349,10 @@ def compiling_cost(u, o_minus, o_plus) -> float:
     return measurement_cost(u, u, o_minus, o_plus)
 
 
-_KERNELS = weakref.WeakKeyDictionary()
-
-
 def bilinear(gen, y, b):
-    """y D b^T for rows of length 2m (a float) or row by row for (n, 2m) batches (a
-    length-n array), by one ``BilinearKernel`` per generator, derived on first use."""
-    kernel = _KERNELS.get(gen)
-    if kernel is None:
-        kernel = _KERNELS[gen] = BilinearKernel(gen)
-    out = kernel(y, b)
+    """y D b^T as the dense product ``y @ dense_d(gen) @ b^T``: a float for rows of
+    length 2m, row by row (a length-n array) for (n, 2m) batches."""
+    out = np.einsum("...i,...i->...", y @ dense_d(gen), b)
     return float(out) if out.ndim == 0 else out
 
 

@@ -121,6 +121,22 @@ class TestHeterodyneCommand:
         row = dict(zip(header, map(float, rows[0])))
         assert abs(row["mc_second_moment"] - math.exp(row["log_prefactor"])) <= 4 * row["mc_stderr"]
 
+    @pytest.mark.parametrize("zero", ["--e0", "--e1"])
+    def test_exact_zero_is_valid_json(self, tmp_path, zero):
+        # JSON (RFC 8259) has no -Infinity: the log of the exact zero is null in JSON
+        # lines, and -inf in CSV
+        def no_constants(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        code, path = run(tmp_path, ["heterodyne", zero, "0", "--format", "json"], name="out.jsonl")
+        assert code == 0
+        lines = [json.loads(line, parse_constant=no_constants) for line in path.read_text().splitlines()]
+        assert lines[1]["log_prefactor"] is None
+        code, path = run(tmp_path, ["heterodyne", zero, "0"])
+        assert code == 0
+        _, header, rows = parse_csv(path)
+        assert float(dict(zip(header, rows[0]))["log_prefactor"]) == -math.inf
+
 
 class TestNoiseCommand:
     def test_verdicts(self, tmp_path):

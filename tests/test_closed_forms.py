@@ -240,6 +240,20 @@ class TestHeterodynePrefactor:
         assert (heterodyne_prefactor(4, energy, energy).log_value
                 == second_moment_prefactor(4, energy).log_value)
 
+    @pytest.mark.parametrize("m", [1, 3, 120, 1024])
+    def test_equal_intensity_form_bitwise(self, m):
+        # second_moment_prefactor is heterodyne_prefactor at E0 = E1 = E, and both are
+        # bit for bit the equal-intensity formula -4E + log(Gamma(m) I_m(4E) / (2 (2E)^(m-2)))
+        # over the series (small r) and Debye (large r) branches of bessel_i
+        for energy in (0.0, 5e-324, 1e-3, 1.0, 30.0, 1e5):
+            if energy == 0.0:
+                direct = -math.inf
+            else:
+                direct = (-4.0 * energy + math.lgamma(m) + bessel_i(m, 4.0 * energy).log_value
+                          - math.log(2.0) - (m - 2) * math.log(2.0 * energy))
+            assert second_moment_prefactor(m, energy).log_value == direct, energy
+            assert heterodyne_prefactor(m, energy, energy).log_value == direct, energy
+
     @pytest.mark.parametrize("e0,e1", [(1.0, 1e-320), (1e-150, 1e-165), (1e-160, 1e-170)])
     def test_subnormal_product_against_mpmath(self, e0, e1):
         mpmath = pytest.importorskip("mpmath")

@@ -450,6 +450,16 @@ class TestStreamedChunks:
         got = family._gradients(y_s, b_s)
         assert np.all(np.abs(got - expected) <= 1e-13 * weight * family.u.norm * family.n.norm)
 
+    @pytest.mark.parametrize("kind,modes", [("beamsplitter", (7, 3)), ("two-mode-phase", (1, 3)),
+                                            ("phase-shifter", (5,))])
+    def test_compiling_moment_at_large_m(self, kind, modes):
+        # the reduced draws at m = 200 against the exact second moment at E = 1
+        gen = make_generator(kind, modes, self.M)
+        u = MeanVector.of([math.sqrt(2.0)] + [0.0] * (2 * self.M - 1))
+        est = estimate_grad_moments(CompilingGradientFamily(u, gen), 40_000, RandomSource(1))
+        assert_within_sigma(est.second_moment, second_moment_point(gen, 1.0).value, est.std_error_second,
+                            n_sigma=4.0, context=gen.label)
+
     @pytest.mark.parametrize("kind,modes,m", [
         ("global-phase", (), 10),
         ("phase-shifter", (5,), 10),

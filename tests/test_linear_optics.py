@@ -13,10 +13,10 @@ from linopt_bp import (
     random_circuit,
 )
 from linopt_bp import linear_optics
-from linopt_bp.linear_optics import BilinearKernel, GateBlocks
+from linopt_bp.linear_optics import GateBlocks
 from linopt_bp.sampling import haar_unitary_batch
 
-from conftest import (bilinear, custom_gate_tol, dense_d, dense_eps, dense_gate, embed_unitary, fd_gradient,
+from conftest import (custom_gate_tol, dense_d, dense_eps, dense_gate, embed_unitary, fd_gradient,
                       identity_fixed, layer_transfers, mp_gate, orthogonal_action, split_action, symplectic_form)
 
 
@@ -267,7 +267,8 @@ def _coupled_generator():
 
 
 class TestBilinearKernel:
-    """y D b^T summed over the nonzeros of dc, against the dense oracle y @ dense_d(gen) @ b."""
+    """The package's y D b^T, ``linear_optics.bilinear`` on the gate's modes, against the
+    dense product y @ dense_d(gen) @ b."""
 
     @pytest.mark.parametrize("kind,modes,m", [
         ("phase-shifter", (3,), 5),
@@ -286,12 +287,14 @@ class TestBilinearKernel:
         dense = np.einsum("ni,ij,nj->n", y, d, b)
         # relative to the bound |y D b^T| <= |y| |b| max|D| (up to the block size)
         tol = 1e-13 * np.linalg.norm(y, axis=1) * np.linalg.norm(b, axis=1) * np.abs(d).max()
-        batched = BilinearKernel(gen)(y, b)
-        assert batched.shape == (9,) and np.all(np.abs(batched - dense) <= tol), gen.label
-        np.testing.assert_array_equal(bilinear(gen, y, b), batched)
+        z, c = y.view(np.complex128)[:, gen.modes], b.view(np.complex128)[:, gen.modes].conj()
+        k = gen.modes.size
+        for dc in (gen.dc, np.broadcast_to(gen.dc, (9, k, k))):  # one block for every row, or one per row
+            batched = linear_optics.bilinear(z, dc, c)
+            assert batched.shape == (9,) and np.all(np.abs(batched - dense) <= tol), gen.label
         for row in range(9):
-            single = bilinear(gen, y[row], b[row])
-            assert isinstance(single, float) and abs(single - float(y[row] @ d @ b[row])) <= tol[row], gen.label
+            single = linear_optics.bilinear(z[row], gen.dc, c[row])
+            assert single.shape == () and abs(single - float(y[row] @ d @ b[row])) <= tol[row], gen.label
 
 
 def _standard_generators():

@@ -24,6 +24,7 @@ from linopt_bp import (  # noqa: E402
     make_generator,
     uniform_sphere,
 )
+from linopt_bp import linear_optics  # noqa: E402
 from linopt_bp.closed_forms import _geometric_mean  # noqa: E402
 from linopt_bp.estimators import (  # noqa: E402
     CHUNK_SIZE,
@@ -74,15 +75,19 @@ def test_gate_action_is_orthogonal(gen, theta):
 @SETTINGS
 @given(gen=generators(max_m=8, graded=True), rows=st.integers(1, 16), seed=SEEDS)
 def test_bilinear_matches_dense_product(gen, rows, seed):
-    # the support kernel against the dense y D b, row by row and batched
+    # the package's contraction on the gate's modes against the dense y D b, row by
+    # row and batched, with one block for every row or one per row
     y, b = RandomSource(seed).generator().standard_normal((2, rows, 2 * gen.m))
     d = dense_d(gen)
     dense = np.array([yy @ d @ bb for yy, bb in zip(y, b)])
     tol = 1e-12 * np.linalg.norm(y, axis=1) * np.linalg.norm(b, axis=1) * np.abs(d).max()
-    single = np.array([bilinear(gen, yy, bb) for yy, bb in zip(y, b)])
+    z, c = y.view(np.complex128)[:, gen.modes], b.view(np.complex128)[:, gen.modes].conj()
+    single = np.array([linear_optics.bilinear(zz, gen.dc, cc) for zz, cc in zip(z, c)])
     assert np.all(np.abs(single - dense) <= tol)
-    batched = bilinear(gen, y, b)
-    assert batched.shape == (rows,) and np.all(np.abs(batched - dense) <= tol)
+    k = gen.modes.size
+    for dc in (gen.dc, np.broadcast_to(gen.dc, (rows, k, k))):
+        batched = linear_optics.bilinear(z, dc, c)
+        assert batched.shape == (rows,) and np.all(np.abs(batched - dense) <= tol)
 
 
 @st.composite
