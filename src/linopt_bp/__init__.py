@@ -1,19 +1,21 @@
-"""Phase-space trainability analysis of random linear-optical circuits.
+"""Trainability of random linear-optical circuits fed coherent light.
 
-Coherent states on m modes are phase-space mean vectors; passive linear
-optics acts on them through orthogonal (and symplectic) transfer matrices.
-The package provides the cost families defined on such circuits and their
-split-layer gradient kernels, closed-form predictions for the gradient
-moments over Haar-random circuits, reproducible Monte Carlo estimators that
-verify those predictions on sphere points, a regime classifier separating
-barren-plateau from trainable intensity scalings, a gradient-descent trainer
-that propagates vectors through the layers, and a CLI that emits plot-ready
-CSV/JSON artifacts.
+A coherent state on m modes is its phase-space mean vector, and passive
+linear optics acts on it as a unitary on its complex mode amplitudes.  On a
+Haar-random circuit the state enters a gradient only through its intensity
+E.  So the closed forms of the gradient moments (in log scale where they leave
+the double range) take a gate and intensities, ``(gen, E0, E1)`` for the
+overlap costs and ``(gen, E, ham)`` for the quadratic cost, and Monte Carlo
+families that take the same arguments estimate them from a few sphere
+coordinates per sample.  A regime classifier separates barren-plateau from
+trainable intensity scalings, a gradient-descent trainer propagates vectors
+through layered circuits, and a CLI writes each experiment as plot-ready
+CSV/JSON with its config and seed.
 """
 
 __version__ = "0.1.0"
 
-from .phase_space import MeanVector, intensity
+from .phase_space import MeanVector
 from .linear_optics import (
     GeneratorPair,
     LayeredCircuit,
@@ -47,12 +49,10 @@ from .closed_forms import (
     xi_bounds,
 )
 from .estimators import (
-    CompilingGradientFamily,
     MeasurementGradientFamily,
     MomentEstimate,
     QuadraticGradientFamily,
     ToyGradientFamily,
-    estimate_abs_grad,
     estimate_grad_moments,
 )
 from .trainer import NonFiniteCostError, TrainConfig, TrainRecord, train

@@ -62,10 +62,9 @@ from . import cost_functions as cf
 from . import estimators as est
 from . import trainer as tr
 from .linear_optics import make_generator, random_circuit
-from .phase_space import MeanVector
 from .sampling import RandomSource, haar_orthogonal, uniform_sphere
 
-SCHEMA = "linopt-bp/6"
+SCHEMA = "linopt-bp/7"
 ENV_OUTDIR = "LINOPT_BP_OUTDIR"
 INSTANCE_STREAM = 2**32  # substream index reserved for instance construction
 
@@ -275,10 +274,10 @@ def _run_toy(cfg) -> tuple:
     m, s, samples = cfg["m"], cfg["s"], cfg["samples"]
     closed = _linear(_closed_form(cf.toy_log_abs_expectation, s, m), "closed form")
     family = est.ToyGradientFamily(m=m, s=s)
-    moments = est.estimate_abs_grad(family, samples, RandomSource(cfg["seed"]), cfg["jobs"])
+    moments = est.estimate_grad_moments(family, samples, RandomSource(cfg["seed"]), cfg["jobs"])
     rows = [
         [m, s, "closed_form", _finite(closed, "closed form"), 0.0],
-        [m, s, "mc", _finite(moments.mean, "MC mean"), moments.std_error_mean],
+        [m, s, "mc", _finite(moments.mean_abs, "MC mean"), moments.std_error_mean_abs],
     ]
     return ["m", "s", "kind", "value", "std_error"], rows, {"estimate": dataclasses.asdict(moments)}
 
@@ -299,8 +298,7 @@ def _run_prop1(cfg) -> tuple:
     xi_min, xi_max = cforms.xi_bounds(gen)
     interval = _closed_form(cforms.second_moment_interval, gen, energy)
     pred_lo, pred_hi = _linear(interval.lo, "pred_lo"), _linear(interval.hi, "pred_hi")
-    u = MeanVector.of([math.sqrt(2 * energy)] + [0.0] * (2 * m - 1))
-    family = est.CompilingGradientFamily(u, gen)
+    family = est.MeasurementGradientFamily(gen, energy, energy)
     moments = est.estimate_grad_moments(family, samples, RandomSource(cfg["seed"]), cfg["jobs"])
     rows = [[
         m,
@@ -323,13 +321,12 @@ def _run_prop2(cfg) -> tuple:
     inst = source.substream(INSTANCE_STREAM)
     dim = 2 * m
     a = inst.standard_normal((dim, dim))
-    ham = cf.QuadraticHamiltonian(a @ a.T / dim)
     gen = make_generator("two-mode-phase", (0, 1), m)
     o_plus = haar_orthogonal(m, inst)  # still O(2m); README "Conventions" says why
-    eta_tilde = o_plus @ ham.eta @ o_plus.T
-    u = uniform_sphere(m, _radius(energy), inst)
-    pred = _closed_form(cforms.quadratic_second_moment, u, gen, eta_tilde)
-    family = est.QuadraticGradientFamily(u, gen, eta_tilde)
+    ham = cf.QuadraticHamiltonian(o_plus @ (a @ a.T / dim) @ o_plus.T)  # eta~ = o_plus eta o_plus^T
+    _radius(energy)  # the family draws w on the sphere of radius sqrt(2E)
+    pred = _closed_form(cforms.quadratic_second_moment, gen, energy, ham)
+    family = est.QuadraticGradientFamily(gen, energy, ham)
     moments = est.estimate_grad_moments(family, samples, source, cfg["jobs"])
     rows = [[m, energy, _finite(pred, "prediction"),
              _finite(moments.second_moment, "MC second moment"),
@@ -346,9 +343,9 @@ def _run_heterodyne(cfg) -> tuple:
         if samples < est.MIN_SAMPLES:
             raise ConfigError(f"samples: must be 0 or >= {est.MIN_SAMPLES}, got {samples}")
         gen = make_generator("global-phase", (), m)
-        u = MeanVector.of([math.sqrt(2 * e0)] + [0.0] * (2 * m - 1))
-        n = MeanVector.of([0.0, math.sqrt(2 * e1)] + [0.0] * (2 * m - 2))
-        family = est.MeasurementGradientFamily(u=u, n=n, gen=gen)
+        for energy in (e0, e1):  # at E1 = 0 the closed form is an exact zero at any E0
+            _radius(energy)
+        family = est.MeasurementGradientFamily(gen, e0, e1)
         moments = est.estimate_grad_moments(family, samples, RandomSource(cfg["seed"]), cfg["jobs"])
         row += [_finite(moments.second_moment, "MC second moment"), moments.std_error_second]
         columns += ["mc_second_moment", "mc_stderr"]

@@ -1,5 +1,11 @@
 """Closed-form gradient-moment predictions and the trainability classifier.
 
+A Haar-random circuit sees a coherent input only through its intensity
+E = |u|^2 / 2, so each moment takes a gate's ``GeneratorPair`` and
+intensities, ``(gen, E0, E1)`` for the overlap costs and ``(gen, E, ham)`` for
+the quadratic cost: the arguments its Monte Carlo family in ``estimators``
+takes too.  Every intensity must be finite and >= 0.
+
 For the compiling/measurement family the second moment of the split-layer
 gradient over independent Haar pairs (O_minus, O_plus) is, exactly,
 
@@ -23,7 +29,8 @@ The unequal-intensity (heterodyne) generalization substitutes
 ``exp(-2(E0+E1))`` and argument ``4 sqrt(E0 E1)``.
 
 For the quadratic family the gradient is ``w [D_k, eta~] w^T`` with
-w = u O_minus uniform on the sphere of radius |u|.  On complex modes
+w = u O_minus uniform on the sphere of radius |u| = sqrt(2E), and eta~ the
+``eta`` of a ``QuadraticHamiltonian``.  On complex modes
 z = q + i p, the symmetric eta~ splits into a Hermitian and a complex
 symmetric part,
 
@@ -55,10 +62,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .cost_functions import QuadraticHamiltonian, check_hamiltonian
 from .linear_optics import GeneratorPair, check_generator
-from .phase_space import MeanVector, as_mean_vector
 from .special_functions import LogScaled, bessel_i
-from .validation import check_same_modes, check_symmetric, modes_of
+from .validation import check_intensity, check_same_modes
 
 SLOPE_THRESHOLD = -0.05  # nats per mode; below this the fitted decay is a plateau
 
@@ -93,18 +100,6 @@ class MomentInterval:
     def __post_init__(self):
         if self.lo.log_value > self.hi.log_value + 1e-12:
             raise ValueError("interval endpoints are out of order")
-
-    @property
-    def is_point(self) -> bool:
-        if math.isinf(self.lo.log_value) and math.isinf(self.hi.log_value):
-            return True
-        return abs(self.hi.log_value - self.lo.log_value) <= 1e-12
-
-    @property
-    def point(self) -> LogScaled:
-        if not self.is_point:
-            raise ValueError("interval has not collapsed to a point")
-        return self.lo
 
 
 def xi_bounds(gen: GeneratorPair) -> tuple:
@@ -165,14 +160,14 @@ def _geometric_mean(a: float, b: float) -> float:
     return math.ldexp(math.sqrt(math.ldexp(fa * fb, x % 2)), x // 2)
 
 
-def quadratic_second_moment(u: MeanVector, gen: GeneratorPair, eta_tilde) -> float:
-    """Second moment ``|u|^4 (|K|_F^2 + |T|_F^2) / (m (m+1))`` of the quadratic
-    gradient ``w [D_k, eta~] w^T`` (module docstring), from m x m complex blocks."""
-    u = as_mean_vector(u)
+def quadratic_second_moment(gen: GeneratorPair, energy: float, ham: QuadraticHamiltonian) -> float:
+    """Second moment ``|u|^4 (|K|_F^2 + |T|_F^2) / (m (m+1))``, |u|^2 = 2E, of the
+    quadratic gradient ``w [D_k, eta~] w^T`` with eta~ = ``ham.eta`` (module
+    docstring), from m x m complex blocks."""
     gen = check_generator(gen)
-    eta = check_symmetric(eta_tilde, "eta_tilde")
-    check_same_modes(u.m, gen.m, "state and generator")
-    check_same_modes(gen.m, modes_of(eta, "eta_tilde"), "generator and eta_tilde")
+    eta = check_hamiltonian(ham).eta
+    _check_me(gen.m, energy)
+    check_same_modes(gen.m, ham.m, "generator and Hamiltonian")
     qq, qp, pq, pp = eta[0::2, 0::2], eta[0::2, 1::2], eta[1::2, 0::2], eta[1::2, 1::2]
     a = 0.5 * (qq + pp) + 0.5j * (qp - pq)
     s = 0.5 * (qq - pp) - 0.5j * (qp + pq)
@@ -180,7 +175,7 @@ def quadratic_second_moment(u: MeanVector, gen: GeneratorPair, eta_tilde) -> flo
     dc[np.ix_(gen.modes, gen.modes)] = gen.dc
     k = dc @ a - a @ dc
     t = dc @ s + s @ dc.T
-    return u.norm**4 * float(np.vdot(k, k).real + np.vdot(t, t).real) / (gen.m * (gen.m + 1))
+    return (2.0 * energy) ** 2 * float(np.vdot(k, k).real + np.vdot(t, t).real) / (gen.m * (gen.m + 1))
 
 
 def chebyshev_bound(moment: float, order: int, epsilon: float) -> float:
@@ -208,8 +203,7 @@ def linear_intensity_rate(a: float) -> float:
 def _check_me(m: int, energy: float, name: str = "energy") -> None:
     if m < 1:
         raise ValueError(f"mode count must be >= 1, got {m}")
-    if energy < 0:
-        raise ValueError(f"{name} must be >= 0, got {energy}")
+    check_intensity(energy, name)
 
 
 # -- intensity-law grammar --------------------------------------------------

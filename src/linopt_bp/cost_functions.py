@@ -15,8 +15,10 @@ Four families, each an exact closed form in the phase-space mean:
 Of the toy family this module holds the gradient and its closed-form mean
 |gradient|; the cost is a test oracle.  Of the circuit families this module
 holds what the Monte Carlo families and the closed forms share:
-``attenuated_intensity`` and ``QuadraticHamiltonian``; the trainer evaluates
-the costs and their gradients itself.
+``attenuated_intensity``, which maps E0 to the E1 that both take, and
+``QuadraticHamiltonian``, which the trainer takes as the cost's eta and the
+quadratic family and its closed form as eta~ (``check_hamiltonian`` turns a
+bare array away); the trainer evaluates the costs and their gradients itself.
 
 Gradients are with respect to the parameter of the split layer, whose gate
 is a ``GeneratorPair``.  They depend on the circuit only through the vectors
@@ -34,9 +36,10 @@ the Monte Carlo families (on the few coordinates of y and b they draw) and,
 through ``GateBlocks.bilinear``, in the trainer.  The quadratic gradient is
 ``w [D_k, eta~] w^T`` with ``w = u O_minus`` and eta~ symmetric, which is
 ``2 y D_k b^T`` at ``y = w`` and ``b = w eta~``: the trainer and
-``QuadraticGradientFamily`` evaluate it with the same contraction, and
-``closed_forms.quadratic_second_moment`` takes its moment from the complex
-blocks of eta~, so no dense 2m x 2m ``[D_k, eta~]`` is formed.
+``QuadraticGradientFamily(gen, E, ham)`` evaluate it with the same
+contraction, and ``closed_forms.quadratic_second_moment(gen, E, ham)`` takes
+its moment from the complex blocks of eta~, so no dense 2m x 2m
+``[D_k, eta~]`` is formed.
 """
 
 from __future__ import annotations
@@ -129,3 +132,9 @@ class QuadraticHamiltonian:
     def m(self) -> int:
         return self.eta.shape[0] // 2
 
+
+def check_hamiltonian(ham) -> QuadraticHamiltonian:
+    """``ham`` if it is a QuadraticHamiltonian; a TypeError for anything else, such as a bare matrix."""
+    if not isinstance(ham, QuadraticHamiltonian):
+        raise TypeError(f"expected a QuadraticHamiltonian, got {type(ham).__name__}")
+    return ham

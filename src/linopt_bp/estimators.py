@@ -9,21 +9,22 @@ the result bitwise independent of scheduling and of the worker count.  Within
 a chunk numpy's pairwise summation keeps the tiny, cancellation-prone
 plateau-regime moments accurate.
 
-Families bundle an experiment instance with its vectorized gradient sampler:
+Families bundle an experiment instance with its vectorized gradient sampler,
+and each takes the arguments of its closed form:
 
-* ``ToyGradientFamily`` draws uniform angle vectors;
-* ``CompilingGradientFamily`` / ``MeasurementGradientFamily`` evaluate the
-  overlap gradient ``g = -exp(y . b - E0 - E1) y D b^T`` of independent sphere
-  points y = u O_minus and b = O_plus n^T, drawing only the few coordinates of
-  each that g depends on (below);
-* ``QuadraticGradientFamily`` draws one whole sphere point w = u O_minus per
-  sample, a (size, 2m) array per chunk, and evaluates the gradient
-  ``w [D_k, eta~] w^T = 2 y D_k b^T`` at y = w and b = w eta~ on the gate's 2k
-  coordinates only: O(mk) per sample.
+* ``ToyGradientFamily(m, s)`` draws uniform angle vectors;
+* ``MeasurementGradientFamily(gen, e0, e1)`` evaluates the overlap gradient
+  ``g = -exp(y . b - E0 - E1) y D b^T`` of independent sphere points
+  y = u O_minus and b = O_plus n^T, drawing only the few coordinates of each
+  that g depends on (below); the compiling cost is ``e1 = e0``;
+* ``QuadraticGradientFamily(gen, energy, ham)`` draws one whole sphere point
+  w = u O_minus per sample, a (size, 2m) array per chunk, and evaluates the
+  gradient ``w [D_k, eta~] w^T = 2 y D_k b^T`` at y = w and b = w eta~,
+  eta~ = ``ham.eta``, on the gate's 2k coordinates only: O(mk) per sample.
 
 The gradients depend on a Haar pair (O_minus, O_plus) only through these
 vectors, and a fixed vector times a Haar-orthogonal matrix is uniform on the
-sphere of its own radius; independent matrices give independent points.
+sphere of its own radius sqrt(2E); independent matrices give independent points.
 
 The overlap gradient does not change when y and b are both rotated by an
 orthogonal O with ``O D O^T = D``.  Every rotation of the 2(m - k) coordinates
@@ -34,7 +35,7 @@ since b is independent of y and its law is rotation invariant, ``b O`` is
 still uniform and independent of y.  So a sample draws
 
 * for y: with a scalar block, ``|y_S|`` on the first gate mode's q and
-  ``|y_R|`` on one off-gate coordinate, ``|y_S|^2 / |u|^2`` being
+  ``|y_R|`` on one off-gate coordinate, ``|y_S|^2 / |y|^2`` being
   Beta(k, m - k); with any other block, its 2k gate coordinates and ``|y_R|``,
   Gaussians and a chi-squared(2(m - k)) draw normalised together;
 * for b: the matching 2 or 2k coordinates and the off-gate one, Gaussians
@@ -51,14 +52,14 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cost_functions import QuadraticHamiltonian, check_hamiltonian
 from .linear_optics import GeneratorPair, bilinear, check_generator
-from .phase_space import MeanVector, as_mean_vector
 from .sampling import RandomSource, as_source, uniform_angles_batch, uniform_sphere_batch
-from .validation import check_same_modes, check_symmetric, modes_of
+from .validation import check_intensity, check_same_modes
 
 CHUNK_SIZE = 4096
 MIN_SAMPLES = 1000
@@ -66,12 +67,15 @@ MIN_SAMPLES = 1000
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """First and second sample moments with their standard errors."""
+    """Sample moments of the gradient g, each with its standard error: the signed
+    mean of g, the mean of |g| and the second moment of g."""
 
     n_samples: int
     mean: float
+    mean_abs: float
     second_moment: float
     std_error_mean: float
+    std_error_mean_abs: float
     std_error_second: float
     seed: int
 
@@ -103,104 +107,104 @@ class ToyGradientFamily:
         return g
 
 
+def _sphere_radius(energy: float, name: str) -> float:
+    """sqrt(2E), the radius of the sphere a family draws on."""
+    radius = math.sqrt(2.0 * check_intensity(energy, name))
+    if not math.isfinite(radius):
+        raise ValueError(f"sphere radius sqrt(2 {name}) at {name}={energy!r} is not finite")
+    return radius
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementGradientFamily:
-    """Overlap cost against a fixed target mean, Haar (O_minus, O_plus) pairs.
+    """Overlap cost of an input of intensity ``e0`` against a target of intensity
+    ``e1``, over Haar (O_minus, O_plus) pairs; the compiling cost is ``e1 = e0``.
 
-    Draws only the reduced coordinates of y and b (module docstring): the
-    ``_gate`` coordinates of ``_block``, 2 for a scalar block ``dc = c I`` (its 1 x 1
-    corner, on the first gate mode) and 2k for any other k x k block (``dc``), then
-    one off-gate coordinate when the gate misses a mode.
+    y and b are uniform on the spheres of radii sqrt(2 e0) and sqrt(2 e1).  Draws
+    only their reduced coordinates (module docstring): the ``_gate`` coordinates of
+    ``_block``, 2 for a scalar block ``dc = c I`` (its 1 x 1 corner, on the first gate
+    mode) and 2k for any other k x k block (``dc``), then one off-gate coordinate
+    when the gate misses a mode.
     """
 
-    u: MeanVector
-    n: MeanVector
     gen: GeneratorPair
+    e0: float
+    e1: float
+    _radii: tuple = field(init=False, repr=False)
     _gate: int = field(init=False, repr=False)
     _block: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        u = as_mean_vector(self.u)
-        n = as_mean_vector(self.n)
-        check_same_modes(u.m, n.m, "state and target")
-        check_same_modes(u.m, check_generator(self.gen).m, "state and generator")
-        dc = self.gen.dc
+        dc = check_generator(self.gen).dc
+        object.__setattr__(self, "_radii", (_sphere_radius(self.e0, "e0"), _sphere_radius(self.e1, "e1")))
         k = len(dc)
         if k == 0:
             raise ValueError("the generator acts on no mode, so every gradient is zero")
         diag = np.diagonal(dc)
         scalar = np.all(diag == diag[0]) and np.count_nonzero(dc) == np.count_nonzero(diag)
         block = dc[:1, :1] if scalar else dc
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "_gate", 2 * len(block))
         object.__setattr__(self, "_block", block)
 
     def sample_gradients(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        m, k = self.u.m, self.gen.modes.size
+        m, k = self.gen.m, self.gen.modes.size
+        y_norm, b_norm = self._radii
         rest = k < m  # the gate misses a mode: one off-gate coordinate
         y = np.zeros((size, self._gate + rest))
         if self._gate == 2:  # a scalar block, as every one-mode block is
-            # |y_S|^2 / |u|^2 is Beta(k, m - k): 2k of 2m squared Gaussians over their sum
+            # |y_S|^2 / |y|^2 is Beta(k, m - k): 2k of 2m squared Gaussians over their sum
             t = rng.beta(k, m - k, size) if rest else 1.0
-            y[:, 0] = self.u.norm * np.sqrt(t)
+            y[:, 0] = y_norm * np.sqrt(t)
             if rest:
-                y[:, -1] = self.u.norm * np.sqrt(1.0 - t)
+                y[:, -1] = y_norm * np.sqrt(1.0 - t)
         else:
             y[:, :self._gate] = rng.standard_normal((size, self._gate))
             if rest:
                 y[:, -1] = np.sqrt(rng.chisquare(2 * (m - k), size))
-            y *= (self.u.norm / np.sqrt(np.add.reduce(y * y, axis=1)))[:, None]
+            y *= (y_norm / np.sqrt(np.add.reduce(y * y, axis=1)))[:, None]
         # b's matching coordinates, normalised with a chi-squared draw for the other ones
         b = rng.standard_normal(y.shape)
         sq = np.add.reduce(b * b, axis=1)
         if 2 * m > b.shape[1]:
             sq += rng.chisquare(2 * m - b.shape[1], size)
-        b *= (self.n.norm / np.sqrt(sq))[:, None]
+        b *= (b_norm / np.sqrt(sq))[:, None]
         return self._gradients(y, b)
 
     def _gradients(self, y, b) -> np.ndarray:
         """The gradients at reduced rows of y and b (the block's coordinates first)."""
-        e_total = self.u.intensity() + self.n.intensity()
         # on C-ordered rows, as drawn, the block's coordinates are a complex view, not a copy
         z, c = (np.ascontiguousarray(x)[:, :self._gate].view(np.complex128) for x in (y, b))
-        return -np.exp(np.einsum("ni,ni->n", y, b) - e_total) * bilinear(z, self._block, c.conj())
-
-
-def CompilingGradientFamily(u: MeanVector, gen: GeneratorPair) -> MeasurementGradientFamily:
-    """Compiling cost = overlap cost with the input state as its own target."""
-    u = as_mean_vector(u)
-    return MeasurementGradientFamily(u=u, n=u, gen=gen)
+        return -np.exp(np.einsum("ni,ni->n", y, b) - (self.e0 + self.e1)) * bilinear(z, self._block, c.conj())
 
 
 @dataclass(frozen=True, eq=False)
 class QuadraticGradientFamily:
     """Quadratic-cost gradient ``w [D_k, eta~] w^T = 2 y D_k b^T`` with y = w = u O_minus
-    and b = w eta~, over Haar O_minus.
+    and b = w eta~, over Haar O_minus, for an input of intensity ``energy`` and
+    eta~ = ``ham.eta``.
 
-    Draws whole sphere points w but reads only the gate's k modes of w and of
-    ``w @ eta~[:, gen.support]``, contracted with ``gen.dc`` by ``bilinear``;
-    ``_columns`` is a copy of those 2k columns of eta~, the only part of it the
-    family keeps, so a sample costs O(mk).
+    Draws whole sphere points w of radius sqrt(2 E) but reads only the gate's k
+    modes of w and of ``w @ eta~[:, gen.support]``, contracted with ``gen.dc`` by
+    ``bilinear``; ``_columns`` is a copy of those 2k columns of eta~, so a sample
+    costs O(mk).
     """
 
-    u: MeanVector
     gen: GeneratorPair
-    eta_tilde: InitVar[np.ndarray]
+    energy: float
+    ham: QuadraticHamiltonian
+    _radius: float = field(init=False, repr=False)
     _columns: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, eta_tilde):
-        u = as_mean_vector(self.u)
-        check_same_modes(u.m, check_generator(self.gen).m, "state and generator")
-        eta = check_symmetric(eta_tilde, "eta_tilde")
-        check_same_modes(u.m, modes_of(eta, "eta_tilde"), "state and eta_tilde")
+    def __post_init__(self):
+        check_generator(self.gen)
+        object.__setattr__(self, "_radius", _sphere_radius(self.energy, "energy"))
+        check_same_modes(self.gen.m, check_hamiltonian(self.ham).m, "generator and Hamiltonian")
         if self.gen.modes.size == 0:
             raise ValueError("the generator acts on no mode, so every gradient is zero")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "_columns", eta[:, self.gen.support])
+        object.__setattr__(self, "_columns", self.ham.eta[:, self.gen.support])
 
     def sample_gradients(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        w = uniform_sphere_batch(self.u.m, self.u.norm, size, rng)
+        w = uniform_sphere_batch(self.gen.m, self._radius, size, rng)
         z = w.view(np.complex128)[:, self.gen.modes]
         c = (w @ self._columns).view(np.complex128)
         np.conjugate(c, out=c)
@@ -260,7 +264,13 @@ def _run_chunks(fn, n_samples: int, n_jobs: int) -> list:
         return list(pool.map(fn, chunks))
 
 
-def _estimate(family, n_samples, rng, n_jobs, use_abs: bool) -> MomentEstimate:
+def _std_error(variance: float, n: float) -> float:
+    return math.sqrt(max(0.0, variance) / n)
+
+
+def estimate_grad_moments(family, n_samples: int, rng, n_jobs: int = 1) -> MomentEstimate:
+    """The signed mean (0 by symmetry for every family), the mean magnitude and the
+    second moment of the family's gradient over ``n_samples`` draws."""
     _check_family(family)
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= {MIN_SAMPLES}, got {n_samples}")
@@ -269,25 +279,14 @@ def _estimate(family, n_samples, rng, n_jobs, use_abs: bool) -> MomentEstimate:
     source = as_source(rng)
     sum_x, sum_abs, sum_x2, sum_x4 = _moment_sums(family, n_samples, source, n_jobs)
     n = float(n_samples)
-    mean = (sum_abs if use_abs else sum_x) / n
-    second = sum_x2 / n
-    var_mean = max(0.0, second - mean * mean)
-    var_second = max(0.0, sum_x4 / n - second * second)
+    mean, mean_abs, second = sum_x / n, sum_abs / n, sum_x2 / n
     return MomentEstimate(
         n_samples=n_samples,
         mean=mean,
+        mean_abs=mean_abs,
         second_moment=second,
-        std_error_mean=math.sqrt(var_mean / n),
-        std_error_second=math.sqrt(var_second / n),
+        std_error_mean=_std_error(second - mean * mean, n),
+        std_error_mean_abs=_std_error(second - mean_abs * mean_abs, n),
+        std_error_second=_std_error(sum_x4 / n - second * second, n),
         seed=source.seed,
     )
-
-
-def estimate_grad_moments(family, n_samples: int, rng, n_jobs: int = 1) -> MomentEstimate:
-    """Signed-gradient moments: mean (centered at 0 by symmetry) and second moment."""
-    return _estimate(family, n_samples, rng, n_jobs, use_abs=False)
-
-
-def estimate_abs_grad(family, n_samples: int, rng, n_jobs: int = 1) -> MomentEstimate:
-    """Moments of |dC|: mean is the expected gradient magnitude."""
-    return _estimate(family, n_samples, rng, n_jobs, use_abs=True)

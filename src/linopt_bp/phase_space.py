@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-
 @dataclass(frozen=True, eq=False)
 class MeanVector:
     """Phase-space mean of an m-mode coherent state (length-2m real vector)."""
@@ -41,18 +40,9 @@ class MeanVector:
     def vacuum(cls, m: int) -> "MeanVector":
         return cls(np.zeros(2 * m))
 
-    @classmethod
-    def repeated_single_mode(cls, u1: float, u2: float, m: int) -> "MeanVector":
-        """(u1, u2) on every one of m modes, the product-state layout."""
-        return cls(np.tile([float(u1), float(u2)], m))
-
     @property
     def m(self) -> int:
         return self.values.size // 2
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
 
     def intensity(self) -> float:
         """Total mean photon number, |u|^2 / 2."""
@@ -64,9 +54,3 @@ class MeanVector:
 
 def as_mean_vector(u) -> MeanVector:
     return u if isinstance(u, MeanVector) else MeanVector.of(u)
-
-
-def intensity(u: MeanVector) -> float:
-    """Total mean photon number carried by the state."""
-    return as_mean_vector(u).intensity()
-

@@ -42,6 +42,12 @@ def check_unitary(a, name: str = "matrix", tol: float = 1e-10) -> np.ndarray:
     return arr
 
 
+def check_intensity(value: float, name: str) -> float:
+    if not 0 <= value < np.inf:  # a NaN fails too
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return value
+
+
 def check_same_modes(m_a: int, m_b: int, what: str = "arguments") -> int:
     if m_a != m_b:
         raise ValueError(f"{what} have mismatched mode counts: {m_a} vs {m_b}")

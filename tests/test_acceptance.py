@@ -20,7 +20,6 @@ from linopt_bp import (
     bessel_i,
     classify_noise,
     classify_regime,
-    estimate_abs_grad,
     estimate_grad_moments,
     fit_linear_rate,
     haar_orthogonal,
@@ -38,7 +37,7 @@ from linopt_bp import (
     uniform_sphere,
 )
 from linopt_bp.estimators import (
-    CompilingGradientFamily,
+    MeasurementGradientFamily,
     QuadraticGradientFamily,
     ToyGradientFamily,
 )
@@ -61,9 +60,9 @@ def test_criterion_01_toy_model_agreement():
     worst = 0.0
     for m in (1, 2, 5, 10):
         for s in (0.1, 0.5, 1.0):
-            est = estimate_abs_grad(ToyGradientFamily(m=m, s=s), 1_000_000, RandomSource(1101))
+            est = estimate_grad_moments(ToyGradientFamily(m=m, s=s), 1_000_000, RandomSource(1101))
             closed = toy_grad_abs_expectation(s, m)
-            z = abs(est.mean - closed) / est.std_error_mean
+            z = abs(est.mean_abs - closed) / est.std_error_mean_abs
             worst = max(worst, z)
     _report("C1 toy-model-agreement", worst <= 3.0, f"worst deviation {worst:.2f} sigma")
 
@@ -74,13 +73,12 @@ def test_criterion_02_compiling_moment_point_and_interval():
     for m in (2, 3, 4, 6):
         for energy in (0.25, 1.0, 4.0):
             gen_k = make_generator("global-phase", (), m)  # equal column norms
-            u = MeanVector.of([math.sqrt(2 * energy)] + [0.0] * (2 * m - 1))
             est = estimate_grad_moments(
-                CompilingGradientFamily(u, gen_k), 100_000, RandomSource(1202)
+                MeasurementGradientFamily(gen_k, energy, energy), 100_000, RandomSource(1202)
             )
             interval = second_moment_interval(gen_k, energy)
-            assert interval.is_point
-            z = abs(est.second_moment - interval.point.value) / est.std_error_second
+            assert interval.lo == interval.hi
+            z = abs(est.second_moment - interval.lo.value) / est.std_error_second
             worst = max(worst, z)
     _report("C2a compiling-moment-point", worst <= 3.0, f"worst deviation {worst:.2f} sigma")
 
@@ -97,8 +95,7 @@ def test_criterion_02_compiling_moment_point_and_interval():
             for j in range(m):
                 eps[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = 0.5 * (1.0 + j) / m * np.eye(2)
             gen_k = GeneratorPair.from_symmetric(eps)
-        u = MeanVector.of([math.sqrt(2 * energy)] + [0.0] * (2 * m - 1))
-        est = estimate_grad_moments(CompilingGradientFamily(u, gen_k), 100_000, RandomSource(1203))
+        est = estimate_grad_moments(MeasurementGradientFamily(gen_k, energy, energy), 100_000, RandomSource(1203))
         interval = second_moment_interval(gen_k, energy)
         slack = 3.0 * est.std_error_second
         ok = interval.lo.value - slack <= est.second_moment <= interval.hi.value + slack
@@ -116,13 +113,10 @@ def test_criterion_03_quadratic_moment():
         a = gen.standard_normal((2 * m, 2 * m))
         eta = a @ a.T / (2 * m)
         o_plus = haar_orthogonal(m, gen)
-        gen_k, eta_tilde = make_generator("two-mode-phase", (0, 1), m), o_plus @ eta @ o_plus.T
-        worst_trace = max(worst_trace, abs(float(np.trace(bk_matrix(gen_k, eta_tilde)))))  # the dense oracle's
-        direction = gen.standard_normal(2 * m)
-        direction /= np.linalg.norm(direction)
-        u = MeanVector(math.sqrt(2 * 1.5) * direction)
-        est = estimate_grad_moments(QuadraticGradientFamily(u, gen_k, eta_tilde), 1_000_000, RandomSource(seed + 10))
-        z = abs(est.second_moment - quadratic_second_moment(u, gen_k, eta_tilde)) / est.std_error_second
+        gen_k, ham = make_generator("two-mode-phase", (0, 1), m), QuadraticHamiltonian(o_plus @ eta @ o_plus.T)
+        worst_trace = max(worst_trace, abs(float(np.trace(bk_matrix(gen_k, ham.eta)))))  # the dense oracle's
+        est = estimate_grad_moments(QuadraticGradientFamily(gen_k, 1.5, ham), 1_000_000, RandomSource(seed + 10))
+        z = abs(est.second_moment - quadratic_second_moment(gen_k, 1.5, ham)) / est.std_error_second
         worst_z = max(worst_z, z)
     ok = worst_z <= 3.0 and worst_trace <= 1e-10
     _report(

@@ -381,6 +381,10 @@ class TestExitCodes:
          "input radius sqrt(2E) at E=1e+308 is not finite"),
         (["prop2", "--intensity", "1e200", "--samples", "1000"], 3,
          "closed form: quadratic_second_moment overflows"),
+        # E1 = 0 makes the closed form an exact zero, but the family still draws on the
+        # sphere of radius sqrt(2 E0)
+        (["heterodyne", "--m", "4", "--e0", "1e308", "--e1", "0", "--samples", "1000"], 3,
+         "input radius sqrt(2E) at E=1e+308 is not finite"),
     ], ids=["noise-e1-underflow", "regimes-zero-at-m1", "regimes-negative-law",
             "regimes-infinite-law", "regimes-negative-list-entry", "regimes-bessel-overflow",
             "noise-bessel-overflow", "regimes-max-argument", "heterodyne-bessel-overflow",
@@ -391,7 +395,7 @@ class TestExitCodes:
             "layers-const-fraction", "layers-count-overflow",
             "train-tol-nan", "train-intensity-inf", "prop2-intensity-nan", "prop1-intensity-nan",
             "train-lr-nan", "train-radius-overflow", "prop2-radius-overflow",
-            "prop2-prediction-overflow"])
+            "prop2-prediction-overflow", "heterodyne-radius-overflow"])
     def test_bad_sweep_point_exit_code(self, tmp_path, capsys, args, code, message):
         # an exception escaping main would fail the test with its traceback
         assert main(args + ["--output", str(tmp_path / "x.csv")]) == code

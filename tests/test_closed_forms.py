@@ -5,7 +5,7 @@ import pytest
 
 from linopt_bp import (
     GeneratorPair,
-    MeanVector,
+    QuadraticHamiltonian,
     RandomSource,
     attenuated_intensity,
     bessel_i,
@@ -27,12 +27,12 @@ from linopt_bp import (
 )
 from linopt_bp.closed_forms import SLOPE_THRESHOLD
 from linopt_bp.estimators import (
-    CompilingGradientFamily,
+    MeasurementGradientFamily,
     QuadraticGradientFamily,
     ToyGradientFamily,
     estimate_grad_moments,
 )
-from linopt_bp import estimate_abs_grad, toy_grad_abs_expectation
+from linopt_bp import toy_grad_abs_expectation
 
 from conftest import (assert_within_sigma, attenuation_values, bk_matrix, dense_d, dense_eps, every_kind, law_values,
                       loose_prefactor, simpson, tail_frequency)
@@ -89,14 +89,20 @@ class TestXiBounds:
 
     def test_rejects_anything_but_a_generator_pair(self):
         gen = make_generator("global-phase", (), 3)
-        u = MeanVector.vacuum(3)
+        ham = QuadraticHamiltonian(np.eye(6))
         for bare in (dense_d(gen), dense_eps(gen), dense_d(gen).tolist()):
             for call in (lambda: xi_bounds(bare),
                          lambda: second_moment_point(bare, 1.0),
                          lambda: second_moment_interval(bare, 1.0),
-                         lambda: quadratic_second_moment(u, bare, np.eye(6)),
-                         lambda: QuadraticGradientFamily(u, bare, np.eye(6))):
+                         lambda: quadratic_second_moment(bare, 1.0, ham),
+                         lambda: QuadraticGradientFamily(bare, 1.0, ham)):
                 with pytest.raises(TypeError, match="GeneratorPair"):
+                    call()
+        # and a bare eta~ where the Hamiltonian goes
+        for bare in (np.eye(6), np.eye(6).tolist()):
+            for call in (lambda: quadratic_second_moment(gen, 1.0, bare),
+                         lambda: QuadraticGradientFamily(gen, 1.0, bare)):
+                with pytest.raises(TypeError, match="QuadraticHamiltonian"):
                     call()
 
 
@@ -168,7 +174,7 @@ class TestMomentPrefactor:
             interval = second_moment_interval(gen_k, energy)
             point = second_moment_point(gen_k, energy)
             assert interval.lo.log_value <= point.log_value <= interval.hi.log_value
-            assert not interval.is_point
+            assert interval.lo < interval.hi
 
     def test_small_arg_limit_of_prefactor(self):
         # for E = a m^r with r < 1/2 the prefactor approaches
@@ -186,8 +192,7 @@ class TestMonteCarloAgreement:
     def test_equal_column_point_prediction(self):
         for m, energy, seed in [(2, 1.0, 41), (3, 0.25, 42)]:
             gen_k = make_generator("global-phase", (), m)
-            u = MeanVector.of([math.sqrt(2 * energy)] + [0.0] * (2 * m - 1))
-            est = estimate_grad_moments(CompilingGradientFamily(u, gen_k), 40_000, RandomSource(seed))
+            est = estimate_grad_moments(MeasurementGradientFamily(gen_k, energy, energy), 40_000, RandomSource(seed))
             assert_within_sigma(
                 est.second_moment,
                 second_moment_point(gen_k, energy).value,
@@ -199,8 +204,7 @@ class TestMonteCarloAgreement:
     def test_generic_generator_interval_membership(self):
         m, energy = 3, 1.0
         gen_k = make_generator("two-mode-phase", (0, 1), m)
-        u = MeanVector.of([math.sqrt(2 * energy)] + [0.0] * (2 * m - 1))
-        est = estimate_grad_moments(CompilingGradientFamily(u, gen_k), 40_000, RandomSource(43))
+        est = estimate_grad_moments(MeasurementGradientFamily(gen_k, energy, energy), 40_000, RandomSource(43))
         interval = second_moment_interval(gen_k, energy)
         slack = 4.0 * est.std_error_second
         assert interval.lo.value - slack <= est.second_moment <= interval.hi.value + slack
@@ -280,13 +284,7 @@ class TestHeterodynePrefactor:
     def test_monte_carlo_agreement_unequal_intensities(self):
         m, e0, e1 = 2, 1.0, 0.4
         gen_k = make_generator("global-phase", (), m)
-        u = MeanVector.of([math.sqrt(2 * e0), 0.0, 0.0, 0.0])
-        n = MeanVector.of([0.0, math.sqrt(2 * e1), 0.0, 0.0])
-        from linopt_bp.estimators import MeasurementGradientFamily
-
-        est = estimate_grad_moments(
-            MeasurementGradientFamily(u=u, n=n, gen=gen_k), 40_000, RandomSource(44)
-        )
+        est = estimate_grad_moments(MeasurementGradientFamily(gen_k, e0, e1), 40_000, RandomSource(44))
         assert_within_sigma(
             est.second_moment,
             heterodyne_prefactor(m, e0, e1).value,
@@ -297,34 +295,31 @@ class TestHeterodynePrefactor:
 
 
 class TestQuadraticSecondMoment:
-    def _instance(self, seed, m, energy=1.5):
+    def _instance(self, seed, m):
         gen = RandomSource(seed).generator()
         a = gen.standard_normal((2 * m, 2 * m))
         eta = a @ a.T / (2 * m)
         o_plus = haar_orthogonal(m, gen)
-        direction = gen.standard_normal(2 * m)
-        direction /= np.linalg.norm(direction)
-        u = MeanVector(math.sqrt(2 * energy) * direction)
-        return u, make_generator("two-mode-phase", (0, 1), m), o_plus @ eta @ o_plus.T
+        return make_generator("two-mode-phase", (0, 1), m), 1.5, QuadraticHamiltonian(o_plus @ eta @ o_plus.T)
 
     def test_trivial_zeros(self):
-        u, gen_k, eta_tilde = self._instance(60, 2)
-        assert quadratic_second_moment(MeanVector.vacuum(2), gen_k, eta_tilde) == 0.0
-        assert quadratic_second_moment(u, gen_k, np.zeros((4, 4))) == 0.0
+        gen_k, energy, ham = self._instance(60, 2)
+        assert quadratic_second_moment(gen_k, 0.0, ham) == 0.0
+        assert quadratic_second_moment(gen_k, energy, QuadraticHamiltonian(np.zeros((4, 4)))) == 0.0
         # the identity commutes with every generator
-        assert quadratic_second_moment(u, gen_k, np.eye(4)) == 0.0
+        assert quadratic_second_moment(gen_k, energy, QuadraticHamiltonian(np.eye(4))) == 0.0
 
     def test_two_algebraic_forms_agree(self):
         # on the dense oracle B = [D_k, eta~]: tr B^2 = |B|_F^2 (B symmetric), and
         # the complex-block moment is |u|^4 (tr B^2 + |B|_F^2) / (2m (2m+2))
         for seed in (61, 62):
-            u, gen_k, eta_tilde = self._instance(seed, 3)
-            b = bk_matrix(gen_k, eta_tilde)
+            gen_k, energy, ham = self._instance(seed, 3)
+            b = bk_matrix(gen_k, ham.eta)
             fro = float(np.sum(b * b))
             tr = float(np.trace(b @ b))
-            value = quadratic_second_moment(u, gen_k, eta_tilde)
-            m = u.m
-            assert value == pytest.approx(u.norm**4 * (tr + fro) / (2 * m * (2 * m + 2)), rel=1e-13)
+            value = quadratic_second_moment(gen_k, energy, ham)
+            m = gen_k.m
+            assert value == pytest.approx((2 * energy) ** 2 * (tr + fro) / (2 * m * (2 * m + 2)), rel=1e-13)
             assert tr == pytest.approx(fro, rel=1e-10)
             assert abs(np.trace(b)) <= 1e-12 * math.sqrt(fro)
 
@@ -332,23 +327,24 @@ class TestQuadraticSecondMoment:
     def test_complex_blocks_match_dense_oracle(self, m):
         # every standard kind (two-mode gates both ways round) and a custom
         # from_symmetric generator, against |u|^4 2 |B|_F^2 / (2m (2m+2)) of the dense
-        # oracle, at a random symmetric eta~ and at a PSD one rotated by Haar O(2m)
+        # oracle, at a random PSD eta~ and at it rotated by Haar O(2m)
         rng = RandomSource(800 + m).generator()
-        u = MeanVector(rng.standard_normal(2 * m))
+        energy = 0.5 * float(np.sum(rng.standard_normal(2 * m) ** 2))
         a = rng.standard_normal((2 * m, 2 * m))
         o_plus = haar_orthogonal(m, rng)
-        for eta_tilde in (a + a.T, o_plus @ (a @ a.T) @ o_plus.T):
+        for eta_tilde in (a @ a.T, o_plus @ (a @ a.T) @ o_plus.T):
+            ham = QuadraticHamiltonian(eta_tilde)
             for gen_k in every_kind(m):
                 b = bk_matrix(gen_k, eta_tilde)
-                dense = u.norm**4 * 2.0 * float(np.sum(b * b)) / (2 * m * (2 * m + 2))
-                assert quadratic_second_moment(u, gen_k, eta_tilde) == pytest.approx(dense, rel=1e-13), gen_k.label
+                dense = (2 * energy) ** 2 * 2.0 * float(np.sum(b * b)) / (2 * m * (2 * m + 2))
+                assert quadratic_second_moment(gen_k, energy, ham) == pytest.approx(dense, rel=1e-13), gen_k.label
 
     def test_monte_carlo_agreement(self):
-        u, gen_k, eta_tilde = self._instance(63, 2)
-        est = estimate_grad_moments(QuadraticGradientFamily(u, gen_k, eta_tilde), 60_000, RandomSource(64))
+        gen_k, energy, ham = self._instance(63, 2)
+        est = estimate_grad_moments(QuadraticGradientFamily(gen_k, energy, ham), 60_000, RandomSource(64))
         assert_within_sigma(
             est.second_moment,
-            quadratic_second_moment(u, gen_k, eta_tilde),
+            quadratic_second_moment(gen_k, energy, ham),
             est.std_error_second,
             n_sigma=4.0,
             context="quadratic moment",

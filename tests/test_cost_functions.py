@@ -279,17 +279,12 @@ class TestBkMatrix:
             bk_matrix(GeneratorPair.from_symmetric(eps), np.eye(4))
 
     def test_checks_eta_tilde(self):
-        # the closed form and the Monte Carlo family check eta~ and the state against
-        # the generator; the oracle checks nothing
+        # the closed form and the Monte Carlo family check the Hamiltonian's modes
+        # against the generator; the oracle checks nothing
         gen_k = make_generator("two-mode-phase", (0, 1), 2)
-        u = MeanVector.of([1.0, 0.0, 0.0, 0.0])
         for build in (quadratic_second_moment, QuadraticGradientFamily):
             with pytest.raises(ValueError, match="mismatched mode counts"):
-                build(u, gen_k, np.eye(6))
-            with pytest.raises(ValueError, match="mismatched mode counts"):
-                build(MeanVector.vacuum(3), gen_k, np.eye(4))
-            with pytest.raises(ValueError, match="symmetric"):
-                build(u, gen_k, np.triu(np.ones((4, 4))))
+                build(gen_k, 0.5, QuadraticHamiltonian(np.eye(6)))
 
 
 class TestGradientFiniteDifferences:

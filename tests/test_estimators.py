@@ -12,7 +12,6 @@ from linopt_bp import (
     QuadraticHamiltonian,
     RandomSource,
     chebyshev_bound,
-    estimate_abs_grad,
     estimate_grad_moments,
     heterodyne_prefactor,
     make_generator,
@@ -23,7 +22,7 @@ from linopt_bp import (
 from linopt_bp import estimators, sampling
 from linopt_bp.estimators import (
     CHUNK_SIZE,
-    CompilingGradientFamily,
+    MIN_SAMPLES,
     MeasurementGradientFamily,
     QuadraticGradientFamily,
     ToyGradientFamily,
@@ -39,8 +38,7 @@ def _toy():
 
 def _compiling(m=2, energy=1.0):
     gen = make_generator("global-phase", (), m)
-    u = MeanVector.of([math.sqrt(2 * energy)] + [0.0] * (2 * m - 1))
-    return CompilingGradientFamily(u, gen), gen, energy
+    return MeasurementGradientFamily(gen, energy, energy), gen, energy
 
 
 class TestReproducibility:
@@ -118,16 +116,14 @@ class TestWorkerCount:
     ])
     def test_one_worker_creates_no_pool(self, pool_sizes, monkeypatch, cpus, n_jobs, n_samples):
         monkeypatch.setattr(estimators, "usable_cpus", lambda: cpus)
-        serial = estimate_abs_grad(_toy(), n_samples, RandomSource(4), n_jobs=1)
-        assert estimate_abs_grad(_toy(), n_samples, RandomSource(4), n_jobs=n_jobs) == serial
+        serial = estimate_grad_moments(_toy(), n_samples, RandomSource(4), n_jobs=1)
+        assert estimate_grad_moments(_toy(), n_samples, RandomSource(4), n_jobs=n_jobs) == serial
         assert pool_sizes == []
 
     @pytest.mark.parametrize("n_jobs", [0, -1])
     def test_non_positive_jobs_rejected(self, n_jobs):
         with pytest.raises(ValueError, match="n_jobs"):
             estimate_grad_moments(_toy(), 10_000, RandomSource(1), n_jobs=n_jobs)
-        with pytest.raises(ValueError, match="n_jobs"):
-            estimate_abs_grad(_toy(), 10_000, RandomSource(1), n_jobs=n_jobs)
 
     def test_usable_cpus_reads_the_affinity_set(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
@@ -141,8 +137,24 @@ class TestWorkerCount:
 
 class TestMomentEstimateContract:
     def test_second_moment_dominates_squared_mean(self):
-        est = estimate_abs_grad(_toy(), 20_000, RandomSource(3))
-        assert est.second_moment >= est.mean**2 - 5 * est.std_error_second
+        est = estimate_grad_moments(_toy(), 20_000, RandomSource(3))
+        assert est.second_moment >= est.mean_abs**2 - 5 * est.std_error_second
+
+    @pytest.mark.parametrize("n_samples", [MIN_SAMPLES, 2 * CHUNK_SIZE + 5])
+    def test_moments_from_the_chunk_samples(self, n_samples):
+        # every moment and standard error from one pass, against the same samples
+        # (chunk i from substream i) taken with numpy's mean and var
+        family, source = _toy(), RandomSource(26)
+        x = np.concatenate([family.sample_gradients(min(CHUNK_SIZE, n_samples - start), source.substream(i))
+                            for i, start in enumerate(range(0, n_samples, CHUNK_SIZE))])
+        est = estimate_grad_moments(family, n_samples, RandomSource(26))
+        assert (est.n_samples, est.seed) == (n_samples, 26)
+        for got, sample in [(est.mean, x), (est.mean_abs, np.abs(x)), (est.second_moment, x * x)]:
+            assert got == pytest.approx(sample.mean(), rel=1e-12)
+        for got, sample in [(est.std_error_mean, x), (est.std_error_mean_abs, np.abs(x)),
+                            (est.std_error_second, x * x)]:
+            assert got == pytest.approx(math.sqrt(sample.var() / n_samples), rel=1e-9)
+        assert abs(est.mean) < est.mean_abs
 
     def test_minimum_sample_count_enforced(self):
         with pytest.raises(ValueError, match="n_samples"):
@@ -160,19 +172,19 @@ class TestToyFamily:
         assert np.array_equal(got, toy_gradients(m, s, CHUNK_SIZE, RandomSource(9).substream(3)))
 
     def test_abs_gradient_matches_closed_form(self):
-        est = estimate_abs_grad(_toy(), 150_000, RandomSource(12))
+        est = estimate_grad_moments(_toy(), 150_000, RandomSource(12))
         assert_within_sigma(
-            est.mean,
+            est.mean_abs,
             toy_grad_abs_expectation(0.5, 5),
-            est.std_error_mean,
+            est.std_error_mean_abs,
             context="toy abs gradient",
         )
 
     def test_single_mode_matches_sinh_form(self):
         s = 1.0
-        est = estimate_abs_grad(ToyGradientFamily(m=1, s=s), 150_000, RandomSource(13))
+        est = estimate_grad_moments(ToyGradientFamily(m=1, s=s), 150_000, RandomSource(13))
         expected = (2.0 / math.pi) * math.exp(-s) * math.sinh(s)
-        assert_within_sigma(est.mean, expected, est.std_error_mean, context="toy m=1")
+        assert_within_sigma(est.mean_abs, expected, est.std_error_mean_abs, context="toy m=1")
 
     def test_signed_mean_vanishes_by_parity(self):
         est = estimate_grad_moments(_toy(), 100_000, RandomSource(14))
@@ -181,7 +193,7 @@ class TestToyFamily:
     def test_estimate_decreases_with_mode_count(self):
         s = 0.5
         means = [
-            estimate_abs_grad(ToyGradientFamily(m=m, s=s), 50_000, RandomSource(15)).mean
+            estimate_grad_moments(ToyGradientFamily(m=m, s=s), 50_000, RandomSource(15)).mean_abs
             for m in (1, 3, 5, 9, 13)
         ]
         assert all(a > b for a, b in zip(means, means[1:]))
@@ -209,11 +221,7 @@ class TestMeasurementFamily:
     def test_matches_heterodyne_prefactor(self):
         m, e0, e1 = 2, 1.0, 0.5
         gen = make_generator("global-phase", (), m)
-        u = MeanVector.of([math.sqrt(2 * e0), 0, 0, 0])
-        n = MeanVector.of([0, 0, math.sqrt(2 * e1), 0])
-        est = estimate_grad_moments(
-            MeasurementGradientFamily(u=u, n=n, gen=gen), 60_000, RandomSource(18)
-        )
+        est = estimate_grad_moments(MeasurementGradientFamily(gen, e0, e1), 60_000, RandomSource(18))
         assert_within_sigma(
             est.second_moment,
             heterodyne_prefactor(m, e0, e1).value,
@@ -222,23 +230,36 @@ class TestMeasurementFamily:
             context="measurement second moment",
         )
 
-    def test_mode_mismatch_rejected(self):
-        gen = make_generator("global-phase", (), 2)
-        with pytest.raises(ValueError, match="mismatched mode counts"):
-            MeasurementGradientFamily(
-                u=MeanVector.vacuum(2), n=MeanVector.vacuum(3), gen=gen
-            )
+    @pytest.mark.parametrize("bad", [-1.0, -5e-324, math.nan, math.inf, -math.inf])
+    def test_intensity_must_be_finite_and_nonnegative(self, bad):
+        # one check for both families and the closed forms they pair with
+        gen = make_generator("beamsplitter", (0, 1), 2)
+        ham = QuadraticHamiltonian(np.eye(4))
+        for call in (lambda: MeasurementGradientFamily(gen, bad, 1.0),
+                     lambda: MeasurementGradientFamily(gen, 1.0, bad),
+                     lambda: QuadraticGradientFamily(gen, bad, ham),
+                     lambda: quadratic_second_moment(gen, bad, ham),
+                     lambda: second_moment_point(gen, bad),
+                     lambda: heterodyne_prefactor(2, 1.0, bad)):
+            with pytest.raises(ValueError, match="must be finite and >= 0"):
+                call()
 
+    def test_sphere_radius_must_be_finite(self):
+        # E = 1e308 is a finite intensity, but sqrt(2E) is not: no family draws NaN gradients
+        gen = make_generator("beamsplitter", (0, 1), 2)
+        for call in (lambda: MeasurementGradientFamily(gen, 1e308, 1.0),
+                     lambda: MeasurementGradientFamily(gen, 1.0, 1e308),
+                     lambda: QuadraticGradientFamily(gen, 1e308, QuadraticHamiltonian(np.eye(4)))):
+            with pytest.raises(ValueError, match=r"sphere radius sqrt\(2 e"):
+                call()
+        assert MeasurementGradientFamily(gen, 8e307, 1.0)._radii[0] == math.sqrt(1.6e308)
 
     def test_bare_matrix_rejected(self):
-        u = MeanVector.of([1.0, 0.0, 0.0, 0.0])
         d = dense_d(make_generator("global-phase", (), 2))
         with pytest.raises(TypeError, match="GeneratorPair"):
-            MeasurementGradientFamily(u=u, n=u, gen=d)
+            MeasurementGradientFamily(d, 1.0, 1.0)
         with pytest.raises(TypeError, match="GeneratorPair"):
-            CompilingGradientFamily(u, d)
-        with pytest.raises(TypeError, match="GeneratorPair"):
-            QuadraticGradientFamily(u, d, np.eye(4))
+            QuadraticGradientFamily(d, 1.0, QuadraticHamiltonian(np.eye(4)))
 
 
 class TestQuadraticFamily:
@@ -250,12 +271,11 @@ class TestQuadraticFamily:
         a = gen.standard_normal((4, 4))
         eta = a @ a.T / 4
         o_plus = haar_orthogonal(m, gen)
-        gen_k, eta_tilde = make_generator("two-mode-phase", (0, 1), m), o_plus @ eta @ o_plus.T
-        u = MeanVector.of(math.sqrt(2 * 1.5) * np.array([0.6, -0.8, 0.0, 0.0]))
-        est = estimate_grad_moments(QuadraticGradientFamily(u, gen_k, eta_tilde), 80_000, RandomSource(20))
+        gen_k, ham = make_generator("two-mode-phase", (0, 1), m), QuadraticHamiltonian(o_plus @ eta @ o_plus.T)
+        est = estimate_grad_moments(QuadraticGradientFamily(gen_k, 1.5, ham), 80_000, RandomSource(20))
         assert_within_sigma(
             est.second_moment,
-            quadratic_second_moment(u, gen_k, eta_tilde),
+            quadratic_second_moment(gen_k, 1.5, ham),
             est.std_error_second,
             n_sigma=4.0,
             context="quadratic second moment",
@@ -263,8 +283,8 @@ class TestQuadraticFamily:
 
     def test_signed_mean_vanishes(self):
         # E[w B w^T] = |u|^2 tr(B) / (2m) = 0
-        u = MeanVector.of([1.0, 0.0, 1.0, 0.0])
-        family = QuadraticGradientFamily(u, make_generator("beamsplitter", (0, 1), 2), np.diag([1.0, -1.0, 2.0, 0.5]))
+        family = QuadraticGradientFamily(make_generator("beamsplitter", (0, 1), 2), 1.0,
+                                         QuadraticHamiltonian(np.diag([3.0, 1.0, 4.0, 2.5])))
         est = estimate_grad_moments(family, 60_000, RandomSource(21))
         assert abs(est.mean) <= 3.0 * est.std_error_mean
 
@@ -274,21 +294,21 @@ class TestQuadraticFamily:
         # the same sphere point w, B = [D_k, eta~] (conftest.bk_matrix)
         rng = RandomSource(700 + m).generator()
         a = rng.standard_normal((2 * m, 2 * m))
-        eta_tilde = a + a.T
-        u = MeanVector(rng.standard_normal(2 * m))
+        ham = QuadraticHamiltonian(a @ a.T)
+        energy = 0.5 * float(np.sum(rng.standard_normal(2 * m) ** 2))
         for gen_k in every_kind(m):
-            family = QuadraticGradientFamily(u, gen_k, eta_tilde)
+            family = QuadraticGradientFamily(gen_k, energy, ham)
             got = family.sample_gradients(500, RandomSource(m).generator())
-            w = sampling.uniform_sphere_batch(m, u.norm, 500, RandomSource(m).generator())
-            dense = np.einsum("ni,ij,nj->n", w, bk_matrix(gen_k, eta_tilde), w)
+            w = sampling.uniform_sphere_batch(m, math.sqrt(2 * energy), 500, RandomSource(m).generator())
+            dense = np.einsum("ni,ij,nj->n", w, bk_matrix(gen_k, ham.eta), w)
             assert np.all(np.abs(got - dense) <= 1e-13 * np.abs(dense).max()), gen_k.label
 
     def test_copies_eta_tilde(self):
-        # the family keeps a copy of the columns it reads: the caller's array stays
-        # writeable, and changing it later changes no gradient
-        eta_tilde = np.diag([1.0, -1.0, 2.0, 0.5])
-        family = QuadraticGradientFamily(MeanVector.of([1.0, 0.0, 1.0, 0.0]),
-                                         make_generator("beamsplitter", (0, 1), 2), eta_tilde)
+        # the Hamiltonian keeps a copy of eta~: the caller's array stays writeable,
+        # and changing it later changes no gradient
+        eta_tilde = np.diag([3.0, 1.0, 4.0, 2.5])
+        family = QuadraticGradientFamily(make_generator("beamsplitter", (0, 1), 2), 1.0,
+                                         QuadraticHamiltonian(eta_tilde))
         assert eta_tilde.flags.writeable
         before = family.sample_gradients(64, RandomSource(3).generator())
         eta_tilde[0, 1] = eta_tilde[1, 0] = 7.0
@@ -296,7 +316,8 @@ class TestQuadraticFamily:
 
     def test_generator_on_no_mode_rejected(self):
         with pytest.raises(ValueError, match="no mode"):
-            QuadraticGradientFamily(MeanVector.vacuum(2), GeneratorPair.from_symmetric(np.zeros((4, 4))), np.eye(4))
+            QuadraticGradientFamily(GeneratorPair.from_symmetric(np.zeros((4, 4))), 0.0,
+                                    QuadraticHamiltonian(np.eye(4)))
 
 
 class TestTailFrequency:
@@ -343,20 +364,20 @@ class TestSphereSampling:
         a = gen.standard_normal((2 * m, 2 * m))
         ham = QuadraticHamiltonian(a @ a.T / (2 * m))
         o_plus = sampling.haar_orthogonal(m, gen)
-        return u, n, bs, ham, o_plus, o_plus @ ham.eta @ o_plus.T
+        return u, n, bs, ham, o_plus, QuadraticHamiltonian(o_plus @ ham.eta @ o_plus.T)
 
     def test_families_draw_no_haar_matrices(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("Monte Carlo family drew a Haar matrix")
 
-        u, n, bs, _, _, eta_tilde = self._instance()
+        u, n, bs, _, _, ham_tilde = self._instance()
         for name in ("haar_orthogonal_batch", "haar_orthogonal"):
             monkeypatch.setattr(sampling, name, forbidden)
             monkeypatch.setattr(estimators, name, forbidden, raising=False)
         families = [
-            CompilingGradientFamily(u, bs),
-            MeasurementGradientFamily(u=u, n=n, gen=bs),
-            QuadraticGradientFamily(u, bs, eta_tilde),
+            MeasurementGradientFamily(bs, u.intensity(), u.intensity()),
+            MeasurementGradientFamily(bs, u.intensity(), n.intensity()),
+            QuadraticGradientFamily(bs, u.intensity(), ham_tilde),
         ]
         for family in families:
             x = family.sample_gradients(64, RandomSource(32).generator())
@@ -366,19 +387,19 @@ class TestSphereSampling:
         # independent route: explicit Haar (O_minus, O_plus) through the
         # split-layer gradients of cost_functions, one pair per draw
         m, draws = 3, 20_000
-        u, n, bs, ham, o_plus, eta_tilde = self._instance(m)
+        u, n, bs, ham, o_plus, ham_tilde = self._instance(m)
         gen = RandomSource(33).generator()
         o_minus = sampling.haar_orthogonal_batch(m, draws, gen)
         o_plus_draws = sampling.haar_orthogonal_batch(m, draws, gen)
         cases = [
             (
                 "measurement",
-                MeasurementGradientFamily(u=u, n=n, gen=bs),
+                MeasurementGradientFamily(bs, u.intensity(), n.intensity()),
                 [measurement_grad(u, n, bs, om, op) for om, op in zip(o_minus, o_plus_draws)],
             ),
             (
                 "quadratic",
-                QuadraticGradientFamily(u, bs, eta_tilde),
+                QuadraticGradientFamily(bs, u.intensity(), ham_tilde),
                 [quadratic_grad(u, bs, ham, om, o_plus) for om in o_minus],
             ),
         ]
@@ -406,16 +427,21 @@ class TestStreamedChunks:
         gen = RandomSource(41).generator()
         u = MeanVector.of(gen.standard_normal(2 * m) / math.sqrt(m))
         n = MeanVector.of(0.7 * gen.standard_normal(2 * m) / math.sqrt(m))
+        e0, e1 = u.intensity(), n.intensity()
         if kind == "graded":  # acceptance C2b's full-support block, unequal weights
             pair = GeneratorPair.from_symmetric(np.diag(np.repeat(0.5 * (1.0 + np.arange(m)) / m, 2)), "graded")
         else:
             pair = make_generator(kind, modes, m)
-        return MeasurementGradientFamily(u=u, n=n, gen=pair)
+        return MeasurementGradientFamily(pair, e0, e1)
+
+    @staticmethod
+    def _radii(family):
+        return math.sqrt(2 * family.e0), math.sqrt(2 * family.e1)
 
     @staticmethod
     def _dense_gradients(family, y, b):
         """The overlap gradient of full points y and b with the dense D."""
-        weight = np.exp(np.einsum("ni,ni->n", y, b) - family.u.intensity() - family.n.intensity())
+        weight = np.exp(np.einsum("ni,ni->n", y, b) - family.e0 - family.e1)
         return weight, -weight * np.einsum("ni,ij,nj->n", y, dense_d(family.gen), b)
 
     @pytest.mark.parametrize("kind,modes,m,scalar", [
@@ -429,9 +455,10 @@ class TestStreamedChunks:
         # commute with D: a U(k) rotation taking y's gate modes to |y_S| on the first
         # q (scalar blocks only), and one taking y's off-gate part to |y_R|
         family, size = self._measurement(kind, modes, m), 300
+        y_norm, b_norm = self._radii(family)
         gen = RandomSource(5).generator()
-        y = one_shot_sphere(m, family.u.norm, size, gen)
-        b = one_shot_sphere(m, family.n.norm, size, gen)
+        y = one_shot_sphere(m, y_norm, size, gen)
+        b = one_shot_sphere(m, b_norm, size, gen)
         support = family.gen.support
         rest = np.setdiff1d(np.arange(2 * m), support)
         y_s, b_s = y[:, support], b[:, support]
@@ -448,15 +475,14 @@ class TestStreamedChunks:
             y_s, b_s = np.column_stack([y_s, norm]), np.column_stack([b_s, along])
         weight, expected = self._dense_gradients(family, y, b)
         got = family._gradients(y_s, b_s)
-        assert np.all(np.abs(got - expected) <= 1e-13 * weight * family.u.norm * family.n.norm)
+        assert np.all(np.abs(got - expected) <= 1e-13 * weight * y_norm * b_norm)
 
     @pytest.mark.parametrize("kind,modes", [("beamsplitter", (7, 3)), ("two-mode-phase", (1, 3)),
                                             ("phase-shifter", (5,))])
     def test_compiling_moment_at_large_m(self, kind, modes):
         # the reduced draws at m = 200 against the exact second moment at E = 1
         gen = make_generator(kind, modes, self.M)
-        u = MeanVector.of([math.sqrt(2.0)] + [0.0] * (2 * self.M - 1))
-        est = estimate_grad_moments(CompilingGradientFamily(u, gen), 40_000, RandomSource(1))
+        est = estimate_grad_moments(MeasurementGradientFamily(gen, 1.0, 1.0), 40_000, RandomSource(1))
         assert_within_sigma(est.second_moment, second_moment_point(gen, 1.0).value, est.std_error_second,
                             n_sigma=4.0, context=gen.label)
 
@@ -474,23 +500,22 @@ class TestStreamedChunks:
         family, size = self._measurement(kind, modes, m), 20_000
         got = family.sample_gradients(size, RandomSource(6).generator())
         gen = RandomSource(7).generator()
-        y = one_shot_sphere(m, family.u.norm, size, gen)
-        b = one_shot_sphere(m, family.n.norm, size, gen)
+        y_norm, b_norm = self._radii(family)
+        y = one_shot_sphere(m, y_norm, size, gen)
+        b = one_shot_sphere(m, b_norm, size, gen)
         assert ks_2samp(got, self._dense_gradients(family, y, b)[1]).pvalue > 0.01
 
     def test_generator_on_no_mode_rejected(self):
         with pytest.raises(ValueError, match="no mode"):
-            MeasurementGradientFamily(u=MeanVector.vacuum(2), n=MeanVector.vacuum(2),
-                                      gen=GeneratorPair.from_symmetric(np.zeros((4, 4))))
+            MeasurementGradientFamily(GeneratorPair.from_symmetric(np.zeros((4, 4))), 0.0, 0.0)
 
     def test_scalar_block_construction_allocates_no_dense_matrix(self):
         # the scalar-block test reads dc's diagonal and counts its nonzeros; an m x m
         # identity and its complex product would be 24 MiB at m = 1024
         gen = make_generator("global-phase", (), 1024)
-        u, n = (MeanVector.of(np.eye(2048)[j]) for j in (0, 1))
         tracemalloc.start()
         try:
-            family = MeasurementGradientFamily(u=u, n=n, gen=gen)
+            family = MeasurementGradientFamily(gen, 0.5, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -501,8 +526,8 @@ class TestStreamedChunks:
         if kind == "quadratic":
             array_bytes = CHUNK_SIZE * 2 * self.M * 8  # 13.1 MB, one (4096, 2m) array of w
             a = RandomSource(42).generator().standard_normal((2 * self.M, 2 * self.M))
-            family = QuadraticGradientFamily(self._measurement("global-phase", ()).u,
-                                             make_generator("beamsplitter", (7, 3), self.M), a + a.T)
+            family = QuadraticGradientFamily(make_generator("beamsplitter", (7, 3), self.M),
+                                             self._measurement("global-phase", ()).e0, QuadraticHamiltonian(a @ a.T))
             bound = 1.25 * array_bytes
         else:
             # reduced coordinates: well under 1 MiB at m = 1024, where one (4096, 2m)

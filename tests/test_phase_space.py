@@ -3,25 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from linopt_bp import MeanVector, RandomSource, haar_orthogonal, intensity
+from linopt_bp import MeanVector, RandomSource, haar_orthogonal
 
 from conftest import overlap_fidelity
 
 
 class TestIntensity:
     def test_vacuum_is_dark(self):
-        assert intensity(MeanVector.vacuum(3)) == 0.0
+        assert MeanVector.vacuum(3).intensity() == 0.0
 
     def test_unit_quadratures_two_modes(self):
-        u = MeanVector.repeated_single_mode(1.0, 1.0, 2)
-        assert intensity(u) == pytest.approx(2.0, abs=0)
+        u = MeanVector.of(np.tile([1.0, 1.0], 2))
+        assert u.intensity() == pytest.approx(2.0, abs=0)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 9])
     @pytest.mark.parametrize("u1,u2", [(0.3, -0.4), (1.0, 0.0), (0.7, 0.7)])
     def test_product_state_scales_with_mode_count(self, m, u1, u2):
         s = u1 * u1 + u2 * u2
-        u = MeanVector.repeated_single_mode(u1, u2, m)
-        assert intensity(u) == pytest.approx(m * s / 2.0, rel=1e-14)
+        u = MeanVector.of(np.tile([u1, u2], m))
+        assert u.intensity() == pytest.approx(m * s / 2.0, rel=1e-14)
 
     def test_energy_conserved_by_linear_optics(self):
         rng = RandomSource(11)

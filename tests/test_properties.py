@@ -17,6 +17,7 @@ from scipy.special import ive  # noqa: E402
 from linopt_bp import (  # noqa: E402
     GeneratorPair,
     MeanVector,
+    QuadraticHamiltonian,
     RandomSource,
     bessel_i,
     estimate_grad_moments,
@@ -159,13 +160,11 @@ def test_overlap_costs_invariant_under_common_rotation(m, seed, e0, e1):
 def _family(kind, m):
     if kind == "toy":
         return ToyGradientFamily(m=m, s=0.5)
-    gen = make_generator("global-phase", (), m)
-    u = MeanVector.of([math.sqrt(2.0)] + [0.0] * (2 * m - 1))
     if kind == "measurement":
-        n = MeanVector.of([0.0, 1.0] + [0.0] * (2 * m - 2))
-        return MeasurementGradientFamily(u=u, n=n, gen=gen)
-    eta_tilde = np.add.outer(np.arange(2.0 * m), np.arange(2.0 * m))  # symmetric; does not commute with D
-    return QuadraticGradientFamily(u, make_generator("phase-shifter", (0,), m), eta_tilde)
+        return MeasurementGradientFamily(make_generator("global-phase", (), m), 1.0, 0.5)
+    r = np.arange(1.0, 2.0 * m + 1.0)
+    ham = QuadraticHamiltonian(np.outer(r, r) + np.eye(2 * m))  # does not commute with D
+    return QuadraticGradientFamily(make_generator("phase-shifter", (0,), m), 1.0, ham)
 
 
 @SETTINGS

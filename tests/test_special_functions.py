@@ -126,6 +126,23 @@ class TestBesselI:
                     oracle = float(mpmath.log(mpmath.besseli(nu, mpmath.mpf(x))))
                     assert abs(bessel_i(nu, x).log_value - oracle) <= 3 * math.ulp(math.hypot(nu, x)), (nu, x)
 
+    @pytest.mark.parametrize("nu", [1000, 2000, 5000, 10_000, 20_000, 50_000])
+    def test_error_within_conditioning_where_log_crosses_zero(self, nu):
+        # the docstring's tolerance, 2 eps |x d/dx log I| + 2.5e-13 max(|log I|, 1), at
+        # the double x where bessel_i's log I_nu(x) changes sign; there the error, 2.1e-12
+        # at nu = 10^4, passes the 1e-12 relative to max(|log I|, 1) of the grid tests,
+        # but a relative change of x by eps moves log I about as much
+        mpmath = pytest.importorskip("mpmath")
+        lo, hi = nu / 10.0, float(nu)
+        while (x := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (x, hi) if bessel_i(nu, x).log_value < 0 else (lo, x)
+        with mpmath.workdps(40):
+            i_nu, i_next = mpmath.besseli(nu, mpmath.mpf(lo)), mpmath.besseli(nu + 1, mpmath.mpf(lo))
+            log_i = float(mpmath.log(i_nu))
+            slope = float(i_next / i_nu + nu / mpmath.mpf(lo))  # I'_nu = I_(nu+1) + (nu / x) I_nu
+        error = abs(bessel_i(nu, lo).log_value - log_i)
+        assert error <= 2 * np.finfo(float).eps * lo * slope + 2.5e-13 * max(abs(log_i), 1.0), (lo, error)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError, match="order"):
             bessel_i(-1, 1.0)
@@ -192,12 +209,12 @@ class TestSmallArgAsymptotic:
 
 
 class TestLogScaled:
-    def test_from_value_roundtrip(self):
-        assert LogScaled.from_value(2.5).value == pytest.approx(2.5, rel=1e-15)
-        assert LogScaled.from_value(0.0).log_value == -math.inf
+    def test_value_roundtrip(self):
+        assert LogScaled(math.log(2.5)).value == pytest.approx(2.5, rel=1e-15)
+        assert LogScaled(-math.inf).value == 0.0
 
     def test_scaling(self):
-        x = LogScaled.from_value(3.0)
+        x = LogScaled(math.log(3.0))
         assert x.scaled(2.0).value == pytest.approx(6.0, rel=1e-14)
         assert x.scaled(0.0).log_value == -math.inf
         with pytest.raises(ValueError, match="nonnegative"):
