@@ -28,24 +28,21 @@ from .cost_functions import (
     QuadraticHamiltonian,
     attenuated_intensity,
     toy_grad,
-    toy_grad_abs_expectation,
+    toy_log_abs_expectation,
 )
 from .closed_forms import (
-    DecayFit,
     MomentInterval,
     RegimeVerdict,
     chebyshev_bound,
     classify_noise,
     classify_regime,
     fit_decay,
-    fit_linear_rate,
     heterodyne_prefactor,
     intensity_law,
     linear_intensity_rate,
     quadratic_second_moment,
     second_moment_interval,
     second_moment_point,
-    second_moment_prefactor,
     xi_bounds,
 )
 from .estimators import (

@@ -243,7 +243,7 @@ def _closed_form(fn, *args):
         return fn(*args)
     except ValueError as exc:  # e.g. a moment that underflows, or a Bessel argument out of range
         raise NumericalError(f"closed form: {exc}") from None
-    except OverflowError:  # a float power past the largest double
+    except OverflowError:  # a mode count past the float range (toy, prop1, heterodyne)
         raise NumericalError(f"closed form: {fn.__name__} overflows") from None
 
 
@@ -369,8 +369,8 @@ def _run_noise(cfg) -> tuple:
     except OverflowError:
         raise ConfigError(f"layers_law: {cfg['layers_law']!r} gives a layer count beyond the float range") from None
     verdict = _closed_form(cforms.classify_noise, grid, e0s, e1s)
-    rows = [list(row) for row in zip(grid, e0s, layer_counts, e1s, verdict.fit.log_values)]
-    extra = {"verdict": verdict.verdict, "fit_slope": verdict.fit.slope}
+    rows = [list(row) for row in zip(grid, e0s, layer_counts, e1s, verdict.log_values)]
+    extra = {"verdict": verdict.verdict, "fit_slope": verdict.slope}
     return ["m", "e0", "n_layers", "e1", "log_prefactor"], rows, extra
 
 
@@ -379,8 +379,8 @@ def _run_regimes(cfg) -> tuple:
     law = cfg["law"]
     energies = _sweep_intensities("law", law, grid)
     verdict = _closed_form(cforms.classify_regime, grid, energies)
-    rows = [list(row) for row in zip(grid, energies, verdict.fit.log_values)]
-    extra = {"law": law, "verdict": verdict.verdict, "fit_slope": verdict.fit.slope}
+    rows = [list(row) for row in zip(grid, energies, verdict.log_values)]
+    extra = {"law": law, "verdict": verdict.verdict, "fit_slope": verdict.slope}
     return ["m", "E", "log_moment"], rows, extra
 
 

@@ -6,27 +6,28 @@ intensities, ``(gen, E0, E1)`` for the overlap costs and ``(gen, E, ham)`` for
 the quadratic cost: the arguments its Monte Carlo family in ``estimators``
 takes too.  Every intensity must be finite and >= 0.
 
-For the compiling/measurement family the second moment of the split-layer
-gradient over independent Haar pairs (O_minus, O_plus) is, exactly,
+For the overlap costs the second moment of the split-layer gradient over
+independent Haar pairs (O_minus, O_plus) is, exactly,
 
-    E[(dC)^2] = pref(m, E) * |D_k|_F^2 / (2m),
-    pref(m, E) = exp(-4E) Gamma(m) I_m(4E) / (2 (2E)^(m-2)),
+    E[(dC)^2] = pref(m, E0, E1) * |D_k|_F^2 / (2m),
+    pref(m, E0, E1) = exp(-2(E0+E1)) Gamma(m) I_m(4x) / (2 (2x)^(m-2)),  x = sqrt(E0 E1),
 
 obtained by evaluating the underlying sphere integral in polar coordinates
 (the skew symmetry of D_k kills the polar-axis coordinate, leaving an
-I_m kernel).  Since the mean squared column norm lies between the extreme
-squared column norms xi_min and xi_max, the moment always falls inside
-``pref * [xi_min, xi_max]``, collapsing to a point prediction for generators
-with equal column norms.  This prefactor is the exact moment: Monte Carlo
-agrees with it, and at m = 1 it matches direct quadrature.  The gate
-enters only through the column norms of D_k, so these functions take its
-validated ``GeneratorPair`` (m is ``gen.m``) and read the norms from its
-complex block ``gen.dc``: both real columns of mode b have the squared norm
-``sum_a |dc_ab|^2``, so ``|D_k|_F^2 = 2 sum |dc|^2``; the columns off the
-support are zero.
-
-The unequal-intensity (heterodyne) generalization substitutes
-``exp(-2(E0+E1))`` and argument ``4 sqrt(E0 E1)``.
+I_m kernel).  ``heterodyne_prefactor`` is the one implementation of pref.
+The compiling cost is its equal-intensity case, pref(m, E, E) =
+exp(-4E) Gamma(m) I_m(4E) / (2 (2E)^(m-2)), which ``second_moment_point``,
+``second_moment_interval`` and ``classify_regime`` evaluate as
+``heterodyne_prefactor(m, E, E)``.  Since the mean squared column norm lies
+between the extreme squared column norms xi_min and xi_max, the moment
+always falls inside ``pref * [xi_min, xi_max]``, collapsing to a point
+prediction for generators with equal column norms.  This prefactor is the
+exact moment: Monte Carlo agrees with it, and at m = 1 it matches direct
+quadrature.  The gate enters only through the column norms of D_k, so these
+functions take its validated ``GeneratorPair`` (m is ``gen.m``) and read the
+norms from its complex block ``gen.dc``: both real columns of mode b have
+the squared norm ``sum_a |dc_ab|^2``, so ``|D_k|_F^2 = 2 sum |dc|^2``; the
+columns off the support are zero.
 
 For the quadratic family the gradient is ``w [D_k, eta~] w^T`` with
 w = u O_minus uniform on the sphere of radius |u| = sqrt(2E), and eta~ the
@@ -45,10 +46,12 @@ T = dc S + S dc^T symmetric, and its second moment over O_minus is exactly
     |u|^4 (|K|_F^2 + |T|_F^2) / (m (m+1)).
 
 Regime classification fits the log of the closed-form moment against the mode
-count with basis {1, m, sqrt(m), log m} and declares a barren plateau when
-the coefficient of m falls below ``SLOPE_THRESHOLD``.  The classifiers take
-the intensity at each grid point, not a law.  For intensities scaling
-linearly, E = a(m-1), that coefficient approaches the closed-form rate
+count with basis {1, m, sqrt(m), log m} (``fit_decay``) and declares a barren
+plateau when the coefficient of m falls below ``SLOPE_THRESHOLD``.  The
+classifiers take the intensity at each grid point, not a law, and return a
+``RegimeVerdict``: the verdict, that coefficient and the fitted log moments.
+For intensities scaling linearly, E = a(m-1), the coefficient approaches the
+closed-form rate
 
     rate(a) = -(4a + 1 - sqrt(16a^2+1)) + log(2 / (1 + sqrt(16a^2+1))).
 """
@@ -58,7 +61,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -72,7 +75,6 @@ SLOPE_THRESHOLD = -0.05  # nats per mode; below this the fitted decay is a plate
 __all__ = [
     "MomentInterval",
     "xi_bounds",
-    "second_moment_prefactor",
     "second_moment_point",
     "second_moment_interval",
     "heterodyne_prefactor",
@@ -80,10 +82,8 @@ __all__ = [
     "chebyshev_bound",
     "linear_intensity_rate",
     "intensity_law",
-    "DecayFit",
     "RegimeVerdict",
     "fit_decay",
-    "fit_linear_rate",
     "classify_regime",
     "classify_noise",
     "SLOPE_THRESHOLD",
@@ -111,30 +111,24 @@ def xi_bounds(gen: GeneratorPair) -> tuple:
     return lo, float(norms.max())
 
 
-def second_moment_prefactor(m: int, energy: float) -> LogScaled:
-    """Prefactor exp(-4E) Gamma(m) I_m(4E) / (2 (2E)^(m-2)): ``heterodyne_prefactor``
-    at E0 = E1 = E, bit for bit."""
-    _check_me(m, energy)
-    return heterodyne_prefactor(m, energy, energy)
-
-
 def second_moment_point(gen: GeneratorPair, energy: float) -> LogScaled:
     """Exact second moment of the split-layer gradient: pref * |D_k|_F^2/(2m)."""
     gen = check_generator(gen)
     mean_sq = float((gen.dc * gen.dc.conj()).real.sum()) / gen.m  # |D_k|_F^2 = 2 sum |dc|^2
-    return second_moment_prefactor(gen.m, energy).scaled(mean_sq)
+    return heterodyne_prefactor(gen.m, energy, energy).scaled(mean_sq)
 
 
 def second_moment_interval(gen: GeneratorPair, energy: float) -> MomentInterval:
     """Prefactor times [xi_min, xi_max]; a point when column norms are equal."""
     lo_xi, hi_xi = xi_bounds(gen)
-    pref = second_moment_prefactor(gen.m, energy)
+    pref = heterodyne_prefactor(gen.m, energy, energy)
     return MomentInterval(pref.scaled(lo_xi), pref.scaled(hi_xi))
 
 
 def heterodyne_prefactor(m: int, e0: float, e1: float) -> LogScaled:
     """Unequal-intensity prefactor exp(-2(E0+E1)) Gamma(m) I_m(4x) / (2 (2x)^(m-2)),
-    x = sqrt(E0 E1); ``second_moment_prefactor`` is this form at e0 = e1.
+    x = sqrt(E0 E1); at e0 = e1 = E it is the compiling prefactor
+    exp(-4E) Gamma(m) I_m(4E) / (2 (2E)^(m-2)), bit for bit.
 
     At e0 = 0 or e1 = 0 the cost is circuit-independent and the moment is an
     exact zero (log -inf).  Otherwise the moment is not zero, and an exponent
@@ -163,7 +157,8 @@ def _geometric_mean(a: float, b: float) -> float:
 def quadratic_second_moment(gen: GeneratorPair, energy: float, ham: QuadraticHamiltonian) -> float:
     """Second moment ``|u|^4 (|K|_F^2 + |T|_F^2) / (m (m+1))``, |u|^2 = 2E, of the
     quadratic gradient ``w [D_k, eta~] w^T`` with eta~ = ``ham.eta`` (module
-    docstring), from m x m complex blocks."""
+    docstring), from m x m complex blocks; a ValueError where it passes the largest
+    double."""
     gen = check_generator(gen)
     eta = check_hamiltonian(ham).eta
     _check_me(gen.m, energy)
@@ -175,7 +170,14 @@ def quadratic_second_moment(gen: GeneratorPair, energy: float, ham: QuadraticHam
     dc[np.ix_(gen.modes, gen.modes)] = gen.dc
     k = dc @ a - a @ dc
     t = dc @ s + s @ dc.T
-    return (2.0 * energy) ** 2 * float(np.vdot(k, k).real + np.vdot(t, t).real) / (gen.m * (gen.m + 1))
+    try:
+        u4 = (2.0 * energy) ** 2  # |u|^4
+    except OverflowError:  # past the largest double
+        u4 = math.inf
+    moment = u4 * float(np.vdot(k, k).real + np.vdot(t, t).real) / (gen.m * (gen.m + 1))
+    if not math.isfinite(moment):
+        raise ValueError(f"quadratic_second_moment overflows at E={energy!r}")
+    return moment
 
 
 def chebyshev_bound(moment: float, order: int, epsilon: float) -> float:
@@ -252,38 +254,14 @@ def intensity_law(spec: str) -> Callable[[np.ndarray], np.ndarray]:
 
 
 @dataclass(frozen=True)
-class DecayFit:
-    """Least-squares fit of log-moment values against the mode count."""
-
-    m_grid: tuple
-    log_values: tuple
-    coefficients: dict
-    slope: float  # coefficient of the linear-in-m basis function
-    residual_rms: float
-
-
-@dataclass(frozen=True)
 class RegimeVerdict:
     verdict: str  # "BPL" or "trainable"
-    fit: DecayFit
-
-    @property
-    def is_bpl(self) -> bool:
-        return self.verdict == "BPL"
+    slope: float  # coefficient of m in the fit of the log moments
+    log_values: tuple  # the fitted log moment at each grid point
 
 
-_DEFAULT_BASIS = ("const", "m", "sqrt_m", "log_m")
-_BASIS_FUNCS = {
-    "const": lambda m: np.ones_like(m),
-    "m": lambda m: m,
-    "sqrt_m": lambda m: np.sqrt(m),
-    "log_m": lambda m: np.log(m),
-    "inv_m": lambda m: 1.0 / m,
-}
-
-
-def fit_decay(m_grid, log_values, basis: Sequence[str] = _DEFAULT_BASIS) -> DecayFit:
-    """Fit log_values ~ sum_f c_f f(m) and report the coefficient of m.
+def fit_decay(m_grid, log_values) -> float:
+    """Fit log_values ~ c0 + c1 m + c2 sqrt(m) + c3 log(m) and return c1.
 
     Requires at least 6 grid points; raises on a degenerate (constant) series
     or on non-finite values.
@@ -304,57 +282,39 @@ def fit_decay(m_grid, log_values, basis: Sequence[str] = _DEFAULT_BASIS) -> Deca
         )
     if float(vals.max() - vals.min()) < 1e-12:
         raise ValueError("degenerate fit: all moment values are equal")
-    if "m" not in basis:
-        raise ValueError("basis must include the linear term 'm'")
-    design = np.column_stack([_BASIS_FUNCS[name](m_arr) for name in basis])
+    design = np.column_stack([np.ones_like(m_arr), m_arr, np.sqrt(m_arr), np.log(m_arr)])
     coeffs, _, _, _ = np.linalg.lstsq(design, vals, rcond=None)
-    resid = vals - design @ coeffs
-    return DecayFit(
-        m_grid=tuple(float(x) for x in m_arr),
-        log_values=tuple(float(x) for x in vals),
-        coefficients={name: float(c) for name, c in zip(basis, coeffs)},
-        slope=float(coeffs[list(basis).index("m")]),
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-    )
-
-
-def fit_linear_rate(m_grid, log_values) -> float:
-    """Exponential decay rate of a linear-intensity moment curve.
-
-    Uses the {1, m, log m, 1/m} basis, matching the known correction structure
-    of the closed form, so the m coefficient isolates the exponential rate.
-    """
-    return fit_decay(m_grid, log_values, basis=("const", "m", "log_m", "inv_m")).slope
+    return float(coeffs[1])
 
 
 def classify_regime(m_grid, energies) -> RegimeVerdict:
     """Classify the intensities ``energies`` over ``m_grid`` as plateau or trainable.
 
-    Evaluates the closed-form prefactor ``pref(m, E)`` at each point, fits the
-    decay and compares the linear slope against ``SLOPE_THRESHOLD``.  A
-    generator's column norms would only add log xi to every value, which the
-    fit's constant term absorbs.
+    Evaluates the compiling prefactor ``heterodyne_prefactor(m, E, E)`` at each
+    point, fits the decay and compares the linear slope against
+    ``SLOPE_THRESHOLD``.  A generator's column norms would only add log xi to
+    every value, which the fit's constant term absorbs.
     """
-    return _classify(m_grid, second_moment_prefactor, "E", energies)
+    return _classify(m_grid, "E", energies, energies)
 
 
 def classify_noise(m_grid, e0s, e1s) -> RegimeVerdict:
     """Classify an attenuation sweep from its input and output intensities,
     e.g. ``e1s[i] = k^(2 L(m)) e0s[i]``, with the unequal-intensity prefactor."""
-    return _classify(m_grid, heterodyne_prefactor, "E0", e0s, e1s)
+    return _classify(m_grid, "E0", e0s, e1s)
 
 
-def _classify(m_grid, prefactor, name, *values) -> RegimeVerdict:
-    for column in values:
+def _classify(m_grid, name, e0s, e1s) -> RegimeVerdict:
+    for column in (e0s, e1s):
         if len(column) != len(m_grid):
             raise ValueError(f"got {len(column)} intensities for {len(m_grid)} grid points")
     logs = []
-    for m, *args in zip(m_grid, *values):
-        m, args = int(m), [float(v) for v in args]
+    for m, e0, e1 in zip(m_grid, e0s, e1s):
+        m, e0, e1 = int(m), float(e0), float(e1)
         try:
-            logs.append(prefactor(m, *args).log_value)
+            logs.append(heterodyne_prefactor(m, e0, e1).log_value)
         except ValueError as exc:  # e.g. a Bessel argument that overflows
-            raise ValueError(f"at m={m}, {name}={args[0]!r}: {exc}") from None
-    fit = fit_decay(m_grid, logs)
-    verdict = "BPL" if fit.slope <= SLOPE_THRESHOLD else "trainable"
-    return RegimeVerdict(verdict=verdict, fit=fit)
+            raise ValueError(f"at m={m}, {name}={e0!r}: {exc}") from None
+    slope = fit_decay(m_grid, logs)
+    verdict = "BPL" if slope <= SLOPE_THRESHOLD else "trainable"
+    return RegimeVerdict(verdict, slope, tuple(logs))

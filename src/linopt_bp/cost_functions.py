@@ -13,12 +13,13 @@ Four families, each an exact closed form in the phase-space mean:
   from the coherent-state covariance ``I/2``.
 
 Of the toy family this module holds the gradient and its closed-form mean
-|gradient|; the cost is a test oracle.  Of the circuit families this module
-holds what the Monte Carlo families and the closed forms share:
-``attenuated_intensity``, which maps E0 to the E1 that both take, and
-``QuadraticHamiltonian``, which the trainer takes as the cost's eta and the
-quadratic family and its closed form as eta~ (``check_hamiltonian`` turns a
-bare array away); the trainer evaluates the costs and their gradients itself.
+|gradient| in log scale, whose ``.value`` is the linear one; the cost is a
+test oracle.  Of the circuit families this module holds what the Monte Carlo
+families and the closed forms share: ``attenuated_intensity``, which maps E0
+to the E1 that both take, and ``QuadraticHamiltonian``, which the trainer
+takes as the cost's eta and the quadratic family and its closed form as eta~
+(``check_hamiltonian`` turns a bare array away); the trainer evaluates the
+costs and their gradients itself.
 
 Gradients are with respect to the parameter of the split layer, whose gate
 is a ``GeneratorPair``.  They depend on the circuit only through the vectors
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special_functions import LogScaled, bessel_i
-from .validation import check_symmetric, modes_of
+from .validation import check_intensity, check_symmetric, modes_of
 
 
 # -- toy family ----------------------------------------------------------
@@ -76,18 +77,12 @@ def toy_log_abs_expectation(s: float, m: int) -> LogScaled:
     Equals ``(2/pi) exp(-m s) I_0(s)^(m-1) sinh(s)``; the log form keeps the
     deep-plateau values that a double cannot hold, and s = 0 is an exact zero.
     """
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
+    check_intensity(s, "s")
     if m < 1:
         raise ValueError(f"mode count must be >= 1, got {m}")
     if s == 0.0:
         return LogScaled(-math.inf)
     return LogScaled(math.log(2.0 / math.pi) - m * s + (m - 1) * bessel_i(0, s).log_value + _log_sinh(s))
-
-
-def toy_grad_abs_expectation(s: float, m: int) -> float:
-    """``toy_log_abs_expectation`` in linear scale; deep-plateau values underflow to 0.0."""
-    return toy_log_abs_expectation(s, m).value
 
 
 def _log_sinh(s: float) -> float:
@@ -103,8 +98,7 @@ def attenuated_intensity(e0: float, k: float, n_layers: int) -> float:
     """Intensity after n_layers quantum-limited attenuation layers: k^(2L) E0."""
     if not 0.0 < k < 1.0:
         raise ValueError(f"attenuation factor must lie in (0, 1), got {k}")
-    if e0 < 0:
-        raise ValueError(f"intensity must be >= 0, got {e0}")
+    check_intensity(e0, "e0")
     if n_layers < 0:
         raise ValueError(f"layer count must be >= 0, got {n_layers}")
     return float(k ** (2 * n_layers)) * float(e0)

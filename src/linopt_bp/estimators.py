@@ -90,8 +90,7 @@ class ToyGradientFamily:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"mode count must be >= 1, got {self.m}")
-        if self.s < 0:
-            raise ValueError(f"s must be >= 0, got {self.s}")
+        check_intensity(self.s, "s")
 
     def sample_gradients(self, size: int, rng: np.random.Generator) -> np.ndarray:
         # s sin(theta_0) exp(s (sum cos theta - m)); in place, so that a chunk makes

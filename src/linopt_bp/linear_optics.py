@@ -71,9 +71,8 @@ class GeneratorPair:
     m: int
     modes: np.ndarray
     dc: np.ndarray = field(repr=False)
-    label: str = "custom"
 
-    def __init__(self, m: int, modes, dc, label: str = "custom"):
+    def __init__(self, m: int, modes, dc):
         m = int(m)
         if m < 1:
             raise ValueError(f"mode count must be >= 1, got {m}")
@@ -91,11 +90,11 @@ class GeneratorPair:
                              "the gate would not conserve energy")
         dc = 0.5 * (dc - dc.conj().T)
         modes.flags.writeable = dc.flags.writeable = False
-        for name, value in (("m", m), ("modes", modes), ("dc", dc), ("label", label)):
+        for name, value in (("m", m), ("modes", modes), ("dc", dc)):
             object.__setattr__(self, name, value)
 
     @classmethod
-    def from_symmetric(cls, eps, label: str = "custom") -> "GeneratorPair":
+    def from_symmetric(cls, eps) -> "GeneratorPair":
         """The pair of a dense symmetric eps, on the modes of its nonzero rows and columns.
 
         Checked: eps is symmetric and commutes with the symplectic form, both to 1e-10.
@@ -114,7 +113,7 @@ class GeneratorPair:
         # D + D^T = -2 [eps, Delta] has the 2 x 2 blocks 2 [[q + r, s - p], [s - p, -(q + r)]]
         if 2.0 * max(np.abs(q + r).max(initial=0.0), np.abs(p - s).max(initial=0.0)) > 1e-10:
             raise ValueError("eps does not commute with the symplectic form; the gate would not conserve energy")
-        return cls(m, modes, (q - r) - 1j * (p + s), label)
+        return cls(m, modes, (q - r) - 1j * (p + s))
 
     @property
     def support(self) -> np.ndarray:
@@ -166,7 +165,6 @@ def make_generator(kind: str, modes: Sequence[int], m: int) -> GeneratorPair:
         (j,) = modes
         check_mode_index(j, m)
         dc = [[-1j]]
-        label = f"phase-shifter({j})"
     elif kind in ("two-mode-phase", "beamsplitter"):
         if len(modes) != 2:
             raise ValueError("two-mode gates take exactly two mode indices")
@@ -176,16 +174,14 @@ def make_generator(kind: str, modes: Sequence[int], m: int) -> GeneratorPair:
         dc = np.array([[-1j, 0], [0, 1j]] if kind == "two-mode-phase" else [[0, -1], [1, 0]], dtype=np.complex128)
         if i > j:
             dc = dc[::-1, ::-1]
-        label = f"{kind}({i},{j})"
     elif kind == "global-phase":
         if modes:
             raise ValueError("global-phase takes no mode indices")
         modes = range(m)
         dc = -1j * np.eye(m)
-        label = "global-phase"
     else:
         raise ValueError(f"unknown generator kind {kind!r}; expected one of {GENERATOR_KINDS}")
-    return GeneratorPair(m, sorted(modes), dc, label)
+    return GeneratorPair(m, sorted(modes), dc)
 
 
 class GateBlocks:

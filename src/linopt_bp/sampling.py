@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phase_space import MeanVector
+from .validation import check_intensity
 
 @dataclass(frozen=True)
 class RandomSource:
@@ -128,8 +129,7 @@ def uniform_sphere_batch(m: int, radius: float, size: int, rng) -> np.ndarray:
     """
     if m < 1:
         raise ValueError(f"mode count must be >= 1, got {m}")
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    check_intensity(radius, "radius")
     gen = _as_generator(rng)
     if radius == 0.0:
         return np.zeros((size, 2 * m))

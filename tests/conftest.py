@@ -32,6 +32,12 @@ validate nothing.
 ``toy_gradients`` is the toy family's chunk as one expression, the form the
 package used before the chunk worked in place.
 
+``equal_intensity_log_prefactor`` writes out the compiling prefactor that
+``heterodyne_prefactor(m, E, E)`` must reproduce bit for bit, and
+``fit_linear_rate`` fits a linear-intensity moment curve over {1, m, log m,
+1/m} to read off its decay rate; the package's classifier fits one basis,
+{1, m, sqrt(m), log m}, and needs neither.
+
 ``one_shot_haar_unitary`` and ``one_shot_haar_orthogonal`` draw a whole Haar
 stack with one Gaussian draw and one batched QR, as the package did before it
 filled stacks block by block; the blocked samplers must match them bit for bit.
@@ -184,6 +190,26 @@ def loose_prefactor(m: int, energy: float) -> LogScaled:
         - math.log(2.0 * m)
         - (m - 3) * math.log(half_arg)
     )
+
+
+def equal_intensity_log_prefactor(m: int, energy: float) -> float:
+    """The compiling prefactor exp(-4E) Gamma(m) I_m(4E) / (2 (2E)^(m-2)) in log scale,
+    written out term by term in the order ``heterodyne_prefactor`` adds them, so the
+    package's form at E0 = E1 = E must match it bit for bit."""
+    if energy == 0.0:
+        return -math.inf
+    return (-4.0 * energy + math.lgamma(m) + bessel_i(m, 4.0 * energy).log_value
+            - math.log(2.0) - (m - 2) * math.log(2.0 * energy))
+
+
+def fit_linear_rate(m_grid, log_values) -> float:
+    """Exponential decay rate of a linear-intensity moment curve: the coefficient of m
+    in a least-squares fit over the basis {1, m, log m, 1/m}, which matches the
+    correction structure of the closed form, so that coefficient isolates the rate."""
+    m_arr = np.asarray(m_grid, dtype=float)
+    design = np.column_stack([np.ones_like(m_arr), m_arr, np.log(m_arr), 1.0 / m_arr])
+    coeffs, _, _, _ = np.linalg.lstsq(design, np.asarray(log_values, dtype=float), rcond=None)
+    return float(coeffs[1])
 
 
 def law_values(text: str, grid) -> list:

@@ -21,7 +21,6 @@ from linopt_bp import (
     classify_noise,
     classify_regime,
     estimate_grad_moments,
-    fit_linear_rate,
     haar_orthogonal,
     heterodyne_prefactor,
     linear_intensity_rate,
@@ -30,9 +29,8 @@ from linopt_bp import (
     random_circuit,
     second_moment_interval,
     second_moment_point,
-    second_moment_prefactor,
     toy_grad,
-    toy_grad_abs_expectation,
+    toy_log_abs_expectation,
     train,
     uniform_sphere,
 )
@@ -44,8 +42,8 @@ from linopt_bp.estimators import (
 from linopt_bp.sampling import haar_orthogonal_batch, uniform_sphere_batch
 from linopt_bp.cli import main as cli_main
 
-from conftest import (attenuation_values, bk_matrix, compiling_grad, fd_gradient, law_values, quadratic_grad,
-                      series_bessel_i, split_action)
+from conftest import (attenuation_values, bk_matrix, compiling_grad, equal_intensity_log_prefactor, fd_gradient,
+                      fit_linear_rate, law_values, quadratic_grad, series_bessel_i, split_action)
 
 M_GRID = list(range(4, 65, 4))
 
@@ -61,7 +59,7 @@ def test_criterion_01_toy_model_agreement():
     for m in (1, 2, 5, 10):
         for s in (0.1, 0.5, 1.0):
             est = estimate_grad_moments(ToyGradientFamily(m=m, s=s), 1_000_000, RandomSource(1101))
-            closed = toy_grad_abs_expectation(s, m)
+            closed = toy_log_abs_expectation(s, m).value
             z = abs(est.mean_abs - closed) / est.std_error_mean_abs
             worst = max(worst, z)
     _report("C1 toy-model-agreement", worst <= 3.0, f"worst deviation {worst:.2f} sigma")
@@ -134,13 +132,13 @@ def test_criterion_04_heterodyne_prefactor_and_noise_regimes():
             worst = max(
                 worst,
                 abs(heterodyne_prefactor(m, energy, energy).log_value
-                    - second_moment_prefactor(m, energy).log_value),
+                    - equal_intensity_log_prefactor(m, energy)),
             )
     bpl = classify_noise(M_GRID, *attenuation_values("power:1,0.5", 0.9, lambda m: m, M_GRID))
     trainable = classify_noise(
         M_GRID, *attenuation_values("power:1,0.5", 0.9, lambda m: math.ceil(math.sqrt(m)), M_GRID)
     )
-    ok = worst <= 1e-12 and bpl.is_bpl and not trainable.is_bpl
+    ok = worst <= 1e-12 and bpl.verdict == "BPL" and trainable.verdict == "trainable"
     _report(
         "C4 heterodyne-prefactor-and-noise",
         ok,
@@ -162,7 +160,7 @@ def test_criterion_05_intensity_regimes_and_rates():
     }
     rate_devs = {}
     for a in (0.5, 1.0, 2.0):
-        logs = [second_moment_prefactor(m, a * (m - 1)).log_value for m in M_GRID]
+        logs = [heterodyne_prefactor(m, a * (m - 1), a * (m - 1)).log_value for m in M_GRID]
         fitted = fit_linear_rate(M_GRID, logs)
         ref = linear_intensity_rate(a)
         rate_devs[a] = abs(fitted - ref) / abs(ref)
@@ -267,7 +265,7 @@ def test_criterion_07_special_functions():
             worst_rec = max(worst_rec, abs(lhs - rhs) / abs(rhs))
 
     finite = all(
-        math.isfinite(second_moment_prefactor(m, energy).log_value)
+        math.isfinite(heterodyne_prefactor(m, energy, energy).log_value)
         for m in (10, 1_000, 10_000)
         for energy in (1.0, 1e3, 1e6)
     )

@@ -203,13 +203,13 @@ class TestRegimesCommand:
         assert preamble["verdict"] == "trainable"
 
     def test_closed_form_once_per_point(self, tmp_path, monkeypatch):
-        calls = _count_calls(monkeypatch, "second_moment_prefactor")
+        calls = _count_calls(monkeypatch, "heterodyne_prefactor")
         code, path = run(tmp_path, ["regimes", "--law", "expdecay:3,1.1", "--m-grid", "4:64:4"])
         assert code == 0
         _, _, rows = parse_csv(path)
         assert sorted(calls) == [(m,) for m in range(4, 65, 4)]
         for m, energy, log_value in rows:
-            assert float(log_value) == cforms.second_moment_prefactor(int(m), float(energy)).log_value
+            assert float(log_value) == cforms.heterodyne_prefactor(int(m), float(energy), float(energy)).log_value
 
     def test_explicit_intensity_list(self, tmp_path):
         grid = list(range(4, 65, 4))

@@ -13,7 +13,6 @@ from linopt_bp import (
     classify_noise,
     classify_regime,
     fit_decay,
-    fit_linear_rate,
     haar_orthogonal,
     heterodyne_prefactor,
     intensity_law,
@@ -22,7 +21,7 @@ from linopt_bp import (
     quadratic_second_moment,
     second_moment_interval,
     second_moment_point,
-    second_moment_prefactor,
+    toy_log_abs_expectation,
     xi_bounds,
 )
 from linopt_bp.closed_forms import SLOPE_THRESHOLD
@@ -32,10 +31,10 @@ from linopt_bp.estimators import (
     ToyGradientFamily,
     estimate_grad_moments,
 )
-from linopt_bp import toy_grad_abs_expectation
 
-from conftest import (assert_within_sigma, attenuation_values, bk_matrix, dense_d, dense_eps, every_kind, law_values,
-                      loose_prefactor, simpson, tail_frequency)
+from conftest import (assert_within_sigma, attenuation_values, bk_matrix, dense_d, dense_eps,
+                      equal_intensity_log_prefactor, every_kind, fit_linear_rate, law_values, loose_prefactor, simpson,
+                      tail_frequency)
 
 GRID = list(range(4, 65, 4))
 
@@ -67,10 +66,10 @@ class TestXiBounds:
         for gen in gens:
             d = dense_d(gen)
             norms = np.sum(d * d, axis=0)
-            assert xi_bounds(gen) == (float(norms.min()), float(norms.max())), gen.label
+            assert xi_bounds(gen) == (float(norms.min()), float(norms.max())), repr(gen)
             assert second_moment_point(gen, 0.7).log_value == pytest.approx(
-                second_moment_prefactor(m, 0.7).scaled(float(np.sum(d * d)) / (2 * m)).log_value,
-                rel=1e-15, abs=0.0), gen.label
+                heterodyne_prefactor(m, 0.7, 0.7).scaled(float(np.sum(d * d)) / (2 * m)).log_value,
+                rel=1e-15, abs=0.0), repr(gen)
 
     @pytest.mark.parametrize("m,modes", [(3, [0, 1, 2]), (5, [1, 3, 4])])
     def test_dense_column_norm_oracle_for_a_complex_block(self, m, modes):
@@ -84,7 +83,7 @@ class TestXiBounds:
         lo = float(norms.min()) if len(modes) == m else 0.0
         assert xi_bounds(gen) == pytest.approx((lo, float(norms.max())), rel=1e-15, abs=0.0)
         assert second_moment_point(gen, 0.7).log_value == pytest.approx(
-            second_moment_prefactor(m, 0.7).scaled(float(np.sum(d * d)) / (2 * m)).log_value,
+            heterodyne_prefactor(m, 0.7, 0.7).scaled(float(np.sum(d * d)) / (2 * m)).log_value,
             rel=1e-15, abs=0.0)
 
     def test_rejects_anything_but_a_generator_pair(self):
@@ -121,13 +120,13 @@ class TestMomentPrefactor:
                 )
 
             oracle = simpson(integrand, -math.pi, math.pi, n=20_001)
-            mine = second_moment_prefactor(1, energy).value
+            mine = heterodyne_prefactor(1, energy, energy).value
             assert mine == pytest.approx(oracle, rel=1e-9), energy
 
     def test_upper_variant_bounds_sharp_everywhere(self):
         for m in (1, 2, 3, 6, 12, 40):
             for energy in (0.05, 0.25, 1.0, 4.0, 25.0):
-                sharp = second_moment_prefactor(m, energy)
+                sharp = heterodyne_prefactor(m, energy, energy)
                 upper = loose_prefactor(m, energy)
                 assert upper.log_value >= sharp.log_value, (m, energy)
 
@@ -141,7 +140,7 @@ class TestMomentPrefactor:
             )
             gap = (
                 loose_prefactor(m, energy).log_value
-                - second_moment_prefactor(m, energy).log_value
+                - heterodyne_prefactor(m, energy, energy).log_value
             )
             assert gap == pytest.approx(expected, abs=1e-12)
 
@@ -149,19 +148,19 @@ class TestMomentPrefactor:
         for m in (2, 5, 9):
             gap = (
                 loose_prefactor(m, 1e-8).log_value
-                - second_moment_prefactor(m, 1e-8).log_value
+                - heterodyne_prefactor(m, 1e-8, 1e-8).log_value
             )
             assert abs(gap) <= 1e-6
 
     def test_zero_intensity_degenerates(self):
-        assert second_moment_prefactor(3, 0.0).log_value == -math.inf
+        assert heterodyne_prefactor(3, 0.0, 0.0).log_value == -math.inf
         interval = second_moment_interval(make_generator("global-phase", (), 3), 0.0)
         assert interval.lo.value == 0.0 and interval.hi.value == 0.0
 
     def test_low_mode_counts_no_special_casing(self):
         # (2E)^{m-2} changes sign of its exponent across m = 2
         for m in (1, 2, 3):
-            assert math.isfinite(second_moment_prefactor(m, 0.3).log_value)
+            assert math.isfinite(heterodyne_prefactor(m, 0.3, 0.3).log_value)
 
     def test_point_inside_interval(self):
         gen = RandomSource(31).generator()
@@ -184,7 +183,7 @@ class TestMomentPrefactor:
         for r, expected_gap in [(0.3, 0.0), (0.5, 4.0 * a * a)]:
             energy = a * m**r
             leading = -4 * energy + 2 * math.log(2 * energy) - math.log(2 * m)
-            gap = second_moment_prefactor(m, energy).log_value - leading
+            gap = heterodyne_prefactor(m, energy, energy).log_value - leading
             assert gap == pytest.approx(expected_gap, abs=0.05), r
 
 
@@ -223,7 +222,7 @@ class TestHeterodynePrefactor:
         for m, energy in [(1, 0.4), (3, 1.0), (7, 2.5), (33, 10.0)]:
             assert abs(
                 heterodyne_prefactor(m, energy, energy).log_value
-                - second_moment_prefactor(m, energy).log_value
+                - equal_intensity_log_prefactor(m, energy)
             ) <= 1e-12
 
     def test_zero_target_intensity_sentinel(self):
@@ -241,21 +240,19 @@ class TestHeterodynePrefactor:
     @pytest.mark.parametrize("energy", [1e-160, 1e-170, 1e-200, 0.37, 1e3])
     def test_equal_intensities_bitwise(self, energy):
         # at 1e-160 and below E0 E1 underflows; the geometric mean must not
-        assert (heterodyne_prefactor(4, energy, energy).log_value
-                == second_moment_prefactor(4, energy).log_value)
+        assert heterodyne_prefactor(4, energy, energy).log_value == equal_intensity_log_prefactor(4, energy)
 
     @pytest.mark.parametrize("m", [1, 3, 120, 1024])
     def test_equal_intensity_form_bitwise(self, m):
-        # second_moment_prefactor is heterodyne_prefactor at E0 = E1 = E, and both are
-        # bit for bit the equal-intensity formula -4E + log(Gamma(m) I_m(4E) / (2 (2E)^(m-2)))
-        # over the series (small r) and Debye (large r) branches of bessel_i
+        # the compiling prefactor is heterodyne_prefactor at E0 = E1 = E, bit for bit the
+        # equal-intensity formula -4E + log(Gamma(m) I_m(4E) / (2 (2E)^(m-2))) over the
+        # series (small r) and Debye (large r) branches of bessel_i
         for energy in (0.0, 5e-324, 1e-3, 1.0, 30.0, 1e5):
             if energy == 0.0:
                 direct = -math.inf
             else:
                 direct = (-4.0 * energy + math.lgamma(m) + bessel_i(m, 4.0 * energy).log_value
                           - math.log(2.0) - (m - 2) * math.log(2.0 * energy))
-            assert second_moment_prefactor(m, energy).log_value == direct, energy
             assert heterodyne_prefactor(m, energy, energy).log_value == direct, energy
 
     @pytest.mark.parametrize("e0,e1", [(1.0, 1e-320), (1e-150, 1e-165), (1e-160, 1e-170)])
@@ -309,6 +306,14 @@ class TestQuadraticSecondMoment:
         # the identity commutes with every generator
         assert quadratic_second_moment(gen_k, energy, QuadraticHamiltonian(np.eye(4))) == 0.0
 
+    def test_overflow_is_an_error(self):
+        # (2E)^2 passes the largest double at E = 1e200, and 2E itself at E = 1e308
+        gen_k, _, ham = self._instance(60, 2)
+        for energy in (1e200, 1e308):
+            with pytest.raises(ValueError, match="quadratic_second_moment overflows at E="):
+                quadratic_second_moment(gen_k, energy, ham)
+        assert math.isfinite(quadratic_second_moment(gen_k, 1e150, ham))
+
     def test_two_algebraic_forms_agree(self):
         # on the dense oracle B = [D_k, eta~]: tr B^2 = |B|_F^2 (B symmetric), and
         # the complex-block moment is |u|^4 (tr B^2 + |B|_F^2) / (2m (2m+2))
@@ -337,7 +342,7 @@ class TestQuadraticSecondMoment:
             for gen_k in every_kind(m):
                 b = bk_matrix(gen_k, eta_tilde)
                 dense = (2 * energy) ** 2 * 2.0 * float(np.sum(b * b)) / (2 * m * (2 * m + 2))
-                assert quadratic_second_moment(gen_k, energy, ham) == pytest.approx(dense, rel=1e-13), gen_k.label
+                assert quadratic_second_moment(gen_k, energy, ham) == pytest.approx(dense, rel=1e-13), repr(gen_k)
 
     def test_monte_carlo_agreement(self):
         gen_k, energy, ham = self._instance(63, 2)
@@ -372,7 +377,7 @@ class TestChebyshevBound:
     def test_toy_tail_frequency_respects_bound(self):
         m, s, eps = 5, 0.5, 0.08
         family = ToyGradientFamily(m=m, s=s)
-        bound = chebyshev_bound(toy_grad_abs_expectation(s, m), 1, eps)
+        bound = chebyshev_bound(toy_log_abs_expectation(s, m).value, 1, eps)
         tail = tail_frequency(family, eps, 100_000, RandomSource(65))
         assert tail.fraction <= bound + 5.0 * tail.std_error
 
@@ -409,18 +414,18 @@ def _regime(law, grid=GRID):
 class TestRegimeClassifier:
     def test_linear_intensity_is_plateau(self):
         verdict = _regime("linear:1")
-        assert verdict.is_bpl
-        assert verdict.fit.slope <= SLOPE_THRESHOLD
+        assert verdict.verdict == "BPL"
+        assert verdict.slope <= SLOPE_THRESHOLD
 
     def test_exponentially_vanishing_intensity_is_plateau(self):
-        assert _regime("expdecay:1,2").is_bpl
+        assert _regime("expdecay:1,2").verdict == "BPL"
 
     def test_sublinear_intensity_trainable(self):
         verdict = _regime("power:1,0.5")
-        assert not verdict.is_bpl
+        assert verdict.verdict == "trainable"
 
     def test_log_over_sqrt_trainable(self):
-        assert not _regime("logpower:1,-0.5").is_bpl
+        assert _regime("logpower:1,-0.5").verdict == "trainable"
 
     def test_degenerate_series_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -431,16 +436,19 @@ class TestRegimeClassifier:
             _regime("linear:1", [4, 8, 12])
 
     def test_fit_diagnostics_exposed(self):
-        verdict = _regime("linear:1")
-        assert set(verdict.fit.coefficients) == {"const", "m", "sqrt_m", "log_m"}
-        assert len(verdict.fit.m_grid) == len(GRID)
+        # the verdict, the coefficient of m and the log moments it was fitted to
+        energies = law_values("linear:1", GRID)
+        verdict = classify_regime(GRID, energies)
+        assert list(vars(verdict)) == ["verdict", "slope", "log_values"]
+        assert verdict.log_values == tuple(heterodyne_prefactor(m, e, e).log_value for m, e in zip(GRID, energies))
+        assert verdict.slope == fit_decay(GRID, verdict.log_values)
 
     def test_noise_layer_scaling_transition(self):
         bpl = classify_noise(GRID, *attenuation_values("power:1,0.5", 0.9, lambda m: m, GRID))
         ok = classify_noise(
             GRID, *attenuation_values("power:1,0.5", 0.9, lambda m: math.ceil(math.sqrt(m)), GRID)
         )
-        assert bpl.is_bpl and not ok.is_bpl
+        assert (bpl.verdict, ok.verdict) == ("BPL", "trainable")
 
     def test_value_count_must_match_grid(self):
         energies = law_values("linear:1", GRID)
@@ -455,7 +463,7 @@ class TestRegimeClassifier:
 class TestLinearRateFit:
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
     def test_fitted_rate_matches_closed_form(self, a):
-        logs = [second_moment_prefactor(m, a * (m - 1)).log_value for m in GRID]
+        logs = [heterodyne_prefactor(m, a * (m - 1), a * (m - 1)).log_value for m in GRID]
         fitted = fit_linear_rate(GRID, logs)
         assert fitted == pytest.approx(linear_intensity_rate(a), rel=0.05)
 

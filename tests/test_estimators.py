@@ -11,13 +11,15 @@ from linopt_bp import (
     MeanVector,
     QuadraticHamiltonian,
     RandomSource,
+    attenuated_intensity,
     chebyshev_bound,
     estimate_grad_moments,
     heterodyne_prefactor,
     make_generator,
     quadratic_second_moment,
     second_moment_point,
-    toy_grad_abs_expectation,
+    toy_log_abs_expectation,
+    uniform_sphere,
 )
 from linopt_bp import estimators, sampling
 from linopt_bp.estimators import (
@@ -175,7 +177,7 @@ class TestToyFamily:
         est = estimate_grad_moments(_toy(), 150_000, RandomSource(12))
         assert_within_sigma(
             est.mean_abs,
-            toy_grad_abs_expectation(0.5, 5),
+            toy_log_abs_expectation(0.5, 5).value,
             est.std_error_mean_abs,
             context="toy abs gradient",
         )
@@ -232,7 +234,8 @@ class TestMeasurementFamily:
 
     @pytest.mark.parametrize("bad", [-1.0, -5e-324, math.nan, math.inf, -math.inf])
     def test_intensity_must_be_finite_and_nonnegative(self, bad):
-        # one check for both families and the closed forms they pair with
+        # one check for both families and the closed forms they pair with, the toy
+        # weight s, the input intensity of an attenuation chain and a sphere radius
         gen = make_generator("beamsplitter", (0, 1), 2)
         ham = QuadraticHamiltonian(np.eye(4))
         for call in (lambda: MeasurementGradientFamily(gen, bad, 1.0),
@@ -240,7 +243,12 @@ class TestMeasurementFamily:
                      lambda: QuadraticGradientFamily(gen, bad, ham),
                      lambda: quadratic_second_moment(gen, bad, ham),
                      lambda: second_moment_point(gen, bad),
-                     lambda: heterodyne_prefactor(2, 1.0, bad)):
+                     lambda: heterodyne_prefactor(2, 1.0, bad),
+                     lambda: ToyGradientFamily(3, bad),
+                     lambda: toy_log_abs_expectation(bad, 3),
+                     lambda: attenuated_intensity(bad, 0.9, 3),
+                     lambda: sampling.uniform_sphere_batch(2, bad, 5, RandomSource(0).generator()),
+                     lambda: uniform_sphere(2, bad, RandomSource(0))):
             with pytest.raises(ValueError, match="must be finite and >= 0"):
                 call()
 
@@ -301,7 +309,7 @@ class TestQuadraticFamily:
             got = family.sample_gradients(500, RandomSource(m).generator())
             w = sampling.uniform_sphere_batch(m, math.sqrt(2 * energy), 500, RandomSource(m).generator())
             dense = np.einsum("ni,ij,nj->n", w, bk_matrix(gen_k, ham.eta), w)
-            assert np.all(np.abs(got - dense) <= 1e-13 * np.abs(dense).max()), gen_k.label
+            assert np.all(np.abs(got - dense) <= 1e-13 * np.abs(dense).max()), repr(gen_k)
 
     def test_copies_eta_tilde(self):
         # the Hamiltonian keeps a copy of eta~: the caller's array stays writeable,
@@ -429,7 +437,7 @@ class TestStreamedChunks:
         n = MeanVector.of(0.7 * gen.standard_normal(2 * m) / math.sqrt(m))
         e0, e1 = u.intensity(), n.intensity()
         if kind == "graded":  # acceptance C2b's full-support block, unequal weights
-            pair = GeneratorPair.from_symmetric(np.diag(np.repeat(0.5 * (1.0 + np.arange(m)) / m, 2)), "graded")
+            pair = GeneratorPair.from_symmetric(np.diag(np.repeat(0.5 * (1.0 + np.arange(m)) / m, 2)))
         else:
             pair = make_generator(kind, modes, m)
         return MeasurementGradientFamily(pair, e0, e1)
@@ -484,7 +492,7 @@ class TestStreamedChunks:
         gen = make_generator(kind, modes, self.M)
         est = estimate_grad_moments(MeasurementGradientFamily(gen, 1.0, 1.0), 40_000, RandomSource(1))
         assert_within_sigma(est.second_moment, second_moment_point(gen, 1.0).value, est.std_error_second,
-                            n_sigma=4.0, context=gen.label)
+                            n_sigma=4.0, context=repr(gen))
 
     @pytest.mark.parametrize("kind,modes,m", [
         ("global-phase", (), 10),

@@ -101,7 +101,7 @@ class TestGenerators:
                  (make_generator("beamsplitter", (2, 0), 3), -bs),
                  (make_generator("global-phase", (), 3), -1j * np.eye(3))]
         for gen, block in cases:
-            assert gen.dc.dtype == np.complex128 and np.array_equal(gen.dc, block), gen.label
+            assert gen.dc.dtype == np.complex128 and np.array_equal(gen.dc, block), repr(gen)
 
     def test_nearly_commuting_block_keeps_its_commuting_part(self):
         # a 2e-11 q_0 q_1 coupling without its p_0 p_1 partner passes the 1e-10 check;
@@ -155,8 +155,8 @@ class TestGenerators:
     def test_from_symmetric_of_a_standard_kind_returns_its_block(self):
         for gen in _standard_generators():
             dense = GeneratorPair.from_symmetric(dense_eps(gen))
-            np.testing.assert_array_equal(dense.modes, gen.modes, err_msg=gen.label)
-            np.testing.assert_array_equal(dense.dc, gen.dc, err_msg=gen.label)
+            np.testing.assert_array_equal(dense.modes, gen.modes, err_msg=repr(gen))
+            np.testing.assert_array_equal(dense.dc, gen.dc, err_msg=repr(gen))
 
     def test_generator_stores_one_form(self):
         # the modes and the complex block; the package builds no real form
@@ -164,7 +164,7 @@ class TestGenerators:
         gens = [make_generator(kind, modes, 3) for kind, modes in
                 [("phase-shifter", (1,)), ("two-mode-phase", (2, 0)), ("beamsplitter", (0, 1)), ("global-phase", ())]]
         for gen in gens + [GeneratorPair.from_symmetric(eps)]:
-            assert set(vars(gen)) == {"m", "modes", "dc", "label"}, gen.label
+            assert set(vars(gen)) == {"m", "modes", "dc"}, repr(gen)
             assert gen.dc.shape == (gen.modes.size,) * 2 and not gen.dc.flags.writeable
             assert not gen.modes.flags.writeable
 
@@ -172,7 +172,7 @@ class TestGenerators:
         circ = random_circuit(64, 64, RandomSource(5).generator())
         for gen in circ.gens:
             sizes = [v.size for v in vars(gen).values() if isinstance(v, np.ndarray)]
-            assert sizes and max(sizes) <= 16, gen.label
+            assert sizes and max(sizes) <= 16, repr(gen)
 
     def test_commutator_map_is_traceless(self):
         # for symmetric M commuting with Delta and any symmetric N,
@@ -291,10 +291,10 @@ class TestBilinearKernel:
         k = gen.modes.size
         for dc in (gen.dc, np.broadcast_to(gen.dc, (9, k, k))):  # one block for every row, or one per row
             batched = linear_optics.bilinear(z, dc, c)
-            assert batched.shape == (9,) and np.all(np.abs(batched - dense) <= tol), gen.label
+            assert batched.shape == (9,) and np.all(np.abs(batched - dense) <= tol), repr(gen)
         for row in range(9):
             single = linear_optics.bilinear(z[row], gen.dc, c[row])
-            assert single.shape == () and abs(single - float(y[row] @ d @ b[row])) <= tol[row], gen.label
+            assert single.shape == () and abs(single - float(y[row] @ d @ b[row])) <= tol[row], repr(gen)
 
 
 def _standard_generators():
@@ -315,7 +315,7 @@ class TestClosedFormGate:
     def test_matches_expm(self, theta):
         for gen in _standard_generators():
             np.testing.assert_allclose(
-                _gate(gen, theta), expm(theta * _support_d(gen)), rtol=0, atol=1e-13, err_msg=gen.label
+                _gate(gen, theta), expm(theta * _support_d(gen)), rtol=0, atol=1e-13, err_msg=repr(gen)
             )
 
     def test_large_angle_stays_orthogonal(self):
@@ -414,7 +414,7 @@ def test_gate_blocks_match_block():
                 np.testing.assert_allclose(got, mp_gate(gen, t), rtol=0, atol=custom_gate_tol(gen, t))
             else:
                 np.testing.assert_allclose(embed_unitary(got), dense_gate(gen, t)[np.ix_(gen.support, gen.support)],
-                                           rtol=0, atol=1e-15, err_msg=gen.label)
+                                           rtol=0, atol=1e-15, err_msg=repr(gen))
     for got in blocks.at(np.zeros(6)):
         np.testing.assert_array_equal(embed_unitary(got), np.eye(2 * got.shape[0]))
 

@@ -52,7 +52,7 @@ def generators(draw, max_m=6, graded=False):
     low = 2 if kind in ("two-mode-phase", "beamsplitter") else 1
     m = draw(st.integers(min_value=low, max_value=max_m))
     if kind == "graded":
-        return GeneratorPair.from_symmetric(np.diag(np.repeat(0.5 * (1.0 + np.arange(m)) / m, 2)), "graded")
+        return GeneratorPair.from_symmetric(np.diag(np.repeat(0.5 * (1.0 + np.arange(m)) / m, 2)))
     if kind == "global-phase":
         modes = ()
     elif kind == "phase-shifter":
@@ -93,13 +93,14 @@ def test_bilinear_matches_dense_product(gen, rows, seed):
 
 @st.composite
 def circuit_generators(draw, max_m=8, max_layers=6):
-    """A sequence of generators on one m-mode register, m in [1, max_m]: any
-    standard kind, or a custom one, the block ``-2i H`` of a random Hermitian
+    """A sequence of (kind, generator) pairs on one m-mode register, m in [1, max_m]:
+    any standard kind, or a custom one, the block ``-2i H`` of a random Hermitian
     matrix H on a random set of modes (complex-linear, no closed-form gate)."""
     m = draw(st.integers(1, max_m))
     kinds = GENERATOR_KINDS if m >= 2 else ("phase-shifter", "global-phase")
     gens = []
-    for kind in draw(st.lists(st.sampled_from(kinds + ("custom",)), min_size=1, max_size=max_layers)):
+    drawn = draw(st.lists(st.sampled_from(kinds + ("custom",)), min_size=1, max_size=max_layers))
+    for kind in drawn:
         if kind == "custom":
             modes = sorted(draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True)))
             a = RandomSource(draw(SEEDS)).generator().uniform(-1.0, 1.0, (2, len(modes), len(modes)))
@@ -112,21 +113,22 @@ def circuit_generators(draw, max_m=8, max_layers=6):
         else:
             pair = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
             gens.append(make_generator(kind, pair, m))
-    return gens
+    return list(zip(drawn, gens))
 
 
 @SETTINGS
-@given(gens=circuit_generators(), data=st.data(), seed=SEEDS)
-def test_gate_blocks_are_complex_forms_of_the_real_gate(gens, data, seed):
+@given(pairs=circuit_generators(), data=st.data(), seed=SEEDS)
+def test_gate_blocks_are_complex_forms_of_the_real_gate(pairs, data, seed):
     # each standard complex gate block embeds to the real Rodrigues block; a custom
     # one matches 30-digit mpmath to a tolerance growing with |theta| max|dc|; and
     # the batched kernel Re(z dc h) is y D b for y = z and b = conj(h), both read as
     # real rows
+    kinds, gens = zip(*pairs)
     theta = np.array(data.draw(st.lists(st.floats(min_value=-1e3, max_value=1e3),
                                         min_size=len(gens), max_size=len(gens))))
     blocks = GateBlocks(gens)
-    for gen, t, got in zip(gens, theta, blocks.at(theta)):
-        if gen.label == "custom":
+    for kind, gen, t, got in zip(kinds, gens, theta, blocks.at(theta)):
+        if kind == "custom":
             np.testing.assert_allclose(got, mp_gate(gen, t), rtol=0, atol=custom_gate_tol(gen, t))
         else:
             real = dense_gate(gen, t)[np.ix_(gen.support, gen.support)]
