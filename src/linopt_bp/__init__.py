@@ -22,7 +22,7 @@ from .linear_optics import (
     make_generator,
     random_circuit,
 )
-from .sampling import RandomSource, haar_orthogonal, uniform_sphere
+from .sampling import RandomSource, uniform_sphere
 from .special_functions import LogScaled, bessel_i
 from .cost_functions import (
     QuadraticHamiltonian,

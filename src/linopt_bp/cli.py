@@ -22,7 +22,8 @@ also takes ``list:E1,...``, one intensity per grid point.
 Every output file embeds the schema string, the full config (JSON) and the
 seed as preamble records, so any file can be reproduced exactly from its own
 header.  Exit codes: 0 success, 2 configuration error (such as a negative or
-non-finite sweep intensity), 3 numerical failure: a sweep-point moment that is
+non-finite sweep intensity, or an ``--m-grid`` that stops above 2**53 or has
+more than 2**20 points), 3 numerical failure: a sweep-point moment that is
 exactly zero or underflows to zero, a nonzero prediction of ``toy`` or
 ``prop1`` that rounds to 0.0 in linear scale, a Bessel argument that overflows
 or exceeds ``special_functions.MAX_ARGUMENT`` = 1e12, past which a closed
@@ -62,11 +63,16 @@ from . import cost_functions as cf
 from . import estimators as est
 from . import trainer as tr
 from .linear_optics import make_generator, random_circuit
-from .sampling import RandomSource, haar_orthogonal, uniform_sphere
+from .sampling import RandomSource, haar_orthogonal_batch, uniform_sphere
 
 SCHEMA = "linopt-bp/7"
 ENV_OUTDIR = "LINOPT_BP_OUTDIR"
 INSTANCE_STREAM = 2**32  # substream index reserved for instance construction
+# the largest mode count of a sweep: up to 2**53 the fit and the closed forms see
+# every m as an exact double; and its most points: at about 10 us a point, 2**20
+# points take about 10 s
+MAX_GRID_M = 2**53
+MAX_GRID_POINTS = 2**20
 
 
 class ConfigError(ValueError):
@@ -191,6 +197,10 @@ def _parse_m_grid(text) -> list:
         raise ConfigError(f"m_grid: cannot parse {text!r}; expected start:stop[:step]")
     if start < 1 or stop < start or step < 1:
         raise ConfigError(f"m_grid: invalid range {text!r}")
+    if stop > MAX_GRID_M:
+        raise ConfigError(f"m_grid: {text!r} stops above 2**53, past which mode counts are not exact doubles")
+    if (stop - start) // step + 1 > MAX_GRID_POINTS:
+        raise ConfigError(f"m_grid: {text!r} has more than 2**20 points")
     grid = list(range(start, stop + 1, step))
     if len(grid) < 6:
         raise ConfigError(f"m_grid: need at least 6 points, got {len(grid)}")
@@ -322,7 +332,7 @@ def _run_prop2(cfg) -> tuple:
     dim = 2 * m
     a = inst.standard_normal((dim, dim))
     gen = make_generator("two-mode-phase", (0, 1), m)
-    o_plus = haar_orthogonal(m, inst)  # still O(2m); README "Conventions" says why
+    o_plus = haar_orthogonal_batch(m, 1, inst)[0]  # still O(2m); README "Conventions" says why
     ham = cf.QuadraticHamiltonian(o_plus @ (a @ a.T / dim) @ o_plus.T)  # eta~ = o_plus eta o_plus^T
     _radius(energy)  # the family draws w on the sphere of radius sqrt(2E)
     pred = _closed_form(cforms.quadratic_second_moment, gen, energy, ham)

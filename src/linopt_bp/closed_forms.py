@@ -68,7 +68,7 @@ import numpy as np
 from .cost_functions import QuadraticHamiltonian, check_hamiltonian
 from .linear_optics import GeneratorPair, check_generator
 from .special_functions import LogScaled, bessel_i
-from .validation import check_intensity, check_same_modes
+from .validation import check_intensity, check_mode_count, check_same_modes
 
 SLOPE_THRESHOLD = -0.05  # nats per mode; below this the fitted decay is a plateau
 
@@ -134,8 +134,9 @@ def heterodyne_prefactor(m: int, e0: float, e1: float) -> LogScaled:
     exact zero (log -inf).  Otherwise the moment is not zero, and an exponent
     -2(E0+E1) past the float range is a ValueError, not a log of -inf.
     """
-    _check_me(m, e0, "e0")
-    _check_me(m, e1, "e1")
+    check_mode_count(m)
+    check_intensity(e0, "e0")
+    check_intensity(e1, "e1")
     if e0 == 0.0 or e1 == 0.0:
         return LogScaled(-math.inf)
     exp_term = -2.0 * (e0 + e1)
@@ -161,7 +162,7 @@ def quadratic_second_moment(gen: GeneratorPair, energy: float, ham: QuadraticHam
     double."""
     gen = check_generator(gen)
     eta = check_hamiltonian(ham).eta
-    _check_me(gen.m, energy)
+    check_intensity(energy, "energy")
     check_same_modes(gen.m, ham.m, "generator and Hamiltonian")
     qq, qp, pq, pp = eta[0::2, 0::2], eta[0::2, 1::2], eta[1::2, 0::2], eta[1::2, 1::2]
     a = 0.5 * (qq + pp) + 0.5j * (qp - pq)
@@ -200,12 +201,6 @@ def linear_intensity_rate(a: float) -> float:
         raise ValueError(f"a must be > 0, got {a}")
     root = math.sqrt(16.0 * a * a + 1.0)
     return -(4.0 * a + 1.0 - root) + math.log(2.0 / (1.0 + root))
-
-
-def _check_me(m: int, energy: float, name: str = "energy") -> None:
-    if m < 1:
-        raise ValueError(f"mode count must be >= 1, got {m}")
-    check_intensity(energy, name)
 
 
 # -- intensity-law grammar --------------------------------------------------

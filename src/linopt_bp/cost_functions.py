@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special_functions import LogScaled, bessel_i
-from .validation import check_intensity, check_symmetric, modes_of
+from .validation import check_intensity, check_mode_count, check_symmetric, modes_of
 
 
 # -- toy family ----------------------------------------------------------
@@ -78,8 +78,7 @@ def toy_log_abs_expectation(s: float, m: int) -> LogScaled:
     deep-plateau values that a double cannot hold, and s = 0 is an exact zero.
     """
     check_intensity(s, "s")
-    if m < 1:
-        raise ValueError(f"mode count must be >= 1, got {m}")
+    check_mode_count(m)
     if s == 0.0:
         return LogScaled(-math.inf)
     return LogScaled(math.log(2.0 / math.pi) - m * s + (m - 1) * bessel_i(0, s).log_value + _log_sinh(s))

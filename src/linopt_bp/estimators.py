@@ -59,7 +59,7 @@ import numpy as np
 from .cost_functions import QuadraticHamiltonian, check_hamiltonian
 from .linear_optics import GeneratorPair, bilinear, check_generator
 from .sampling import RandomSource, as_source, uniform_angles_batch, uniform_sphere_batch
-from .validation import check_intensity, check_same_modes
+from .validation import check_intensity, check_mode_count, check_same_modes
 
 CHUNK_SIZE = 4096
 MIN_SAMPLES = 1000
@@ -88,8 +88,7 @@ class ToyGradientFamily:
     s: float
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"mode count must be >= 1, got {self.m}")
+        check_mode_count(self.m)
         check_intensity(self.s, "s")
 
     def sample_gradients(self, size: int, rng: np.random.Generator) -> np.ndarray:

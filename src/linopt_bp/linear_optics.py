@@ -52,7 +52,7 @@ from typing import Sequence
 import numpy as np
 
 from .sampling import haar_unitary_batch
-from .validation import as_square_matrix, check_mode_index, check_symmetric, check_unitary, modes_of
+from .validation import as_square_matrix, check_mode_count, check_symmetric, check_unitary, modes_of
 
 GENERATOR_KINDS = ("phase-shifter", "two-mode-phase", "beamsplitter", "global-phase")
 
@@ -73,9 +73,7 @@ class GeneratorPair:
     dc: np.ndarray = field(repr=False)
 
     def __init__(self, m: int, modes, dc):
-        m = int(m)
-        if m < 1:
-            raise ValueError(f"mode count must be >= 1, got {m}")
+        m = check_mode_count(int(m))
         given = np.asarray(modes)
         if not (given.ndim == 1 and np.issubdtype(given.dtype, np.integer) and np.all(np.diff(given) > 0)
                 and np.all((given >= 0) & (given < m))):
@@ -156,23 +154,19 @@ def make_generator(kind: str, modes: Sequence[int], m: int) -> GeneratorPair:
       beamsplitter(i,j)    [[0, -1], [1, 0]] on (i, j) (mixing generator q_j p_i - q_i p_j)
       global-phase         -i I on every mode (equal column norms)
 
-    A two-mode block is written for i < j and reversed when i > j.
+    A two-mode block is written for i < j and reversed when i > j.  The modes
+    are checked by ``GeneratorPair``, the one check of a gate's modes.
     """
     modes = tuple(int(j) for j in modes)
     if kind == "phase-shifter":
         if len(modes) != 1:
             raise ValueError("phase-shifter takes exactly one mode index")
-        (j,) = modes
-        check_mode_index(j, m)
         dc = [[-1j]]
     elif kind in ("two-mode-phase", "beamsplitter"):
         if len(modes) != 2:
             raise ValueError("two-mode gates take exactly two mode indices")
-        i, j = (check_mode_index(k, m) for k in modes)
-        if i == j:
-            raise ValueError(f"mode indices must be distinct, got ({i}, {j})")
         dc = np.array([[-1j, 0], [0, 1j]] if kind == "two-mode-phase" else [[0, -1], [1, 0]], dtype=np.complex128)
-        if i > j:
+        if modes[0] > modes[1]:
             dc = dc[::-1, ::-1]
     elif kind == "global-phase":
         if modes:
@@ -285,14 +279,11 @@ class LayeredCircuit:
         object.__setattr__(out, "theta", self._frozen_theta(theta))
         return out
 
-    def _check_theta(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float).reshape(-1)
+    def _frozen_theta(self, theta) -> np.ndarray:
+        """``theta`` as a frozen copy, checked to hold one angle per layer."""
+        theta = np.array(np.ravel(theta), dtype=float)  # a copy that owns its data
         if theta.size != self.depth:
             raise ValueError(f"theta length {theta.size} does not match depth {self.depth}")
-        return theta
-
-    def _frozen_theta(self, theta) -> np.ndarray:
-        theta = np.array(self._check_theta(theta))  # a copy, frozen
         theta.flags.writeable = False
         return theta
 

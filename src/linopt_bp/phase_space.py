@@ -32,14 +32,6 @@ class MeanVector:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
-    @classmethod
-    def of(cls, values) -> "MeanVector":
-        return cls(np.asarray(values, dtype=float))
-
-    @classmethod
-    def vacuum(cls, m: int) -> "MeanVector":
-        return cls(np.zeros(2 * m))
-
     @property
     def m(self) -> int:
         return self.values.size // 2
@@ -53,4 +45,4 @@ class MeanVector:
 
 
 def as_mean_vector(u) -> MeanVector:
-    return u if isinstance(u, MeanVector) else MeanVector.of(u)
+    return u if isinstance(u, MeanVector) else MeanVector(u)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phase_space import MeanVector
-from .validation import check_intensity
+from .validation import check_intensity, check_mode_count
 
 @dataclass(frozen=True)
 class RandomSource:
@@ -102,20 +102,13 @@ def _haar_batch(n: int, size: int, rng, dtype) -> np.ndarray:
 
 def haar_orthogonal_batch(m: int, size: int, rng) -> np.ndarray:
     """Stack of ``size`` independent Haar draws from O(2m), shape (size, 2m, 2m)."""
-    if m < 1:
-        raise ValueError(f"mode count must be >= 1, got {m}")
+    check_mode_count(m)
     return _haar_batch(2 * m, size, rng, np.float64)
-
-
-def haar_orthogonal(m: int, rng) -> np.ndarray:
-    """One Haar-distributed matrix from O(2m)."""
-    return haar_orthogonal_batch(m, 1, rng)[0]
 
 
 def haar_unitary_batch(m: int, size: int, rng) -> np.ndarray:
     """Stack of ``size`` independent Haar draws from U(m), shape (size, m, m), complex."""
-    if m < 1:
-        raise ValueError(f"mode count must be >= 1, got {m}")
+    check_mode_count(m)
     return _haar_batch(m, size, rng, np.complex128)
 
 
@@ -127,8 +120,7 @@ def uniform_sphere_batch(m: int, radius: float, size: int, rng) -> np.ndarray:
     full-size temporaries.  A row of norm below 1e-12 (essentially unreachable) is
     redrawn within its block, after the whole array's draw.
     """
-    if m < 1:
-        raise ValueError(f"mode count must be >= 1, got {m}")
+    check_mode_count(m)
     check_intensity(radius, "radius")
     gen = _as_generator(rng)
     if radius == 0.0:
@@ -152,7 +144,6 @@ def uniform_sphere(m: int, radius: float, rng) -> MeanVector:
 
 def uniform_angles_batch(m: int, size: int, rng) -> np.ndarray:
     """(size, m) array of i.i.d. angles uniform on [-pi, pi]."""
-    if m < 1:
-        raise ValueError(f"mode count must be >= 1, got {m}")
+    check_mode_count(m)
     gen = _as_generator(rng)
     return gen.uniform(-np.pi, np.pi, (size, m))

@@ -95,9 +95,6 @@ class LogScaled:
             return LogScaled(-math.inf)
         return LogScaled(self.log_value + math.log(factor))
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _debye_log_i(nu: int, x: float, r: float) -> float:
     """log I_nu(x) from the Debye expansion, r = hypot(nu, x) >= DEBYE_R0."""

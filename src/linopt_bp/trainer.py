@@ -100,8 +100,9 @@ class _Objective:
 
     def forward(self, theta) -> tuple:
         """(gates, states): the complex gate blocks and the complex rows
-        ``z_l = u T_1 ... T_l`` for l = 0..L, shape (L+1, m), after validating ``theta``."""
-        theta = self.circuit._check_theta(theta)
+        ``z_l = u T_1 ... T_l`` for l = 0..L, shape (L+1, m).  ``theta`` has one angle
+        per layer, like the circuit's own parameters; it is checked here only for
+        finite angles below ``MAX_ANGLE``, which a diverging run leaves."""
         if not np.all(np.isfinite(theta)):
             raise ValueError("non-finite circuit parameters")
         if np.abs(theta).max() >= MAX_ANGLE:

@@ -56,7 +56,7 @@ def check_same_modes(m_a: int, m_b: int, what: str) -> int:
     return m_a
 
 
-def check_mode_index(index: int, m: int) -> int:
-    if not 0 <= index < m:
-        raise ValueError(f"mode index {index} out of range for {m} modes")
-    return index
+def check_mode_count(m: int) -> int:
+    if m < 1:
+        raise ValueError(f"mode count must be >= 1, got {m}")
+    return m

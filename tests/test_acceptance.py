@@ -21,7 +21,6 @@ from linopt_bp import (
     classify_noise,
     classify_regime,
     estimate_grad_moments,
-    haar_orthogonal,
     heterodyne_prefactor,
     linear_intensity_rate,
     make_generator,
@@ -110,7 +109,7 @@ def test_criterion_03_quadratic_moment():
         gen = RandomSource(seed).generator()
         a = gen.standard_normal((2 * m, 2 * m))
         eta = a @ a.T / (2 * m)
-        o_plus = haar_orthogonal(m, gen)
+        o_plus = haar_orthogonal_batch(m, 1, gen)[0]
         gen_k, ham = make_generator("two-mode-phase", (0, 1), m), QuadraticHamiltonian(o_plus @ eta @ o_plus.T)
         worst_trace = max(worst_trace, abs(float(np.trace(bk_matrix(gen_k, ham.eta)))))  # the dense oracle's
         est = estimate_grad_moments(QuadraticGradientFamily(gen_k, 1.5, ham), 1_000_000, RandomSource(seed + 10))

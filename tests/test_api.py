@@ -1,5 +1,5 @@
-"""The public surface of the package, pinned: every optional parameter and every
-name ``linopt_bp`` exports.
+"""The public surface of the package, pinned: every optional parameter, every
+name ``linopt_bp`` exports, and the one rule every entry point applies to a mode count.
 
 A new keyword option or export fails these tests until the lists below name it,
 so it shows in review; removing one fails them too, so the lists stay current.
@@ -12,7 +12,11 @@ import importlib
 import inspect
 import pkgutil
 
+import numpy as np
+import pytest
+
 import linopt_bp
+from linopt_bp import sampling
 
 OPTIONAL_PARAMETERS = [
     "cli.main(argv)",
@@ -47,7 +51,6 @@ EXPORTS = [
     "classify_regime",
     "estimate_grad_moments",
     "fit_decay",
-    "haar_orthogonal",
     "heterodyne_prefactor",
     "intensity_law",
     "linear_intensity_rate",
@@ -105,3 +108,23 @@ def test_package_exports_are_the_listed_ones():
     exported = sorted(name for name in vars(linopt_bp) if not name.startswith("_")
                       and not inspect.ismodule(getattr(linopt_bp, name)))
     assert exported == EXPORTS
+
+
+@pytest.mark.parametrize("call", [
+    lambda: linopt_bp.GeneratorPair(0, [], np.zeros((0, 0))),
+    lambda: linopt_bp.make_generator("global-phase", (), 0),
+    lambda: linopt_bp.random_circuit(0, 1, 0),
+    lambda: sampling.haar_orthogonal_batch(0, 1, 0),
+    lambda: sampling.haar_unitary_batch(0, 1, 0),
+    lambda: sampling.uniform_sphere_batch(0, 1.0, 1, 0),
+    lambda: linopt_bp.uniform_sphere(0, 1.0, 0),
+    lambda: sampling.uniform_angles_batch(0, 1, 0),
+    lambda: linopt_bp.ToyGradientFamily(0, 0.5),
+    lambda: linopt_bp.toy_log_abs_expectation(0.5, 0),
+    lambda: linopt_bp.heterodyne_prefactor(0, 1.0, 1.0),
+], ids=["GeneratorPair", "make_generator", "random_circuit", "haar_orthogonal_batch", "haar_unitary_batch",
+        "uniform_sphere_batch", "uniform_sphere", "uniform_angles_batch", "ToyGradientFamily",
+        "toy_log_abs_expectation", "heterodyne_prefactor"])
+def test_mode_count_rule_is_shared(call):
+    with pytest.raises(ValueError, match=r"^mode count must be >= 1, got 0$"):
+        call()

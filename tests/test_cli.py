@@ -300,6 +300,10 @@ class TestTrainCommand:
         assert float(preamble["final_lr"]) == 8.0 * 0.5**backoffs
 
 
+# a grid from 10**400 to 10**400 + 5: six points, each past the float range
+HUGE_GRID = f"{10**400}:{10**400 + 5}"
+
+
 class TestExitCodes:
     def test_config_error_bad_law(self, tmp_path, capsys):
         code = main(["regimes", "--law", "bogus:1", "--m-grid", "4:64:4",
@@ -385,6 +389,16 @@ class TestExitCodes:
         # sphere of radius sqrt(2 E0)
         (["heterodyne", "--m", "4", "--e0", "1e308", "--e1", "0", "--samples", "1000"], 3,
          "input radius sqrt(2E) at E=1e+308 is not finite"),
+        # a grid is bounded before it is built: past 2**53 the fit and the closed forms
+        # would merge neighbouring mode counts, and 2**20 points take about 10 s
+        (["regimes", "--m-grid", "1:100000000000000000000", "--law", "linear:1"], 2,
+         "m_grid: '1:100000000000000000000' stops above 2**53"),
+        (["regimes", "--m-grid", HUGE_GRID, "--law", "linear:1"], 2, "stops above 2**53"),
+        (["noise", "--m-grid", HUGE_GRID], 2, "stops above 2**53"),
+        (["regimes", "--m-grid", "9007199254740993:9007199254740999", "--law", "list:1,1,1,1,1,1,1"], 2,
+         "m_grid: '9007199254740993:9007199254740999' stops above 2**53"),
+        (["regimes", "--m-grid", "1:1048577", "--law", "linear:1"], 2,
+         "m_grid: '1:1048577' has more than 2**20 points"),
     ], ids=["noise-e1-underflow", "regimes-zero-at-m1", "regimes-negative-law",
             "regimes-infinite-law", "regimes-negative-list-entry", "regimes-bessel-overflow",
             "noise-bessel-overflow", "regimes-max-argument", "heterodyne-bessel-overflow",
@@ -395,7 +409,9 @@ class TestExitCodes:
             "layers-const-fraction", "layers-count-overflow",
             "train-tol-nan", "train-intensity-inf", "prop2-intensity-nan", "prop1-intensity-nan",
             "train-lr-nan", "train-radius-overflow", "prop2-radius-overflow",
-            "prop2-prediction-overflow", "heterodyne-radius-overflow"])
+            "prop2-prediction-overflow", "heterodyne-radius-overflow",
+            "regimes-grid-stop-1e20", "regimes-grid-stop-1e400", "noise-grid-stop-1e400",
+            "regimes-grid-stop-2p53-plus-1", "regimes-grid-too-long"])
     def test_bad_sweep_point_exit_code(self, tmp_path, capsys, args, code, message):
         # an exception escaping main would fail the test with its traceback
         assert main(args + ["--output", str(tmp_path / "x.csv")]) == code
@@ -403,6 +419,15 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert message in err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_grid_bounds_are_inclusive(self, tmp_path, capsys):
+        # a grid stopping at 2**53 runs; one of 2**20 points gets past the bound to the
+        # check of its explicit intensity list
+        assert main(["regimes", "--m-grid", "9007199254740987:9007199254740992", "--law", "list:1,1,1,1,1,1",
+                     "--output", str(tmp_path / "x.csv")]) == 0
+        assert main(["regimes", "--m-grid", "1:1048576", "--law", "list:1,1,1,1,1,1",
+                     "--output", str(tmp_path / "y.csv")]) == 2
+        assert "explicit list has 6 entries but the grid has 1048576" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fields,message", [
         ({"m": 3.7}, "m: expected int, got 3.7"),
@@ -464,7 +489,7 @@ custom = GeneratorPair.from_symmetric(eps)
 gate = GateBlocks([custom]).at([0.7])[0]
 assert np.allclose(gate, np.diag(np.exp([-0.7j, -2.1j])), rtol=0, atol=1e-15)
 circuit = LayeredCircuit([custom, make_generator("beamsplitter", (0, 1), 2)], [np.eye(2), np.eye(2)], [0.3, -0.4])
-grads = layer_gradients(circuit, "compiling", MeanVector.of([1.0, 0.0, 0.0, 0.5]))
+grads = layer_gradients(circuit, "compiling", MeanVector([1.0, 0.0, 0.0, 0.5]))
 assert grads.shape == (2,) and np.all(np.isfinite(grads)) and np.any(grads != 0.0)
 assert main(["train", "--m", "4", "--layers", "6", "--max-iters", "2", "--output", sys.argv[1]]) == 0
 print("ok")

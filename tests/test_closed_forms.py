@@ -13,7 +13,6 @@ from linopt_bp import (
     classify_noise,
     classify_regime,
     fit_decay,
-    haar_orthogonal,
     heterodyne_prefactor,
     intensity_law,
     linear_intensity_rate,
@@ -31,6 +30,7 @@ from linopt_bp.estimators import (
     ToyGradientFamily,
     estimate_grad_moments,
 )
+from linopt_bp.sampling import haar_orthogonal_batch
 
 from conftest import (assert_within_sigma, attenuation_values, bk_matrix, dense_d, dense_eps,
                       equal_intensity_log_prefactor, every_kind, fit_linear_rate, law_values, loose_prefactor, simpson,
@@ -296,7 +296,7 @@ class TestQuadraticSecondMoment:
         gen = RandomSource(seed).generator()
         a = gen.standard_normal((2 * m, 2 * m))
         eta = a @ a.T / (2 * m)
-        o_plus = haar_orthogonal(m, gen)
+        o_plus = haar_orthogonal_batch(m, 1, gen)[0]
         return make_generator("two-mode-phase", (0, 1), m), 1.5, QuadraticHamiltonian(o_plus @ eta @ o_plus.T)
 
     def test_trivial_zeros(self):
@@ -336,7 +336,7 @@ class TestQuadraticSecondMoment:
         rng = RandomSource(800 + m).generator()
         energy = 0.5 * float(np.sum(rng.standard_normal(2 * m) ** 2))
         a = rng.standard_normal((2 * m, 2 * m))
-        o_plus = haar_orthogonal(m, rng)
+        o_plus = haar_orthogonal_batch(m, 1, rng)[0]
         for eta_tilde in (a @ a.T, o_plus @ (a @ a.T) @ o_plus.T):
             ham = QuadraticHamiltonian(eta_tilde)
             for gen_k in every_kind(m):

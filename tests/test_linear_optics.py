@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,12 +76,28 @@ class TestGenerators:
         np.testing.assert_array_equal(eps[2:4, 2:4], -0.5 * np.eye(2))
 
     def test_invalid_modes_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match="inside the 2 modes"):
             make_generator("phase-shifter", (3,), 2)
         with pytest.raises(ValueError, match="distinct"):
             make_generator("beamsplitter", (1, 1), 3)
         with pytest.raises(ValueError, match="unknown generator kind"):
             make_generator("squeezer", (0,), 2)
+
+    @pytest.mark.parametrize("kind,modes,got", [
+        ("phase-shifter", (3,), "[3]"),
+        ("phase-shifter", (-1,), "[-1]"),
+        ("two-mode-phase", (0, 3), "[0, 3]"),
+        ("two-mode-phase", (2, 2), "[2, 2]"),
+        ("beamsplitter", (3, 0), "[0, 3]"),
+        ("beamsplitter", (1, 1), "[1, 1]"),
+    ], ids=["phase-shifter-outside", "phase-shifter-negative", "two-mode-phase-outside",
+            "two-mode-phase-repeated", "beamsplitter-outside-reversed", "beamsplitter-repeated"])
+    def test_standard_gate_modes_checked_by_generator_pair(self, kind, modes, got):
+        # make_generator leaves the modes to GeneratorPair, so an out-of-range or a
+        # repeated mode gets its message, with the modes sorted
+        message = f"modes must be ascending, distinct and inside the 3 modes; got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_generator(kind, modes, 3)
 
     def test_from_symmetric_rejects_active_generators(self):
         # q^2 alone squeezes; it does not commute with the symplectic form
@@ -207,7 +224,7 @@ class TestGateAction:
         gen = make_generator("phase-shifter", (0,), 1)
         theta = 0.7
         alpha = 0.4 - 0.9j
-        u = MeanVector.of([math.sqrt(2) * alpha.real, math.sqrt(2) * alpha.imag])
+        u = MeanVector([math.sqrt(2) * alpha.real, math.sqrt(2) * alpha.imag])
         out = u.values @ dense_gate(gen, theta)
         alpha_out = (out[0] + 1j * out[1]) / math.sqrt(2)
         assert alpha_out == pytest.approx(alpha * np.exp(-1j * theta), rel=1e-12)

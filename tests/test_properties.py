@@ -21,7 +21,6 @@ from linopt_bp import (  # noqa: E402
     RandomSource,
     bessel_i,
     estimate_grad_moments,
-    haar_orthogonal,
     make_generator,
     uniform_sphere,
 )
@@ -35,6 +34,7 @@ from linopt_bp.estimators import (  # noqa: E402
     ToyGradientFamily,
 )
 from linopt_bp.linear_optics import GENERATOR_KINDS, GateBlocks  # noqa: E402
+from linopt_bp.sampling import haar_orthogonal_batch  # noqa: E402
 
 from conftest import (bilinear, compiling_cost, custom_gate_tol, dense_d, dense_gate, embed_unitary,  # noqa: E402
                       measurement_cost, mp_gate)
@@ -150,7 +150,7 @@ def test_overlap_costs_invariant_under_common_rotation(m, seed, e0, e1):
     rng = RandomSource(seed).generator()
     u = uniform_sphere(m, math.sqrt(2 * e0), rng)
     n = uniform_sphere(m, math.sqrt(2 * e1), rng)
-    o_minus, o_plus, r = (haar_orthogonal(m, rng) for _ in range(3))
+    o_minus, o_plus, r = (haar_orthogonal_batch(m, 1, rng)[0] for _ in range(3))
     u_r, n_r = MeanVector(u.values @ r), MeanVector(n.values @ r)
     o_minus_r, o_plus_r = r.T @ o_minus, o_plus @ r
     assert measurement_cost(u_r, n_r, o_minus_r, o_plus_r) == pytest.approx(

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from linopt_bp import RandomSource, haar_orthogonal, random_circuit, uniform_sphere
+from linopt_bp import RandomSource, random_circuit, uniform_sphere
 from linopt_bp import sampling
 from linopt_bp.sampling import (
     haar_orthogonal_batch,
@@ -65,7 +65,7 @@ class TestHaarOrthogonal:
         # for fixed orthogonal Q the law of Q T matches that of T
         m, n = 2, 100_000
         gen = RandomSource(12).generator()
-        q = haar_orthogonal(m, gen)
+        q = haar_orthogonal_batch(m, 1, gen)[0]
         ts = haar_orthogonal_batch(m, n, gen)
         rotated = np.einsum("ij,njk->nik", q, ts)
         for batch in (ts, rotated):
@@ -74,7 +74,7 @@ class TestHaarOrthogonal:
             assert np.all(np.abs(sq.mean(axis=0) - 1.0 / (2 * m)) <= 3.5 * se)
 
     def test_single_draw_matches_batch_interface(self):
-        t = haar_orthogonal(4, RandomSource(5))
+        t = haar_orthogonal_batch(4, 1, RandomSource(5))[0]
         assert t.shape == (8, 8)
 
 

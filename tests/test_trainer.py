@@ -47,7 +47,7 @@ def _assert_matches_split_kernel(gens, gen, rel):
 class TestTrainBasics:
     def test_already_at_optimum_takes_zero_iterations(self):
         circ = identity_fixed(random_circuit(2, 3, RandomSource(1).generator()))
-        u = MeanVector.of([1.0, 0.2, -0.5, 0.0])
+        u = MeanVector([1.0, 0.2, -0.5, 0.0])
         records = train(circ, "compiling", u, TrainConfig(lr=0.5, max_iters=100, tol=1e-12))
         assert len(records) == 1
         assert records[0].iteration == 0
@@ -57,8 +57,8 @@ class TestTrainBasics:
     def test_compiling_cost_resolved_near_optimum(self):
         # 1 - exp(-x/2) would round to 0 here; -expm1(-x/2) keeps full precision
         circ = identity_fixed(random_circuit(2, 3, RandomSource(1).generator()))
-        u = MeanVector.of([1.0, 0.0, -0.5, 0.0])
-        target = MeanVector.of([1.0, 1e-10, -0.5, 0.0])
+        u = MeanVector([1.0, 0.0, -0.5, 0.0])
+        target = MeanVector([1.0, 1e-10, -0.5, 0.0])
         dist2 = float(np.sum((u.values - target.values) ** 2))
         assert dist2 == pytest.approx(1e-20, rel=1e-15, abs=0.0)
         config = TrainConfig(lr=0.5, max_iters=0, tol=0.0)
