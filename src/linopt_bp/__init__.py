@@ -1,7 +1,11 @@
 """Trainability of random linear-optical circuits fed coherent light.
 
-A coherent state on m modes is its phase-space mean vector, and passive
-linear optics acts on it as a unitary on its complex mode amplitudes.  On a
+A coherent state on m modes is its phase-space mean vector, a real length-2m
+array ``(q1, p1, ..., qm, pm)`` with ``q = (a + a*)/sqrt(2)``,
+``p = (-i a + i a*)/sqrt(2)`` and intensity ``E = |u|^2 / 2``; the trainer,
+its one consumer, checks it once.  Passive linear optics acts on it from the
+right, ``u -> u T`` with T orthogonal, as a unitary on its complex mode
+amplitudes ``z_j = q_j + i p_j``, and so preserves E.  On a
 Haar-random circuit the state enters a gradient only through its intensity
 E.  So the closed forms of the gradient moments (in log scale where they leave
 the double range) take a gate and intensities, ``(gen, E0, E1)`` for the
@@ -15,7 +19,6 @@ CSV/JSON with its config and seed.
 
 __version__ = "0.1.0"
 
-from .phase_space import MeanVector
 from .linear_optics import (
     GeneratorPair,
     LayeredCircuit,

@@ -161,7 +161,7 @@ def quadratic_second_moment(gen: GeneratorPair, energy: float, ham: QuadraticHam
     docstring), from m x m complex blocks; a ValueError where it passes the largest
     double."""
     gen = check_generator(gen)
-    eta = check_hamiltonian(ham).eta
+    eta = check_hamiltonian(ham, "ham").eta
     check_intensity(energy, "energy")
     check_same_modes(gen.m, ham.m, "generator and Hamiltonian")
     qq, qp, pq, pp = eta[0::2, 0::2], eta[0::2, 1::2], eta[1::2, 0::2], eta[1::2, 1::2]

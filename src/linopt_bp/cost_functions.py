@@ -126,8 +126,9 @@ class QuadraticHamiltonian:
         return self.eta.shape[0] // 2
 
 
-def check_hamiltonian(ham) -> QuadraticHamiltonian:
-    """``ham`` if it is a QuadraticHamiltonian; a TypeError for anything else, such as a bare matrix."""
+def check_hamiltonian(ham, name: str) -> QuadraticHamiltonian:
+    """``ham`` if it is a QuadraticHamiltonian; a TypeError naming the argument for anything
+    else, such as a bare matrix."""
     if not isinstance(ham, QuadraticHamiltonian):
-        raise TypeError(f"expected a QuadraticHamiltonian, got {type(ham).__name__}")
+        raise TypeError(f"{name} must be a QuadraticHamiltonian, got {type(ham).__name__}")
     return ham

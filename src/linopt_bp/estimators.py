@@ -196,7 +196,7 @@ class QuadraticGradientFamily:
     def __post_init__(self):
         check_generator(self.gen)
         object.__setattr__(self, "_radius", _sphere_radius(self.energy, "energy"))
-        check_same_modes(self.gen.m, check_hamiltonian(self.ham).m, "generator and Hamiltonian")
+        check_same_modes(self.gen.m, check_hamiltonian(self.ham, "ham").m, "generator and Hamiltonian")
         if self.gen.modes.size == 0:
             raise ValueError("the generator acts on no mode, so every gradient is zero")
         object.__setattr__(self, "_columns", self.ham.eta[:, self.gen.support])

@@ -77,7 +77,9 @@ class GeneratorPair:
         given = np.asarray(modes)
         if not (given.ndim == 1 and np.issubdtype(given.dtype, np.integer) and np.all(np.diff(given) > 0)
                 and np.all((given >= 0) & (given < m))):
-            raise ValueError(f"modes must be ascending, distinct and inside the {m} modes; got {given.tolist()}")
+            # an object array keeps each index as given: (-1, 2**63) would read as floats
+            raise ValueError(f"modes must be ascending, distinct and inside the {m} modes; "
+                             f"got {np.asarray(modes, dtype=object).tolist()}")
         modes = np.array(given, dtype=np.intp)
         dc = np.asarray(dc, dtype=np.complex128)
         if dc.shape != (modes.size, modes.size):

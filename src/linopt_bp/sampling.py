@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import MeanVector
 from .validation import check_intensity, check_mode_count
 
 @dataclass(frozen=True)
@@ -137,9 +136,10 @@ def uniform_sphere_batch(m: int, radius: float, size: int, rng) -> np.ndarray:
     return g
 
 
-def uniform_sphere(m: int, radius: float, rng) -> MeanVector:
-    """A mean vector drawn uniformly from the sphere of the given radius."""
-    return MeanVector(uniform_sphere_batch(m, radius, 1, rng)[0])
+def uniform_sphere(m: int, radius: float, rng) -> np.ndarray:
+    """A coherent state's mean vector ``(q1, p1, ..., qm, pm)``, a real length-2m array,
+    drawn uniformly from the sphere of the given radius (intensity radius^2 / 2)."""
+    return uniform_sphere_batch(m, radius, 1, rng)[0]
 
 
 def uniform_angles_batch(m: int, size: int, rng) -> np.ndarray:

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cost_functions import check_hamiltonian
 from .linear_optics import GateBlocks, LayeredCircuit
-from .phase_space import MeanVector, as_mean_vector
+from .validation import check_same_modes
 
 COST_FAMILIES = ("compiling", "quadratic")
 # From pi * 2^52 on, theta / pi has no fractional bits and adjacent doubles lie
@@ -77,25 +78,42 @@ class NonFiniteCostError(RuntimeError):
         self.theta = np.array(theta, copy=True)
 
 
-class _Objective:
-    """Cost and per-layer analytic gradients for one circuit and input state."""
+def _state(values, m: int, name: str) -> np.ndarray:
+    """A frozen float copy of ``values``, checked to be exactly 2m finite reals in one
+    row: a (2, m) array of q's and p's would otherwise read as interleaved pairs."""
+    arr = np.array(values, dtype=float)
+    if arr.shape != (2 * m,):
+        raise ValueError(f"{name} must be a vector of 2m = {2 * m} reals for the circuit's {m} modes, "
+                         f"got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} entries must be finite")
+    arr.flags.writeable = False
+    return arr
 
-    def __init__(self, circuit: LayeredCircuit, family: str, u: MeanVector,
+
+class _Objective:
+    """Cost and per-layer analytic gradients for one circuit and input state; the
+    one place where the trainer's arguments are checked (``train``)."""
+
+    def __init__(self, circuit: LayeredCircuit, family: str, u,
                  hamiltonian=None, target=None):
         if family not in COST_FAMILIES:
             raise ValueError(f"unknown cost family {family!r}; expected one of {COST_FAMILIES}")
         self.circuit = circuit
         self.family = family
-        self.u = as_mean_vector(u)
-        if self.u.m != circuit.m:
-            raise ValueError(f"state has {self.u.m} modes but circuit acts on {circuit.m}")
+        self.u = _state(u, circuit.m, "u")
         if family == "quadratic":
             if hamiltonian is None:
                 raise ValueError("the quadratic family needs a Hamiltonian")
-            self.ham = hamiltonian
+            if target is not None:
+                raise ValueError("the quadratic family takes no target")
+            self.ham = check_hamiltonian(hamiltonian, "hamiltonian")
+            check_same_modes(self.ham.m, circuit.m, "hamiltonian and circuit")
         else:
-            self.target = as_mean_vector(target) if target is not None else self.u
-            self._e_total = self.u.intensity() + self.target.intensity()
+            if hamiltonian is not None:
+                raise ValueError("the compiling family takes no hamiltonian")
+            self.target = self.u if target is None else _state(target, circuit.m, "target")
+            self._e_total = float(self.u @ self.u) / 2 + float(self.target @ self.target) / 2
         self._gates = GateBlocks(circuit.gens)
 
     def forward(self, theta) -> tuple:
@@ -109,7 +127,7 @@ class _Objective:
             raise ValueError(f"circuit parameters beyond {MAX_ANGLE:.3e} carry no angle")
         gates = self._gates.at(theta)
         states = np.empty((len(gates) + 1, self.circuit.m), dtype=np.complex128)
-        states[0] = self.u.values.view(np.complex128)
+        states[0] = self.u.view(np.complex128)
         for l, (unitary, modes, gate) in enumerate(zip(self.circuit.unitaries, self._gates.modes, gates)):
             z = states[l].copy()
             z[modes] = z[modes].dot(gate)
@@ -123,7 +141,7 @@ class _Objective:
         cols = np.empty_like(states)  # cols[l]: conj of the column after layer l's gate
 
         if self.family == "compiling":
-            n = self.target.values
+            n = self.target
             diff = w - n
             cost = -math.expm1(-0.5 * float(diff @ diff))
             # y_l . b_l = w . n on every layer, since the circuit is orthogonal
@@ -143,7 +161,7 @@ class _Objective:
         return cost, scale * self._gates.bilinear(states, cols)
 
 
-def layer_gradients(circuit: LayeredCircuit, family: str, u: MeanVector,
+def layer_gradients(circuit: LayeredCircuit, family: str, u,
                     hamiltonian=None, target=None) -> np.ndarray:
     """Analytic gradient of the chosen cost with respect to every layer parameter,
     at the circuit's current parameters."""
@@ -152,9 +170,17 @@ def layer_gradients(circuit: LayeredCircuit, family: str, u: MeanVector,
     return grads
 
 
-def train(circuit: LayeredCircuit, cost_family: str, u: MeanVector,
+def train(circuit: LayeredCircuit, cost_family: str, u,
           config: TrainConfig, hamiltonian=None, target=None) -> list:
     """Gradient descent from the circuit's current parameters.
+
+    ``u`` is the input coherent state as a real length-2m array
+    ``(q1, p1, ..., qm, pm)``.  The compiling family compares the output with
+    ``target`` (the input itself by default) and takes no ``hamiltonian``; the
+    quadratic family takes a ``QuadraticHamiltonian`` on the circuit's modes and
+    no ``target``.  All are checked once, before any evaluation: ``u`` and
+    ``target`` become frozen copies, each a vector of exactly 2m finite reals, and a
+    bad argument raises a TypeError or ValueError naming it.
 
     Returns one TrainRecord per accepted iterate (including the starting
     point); stops when the gradient norm drops to ``config.tol`` or after

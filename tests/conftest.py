@@ -16,9 +16,9 @@ trainer's gates, its complex-mode adjoint pass and that contraction.
 ``mp_gate`` is a high-precision reference for a custom gate.  They validate
 nothing.
 
-``symplectic_form``, ``overlap_fidelity``, ``toy_cost`` and ``uniform_angles``
-are small reference functions that no package code calls; they live here as
-oracles for the tests that pin the conventions.  ``every_kind(m)`` lists a
+``symplectic_form``, ``intensity``, ``overlap_fidelity``, ``toy_cost`` and
+``uniform_angles`` are small reference functions that no package code calls;
+they live here as oracles for the tests that pin the conventions.  ``every_kind(m)`` lists a
 generator of each standard kind on m modes, two-mode gates both ways round,
 and a custom one, for the tests that sweep gate kinds.
 
@@ -55,7 +55,6 @@ from scipy.linalg import expm
 from linopt_bp import GeneratorPair, LayeredCircuit, LogScaled, bessel_i, intensity_law, make_generator
 from linopt_bp import cost_functions as cf
 from linopt_bp.estimators import CHUNK_SIZE
-from linopt_bp.phase_space import as_mean_vector
 from linopt_bp.sampling import as_source, uniform_angles_batch
 from linopt_bp.validation import check_same_modes
 
@@ -71,16 +70,21 @@ def symplectic_form(m: int) -> np.ndarray:
     return out
 
 
+def intensity(u) -> float:
+    """Total mean photon number |u|^2 / 2 of the state with real mean vector u."""
+    return float(u @ u) / 2
+
+
 def overlap_fidelity(u, v) -> float:
-    """Squared overlap |<u|v>|^2 = exp(-|u - v|^2 / 2) of two coherent states.
+    """Squared overlap |<u|v>|^2 = exp(-|u - v|^2 / 2) of two coherent states,
+    given as real mean vectors of length 2m.
 
     Symmetric in its arguments, equals 1 exactly when u = v, and is invariant
     under a common orthogonal transformation of both states.
     """
-    u = as_mean_vector(u)
-    v = as_mean_vector(v)
-    check_same_modes(u.m, v.m, "overlap arguments")
-    diff = u.values - v.values
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    check_same_modes(u.size // 2, v.size // 2, "overlap arguments")
+    diff = u - v
     return float(np.exp(-0.5 * float(diff @ diff)))
 
 
@@ -367,7 +371,7 @@ def split_action(circuit, split: int, theta=None) -> tuple:
 
 def measurement_cost(u, n, o_minus, o_plus) -> float:
     """Overlap cost 1 - |<u T | n>|^2 = -expm1(-|u T - n|^2 / 2), T = O_minus O_plus."""
-    diff = u.values @ (o_minus @ o_plus) - n.values
+    diff = u @ (o_minus @ o_plus) - n
     return -math.expm1(-0.5 * float(diff @ diff))
 
 
@@ -390,7 +394,7 @@ def overlap_grad(y, gen, b, e_total: float) -> float:
 
 def measurement_grad(u, n, gen, o_minus, o_plus) -> float:
     """Split-layer overlap gradient with y = u O_minus and b = O_plus n^T."""
-    return overlap_grad(u.values @ o_minus, gen, n.values @ o_plus.T, u.intensity() + n.intensity())
+    return overlap_grad(u @ o_minus, gen, n @ o_plus.T, intensity(u) + intensity(n))
 
 
 def compiling_grad(u, gen, o_minus, o_plus) -> float:
@@ -399,14 +403,14 @@ def compiling_grad(u, gen, o_minus, o_plus) -> float:
 
 def quadratic_cost(u, ham, o_minus, o_plus) -> float:
     """Mean energy (u T) eta (u T)^T + tr(eta)/2 of the circuit output state."""
-    w = u.values @ (o_minus @ o_plus)
+    w = u @ (o_minus @ o_plus)
     return float(w @ ham.eta @ w) + 0.5 * float(np.trace(ham.eta))
 
 
 def quadratic_grad(u, gen, ham, o_minus, o_plus) -> float:
     """Split-layer quadratic gradient w [D_k, eta~] w^T = 2 w D_k (eta~ w^T), w = u O_minus."""
     eta_tilde = o_plus @ ham.eta @ o_plus.T
-    w = u.values @ o_minus
+    w = u @ o_minus
     return 2.0 * bilinear(gen, w, w @ eta_tilde)
 
 

@@ -13,7 +13,6 @@ import pytest
 
 from linopt_bp import (
     GeneratorPair,
-    MeanVector,
     QuadraticHamiltonian,
     RandomSource,
     TrainConfig,
@@ -212,7 +211,7 @@ def test_criterion_06_gradient_correctness():
         circ = circ.with_theta(gen.uniform(-math.pi, math.pi, depth))
         direction = gen.standard_normal(2 * m)
         direction /= np.linalg.norm(direction)
-        u = MeanVector(math.sqrt(2 * float(gen.uniform(0.2, 2.0))) * direction)
+        u = math.sqrt(2 * float(gen.uniform(0.2, 2.0))) * direction
         o_minus, o_plus = split_action(circ, k)
         analytic = compiling_grad(u, circ.gens[k - 1], o_minus, o_plus)
         if abs(analytic) < floor:
@@ -233,7 +232,7 @@ def test_criterion_06_gradient_correctness():
         ham = QuadraticHamiltonian(a @ a.T / (2 * m))
         direction = gen.standard_normal(2 * m)
         direction /= np.linalg.norm(direction)
-        u = MeanVector(math.sqrt(2 * float(gen.uniform(0.2, 2.0))) * direction)
+        u = math.sqrt(2 * float(gen.uniform(0.2, 2.0))) * direction
         o_minus, o_plus = split_action(circ, k)
         analytic = quadratic_grad(u, circ.gens[k - 1], ham, o_minus, o_plus)
         if abs(analytic) < floor:

@@ -32,7 +32,6 @@ EXPORTS = [
     "GeneratorPair",
     "LayeredCircuit",
     "LogScaled",
-    "MeanVector",
     "MeasurementGradientFamily",
     "MomentEstimate",
     "MomentInterval",

@@ -479,7 +479,7 @@ _NO_SCIPY_RUN = """
 import sys
 sys.modules["scipy"] = None  # every import of scipy or a submodule now raises ImportError
 import numpy as np
-from linopt_bp import GeneratorPair, LayeredCircuit, MeanVector, make_generator
+from linopt_bp import GeneratorPair, LayeredCircuit, make_generator
 from linopt_bp.cli import main
 from linopt_bp.linear_optics import GateBlocks
 from linopt_bp.trainer import layer_gradients
@@ -489,7 +489,7 @@ custom = GeneratorPair.from_symmetric(eps)
 gate = GateBlocks([custom]).at([0.7])[0]
 assert np.allclose(gate, np.diag(np.exp([-0.7j, -2.1j])), rtol=0, atol=1e-15)
 circuit = LayeredCircuit([custom, make_generator("beamsplitter", (0, 1), 2)], [np.eye(2), np.eye(2)], [0.3, -0.4])
-grads = layer_gradients(circuit, "compiling", MeanVector([1.0, 0.0, 0.0, 0.5]))
+grads = layer_gradients(circuit, "compiling", np.array([1.0, 0.0, 0.0, 0.5]))
 assert grads.shape == (2,) and np.all(np.isfinite(grads)) and np.any(grads != 0.0)
 assert main(["train", "--m", "4", "--layers", "6", "--max-iters", "2", "--output", sys.argv[1]]) == 0
 print("ok")

@@ -5,7 +5,6 @@ import pytest
 
 from linopt_bp import (
     GeneratorPair,
-    MeanVector,
     QuadraticHamiltonian,
     RandomSource,
     attenuated_intensity,
@@ -119,14 +118,14 @@ class TestToyClosedForm:
 
 class TestCompilingCost:
     def test_identity_circuit(self):
-        u = MeanVector([1.0, 0.5, -0.2, 0.0])
+        u = np.array([1.0, 0.5, -0.2, 0.0])
         eye = np.eye(4)
         assert compiling_cost(u, eye, eye) == 0.0
 
     def test_rotation_by_pi(self):
         # T = -I gives |u(I - T)|^2 = 4 |u|^2 = 8E, cost 1 - e^{-4E}
         energy = 0.7
-        u = MeanVector([math.sqrt(2 * energy), 0.0])
+        u = np.array([math.sqrt(2 * energy), 0.0])
         gen = make_generator("phase-shifter", (0,), 1)
         t = dense_gate(gen, math.pi)
         assert compiling_cost(u, np.eye(2), t) == pytest.approx(
@@ -137,24 +136,24 @@ class TestCompilingCost:
         # a 1e-10 rad rotation moves u by 1e-10: 1 - exp(-x/2) would round the
         # cost to 0, -expm1(-x/2) keeps it; conftest's finite-difference oracle
         # goes through this cost
-        u = MeanVector([1.0, 0.0])
+        u = np.array([1.0, 0.0])
         t = dense_gate(make_generator("phase-shifter", (0,), 1), 1e-10)
-        diff = u.values @ t - u.values
+        diff = u @ t - u
         assert float(diff @ diff) == pytest.approx(1e-20, rel=1e-15, abs=0.0)
         assert compiling_cost(u, np.eye(2), t) == pytest.approx(5e-21, rel=1e-15, abs=0.0)
 
     def test_chains_through_overlap(self):
         gen = RandomSource(14).generator()
-        u = MeanVector(gen.standard_normal(6))
+        u = gen.standard_normal(6)
         o_minus = haar_orthogonal_batch(3, 1, gen)[0]
         o_plus = haar_orthogonal_batch(3, 1, gen)[0]
-        expected = 1.0 - overlap_fidelity(u, MeanVector(u.values @ (o_minus @ o_plus)))
+        expected = 1.0 - overlap_fidelity(u, u @ (o_minus @ o_plus))
         assert compiling_cost(u, o_minus, o_plus) == pytest.approx(expected, rel=1e-12)
 
     def test_bounds(self):
         gen = RandomSource(15).generator()
         for _ in range(30):
-            u = MeanVector(gen.standard_normal(4))
+            u = gen.standard_normal(4)
             c = compiling_cost(u, haar_orthogonal_batch(2, 1, gen)[0], haar_orthogonal_batch(2, 1, gen)[0])
             assert 0.0 <= c <= 1.0
 
@@ -162,16 +161,16 @@ class TestCompilingCost:
 class TestMeasurementCost:
     def test_reached_target_is_free(self):
         gen = RandomSource(16).generator()
-        u = MeanVector(gen.standard_normal(4))
+        u = gen.standard_normal(4)
         o_minus = haar_orthogonal_batch(2, 1, gen)[0]
         o_plus = haar_orthogonal_batch(2, 1, gen)[0]
-        n = MeanVector(u.values @ (o_minus @ o_plus))
+        n = u @ (o_minus @ o_plus)
         assert measurement_cost(u, n, o_minus, o_plus) == pytest.approx(0.0, abs=1e-12)
 
     def test_vacuum_target_is_circuit_independent(self):
         e0 = 1.3
-        u = MeanVector([math.sqrt(2 * e0), 0.0, 0.0, 0.0])
-        n = MeanVector(np.zeros(2 * 2))
+        u = np.array([math.sqrt(2 * e0), 0.0, 0.0, 0.0])
+        n = np.zeros(2 * 2)
         gen = RandomSource(17).generator()
         vals = [
             measurement_cost(u, n, haar_orthogonal_batch(2, 1, gen)[0], haar_orthogonal_batch(2, 1, gen)[0])
@@ -181,7 +180,7 @@ class TestMeasurementCost:
 
     def test_reduces_to_compiling(self):
         gen = RandomSource(18).generator()
-        u = MeanVector(gen.standard_normal(6))
+        u = gen.standard_normal(6)
         o_minus = haar_orthogonal_batch(3, 1, gen)[0]
         o_plus = haar_orthogonal_batch(3, 1, gen)[0]
         assert measurement_cost(u, u, o_minus, o_plus) == compiling_cost(u, o_minus, o_plus)
@@ -210,11 +209,11 @@ class TestQuadraticCost:
         m = 3
         ham = QuadraticHamiltonian(np.eye(2 * m))
         eye = np.eye(2 * m)
-        assert quadratic_cost(MeanVector(np.zeros(2 * m)), ham, eye, eye) == pytest.approx(float(m))
+        assert quadratic_cost(np.zeros(2 * m), ham, eye, eye) == pytest.approx(float(m))
 
     def test_zero_hamiltonian(self):
         ham = QuadraticHamiltonian(np.zeros((4, 4)))
-        u = MeanVector([1.0, 2.0, 3.0, 4.0])
+        u = np.array([1.0, 2.0, 3.0, 4.0])
         assert quadratic_cost(u, ham, np.eye(4), np.eye(4)) == 0.0
 
     def test_psd_validation(self):
@@ -229,7 +228,7 @@ class TestQuadraticCost:
         a = np.eye(4)
         ham = QuadraticHamiltonian(a)
         assert a.flags.writeable and ham.eta is not a and not ham.eta.flags.writeable
-        u = MeanVector([1.0, 2.0, 3.0, 4.0])
+        u = np.array([1.0, 2.0, 3.0, 4.0])
         before = quadratic_cost(u, ham, np.eye(4), np.eye(4))
         a[0, 0] = 5.0
         assert quadratic_cost(u, ham, np.eye(4), np.eye(4)) == before
@@ -240,7 +239,7 @@ class TestQuadraticCost:
         a = gen.standard_normal((6, 6))
         ham = QuadraticHamiltonian(a @ a.T / 6)
         for _ in range(20):
-            u = MeanVector(gen.standard_normal(6))
+            u = gen.standard_normal(6)
             c = quadratic_cost(u, ham, haar_orthogonal_batch(3, 1, gen)[0], haar_orthogonal_batch(3, 1, gen)[0])
             assert c >= 0.0
 
@@ -297,7 +296,7 @@ class TestGradientFiniteDifferences:
         energy = float(gen.uniform(0.2, 2.0))
         direction = gen.standard_normal(2 * m)
         direction /= np.linalg.norm(direction)
-        u = MeanVector(math.sqrt(2 * energy) * direction)
+        u = math.sqrt(2 * energy) * direction
         return circ, u, k
 
     @pytest.mark.parametrize("m", [1, 2, 4, 8])
@@ -329,7 +328,7 @@ class TestGradientFiniteDifferences:
         m = 3
         for _ in range(15):
             circ, u, k = self._random_instance(gen, m, depth=4)
-            target = MeanVector(gen.standard_normal(2 * m))
+            target = gen.standard_normal(2 * m)
             o_minus, o_plus = split_action(circ, k)
             gen_k = circ.gens[k - 1]
             analytic = measurement_grad(u, target, gen_k, o_minus, o_plus)
@@ -337,11 +336,11 @@ class TestGradientFiniteDifferences:
             assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-11)
 
     def test_trivial_zero_gradients(self):
-        u = MeanVector(np.zeros(2 * 2))
+        u = np.zeros(2 * 2)
         gen_k = make_generator("beamsplitter", (0, 1), 2)
         eye = np.eye(4)
         assert compiling_grad(u, gen_k, eye, eye) == 0.0
-        u2 = MeanVector([1.0, 0.0, 0.0, 0.0])
+        u2 = np.array([1.0, 0.0, 0.0, 0.0])
         assert compiling_grad(u2, GeneratorPair.from_symmetric(np.zeros((4, 4))), eye, eye) == 0.0
 
     def test_quadratic_gradient_matches_dense_kernel(self):
@@ -350,9 +349,9 @@ class TestGradientFiniteDifferences:
         gen = RandomSource(302).generator()
         a = gen.standard_normal((2 * m, 2 * m))
         ham = QuadraticHamiltonian(a @ a.T / (2 * m))
-        u = MeanVector(gen.standard_normal(2 * m))
+        u = gen.standard_normal(2 * m)
         o_minus, o_plus = haar_orthogonal_batch(m, 1, gen)[0], haar_orthogonal_batch(m, 1, gen)[0]
-        w = u.values @ o_minus
+        w = u @ o_minus
         eta_tilde = o_plus @ ham.eta @ o_plus.T
         custom = GeneratorPair.from_symmetric(
             0.7 * dense_eps(make_generator("beamsplitter", (0, 3), m))

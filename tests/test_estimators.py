@@ -8,7 +8,6 @@ import pytest
 
 from linopt_bp import (
     GeneratorPair,
-    MeanVector,
     QuadraticHamiltonian,
     RandomSource,
     attenuated_intensity,
@@ -30,8 +29,8 @@ from linopt_bp.estimators import (
     ToyGradientFamily,
 )
 
-from conftest import (assert_within_sigma, bk_matrix, dense_d, every_kind, measurement_grad, one_shot_sphere,
-                      quadratic_grad, tail_frequency, toy_gradients)
+from conftest import (assert_within_sigma, bk_matrix, dense_d, every_kind, intensity, measurement_grad,
+                      one_shot_sphere, quadratic_grad, tail_frequency, toy_gradients)
 
 
 def _toy():
@@ -366,8 +365,8 @@ class TestSphereSampling:
 
     def _instance(self, m=3):
         gen = RandomSource(31).generator()
-        u = MeanVector(gen.standard_normal(2 * m))
-        n = MeanVector(0.7 * gen.standard_normal(2 * m))
+        u = gen.standard_normal(2 * m)
+        n = 0.7 * gen.standard_normal(2 * m)
         bs = make_generator("beamsplitter", (0, 1), m)
         a = gen.standard_normal((2 * m, 2 * m))
         ham = QuadraticHamiltonian(a @ a.T / (2 * m))
@@ -383,9 +382,9 @@ class TestSphereSampling:
             monkeypatch.setattr(sampling, name, forbidden)
             monkeypatch.setattr(estimators, name, forbidden, raising=False)
         families = [
-            MeasurementGradientFamily(bs, u.intensity(), u.intensity()),
-            MeasurementGradientFamily(bs, u.intensity(), n.intensity()),
-            QuadraticGradientFamily(bs, u.intensity(), ham_tilde),
+            MeasurementGradientFamily(bs, intensity(u), intensity(u)),
+            MeasurementGradientFamily(bs, intensity(u), intensity(n)),
+            QuadraticGradientFamily(bs, intensity(u), ham_tilde),
         ]
         for family in families:
             x = family.sample_gradients(64, RandomSource(32).generator())
@@ -402,12 +401,12 @@ class TestSphereSampling:
         cases = [
             (
                 "measurement",
-                MeasurementGradientFamily(bs, u.intensity(), n.intensity()),
+                MeasurementGradientFamily(bs, intensity(u), intensity(n)),
                 [measurement_grad(u, n, bs, om, op) for om, op in zip(o_minus, o_plus_draws)],
             ),
             (
                 "quadratic",
-                QuadraticGradientFamily(bs, u.intensity(), ham_tilde),
+                QuadraticGradientFamily(bs, intensity(u), ham_tilde),
                 [quadratic_grad(u, bs, ham, om, o_plus) for om in o_minus],
             ),
         ]
@@ -433,9 +432,9 @@ class TestStreamedChunks:
 
     def _measurement(self, kind, modes, m=M):
         gen = RandomSource(41).generator()
-        u = MeanVector(gen.standard_normal(2 * m) / math.sqrt(m))
-        n = MeanVector(0.7 * gen.standard_normal(2 * m) / math.sqrt(m))
-        e0, e1 = u.intensity(), n.intensity()
+        u = gen.standard_normal(2 * m) / math.sqrt(m)
+        n = 0.7 * gen.standard_normal(2 * m) / math.sqrt(m)
+        e0, e1 = intensity(u), intensity(n)
         if kind == "graded":  # acceptance C2b's full-support block, unequal weights
             pair = GeneratorPair.from_symmetric(np.diag(np.repeat(0.5 * (1.0 + np.arange(m)) / m, 2)))
         else:

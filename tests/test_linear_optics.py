@@ -8,7 +8,6 @@ from scipy.linalg import expm
 from linopt_bp import (
     GeneratorPair,
     LayeredCircuit,
-    MeanVector,
     RandomSource,
     make_generator,
     random_circuit,
@@ -90,11 +89,14 @@ class TestGenerators:
         ("two-mode-phase", (2, 2), "[2, 2]"),
         ("beamsplitter", (3, 0), "[0, 3]"),
         ("beamsplitter", (1, 1), "[1, 1]"),
+        ("beamsplitter", (-1, 2**63), "[-1, 9223372036854775808]"),
     ], ids=["phase-shifter-outside", "phase-shifter-negative", "two-mode-phase-outside",
-            "two-mode-phase-repeated", "beamsplitter-outside-reversed", "beamsplitter-repeated"])
+            "two-mode-phase-repeated", "beamsplitter-outside-reversed", "beamsplitter-repeated",
+            "beamsplitter-past-int64"])
     def test_standard_gate_modes_checked_by_generator_pair(self, kind, modes, got):
         # make_generator leaves the modes to GeneratorPair, so an out-of-range or a
-        # repeated mode gets its message, with the modes sorted
+        # repeated mode gets its message, with the modes sorted and shown as given
+        # (numpy reads -1 and 2**63 together as floats)
         message = f"modes must be ascending, distinct and inside the 3 modes; got {got}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make_generator(kind, modes, 3)
@@ -224,8 +226,8 @@ class TestGateAction:
         gen = make_generator("phase-shifter", (0,), 1)
         theta = 0.7
         alpha = 0.4 - 0.9j
-        u = MeanVector([math.sqrt(2) * alpha.real, math.sqrt(2) * alpha.imag])
-        out = u.values @ dense_gate(gen, theta)
+        u = np.array([math.sqrt(2) * alpha.real, math.sqrt(2) * alpha.imag])
+        out = u @ dense_gate(gen, theta)
         alpha_out = (out[0] + 1j * out[1]) / math.sqrt(2)
         assert alpha_out == pytest.approx(alpha * np.exp(-1j * theta), rel=1e-12)
 

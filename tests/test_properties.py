@@ -16,7 +16,6 @@ from scipy.special import ive  # noqa: E402
 
 from linopt_bp import (  # noqa: E402
     GeneratorPair,
-    MeanVector,
     QuadraticHamiltonian,
     RandomSource,
     bessel_i,
@@ -151,7 +150,7 @@ def test_overlap_costs_invariant_under_common_rotation(m, seed, e0, e1):
     u = uniform_sphere(m, math.sqrt(2 * e0), rng)
     n = uniform_sphere(m, math.sqrt(2 * e1), rng)
     o_minus, o_plus, r = (haar_orthogonal_batch(m, 1, rng)[0] for _ in range(3))
-    u_r, n_r = MeanVector(u.values @ r), MeanVector(n.values @ r)
+    u_r, n_r = u @ r, n @ r
     o_minus_r, o_plus_r = r.T @ o_minus, o_plus @ r
     assert measurement_cost(u_r, n_r, o_minus_r, o_plus_r) == pytest.approx(
         measurement_cost(u, n, o_minus, o_plus), rel=1e-12, abs=1e-14)

@@ -149,7 +149,7 @@ class TestBlockedHaar:
 class TestUniformSphere:
     def test_zero_radius(self):
         y = uniform_sphere(3, 0.0, RandomSource(1))
-        np.testing.assert_array_equal(y.values, np.zeros(6))
+        np.testing.assert_array_equal(y, np.zeros(6))
 
     def test_norm_exact(self):
         ys = uniform_sphere_batch(4, 1.7, 5000, RandomSource(2).generator())

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from linopt_bp import (
     GeneratorPair,
     LayeredCircuit,
-    MeanVector,
     NonFiniteCostError,
     QuadraticHamiltonian,
     RandomSource,
@@ -47,7 +47,7 @@ def _assert_matches_split_kernel(gens, gen, rel):
 class TestTrainBasics:
     def test_already_at_optimum_takes_zero_iterations(self):
         circ = identity_fixed(random_circuit(2, 3, RandomSource(1).generator()))
-        u = MeanVector([1.0, 0.2, -0.5, 0.0])
+        u = np.array([1.0, 0.2, -0.5, 0.0])
         records = train(circ, "compiling", u, TrainConfig(lr=0.5, max_iters=100, tol=1e-12))
         assert len(records) == 1
         assert records[0].iteration == 0
@@ -57,9 +57,9 @@ class TestTrainBasics:
     def test_compiling_cost_resolved_near_optimum(self):
         # 1 - exp(-x/2) would round to 0 here; -expm1(-x/2) keeps full precision
         circ = identity_fixed(random_circuit(2, 3, RandomSource(1).generator()))
-        u = MeanVector([1.0, 0.0, -0.5, 0.0])
-        target = MeanVector([1.0, 1e-10, -0.5, 0.0])
-        dist2 = float(np.sum((u.values - target.values) ** 2))
+        u = np.array([1.0, 0.0, -0.5, 0.0])
+        target = np.array([1.0, 1e-10, -0.5, 0.0])
+        dist2 = float(np.sum((u - target) ** 2))
         assert dist2 == pytest.approx(1e-20, rel=1e-15, abs=0.0)
         config = TrainConfig(lr=0.5, max_iters=0, tol=0.0)
         cost = train(circ, "compiling", u, config, target=target)[0].cost
@@ -86,6 +86,45 @@ class TestTrainBasics:
             TrainConfig(lr=0.0, max_iters=10, tol=0.0)
 
 
+
+class TestTrainArguments:
+    """The trainer checks its state and its family's arguments once, when it takes
+    them: a bad one raises a TypeError or ValueError naming it, not a failure of the
+    first evaluation."""
+
+    @pytest.mark.parametrize("family,u,kwargs,error,message", [
+        ("compiling", [1.0, 2.0, 3.0], {}, ValueError,
+         "u must be a vector of 2m = 6 reals for the circuit's 3 modes, got shape (3,)"),
+        ("compiling", np.ones((2, 3)), {}, ValueError,
+         "u must be a vector of 2m = 6 reals for the circuit's 3 modes, got shape (2, 3)"),
+        ("compiling", [1.0, math.inf, 0.0, 0.0, 0.0, 0.0], {}, ValueError, "u entries must be finite"),
+        ("compiling", None, {"target": np.ones(4)}, ValueError,
+         "target must be a vector of 2m = 6 reals for the circuit's 3 modes, got shape (4,)"),
+        ("compiling", None, {"target": [math.nan] * 6}, ValueError, "target entries must be finite"),
+        ("compiling", None, {"hamiltonian": QuadraticHamiltonian(np.eye(6))}, ValueError,
+         "the compiling family takes no hamiltonian"),
+        ("quadratic", None, {"hamiltonian": QuadraticHamiltonian(np.eye(4))}, ValueError,
+         "hamiltonian and circuit have mismatched mode counts: 2 vs 3"),
+        ("quadratic", None, {"hamiltonian": np.eye(6)}, TypeError,
+         "hamiltonian must be a QuadraticHamiltonian, got ndarray"),
+        ("quadratic", None, {"hamiltonian": QuadraticHamiltonian(np.eye(6)), "target": np.ones(6)}, ValueError,
+         "the quadratic family takes no target"),
+    ], ids=["u-odd-length", "u-two-rows", "u-non-finite", "target-length", "target-non-finite", "compiling-hamiltonian",
+            "hamiltonian-modes", "hamiltonian-bare-array", "quadratic-target"])
+    def test_named_before_evaluation(self, family, u, kwargs, error, message):
+        circ, state = _instance(40, m=3)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            train(circ, family, state if u is None else u, TrainConfig(lr=0.1, max_iters=1, tol=0.0), **kwargs)
+
+    def test_state_is_a_frozen_copy(self):
+        circ, u = _instance(41, m=3)
+        objective = _Objective(circ, "compiling", u)
+        cost = objective.evaluate(circ.theta)[0]
+        u[0] += 1.0
+        assert objective.evaluate(circ.theta)[0] == cost
+        with pytest.raises(ValueError):
+            objective.u[0] = 2.0
+
 class TestTrainerGradients:
     def test_shared_kernel_with_cost_module(self):
         circ, u = _instance(5, m=3, depth=5)
@@ -104,7 +143,7 @@ class TestTrainerGradients:
         for m, depth in ((1, 3), (3, 6), (8, 10)):
             circ, u = _instance(30 + m, m=m, depth=depth)
             _, states = _Objective(circ, "compiling", u).forward(circ.theta)
-            np.testing.assert_allclose(states[-1].view(np.float64), u.values @ orthogonal_action(circ),
+            np.testing.assert_allclose(states[-1].view(np.float64), u @ orthogonal_action(circ),
                                        rtol=0, atol=1e-13)
 
     def test_mixed_generators_match_split_kernel(self):
