@@ -30,14 +30,12 @@ from .special_functions import LogScaled, bessel_i
 from .cost_functions import (
     QuadraticHamiltonian,
     attenuated_intensity,
-    toy_grad,
     toy_log_abs_expectation,
 )
 from .closed_forms import (
     MomentInterval,
     RegimeVerdict,
     chebyshev_bound,
-    classify_noise,
     classify_regime,
     fit_decay,
     heterodyne_prefactor,

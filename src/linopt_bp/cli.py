@@ -15,9 +15,10 @@ train       gradient-descent run emitting an iteration,cost,grad_norm trace
             on a random circuit with Haar U(m) fixed layers; the preamble
             records the step-size backoffs and the final step
 
-The sweeps evaluate their intensity law (for ``noise`` also the layer count
-and E1) once per grid point, then write and classify those values.  ``--law``
-also takes ``list:E1,...``, one intensity per grid point.
+The sweeps evaluate their intensity law in one call over the grid (for
+``noise`` also the layer count and E1 once per grid point), then write and
+classify those values.  ``--law`` and ``--e0-law`` take one grammar, which
+includes ``list:E1,...``, one intensity per grid point.
 
 Every output file embeds the schema string, the full config (JSON) and the
 seed as preamble records, so any file can be reproduced exactly from its own
@@ -27,10 +28,12 @@ more than 2**20 points), 3 numerical failure: a sweep-point moment that is
 exactly zero or underflows to zero, a nonzero prediction of ``toy`` or
 ``prop1`` that rounds to 0.0 in linear scale, a Bessel argument that overflows
 or exceeds ``special_functions.MAX_ARGUMENT`` = 1e12, past which a closed
-form's -4E + log I(4E) would lose about ulp(4E) nats.  A sweep names the first
-such m, and an underflowing prediction its log.  An exact zero at a single
-point (``toy --s 0``, ``prop1 --intensity 0``) is written as 0.0 and exits 0.
-The default output directory is taken from LINOPT_BP_OUTDIR when set.
+form's -4E + log I(4E) would lose about ulp(4E) nats, or a nonzero Monte Carlo
+second moment whose sum of g^4 is 0, subnormal or infinite, so that its
+standard error would read 0.0.  A sweep names the first such m, and an
+underflowing prediction its log.  An exact zero at a single point (``toy --s
+0``, ``prop1 --intensity 0``) is written as 0.0 and exits 0.  The default
+output directory is taken from LINOPT_BP_OUTDIR when set.
 
 Each option is declared once, as a field of its command in ``_COMMANDS``: the
 flag is ``--`` plus the field name with ``_`` written as ``-``, and the field's
@@ -54,8 +57,6 @@ import json
 import math
 import os
 import sys
-
-import numpy as np
 
 from . import __version__
 from . import closed_forms as cforms
@@ -226,25 +227,11 @@ def _parse_layers_law(text):
 
 
 def _sweep_intensities(field, text, grid) -> list:
-    """One intensity per grid point: the law ``text`` evaluated once per point or,
-    for ``law``, an explicit ``list:E1,...``; a negative or non-finite value is a
-    config error."""
+    """The law ``text`` at each grid point; its errors are config errors naming ``field``."""
     try:
-        if field == "law" and text.startswith("list:"):
-            values = [float(s) for s in text[len("list:"):].split(",")]
-        else:
-            law = cforms.intensity_law(text)
-            values = [float(law(np.asarray(float(m)))) for m in grid]
+        return cforms.intensity_law(text, grid)
     except ValueError as exc:
         raise ConfigError(f"{field}: {exc}") from exc
-    if len(values) != len(grid):
-        raise ConfigError(
-            f"{field}: explicit list has {len(values)} entries but the grid has {len(grid)}"
-        )
-    for m, value in zip(grid, values):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ConfigError(f"{field}: intensity {value!r} at m={m} is negative or not finite")
-    return values
 
 
 def _closed_form(fn, *args):
@@ -255,6 +242,15 @@ def _closed_form(fn, *args):
         raise NumericalError(f"closed form: {exc}") from None
     except OverflowError:  # a mode count past the float range (toy, prop1, heterodyne)
         raise NumericalError(f"closed form: {fn.__name__} overflows") from None
+
+
+def _estimate(family, cfg, source) -> est.MomentEstimate:
+    """The family's Monte Carlo moments over ``cfg``'s samples and jobs; a moment with
+    no representable error bar is a numerical failure."""
+    try:
+        return est.estimate_grad_moments(family, cfg["samples"], source, cfg["jobs"])
+    except ValueError as exc:
+        raise NumericalError(f"Monte Carlo: {exc}") from None
 
 
 def _linear(pred, what) -> float:
@@ -281,10 +277,9 @@ def _radius(energy) -> float:
 
 
 def _run_toy(cfg) -> tuple:
-    m, s, samples = cfg["m"], cfg["s"], cfg["samples"]
+    m, s = cfg["m"], cfg["s"]
     closed = _linear(_closed_form(cf.toy_log_abs_expectation, s, m), "closed form")
-    family = est.ToyGradientFamily(m=m, s=s)
-    moments = est.estimate_grad_moments(family, samples, RandomSource(cfg["seed"]), cfg["jobs"])
+    moments = _estimate(est.ToyGradientFamily(m=m, s=s), cfg, RandomSource(cfg["seed"]))
     rows = [
         [m, s, "closed_form", _finite(closed, "closed form"), 0.0],
         [m, s, "mc", _finite(moments.mean_abs, "MC mean"), moments.std_error_mean_abs],
@@ -303,13 +298,12 @@ def _prop1_generator(cfg, m):
 
 
 def _run_prop1(cfg) -> tuple:
-    m, energy, samples = cfg["m"], cfg["intensity"], cfg["samples"]
+    m, energy = cfg["m"], cfg["intensity"]
     gen = _prop1_generator(cfg, m)
     xi_min, xi_max = cforms.xi_bounds(gen)
     interval = _closed_form(cforms.second_moment_interval, gen, energy)
     pred_lo, pred_hi = _linear(interval.lo, "pred_lo"), _linear(interval.hi, "pred_hi")
-    family = est.MeasurementGradientFamily(gen, energy, energy)
-    moments = est.estimate_grad_moments(family, samples, RandomSource(cfg["seed"]), cfg["jobs"])
+    moments = _estimate(est.MeasurementGradientFamily(gen, energy, energy), cfg, RandomSource(cfg["seed"]))
     rows = [[
         m,
         energy,
@@ -326,7 +320,7 @@ def _run_prop1(cfg) -> tuple:
 
 
 def _run_prop2(cfg) -> tuple:
-    m, energy, samples = cfg["m"], cfg["intensity"], cfg["samples"]
+    m, energy = cfg["m"], cfg["intensity"]
     source = RandomSource(cfg["seed"])
     inst = source.substream(INSTANCE_STREAM)
     dim = 2 * m
@@ -336,8 +330,7 @@ def _run_prop2(cfg) -> tuple:
     ham = cf.QuadraticHamiltonian(o_plus @ (a @ a.T / dim) @ o_plus.T)  # eta~ = o_plus eta o_plus^T
     _radius(energy)  # the family draws w on the sphere of radius sqrt(2E)
     pred = _closed_form(cforms.quadratic_second_moment, gen, energy, ham)
-    family = est.QuadraticGradientFamily(gen, energy, ham)
-    moments = est.estimate_grad_moments(family, samples, source, cfg["jobs"])
+    moments = _estimate(est.QuadraticGradientFamily(gen, energy, ham), cfg, source)
     rows = [[m, energy, _finite(pred, "prediction"),
              _finite(moments.second_moment, "MC second moment"),
              moments.std_error_second]]
@@ -355,8 +348,7 @@ def _run_heterodyne(cfg) -> tuple:
         gen = make_generator("global-phase", (), m)
         for energy in (e0, e1):  # at E1 = 0 the closed form is an exact zero at any E0
             _radius(energy)
-        family = est.MeasurementGradientFamily(gen, e0, e1)
-        moments = est.estimate_grad_moments(family, samples, RandomSource(cfg["seed"]), cfg["jobs"])
+        moments = _estimate(est.MeasurementGradientFamily(gen, e0, e1), cfg, RandomSource(cfg["seed"]))
         row += [_finite(moments.second_moment, "MC second moment"), moments.std_error_second]
         columns += ["mc_second_moment", "mc_stderr"]
         extra["estimate"] = dataclasses.asdict(moments)
@@ -378,7 +370,7 @@ def _run_noise(cfg) -> tuple:
         e1s = [cf.attenuated_intensity(e0, k, n) for e0, n in zip(e0s, layer_counts)]
     except OverflowError:
         raise ConfigError(f"layers_law: {cfg['layers_law']!r} gives a layer count beyond the float range") from None
-    verdict = _closed_form(cforms.classify_noise, grid, e0s, e1s)
+    verdict = _closed_form(cforms.classify_regime, grid, e0s, e1s)
     rows = [list(row) for row in zip(grid, e0s, layer_counts, e1s, verdict.log_values)]
     extra = {"verdict": verdict.verdict, "fit_slope": verdict.slope}
     return ["m", "e0", "n_layers", "e1", "log_prefactor"], rows, extra
@@ -388,7 +380,7 @@ def _run_regimes(cfg) -> tuple:
     grid = _parse_m_grid(cfg["m_grid"])
     law = cfg["law"]
     energies = _sweep_intensities("law", law, grid)
-    verdict = _closed_form(cforms.classify_regime, grid, energies)
+    verdict = _closed_form(cforms.classify_regime, grid, energies, energies)
     rows = [list(row) for row in zip(grid, energies, verdict.log_values)]
     extra = {"law": law, "verdict": verdict.verdict, "fit_slope": verdict.slope}
     return ["m", "E", "log_moment"], rows, extra
@@ -457,7 +449,8 @@ _COMMANDS = {name: (help_line, run, fields + _SHARED) for name, help_line, run, 
     )),
     ("noise", "attenuation sweep with regime verdict", _run_noise, (
         _Field("m_grid", str, "4:64:4"),
-        _Field("e0_law", str, "power:1,0.5", "intensity law for E0, e.g. power:1,0.5"),
+        _Field("e0_law", str, "power:1,0.5",
+               "intensity law for E0, e.g. power:1,0.5, or list:E1,E2,... over the grid"),
         _Field("k", float, 0.9, "attenuation factor in (0,1)"),
         _Field("layers_law", str, "linear:1", "linear:a | sqrt | const:L"),
     )),

@@ -16,18 +16,18 @@ obtained by evaluating the underlying sphere integral in polar coordinates
 (the skew symmetry of D_k kills the polar-axis coordinate, leaving an
 I_m kernel).  ``heterodyne_prefactor`` is the one implementation of pref.
 The compiling cost is its equal-intensity case, pref(m, E, E) =
-exp(-4E) Gamma(m) I_m(4E) / (2 (2E)^(m-2)), which ``second_moment_point``,
-``second_moment_interval`` and ``classify_regime`` evaluate as
-``heterodyne_prefactor(m, E, E)``.  Since the mean squared column norm lies
-between the extreme squared column norms xi_min and xi_max, the moment
-always falls inside ``pref * [xi_min, xi_max]``, collapsing to a point
-prediction for generators with equal column norms.  This prefactor is the
-exact moment: Monte Carlo agrees with it, and at m = 1 it matches direct
-quadrature.  The gate enters only through the column norms of D_k, so these
-functions take its validated ``GeneratorPair`` (m is ``gen.m``) and read the
-norms from its complex block ``gen.dc``: both real columns of mode b have
-the squared norm ``sum_a |dc_ab|^2``, so ``|D_k|_F^2 = 2 sum |dc|^2``; the
-columns off the support are zero.
+exp(-4E) Gamma(m) I_m(4E) / (2 (2E)^(m-2)), which ``second_moment_point``
+and ``second_moment_interval`` evaluate as ``heterodyne_prefactor(m, E, E)``.
+Since the mean squared column norm lies between the extreme squared column
+norms xi_min and xi_max, the moment always falls inside
+``pref * [xi_min, xi_max]``, collapsing to a point prediction for generators
+with equal column norms.  This prefactor is the exact moment: Monte Carlo
+agrees with it, and at m = 1 it matches direct quadrature.  The gate enters
+only through the column norms of D_k, so these functions take its validated
+``GeneratorPair`` (m is ``gen.m``) and read the norms from its complex block
+``gen.dc``: both real columns of mode b have the squared norm
+``sum_a |dc_ab|^2``, so ``|D_k|_F^2 = 2 sum |dc|^2``; the columns off the
+support are zero.
 
 For the quadratic family the gradient is ``w [D_k, eta~] w^T`` with
 w = u O_minus uniform on the sphere of radius |u| = sqrt(2E), and eta~ the
@@ -47,9 +47,11 @@ T = dc S + S dc^T symmetric, and its second moment over O_minus is exactly
 
 Regime classification fits the log of the closed-form moment against the mode
 count with basis {1, m, sqrt(m), log m} (``fit_decay``) and declares a barren
-plateau when the coefficient of m falls below ``SLOPE_THRESHOLD``.  The
-classifiers take the intensity at each grid point, not a law, and return a
-``RegimeVerdict``: the verdict, that coefficient and the fitted log moments.
+plateau when the coefficient of m falls below ``SLOPE_THRESHOLD``.
+``intensity_law`` turns a law string into the intensity at each grid point, and
+``classify_regime`` takes the input and output intensities there, fits
+``heterodyne_prefactor(m, E0, E1)`` and returns a ``RegimeVerdict``: the
+verdict, that coefficient and the fitted log moments.
 For intensities scaling linearly, E = a(m-1), the coefficient approaches the
 closed-form rate
 
@@ -61,7 +63,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -85,7 +86,6 @@ __all__ = [
     "RegimeVerdict",
     "fit_decay",
     "classify_regime",
-    "classify_noise",
     "SLOPE_THRESHOLD",
 ]
 
@@ -206,43 +206,49 @@ def linear_intensity_rate(a: float) -> float:
 # -- intensity-law grammar --------------------------------------------------
 
 _LAW_RE = re.compile(r"^(constant|power|linear|expdecay|logpower):([-\d.,eE+]+)$")
+_LAWS = {  # name -> (parameter count, intensity at a mode count m held as a 0-d array)
+    "constant": (1, lambda m, e: e),
+    "linear": (1, lambda m, a: a * m),
+    "power": (2, lambda m, a, r: a * m ** r),
+    "expdecay": (2, lambda m, a, b: a * b ** -m),
+    "logpower": (2, lambda m, a, r: a * np.log(m) * m ** r),
+}
 
 
-def intensity_law(spec: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Parse an intensity scaling law into a vectorized function of m.
+def intensity_law(spec: str, m_grid) -> list:
+    """The intensity of the law ``spec`` at each mode count of ``m_grid``, as floats.
 
-    Grammar: ``constant:E`` | ``power:a,r`` (E = a m^r) | ``linear:a`` |
-    ``expdecay:a,b`` (E = a b^-m) | ``logpower:a,r`` (E = a log(m) m^r).
+    Grammar: ``constant:E`` | ``power:a,r`` (E = a m^r) | ``linear:a`` (E = a m) |
+    ``expdecay:a,b`` (E = a b^-m, b > 1) | ``logpower:a,r`` (E = a log(m) m^r) |
+    ``list:E1,...`` (one intensity per grid point).  A formula is evaluated at one
+    0-d array per point, since numpy's whole-array power can round differently.
+    A spec that does not parse, a list of the wrong length, and an intensity that
+    is negative or not finite are ValueErrors.
     """
-    match = _LAW_RE.match(str(spec).strip())
-    if not match:
-        raise ValueError(
-            f"cannot parse intensity law {spec!r}; expected constant:E, power:a,r, "
-            "linear:a, expdecay:a,b or logpower:a,r"
-        )
-    name, arg_text = match.groups()
-    args = [float(s) for s in arg_text.split(",")]
-
-    def _nargs(n):
-        if len(args) != n:
-            raise ValueError(f"law {name!r} takes {n} parameter(s), got {len(args)}")
-
-    if name == "constant":
-        _nargs(1)
-        return lambda m: np.full_like(np.asarray(m, dtype=float), args[0])
-    if name == "linear":
-        _nargs(1)
-        return lambda m: args[0] * np.asarray(m, dtype=float)
-    if name == "power":
-        _nargs(2)
-        return lambda m: args[0] * np.asarray(m, dtype=float) ** args[1]
-    if name == "expdecay":
-        _nargs(2)
-        if args[1] <= 1.0:
+    text = str(spec).strip()
+    if text.startswith("list:"):
+        values = [float(s) for s in text[len("list:"):].split(",")]
+        if len(values) != len(m_grid):
+            raise ValueError(f"explicit list has {len(values)} entries but the grid has {len(m_grid)}")
+    else:
+        match = _LAW_RE.match(text)
+        if not match:
+            raise ValueError(
+                f"cannot parse intensity law {spec!r}; expected constant:E, power:a,r, "
+                "linear:a, expdecay:a,b, logpower:a,r or list:E1,..."
+            )
+        name, arg_text = match.groups()
+        args = [float(s) for s in arg_text.split(",")]
+        n_args, law = _LAWS[name]
+        if len(args) != n_args:
+            raise ValueError(f"law {name!r} takes {n_args} parameter(s), got {len(args)}")
+        if name == "expdecay" and args[1] <= 1.0:
             raise ValueError(f"expdecay base must be > 1, got {args[1]}")
-        return lambda m: args[0] * args[1] ** (-np.asarray(m, dtype=float))
-    _nargs(2)
-    return lambda m: args[0] * np.log(np.asarray(m, dtype=float)) * np.asarray(m, dtype=float) ** args[1]
+        values = [float(law(np.asarray(float(m)), *args)) for m in m_grid]
+    for m, value in zip(m_grid, values):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"intensity {value!r} at m={m} is negative or not finite")
+    return values
 
 
 # -- decay fitting and classification ---------------------------------------
@@ -282,24 +288,15 @@ def fit_decay(m_grid, log_values) -> float:
     return float(coeffs[1])
 
 
-def classify_regime(m_grid, energies) -> RegimeVerdict:
-    """Classify the intensities ``energies`` over ``m_grid`` as plateau or trainable.
+def classify_regime(m_grid, e0s, e1s) -> RegimeVerdict:
+    """Classify a sweep as plateau or trainable from its input and output intensities
+    at each grid point: ``e1s`` is ``e0s`` for the compiling cost, and e.g.
+    ``e1s[i] = k^(2 L(m)) e0s[i]`` for an attenuation sweep.
 
-    Evaluates the compiling prefactor ``heterodyne_prefactor(m, E, E)`` at each
-    point, fits the decay and compares the linear slope against
-    ``SLOPE_THRESHOLD``.  A generator's column norms would only add log xi to
-    every value, which the fit's constant term absorbs.
+    Evaluates ``heterodyne_prefactor(m, E0, E1)`` at each point, fits the decay and
+    compares the linear slope against ``SLOPE_THRESHOLD``.  A generator's column
+    norms would only add log xi to every value, which the fit's constant term absorbs.
     """
-    return _classify(m_grid, "E", energies, energies)
-
-
-def classify_noise(m_grid, e0s, e1s) -> RegimeVerdict:
-    """Classify an attenuation sweep from its input and output intensities,
-    e.g. ``e1s[i] = k^(2 L(m)) e0s[i]``, with the unequal-intensity prefactor."""
-    return _classify(m_grid, "E0", e0s, e1s)
-
-
-def _classify(m_grid, name, e0s, e1s) -> RegimeVerdict:
     for column in (e0s, e1s):
         if len(column) != len(m_grid):
             raise ValueError(f"got {len(column)} intensities for {len(m_grid)} grid points")
@@ -309,7 +306,7 @@ def _classify(m_grid, name, e0s, e1s) -> RegimeVerdict:
         try:
             logs.append(heterodyne_prefactor(m, e0, e1).log_value)
         except ValueError as exc:  # e.g. a Bessel argument that overflows
-            raise ValueError(f"at m={m}, {name}={e0!r}: {exc}") from None
+            raise ValueError(f"at m={m}, E0={e0!r}, E1={e1!r}: {exc}") from None
     slope = fit_decay(m_grid, logs)
     verdict = "BPL" if slope <= SLOPE_THRESHOLD else "trainable"
     return RegimeVerdict(verdict, slope, tuple(logs))

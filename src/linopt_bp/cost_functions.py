@@ -1,6 +1,7 @@
-"""Cost functions over random linear-optical circuits, with analytic gradients.
+"""Definitions shared by the cost families: the toy family's closed form, the
+attenuation map and the quadratic family's Hamiltonian.
 
-Four families, each an exact closed form in the phase-space mean:
+The four cost families are exact closed forms in the phase-space mean:
 
 * toy: a bank of local phase shifters on an m-fold product state, cost
   ``1 - |<psi0|U(theta)|psi0>|^2``;
@@ -12,35 +13,14 @@ Four families, each an exact closed form in the phase-space mean:
   ``(u T) eta (u T)^T`` plus the theta-independent vacuum term ``tr(eta)/2``
   from the coherent-state covariance ``I/2``.
 
-Of the toy family this module holds the gradient and its closed-form mean
-|gradient| in log scale, whose ``.value`` is the linear one; the cost is a
-test oracle.  Of the circuit families this module holds what the Monte Carlo
-families and the closed forms share: ``attenuated_intensity``, which maps E0
-to the E1 that both take, and ``QuadraticHamiltonian``, which the trainer
-takes as the cost's eta and the quadratic family and its closed form as eta~
-(``check_hamiltonian`` turns a bare array away); the trainer evaluates the
-costs and their gradients itself.
-
-Gradients are with respect to the parameter of the split layer, whose gate
-is a ``GeneratorPair``.  They depend on the circuit only through the vectors
-``y = u O_minus`` and ``b = O_plus n^T``, which the trainer propagates and
-the Monte Carlo families draw as sphere points.  The overlap-family gradient is
-
-    dC/dtheta_k = -exp(-(E0+E1)) (y D_k b) exp(y . b),
-
-oriented so that it matches central finite differences of the layered
-circuit's cost under this package's composition convention (see
-``linear_optics``); ``y D_k b`` is ``Re(z dc conj(c))`` on the gate's modes,
-with z and c the complex views of y and b and ``dc`` the gate's complex
-generator block.  One contraction, ``linear_optics.bilinear``, takes it in
-the Monte Carlo families (on the few coordinates of y and b they draw) and,
-through ``GateBlocks.bilinear``, in the trainer.  The quadratic gradient is
-``w [D_k, eta~] w^T`` with ``w = u O_minus`` and eta~ symmetric, which is
-``2 y D_k b^T`` at ``y = w`` and ``b = w eta~``: the trainer and
-``QuadraticGradientFamily(gen, E, ham)`` evaluate it with the same
-contraction, and ``closed_forms.quadratic_second_moment(gen, E, ham)`` takes
-its moment from the complex blocks of eta~, so no dense 2m x 2m
-``[D_k, eta~]`` is formed.
+This module holds the toy family's closed-form mean |gradient| in log scale,
+``toy_log_abs_expectation``, whose ``.value`` is the linear one;
+``attenuated_intensity``, which maps E0 to the E1 that the measurement
+family's Monte Carlo and closed form both take; and ``QuadraticHamiltonian``,
+which the trainer takes as the cost's eta and the quadratic family and its
+closed form as eta~ (``check_hamiltonian`` turns a bare array away).  The
+trainer evaluates the circuit families' costs and gradients, ``estimators``
+samples the gradients, and the toy cost and its gradient are test oracles.
 """
 
 from __future__ import annotations
@@ -55,20 +35,6 @@ from .validation import check_intensity, check_mode_count, check_symmetric, mode
 
 
 # -- toy family ----------------------------------------------------------
-
-
-def _local_weight(u_single) -> float:
-    u1, u2 = (float(x) for x in np.asarray(u_single, dtype=float).reshape(-1))
-    return u1 * u1 + u2 * u2
-
-
-def toy_grad(u_single, theta) -> float:
-    """Derivative of the toy cost ``1 - exp(s sum_j (cos theta_j - 1))`` with respect to
-    the first angle, with s = u1^2 + u2^2 (twice the local intensity)."""
-    s = _local_weight(u_single)
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    m = theta.size
-    return s * math.sin(theta[0]) * math.exp(s * float(np.cos(theta).sum()) - m * s)
 
 
 def toy_log_abs_expectation(s: float, m: int) -> LogScaled:

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -135,9 +136,6 @@ class MeasurementGradientFamily:
     def __post_init__(self):
         dc = check_generator(self.gen).dc
         object.__setattr__(self, "_radii", (_sphere_radius(self.e0, "e0"), _sphere_radius(self.e1, "e1")))
-        k = len(dc)
-        if k == 0:
-            raise ValueError("the generator acts on no mode, so every gradient is zero")
         diag = np.diagonal(dc)
         scalar = np.all(diag == diag[0]) and np.count_nonzero(dc) == np.count_nonzero(diag)
         block = dc[:1, :1] if scalar else dc
@@ -197,8 +195,6 @@ class QuadraticGradientFamily:
         check_generator(self.gen)
         object.__setattr__(self, "_radius", _sphere_radius(self.energy, "energy"))
         check_same_modes(self.gen.m, check_hamiltonian(self.ham, "ham").m, "generator and Hamiltonian")
-        if self.gen.modes.size == 0:
-            raise ValueError("the generator acts on no mode, so every gradient is zero")
         object.__setattr__(self, "_columns", self.ham.eta[:, self.gen.support])
 
     def sample_gradients(self, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -241,13 +237,14 @@ def _moment_sums(family, n_samples: int, source: RandomSource, n_jobs: int):
     def one(chunk) -> tuple:
         index, size = chunk
         x = family.sample_gradients(size, source.substream(index))
-        x2 = x * x
-        return (
-            float(np.sum(x)),
-            float(np.sum(np.abs(x))),
-            float(np.sum(x2)),
-            float(np.sum(x2 * x2)),
-        )
+        with np.errstate(over="ignore"):  # a sum that overflows is reported by the caller
+            x2 = x * x
+            return (
+                float(np.sum(x)),
+                float(np.sum(np.abs(x))),
+                float(np.sum(x2)),
+                float(np.sum(x2 * x2)),
+            )
 
     parts = _run_chunks(one, n_samples, n_jobs)
     return tuple(math.fsum(col) for col in zip(*parts))
@@ -268,7 +265,12 @@ def _std_error(variance: float, n: float) -> float:
 
 def estimate_grad_moments(family, n_samples: int, rng, n_jobs: int = 1) -> MomentEstimate:
     """The signed mean (0 by symmetry for every family), the mean magnitude and the
-    second moment of the family's gradient over ``n_samples`` draws."""
+    second moment of the family's gradient over ``n_samples`` draws.
+
+    A nonzero second moment whose sum of g^4 is 0, subnormal, infinite or NaN has
+    no representable standard error, and is a ValueError; an all-zero gradient is
+    0 +- 0.
+    """
     _check_family(family)
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= {MIN_SAMPLES}, got {n_samples}")
@@ -278,6 +280,9 @@ def estimate_grad_moments(family, n_samples: int, rng, n_jobs: int = 1) -> Momen
     sum_x, sum_abs, sum_x2, sum_x4 = _moment_sums(family, n_samples, source, n_jobs)
     n = float(n_samples)
     mean, mean_abs, second = sum_x / n, sum_abs / n, sum_x2 / n
+    if sum_x2 != 0.0 and not sys.float_info.min <= sum_x4 < math.inf:
+        raise ValueError(f"the second moment {second!r} has no standard error: "
+                         f"the sum of g^4 is {sum_x4!r}, outside the normal double range")
     return MomentEstimate(
         n_samples=n_samples,
         mean=mean,

@@ -61,11 +61,11 @@ GENERATOR_KINDS = ("phase-shifter", "two-mode-phase", "beamsplitter", "global-ph
 class GeneratorPair:
     """A parameterized gate, stored as the complex block ``dc`` of its generator on ``modes``.
 
-    Checked once: ``modes`` is ascending, distinct and inside the m modes, and ``dc``
-    is k x k for its k modes and skew-Hermitian to 1e-10, which for a complex-linear
-    D is energy conservation.  Stored, read-only: the modes and the exactly
-    skew-Hermitian part of ``dc``.  A real Hamiltonian block enters through
-    ``from_symmetric``.
+    Checked once: ``modes`` is one or more modes, ascending, distinct and inside
+    the m modes, and ``dc`` is k x k for its k modes and skew-Hermitian to 1e-10,
+    which for a complex-linear D is energy conservation.  Stored, read-only: the
+    modes and the exactly skew-Hermitian part of ``dc``.  A real Hamiltonian block
+    enters through ``from_symmetric``.
     """
 
     m: int
@@ -75,6 +75,8 @@ class GeneratorPair:
     def __init__(self, m: int, modes, dc):
         m = check_mode_count(int(m))
         given = np.asarray(modes)
+        if given.size == 0:
+            raise ValueError("modes is empty: a gate that acts on no mode has a zero gradient")
         if not (given.ndim == 1 and np.issubdtype(given.dtype, np.integer) and np.all(np.diff(given) > 0)
                 and np.all((given >= 0) & (given < m))):
             # an object array keeps each index as given: (-1, 2**63) would read as floats

@@ -16,8 +16,8 @@ trainer's gates, its complex-mode adjoint pass and that contraction.
 ``mp_gate`` is a high-precision reference for a custom gate.  They validate
 nothing.
 
-``symplectic_form``, ``intensity``, ``overlap_fidelity``, ``toy_cost`` and
-``uniform_angles`` are small reference functions that no package code calls;
+``symplectic_form``, ``intensity``, ``overlap_fidelity``, ``toy_cost``,
+``toy_grad`` and ``uniform_angles`` are small reference functions that no package code calls;
 they live here as oracles for the tests that pin the conventions.  ``every_kind(m)`` lists a
 generator of each standard kind on m modes, two-mode gates both ways round,
 and a custom one, for the tests that sweep gate kinds.
@@ -88,6 +88,11 @@ def overlap_fidelity(u, v) -> float:
     return float(np.exp(-0.5 * float(diff @ diff)))
 
 
+def _local_weight(u_single) -> float:
+    u1, u2 = (float(x) for x in np.asarray(u_single, dtype=float).reshape(-1))
+    return u1 * u1 + u2 * u2
+
+
 def toy_cost(u_single, theta) -> float:
     """Local phase-shifter cost on the m-fold product of one single-mode state.
 
@@ -95,11 +100,19 @@ def toy_cost(u_single, theta) -> float:
     ``1 - exp(s * sum_j (cos theta_j - 1))``; zero at theta = 0 and
     invariant under permutations of the angles.
     """
-    u1, u2 = (float(x) for x in np.asarray(u_single, dtype=float).reshape(-1))
-    s = u1 * u1 + u2 * u2
+    s = _local_weight(u_single)
     theta = np.asarray(theta, dtype=float).reshape(-1)
     m = theta.size
     return 1.0 - math.exp(s * float(np.cos(theta).sum()) - m * s)
+
+
+def toy_grad(u_single, theta) -> float:
+    """Derivative of the toy cost ``1 - exp(s sum_j (cos theta_j - 1))`` with respect to
+    the first angle, with s = u1^2 + u2^2 (twice the local intensity)."""
+    s = _local_weight(u_single)
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    m = theta.size
+    return s * math.sin(theta[0]) * math.exp(s * float(np.cos(theta).sum()) - m * s)
 
 
 def uniform_angles(m: int, rng) -> np.ndarray:
@@ -216,15 +229,9 @@ def fit_linear_rate(m_grid, log_values) -> float:
     return float(coeffs[1])
 
 
-def law_values(text: str, grid) -> list:
-    """An intensity law at each grid point, one scalar call per point as in the CLI."""
-    law = intensity_law(text)
-    return [float(law(np.asarray(float(m)))) for m in grid]
-
-
 def attenuation_values(e0_law: str, k: float, layers, grid) -> tuple:
     """(E0, E1) lists of an attenuation sweep with ``layers(m)`` layers at mode count m."""
-    e0s = law_values(e0_law, grid)
+    e0s = intensity_law(e0_law, grid)
     return e0s, [cf.attenuated_intensity(e0, k, layers(m)) for e0, m in zip(e0s, grid)]
 
 

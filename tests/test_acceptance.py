@@ -17,17 +17,16 @@ from linopt_bp import (
     RandomSource,
     TrainConfig,
     bessel_i,
-    classify_noise,
     classify_regime,
     estimate_grad_moments,
     heterodyne_prefactor,
+    intensity_law,
     linear_intensity_rate,
     make_generator,
     quadratic_second_moment,
     random_circuit,
     second_moment_interval,
     second_moment_point,
-    toy_grad,
     toy_log_abs_expectation,
     train,
     uniform_sphere,
@@ -41,7 +40,7 @@ from linopt_bp.sampling import haar_orthogonal_batch, uniform_sphere_batch
 from linopt_bp.cli import main as cli_main
 
 from conftest import (attenuation_values, bk_matrix, compiling_grad, equal_intensity_log_prefactor, fd_gradient,
-                      fit_linear_rate, law_values, quadratic_grad, series_bessel_i, split_action)
+                      fit_linear_rate, quadratic_grad, series_bessel_i, split_action, toy_grad)
 
 M_GRID = list(range(4, 65, 4))
 
@@ -132,8 +131,8 @@ def test_criterion_04_heterodyne_prefactor_and_noise_regimes():
                 abs(heterodyne_prefactor(m, energy, energy).log_value
                     - equal_intensity_log_prefactor(m, energy)),
             )
-    bpl = classify_noise(M_GRID, *attenuation_values("power:1,0.5", 0.9, lambda m: m, M_GRID))
-    trainable = classify_noise(
+    bpl = classify_regime(M_GRID, *attenuation_values("power:1,0.5", 0.9, lambda m: m, M_GRID))
+    trainable = classify_regime(
         M_GRID, *attenuation_values("power:1,0.5", 0.9, lambda m: math.ceil(math.sqrt(m)), M_GRID)
     )
     ok = worst <= 1e-12 and bpl.verdict == "BPL" and trainable.verdict == "trainable"
@@ -146,10 +145,10 @@ def test_criterion_04_heterodyne_prefactor_and_noise_regimes():
 
 def test_criterion_05_intensity_regimes_and_rates():
     """Regime verdicts on the canonical laws; fitted rates to 5 percent."""
-    verdicts = {
-        law: classify_regime(M_GRID, law_values(law, M_GRID)).verdict
-        for law in ("linear:1", "expdecay:1,2", "power:1,0.5", "logpower:1,-0.5")
-    }
+    verdicts = {}
+    for law in ("linear:1", "expdecay:1,2", "power:1,0.5", "logpower:1,-0.5"):
+        energies = intensity_law(law, M_GRID)
+        verdicts[law] = classify_regime(M_GRID, energies, energies).verdict
     expected = {
         "linear:1": "BPL",
         "expdecay:1,2": "BPL",

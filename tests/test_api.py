@@ -46,7 +46,6 @@ EXPORTS = [
     "attenuated_intensity",
     "bessel_i",
     "chebyshev_bound",
-    "classify_noise",
     "classify_regime",
     "estimate_grad_moments",
     "fit_decay",
@@ -58,7 +57,6 @@ EXPORTS = [
     "random_circuit",
     "second_moment_interval",
     "second_moment_point",
-    "toy_grad",
     "toy_log_abs_expectation",
     "train",
     "uniform_sphere",

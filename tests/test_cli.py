@@ -174,6 +174,19 @@ class TestNoiseCommand:
         for m, e0, _, e1, log_value in rows:
             assert float(log_value) == cforms.heterodyne_prefactor(int(m), float(e0), float(e1)).log_value
 
+    def test_explicit_e0_list_matches_its_law(self, tmp_path):
+        # --e0-law takes the grammar of --law, list: included
+        args = ["noise", "--m-grid", "4:64:4", "--k", "0.9", "--layers-law", "sqrt"]
+        e0s = cforms.intensity_law("power:1,0.5", list(range(4, 65, 4)))
+        code_law, law_path = run(tmp_path, args + ["--e0-law", "power:1,0.5"], name="law.csv")
+        code_list, list_path = run(tmp_path, args + ["--e0-law", "list:" + ",".join(map(repr, e0s))],
+                                   name="list.csv")
+        assert (code_law, code_list) == (0, 0)
+        law_preamble, law_header, law_rows = parse_csv(law_path)
+        list_preamble, list_header, list_rows = parse_csv(list_path)
+        assert (list_header, list_rows) == (law_header, law_rows)
+        assert list_preamble["verdict"] == law_preamble["verdict"] == "trainable"
+
 
 def _count_calls(monkeypatch, name):
     """Record the mode count of every call to a closed-form prefactor."""
@@ -236,8 +249,9 @@ class TestRegimesCommand:
 
 
 def _spy_sweep(monkeypatch):
-    """Record every evaluation of a parsed intensity law, a layer-count law and
-    ``attenuated_intensity``, by the mode count (or layer count) it was asked for."""
+    """Record every call of ``intensity_law`` by the grid it was given, and every
+    evaluation of a layer-count law and ``attenuated_intensity`` by the mode count
+    (or layer count) it was asked for."""
     calls = {"law": [], "layers": [], "attenuation": []}
 
     def counting(kind, fn, key):
@@ -246,9 +260,9 @@ def _spy_sweep(monkeypatch):
             return fn(*args)
         return wrapped
 
-    parse_law, parse_layers = cforms.intensity_law, cli._parse_layers_law
+    parse_layers = cli._parse_layers_law
     monkeypatch.setattr(cforms, "intensity_law",
-                        lambda text: counting("law", parse_law(text), lambda m: int(m)))
+                        counting("law", cforms.intensity_law, lambda text, grid: list(grid)))
     monkeypatch.setattr(cli, "_parse_layers_law",
                         lambda text: counting("layers", parse_layers(text), lambda m: m))
     monkeypatch.setattr(cf, "attenuated_intensity",
@@ -263,7 +277,7 @@ class TestSweepEvaluatesOnce:
         calls = _spy_sweep(monkeypatch)
         code, _ = run(tmp_path, ["regimes", "--law", "expdecay:3,1.1", "--m-grid", "4:64:4"])
         assert code == 0
-        assert calls == {"law": self.GRID, "layers": [], "attenuation": []}
+        assert calls == {"law": [self.GRID], "layers": [], "attenuation": []}
 
     def test_noise(self, tmp_path, monkeypatch):
         calls = _spy_sweep(monkeypatch)
@@ -271,7 +285,7 @@ class TestSweepEvaluatesOnce:
                                     "--k", "0.9", "--layers-law", "sqrt"])
         assert code == 0
         _, _, rows = parse_csv(path)
-        assert calls == {"law": self.GRID, "layers": self.GRID,
+        assert calls == {"law": [self.GRID], "layers": self.GRID,
                          "attenuation": [int(row[2]) for row in rows]}
 
 
@@ -341,10 +355,10 @@ class TestExitCodes:
         (["regimes", "--law", "list:" + ",".join(map(str, range(1, 16))) + ",-16"], 2,
          "law: intensity -16.0 at m=64"),
         # E = 1e308 is finite, but the Bessel argument 4E overflows
-        (["regimes", "--law", "constant:1e308"], 3, "at m=4, E=1e+308"),
+        (["regimes", "--law", "constant:1e308"], 3, "at m=4, E0=1e+308, E1=1e+308"),
         (["noise", "--e0-law", "constant:1e308", "--k", "0.9"], 3, "at m=4, E0=1e+308"),
         # 4E = 4e12 is above the Bessel MAX_ARGUMENT = 1e12
-        (["regimes", "--law", "constant:1e12"], 3, "at m=4, E=1000000000000.0"),
+        (["regimes", "--law", "constant:1e12"], 3, "at m=4, E0=1000000000000.0"),
         # single points: the closed form fails, and the command exits 3 as a sweep does
         (["heterodyne", "--m", "4", "--e0", "1e308", "--e1", "1e308"], 3,
          "closed form: argument must be finite"),
@@ -364,6 +378,14 @@ class TestExitCodes:
          "pred_lo underflows to 0.0 (log -1854.21"),
         (["toy", "--m", "3000", "--s", "1", "--samples", "1000"], 3,
          "closed form underflows to 0.0 (log -2292.78"),
+        # a nonzero second moment whose g^4 sum underflows to 0 or overflows to inf:
+        # its standard error would be written as 0.0
+        (["prop1", "--m", "150", "--intensity", "150", "--samples", "8192"], 3,
+         "numerical failure: Monte Carlo: the second moment 2.7671549197627408e-207 has no "
+         "standard error: the sum of g^4 is 0.0"),
+        (["prop2", "--intensity", "1e80", "--samples", "1000"], 3,
+         "numerical failure: Monte Carlo: the second moment 1.3935043358500343e+160 has no "
+         "standard error: the sum of g^4 is inf"),
         # a layer-count law that does not parse, or whose count leaves the float range
         (["noise", "--layers-law", "linear:x"], 2, "layers_law: cannot parse 'linear:x'"),
         (["noise", "--layers-law", "linear:1e400"], 2, "layers_law: cannot parse 'linear:1e400'"),
@@ -404,7 +426,7 @@ class TestExitCodes:
             "noise-bessel-overflow", "regimes-max-argument", "heterodyne-bessel-overflow",
             "heterodyne-exponent-overflow", "heterodyne-exponent-overflow-mc",
             "prop1-bessel-overflow", "toy-max-argument", "prop1-prediction-underflow",
-            "toy-closed-form-underflow",
+            "toy-closed-form-underflow", "prop1-fourth-power-underflow", "prop2-fourth-power-overflow",
             "layers-linear-text", "layers-linear-overflow", "layers-linear-nan", "layers-const-text",
             "layers-const-fraction", "layers-count-overflow",
             "train-tol-nan", "train-intensity-inf", "prop2-intensity-nan", "prop1-intensity-nan",

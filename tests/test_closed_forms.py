@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from linopt_bp import (
     attenuated_intensity,
     bessel_i,
     chebyshev_bound,
-    classify_noise,
     classify_regime,
     fit_decay,
     heterodyne_prefactor,
@@ -33,7 +33,7 @@ from linopt_bp.estimators import (
 from linopt_bp.sampling import haar_orthogonal_batch
 
 from conftest import (assert_within_sigma, attenuation_values, bk_matrix, dense_d, dense_eps,
-                      equal_intensity_log_prefactor, every_kind, fit_linear_rate, law_values, loose_prefactor, simpson,
+                      equal_intensity_log_prefactor, every_kind, fit_linear_rate, loose_prefactor, simpson,
                       tail_frequency)
 
 GRID = list(range(4, 65, 4))
@@ -394,21 +394,49 @@ class TestIntensityLawGrammar:
         ],
     )
     def test_values(self, text, m, expected):
-        law = intensity_law(text)
-        assert float(law(np.asarray(float(m)))) == pytest.approx(expected, rel=1e-12)
+        assert intensity_law(text, [m]) == [pytest.approx(expected, rel=1e-12)]
+
+    @pytest.mark.parametrize("text,formula", [
+        ("constant:2.5", lambda m: np.full_like(m, 2.5)),
+        ("linear:0.37", lambda m: 0.37 * m),
+        ("power:1.3,0.75", lambda m: 1.3 * m ** 0.75),
+        ("expdecay:3,1.0001", lambda m: 3.0 * 1.0001 ** -m),
+        ("logpower:1.5,-0.5", lambda m: 1.5 * np.log(m) * m ** -0.5),
+    ])
+    def test_each_point_is_a_zero_d_array(self, text, formula):
+        # bit for bit the formula at one 0-d array per point; numpy's power over the
+        # whole grid rounds expdecay:3,1.0001 differently at some of these points
+        grid = list(range(1, 4097))
+        assert intensity_law(text, grid) == [float(formula(np.asarray(float(m)))) for m in grid]
+
+    def test_explicit_list(self):
+        assert intensity_law(" list:1,2.5,0", [4, 8, 12]) == [1.0, 2.5, 0.0]
+        with pytest.raises(ValueError, match="^explicit list has 2 entries but the grid has 3$"):
+            intensity_law("list:1,2", [4, 8, 12])
+
+    @pytest.mark.parametrize("text,message", [
+        ("power:-1,0.5", "intensity -2.0 at m=4 is negative or not finite"),
+        ("linear:1e400", "intensity inf at m=4 is negative or not finite"),
+        ("list:1,nan,2", "intensity nan at m=8 is negative or not finite"),
+        ("list:1,2,-3", "intensity -3.0 at m=12 is negative or not finite"),
+    ])
+    def test_rejects_negative_or_infinite_intensity(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            intensity_law(text, [4, 8, 12])
 
     def test_rejects_callable(self):
         with pytest.raises(ValueError, match="cannot parse"):
-            intensity_law(lambda m: m + 1)
+            intensity_law(lambda m: m + 1, GRID)
 
     def test_rejects_malformed(self):
-        for bad in ("bogus:1", "linear", "power:1", "expdecay:1,0.5", ""):
+        for bad in ("bogus:1", "linear", "power:1", "expdecay:1,0.5", "", "list:1,x"):
             with pytest.raises(ValueError):
-                intensity_law(bad)
+                intensity_law(bad, GRID)
 
 
 def _regime(law, grid=GRID):
-    return classify_regime(grid, law_values(law, grid))
+    energies = intensity_law(law, grid)
+    return classify_regime(grid, energies, energies)
 
 
 class TestRegimeClassifier:
@@ -437,27 +465,33 @@ class TestRegimeClassifier:
 
     def test_fit_diagnostics_exposed(self):
         # the verdict, the coefficient of m and the log moments it was fitted to
-        energies = law_values("linear:1", GRID)
-        verdict = classify_regime(GRID, energies)
+        energies = intensity_law("linear:1", GRID)
+        verdict = classify_regime(GRID, energies, energies)
         assert list(vars(verdict)) == ["verdict", "slope", "log_values"]
         assert verdict.log_values == tuple(heterodyne_prefactor(m, e, e).log_value for m, e in zip(GRID, energies))
         assert verdict.slope == fit_decay(GRID, verdict.log_values)
 
     def test_noise_layer_scaling_transition(self):
-        bpl = classify_noise(GRID, *attenuation_values("power:1,0.5", 0.9, lambda m: m, GRID))
-        ok = classify_noise(
+        bpl = classify_regime(GRID, *attenuation_values("power:1,0.5", 0.9, lambda m: m, GRID))
+        ok = classify_regime(
             GRID, *attenuation_values("power:1,0.5", 0.9, lambda m: math.ceil(math.sqrt(m)), GRID)
         )
         assert (bpl.verdict, ok.verdict) == ("BPL", "trainable")
 
     def test_value_count_must_match_grid(self):
-        energies = law_values("linear:1", GRID)
+        energies = intensity_law("linear:1", GRID)
         with pytest.raises(ValueError, match="15 intensities for 16 grid points"):
-            classify_regime(GRID, energies[:-1])
+            classify_regime(GRID, energies[:-1], energies[:-1])
         with pytest.raises(ValueError, match="17 intensities for 16 grid points"):
-            classify_noise(GRID, energies, energies + [1.0])
+            classify_regime(GRID, energies, energies + [1.0])
         with pytest.raises(ValueError, match="15 intensities for 16 grid points"):
-            classify_noise(GRID, energies[1:], energies)
+            classify_regime(GRID, energies[1:], energies)
+
+    def test_failing_point_names_both_intensities(self):
+        e0s = [1.0] * len(GRID)
+        e0s[2] = 1e308  # the Bessel argument 4 sqrt(E0 E1) overflows
+        with pytest.raises(ValueError, match=r"^at m=12, E0=1e\+308, E1=1e\+308: "):
+            classify_regime(GRID, e0s, e0s)
 
 
 class TestLinearRateFit:

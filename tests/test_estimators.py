@@ -74,6 +74,16 @@ class _ZeroFamily:
         return np.zeros(size)
 
 
+class _ConstantFamily:
+    """Every gradient has the same value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def sample_gradients(self, size, rng):
+        return np.full(size, self.value)
+
+
 class TestWorkerCount:
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
@@ -156,6 +166,18 @@ class TestMomentEstimateContract:
                             (est.std_error_second, x * x)]:
             assert got == pytest.approx(math.sqrt(sample.var() / n_samples), rel=1e-9)
         assert abs(est.mean) < est.mean_abs
+
+    @pytest.mark.parametrize("value, fourth", [(1e-100, "0.0"), (1e-78, "9.99"), (1e100, "inf")],
+                             ids=["underflow", "subnormal", "overflow"])
+    def test_second_moment_without_error_bar_rejected(self, value, fourth):
+        # a g^4 sum of 0 or inf would make the variance of g^2 0 or inf - inf, and the
+        # standard error 0.0
+        with pytest.raises(ValueError, match=rf"has no standard error: the sum of g\^4 is {fourth}"):
+            estimate_grad_moments(_ConstantFamily(value), MIN_SAMPLES, RandomSource(1))
+
+    def test_zero_gradient_is_zero_plus_minus_zero(self):
+        est = estimate_grad_moments(_ZeroFamily(), MIN_SAMPLES, RandomSource(1))
+        assert (est.second_moment, est.std_error_second) == (0.0, 0.0)
 
     def test_minimum_sample_count_enforced(self):
         with pytest.raises(ValueError, match="n_samples"):
@@ -322,6 +344,7 @@ class TestQuadraticFamily:
         np.testing.assert_array_equal(family.sample_gradients(64, RandomSource(3).generator()), before)
 
     def test_generator_on_no_mode_rejected(self):
+        # GeneratorPair rejects the gate before the family sees it
         with pytest.raises(ValueError, match="no mode"):
             QuadraticGradientFamily(GeneratorPair.from_symmetric(np.zeros((4, 4))), 0.0,
                                     QuadraticHamiltonian(np.eye(4)))
@@ -513,6 +536,7 @@ class TestStreamedChunks:
         assert ks_2samp(got, self._dense_gradients(family, y, b)[1]).pvalue > 0.01
 
     def test_generator_on_no_mode_rejected(self):
+        # GeneratorPair rejects the gate before the family sees it
         with pytest.raises(ValueError, match="no mode"):
             MeasurementGradientFamily(GeneratorPair.from_symmetric(np.zeros((4, 4))), 0.0, 0.0)
 

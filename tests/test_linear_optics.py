@@ -152,6 +152,16 @@ class TestGenerators:
             with pytest.raises(ValueError, match="ascending, distinct and inside the 3 modes"):
                 GeneratorPair(3, modes, np.zeros((size, size)))
 
+    @pytest.mark.parametrize("modes", [[], np.array([], dtype=int), np.zeros((0, 2), dtype=int)],
+                             ids=["list", "int-array", "2-d"])
+    def test_rejects_a_gate_on_no_mode(self, modes):
+        # xi_bounds would reduce over no column, and every gradient would be zero
+        message = "modes is empty: a gate that acts on no mode has a zero gradient"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GeneratorPair(3, modes, np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="^modes is empty"):
+            GeneratorPair.from_symmetric(np.zeros((6, 6)))
+
     def test_rejects_block_of_the_wrong_shape(self):
         with pytest.raises(ValueError, match="the gate has 2 modes"):
             GeneratorPair(2, [0, 1], -1j * np.eye(1))
